@@ -44,12 +44,8 @@ def _matrix(quick: bool) -> Dict:
 
 def _plans(quick: bool) -> List[tuple]:
     if quick:
-        return [("serial", 1), ("thread", 2), ("process", 2)]
-    return [
-        ("serial", 1),
-        ("thread", 2), ("thread", 4),
-        ("process", 2), ("process", 4),
-    ]
+        return [("serial", 1), ("process", 2)]
+    return [("serial", 1), ("process", 2), ("process", 4)]
 
 
 def run(quick: bool = False, repeats: int = 3, seed: int = 0) -> Dict:

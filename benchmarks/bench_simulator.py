@@ -16,32 +16,16 @@ through the scenario layer:
     than fixed-cost noise. Every row records its ``degree``.
 
   Runs ``indexed`` vs ``reference`` vs ``vectorized`` (the columnar
-  numpy engine, where numpy imports) vs ``sharded`` (the multiprocess
-  engine, where the platform can fork); the reference loop is only
-  timed up to n = 1000 — past that it only slows the sweep down without
+  numpy engine, where numpy imports); the reference loop is only timed
+  up to n = 1000 — past that it only slows the sweep down without
   informing it.
 * **shared-mst** — :func:`simultaneous_msts` over a 2-part Karger edge
   partition: the composite Lemma 5.1 workload (subgraph floods, BFS,
   pipelined upcast) that chains many simulations end to end.
 
-The sharded engine additionally gets its own **shard-count sweep**
-(E29): dense-flooding ``flooding-sharded`` rows timing the columnar
-workers against ``indexed`` per shard count, each recording that
-count's ``vectorized_speedup`` (the workers run the vectorized
-columnar inner loop, so the row measures how the columnar plane scales
-across the barrier). The indexed baseline of these rows is always
-timed, ``--engines`` filter or not — the speedup is the row's point.
-
-Acceptance gates (non-quick runs, E26/E28/E29):
-
-* sharded: ≥ 1.5× rounds/sec over ``indexed`` at flooding n = 5000 on
-  the largest shard count — asserted only when ≥ 4 **schedulable**
-  cores are detected (``len(os.sched_getaffinity(0))``, not the host's
-  ``os.cpu_count()``); affinity-limited boxes still record the rows
-  honestly (the ``workers`` field says what ran).
-* vectorized: **≥ 3× rounds/sec over ``indexed`` at flooding n = 5000**
-  — asserted whenever both engines run the row, so a regression fails
-  the bench loudly.
+Acceptance gate (non-quick runs, E28): vectorized must run **≥ 3×
+rounds/sec over ``indexed`` at flooding n = 5000** — asserted whenever
+both engines run the row, so a regression fails the bench loudly.
 
 Every row asserts identical outputs and round counts across engines
 (the equivalence suites pin full bit-identity; this bench pins speed).
@@ -83,13 +67,6 @@ DENSE_DEGREE = 128
 VECTORIZED_GATE_N = 5000
 VECTORIZED_GATE_SPEEDUP = 3.0
 
-#: The E29 gate: columnar sharded workers over indexed at flooding
-#: n=5000 on the largest shard count — enforced only with >= 4
-#: schedulable cores (affinity mask, not host CPU count).
-SHARDED_GATE_N = 5000
-SHARDED_GATE_SPEEDUP = 1.5
-SHARDED_GATE_MIN_CPUS = 4
-
 
 def _flood_sizes(quick: bool):
     return (24, 60) if quick else (100, 500, 1000, 2000, 5000)
@@ -103,28 +80,12 @@ def _mst_sizes(quick: bool):
     return (24, 60) if quick else (100, 500, 1000)
 
 
-def _default_workers() -> int:
-    # Schedulable cores, not host cores: an affinity-limited container
-    # must not fork workers for CPUs it cannot run on.
-    from repro.simulator.runner_sharded import schedulable_cpus
-
-    return max(1, min(schedulable_cpus(), 4))
-
-
-def _sharded_shard_counts(quick: bool):
-    """Shard counts for the dense sharded scaling sweep (E29)."""
-    return (2,) if quick else (2, 4)
-
-
-def _flood_engines(workers: int):
-    from repro.simulator.runner_sharded import fork_available
+def _flood_engines():
     from repro.simulator.runner_vectorized import numpy_available
 
     engines = ["indexed", "reference"]
     if numpy_available():
         engines.append("vectorized")
-    if fork_available() and workers >= 1:
-        engines.append("sharded")
     return engines
 
 
@@ -146,24 +107,18 @@ def resolve_engine_filter(spec: Optional[str]) -> Optional[List[str]]:
     return engines
 
 
-def _flood_rounds_per_sec(
-    graph, engine: str, repeats: int, seed: int, workers: Optional[int]
-):
+def _flood_rounds_per_sec(graph, engine: str, repeats: int, seed: int):
     """Total rounds / total wall seconds over ``repeats`` runs (network
-    built once; only the round loop — including, for the sharded
-    engine, its fork/barrier overhead — is timed)."""
+    built once; only the round loop is timed)."""
     from repro.simulator.algorithms.flooding import ExtremumFloodProgram
     from repro.simulator.network import Network
     from repro.simulator.runner import SyncRunner
 
     network = Network(graph, rng=seed)
     factory = lambda v: ExtremumFloodProgram(network.node_id(v))  # noqa: E731
-    shards = workers if engine == "sharded" else None
 
     def once():
-        return SyncRunner(
-            network, rng=seed, engine=engine, shards=shards
-        ).run(factory)
+        return SyncRunner(network, rng=seed, engine=engine).run(factory)
 
     once()  # warmup (also builds the vectorized plane cache)
     rounds = 0
@@ -212,17 +167,14 @@ def run(
     quick: bool = False,
     repeats: int = 10,
     seed: int = 3,
-    workers: Optional[int] = None,
     engines: Optional[Sequence[str]] = None,
 ) -> Dict:
     from repro.graphs.generators import random_regular_connected
 
-    if workers is None:
-        workers = _default_workers()
     rows: List[Dict] = []
 
-    # -- flooding: the engine shoot-out, up to the E26/E28 scale points --
-    flood_engines = _flood_engines(workers)
+    # -- flooding: the engine shoot-out, up to the E28 scale points ----
+    flood_engines = _flood_engines()
     if engines is not None:
         flood_engines = [e for e in flood_engines if e in engines]
     for n in _flood_sizes(quick):
@@ -242,7 +194,7 @@ def run(
         payloads = {}
         for engine in row_engines:
             rounds, elapsed, payload = _flood_rounds_per_sec(
-                graph, engine, n_repeats, seed, workers
+                graph, engine, n_repeats, seed
             )
             per_engine[engine] = _engine_cell(rounds, elapsed)
             payloads[engine] = payload
@@ -273,10 +225,6 @@ def run(
             row["speedup"] = _speedup(per_engine, "indexed", "reference")
         if "vectorized" in per_engine and "indexed" in per_engine:
             row["vectorized_speedup"] = _speedup(per_engine, "vectorized")
-        if "sharded" in per_engine:
-            row["workers"] = workers
-            if "indexed" in per_engine:
-                row["sharded_speedup"] = _speedup(per_engine, "sharded")
         rows.append(row)
         if (
             not quick
@@ -291,72 +239,7 @@ def run(
                 f"n={n} (degree {degree})"
             )
 
-    # -- dense sharded scaling: the columnar barrier per shard count ---
-    # One row per (n, shard count): the forked workers run the
-    # vectorized columnar inner loop, so sharded-vs-indexed here is the
-    # per-shard-count speedup of the columnar plane across the barrier.
-    # The indexed baseline is always timed in this sweep (the filter
-    # selects which engines *compete*; the sweep's point is the ratio).
-    if "sharded" in flood_engines:
-        from repro.simulator.runner_sharded import schedulable_cpus
-
-        for n in (60,) if quick else (2000, 5000):
-            degree = SPARSE_DEGREE if quick else DENSE_DEGREE
-            graph = random_regular_connected(degree, n, rng=1)
-            n_repeats = repeats if quick or n <= 1000 else max(
-                2, repeats // 3
-            )
-            idx_rounds, idx_elapsed, idx_payload = _flood_rounds_per_sec(
-                graph, "indexed", n_repeats, seed, None
-            )
-            idx_cell = _engine_cell(idx_rounds, idx_elapsed)
-            for shard_count in _sharded_shard_counts(quick):
-                rounds, elapsed, payload = _flood_rounds_per_sec(
-                    graph, "sharded", n_repeats, seed, shard_count
-                )
-                if payload != idx_payload:
-                    raise AssertionError(
-                        f"flooding-sharded n={n} workers={shard_count}: "
-                        "sharded disagrees with indexed on outputs"
-                    )
-                assert rounds == idx_rounds, (
-                    f"flooding-sharded n={n} workers={shard_count}: "
-                    "sharded disagrees on round counts"
-                )
-                per_engine = {
-                    "indexed": idx_cell,
-                    "sharded": _engine_cell(rounds, elapsed),
-                }
-                row = {
-                    "program": "flooding-sharded",
-                    "n": n,
-                    "degree": degree,
-                    "m": graph.number_of_edges(),
-                    "seed": seed,
-                    "repeats": n_repeats,
-                    "rounds": idx_rounds,
-                    "workers": shard_count,
-                    **per_engine,
-                    "vectorized_speedup": _speedup(per_engine, "sharded"),
-                }
-                rows.append(row)
-                if (
-                    not quick
-                    and n == SHARDED_GATE_N
-                    and shard_count == max(_sharded_shard_counts(quick))
-                    and schedulable_cpus() >= SHARDED_GATE_MIN_CPUS
-                ):
-                    # The E29 acceptance gate — only where the workers
-                    # actually have cores to scale onto.
-                    assert (
-                        row["vectorized_speedup"] >= SHARDED_GATE_SPEEDUP
-                    ), (
-                        f"sharded gate failed: {row['vectorized_speedup']}x"
-                        f" < {SHARDED_GATE_SPEEDUP}x over indexed on "
-                        f"flooding n={n} with {shard_count} workers"
-                    )
-
-    # -- shared-mst: the composite workload (single-process engines) ---
+    # -- shared-mst: the composite workload ------------------------------
     mst_engines = ["indexed", "reference"]
     if "vectorized" in flood_engines:
         mst_engines.append("vectorized")
@@ -399,17 +282,16 @@ def run(
         if "vectorized" in per_engine and "indexed" in per_engine:
             row["vectorized_speedup"] = _speedup(per_engine, "vectorized")
         rows.append(row)
-    from repro.simulator.runner_sharded import schedulable_cpus
+    from repro.api.backends import schedulable_cpus
 
     return {
         "benchmark": "simulator_round_loop",
         "unit": "rounds per wall-clock second (outputs asserted identical)",
         "engines": flood_engines,
         "flood_repeats": repeats,
-        "workers": workers,
         # Both counts, deliberately: cpu_count is the host's logical
         # CPUs, schedulable_cpus the affinity mask this process actually
-        # runs on — worker sizing and the E29 gate use the latter.
+        # runs on.
         "cpu_count": os.cpu_count(),
         "schedulable_cpus": schedulable_cpus(),
         "python": platform.python_version(),
@@ -420,29 +302,17 @@ def run(
 
 def smoke() -> None:
     """Tiny end-to-end run for the tier-1 bench_smoke marker."""
-    from repro.simulator.runner_sharded import fork_available
-
-    report = run(quick=True, repeats=2, workers=2)
+    report = run(quick=True, repeats=2)
     assert report["results"], "simulator bench produced no rows"
     assert report["schedulable_cpus"] >= 1
     for row in report["results"]:
         assert row["rounds"] > 0
         assert row["indexed"]["rounds_per_sec"] > 0
-        if "sharded" in row:
-            assert row["sharded"]["rounds_per_sec"] > 0
         if "vectorized" in row:
             assert row["vectorized"]["rounds_per_sec"] > 0
-    if fork_available():
-        # The shard-count sweep must produce at least one genuinely
-        # multi-worker columnar row.
-        assert any(
-            row["program"] == "flooding-sharded" and row["workers"] >= 2
-            for row in report["results"]
-        ), "no multi-shard columnar row in the sweep"
     # The --engines filter path: a single-engine run and a typo.
     filtered = run(
-        quick=True, repeats=1, workers=1,
-        engines=resolve_engine_filter("indexed"),
+        quick=True, repeats=1, engines=resolve_engine_filter("indexed"),
     )
     for row in filtered["results"]:
         assert "indexed" in row and "reference" not in row
@@ -459,11 +329,6 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true", help="tiny graphs")
     parser.add_argument("--repeats", type=int, default=10)
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument(
-        "--workers", type=int, default=None,
-        help="sharded-engine worker count (default: one per schedulable "
-             "core, max 4)",
-    )
     parser.add_argument(
         "--engines", type=str, default=None,
         help="comma-separated engine filter (e.g. 'indexed,vectorized')",
@@ -483,13 +348,13 @@ def main(argv=None) -> int:
         parser.error(str(exc))
     report = run(
         quick=args.quick, repeats=args.repeats, seed=args.seed,
-        workers=args.workers, engines=engine_filter,
+        engines=engine_filter,
     )
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for row in report["results"]:
         cells = "  ".join(
             f"{engine}={row[engine]['rounds_per_sec']:>9.1f} r/s"
-            for engine in ("indexed", "reference", "vectorized", "sharded")
+            for engine in ("indexed", "reference", "vectorized")
             if engine in row
         )
         extras = []
@@ -497,12 +362,6 @@ def main(argv=None) -> int:
             extras.append(f"idx/ref={row['speedup']}x")
         if "vectorized_speedup" in row:
             extras.append(f"vec/idx={row['vectorized_speedup']}x")
-        if "sharded_speedup" in row:
-            extras.append(
-                f"shard/idx={row['sharded_speedup']}x@{row['workers']}w"
-            )
-        elif row["program"] == "flooding-sharded":
-            extras.append(f"@{row['workers']}w")
         print(
             f"{row['program']:>10} n={row['n']:<5} d={row['degree']:<3} "
             f"rounds={row['rounds']:<5} {cells}  {' '.join(extras)}"

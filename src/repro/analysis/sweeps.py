@@ -97,11 +97,7 @@ def sweep(
     return result
 
 
-def batch_sweep(
-    jobs,
-    base_seed: int = None,
-    processes: int = None,
-) -> SweepResult:
+def batch_sweep(jobs, base_seed: int = None) -> SweepResult:
     """Run a batch of :class:`repro.api.JobSpec` jobs into a sweep.
 
     ``jobs`` is anything :func:`repro.api.load_jobs` accepts — an
@@ -118,9 +114,7 @@ def batch_sweep(
     # matrix-level base_seed field reaches run(); the separate load only
     # pairs jobs with their in-order results.
     job_list = api_batch.load_jobs(jobs)
-    results = api_batch.run(
-        jobs, base_seed=base_seed, processes=processes
-    )
+    results = api_batch.run(jobs, base_seed=base_seed)
     sweep_result = SweepResult()
     for job, envelope in zip(job_list, results):
         point = {"graph": job.graph, "task": job.task}

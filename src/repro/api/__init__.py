@@ -10,8 +10,7 @@
   returns (graph fingerprint, seed, parameters, timings, payload).
 * :class:`JobSpec` / :func:`run` — the batch scheduler: a declarative
   graph × seed × task × transport matrix fanned across a pluggable
-  backend (``serial`` / ``process`` / ``thread`` — see
-  :mod:`repro.api.backends`) with deterministic per-job seeds,
+  backend (``serial`` / ``process`` — see :mod:`repro.api.backends`) with deterministic per-job seeds,
   streaming JSONL rows, and sha256-manifest checkpoint/resume.
 * :func:`parse_graph_spec` — the hardened graph-family spec parser
   (previously CLI-only).

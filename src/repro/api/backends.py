@@ -4,10 +4,8 @@ The batch scheduler (:mod:`repro.api.batch`) plans *what* runs — jobs
 grouped by graph so each group shares one
 :class:`~repro.api.GraphSession`, split into **chunks** sized to the
 worker count — and a :class:`BatchBackend` decides *how*: in-process
-(``serial``), across a :class:`~concurrent.futures.ProcessPoolExecutor`
-(``process``), or across threads (``thread``, which becomes true
-parallelism on free-threaded CPython 3.13t and is already the right
-plane for I/O-bound session tasks).
+(``serial``) or across a
+:class:`~concurrent.futures.ProcessPoolExecutor` (``process``).
 
 Three contracts every backend honors:
 
@@ -38,7 +36,7 @@ graph × task × seed × params).
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor, as_completed
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterator, List, Tuple
 
@@ -52,13 +50,32 @@ Chunk = List[Tuple[int, Dict[str, Any], int]]
 #: One executed row: ``(job index, envelope, canonical JSONL line)``.
 ChunkRows = List[Tuple[int, Result, str]]
 
-#: Worker-count cap mirroring the sharded engine's default sizing.
+#: Cap on the default worker count.
 MAX_DEFAULT_WORKERS = 8
 
 
+def schedulable_cpus() -> int:
+    """CPUs this process may actually be scheduled on.
+
+    ``os.cpu_count()`` reports the *host's* logical CPUs, which
+    over-forks in cgroup/affinity-limited containers (a pod pinned to
+    one core on a 64-core host would default to 8 workers fighting over
+    it). The scheduler's affinity mask is the truth where the platform
+    exposes it; elsewhere (macOS, Windows) fall back to the host count.
+    """
+    getaffinity = getattr(os, "sched_getaffinity", None)
+    if getaffinity is not None:
+        try:
+            return len(getaffinity(0)) or 1
+        except OSError:  # pragma: no cover - exotic scheduler state
+            pass
+    return os.cpu_count() or 1
+
+
 def default_workers() -> int:
-    """One worker per core, capped at :data:`MAX_DEFAULT_WORKERS`."""
-    return max(1, min(MAX_DEFAULT_WORKERS, os.cpu_count() or 1))
+    """One worker per schedulable core, capped at
+    :data:`MAX_DEFAULT_WORKERS`."""
+    return min(MAX_DEFAULT_WORKERS, schedulable_cpus())
 
 
 def make_chunks(
@@ -145,29 +162,6 @@ class SerialBackend(BatchBackend):
             ]
 
 
-class ThreadBackend(BatchBackend):
-    """Thread-pool execution; in-process, so ``raw`` survives.
-
-    Under the GIL this overlaps only the interpreter-releasing parts
-    (numpy kernels, I/O); on free-threaded 3.13t builds it becomes full
-    parallelism with zero fork/pickle overhead.
-    """
-
-    name = "thread"
-
-    def execute(self, chunks, workers, stats):
-        from repro.api.batch import _execute_items
-
-        stats["worker_pids"].add(os.getpid())
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_execute_items, chunk) for chunk in chunks]
-            for future in as_completed(futures):
-                yield [
-                    (index, result, result.canonical_json())
-                    for index, result in future.result()
-                ]
-
-
 class ProcessBackend(BatchBackend):
     """Process-pool execution: chunks fan out across real processes.
 
@@ -239,4 +233,3 @@ def get_backend(name: str) -> BatchBackend:
 
 register_backend(SerialBackend())
 register_backend(ProcessBackend())
-register_backend(ThreadBackend())

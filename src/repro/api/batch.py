@@ -15,8 +15,8 @@ substrate every sweep/serving layer sits on:
   :meth:`~repro.api.envelope.Result.canonical_json`: sorted keys, no
   timings);
 * **pluggable fan-out** — ``backend=`` selects an execution plane from
-  the :mod:`repro.api.backends` registry (``serial`` / ``process`` /
-  ``thread``); graph groups are split into worker-sized chunks (a
+  the :mod:`repro.api.backends` registry (``serial`` / ``process``);
+  graph groups are split into worker-sized chunks (a
   single-graph sweep still uses every worker) and rows are reassembled
   in job order, so every backend emits identical bytes;
 * **checkpoint/resume** — ``checkpoint=`` write-ahead-logs each row to
@@ -430,20 +430,13 @@ def _load_checkpoint(path: str, digests: Sequence[str]) -> Dict[int, str]:
 
 
 def _resolve_backend(
-    backend: Optional[str],
-    workers: Optional[int],
-    processes: Optional[int],
+    backend: Optional[str], workers: Optional[int]
 ) -> Tuple[str, int]:
-    """Merge the modern ``backend=``/``workers=`` knobs with the legacy
-    ``processes=`` one: ``processes > 1`` maps to ``backend="process"``
-    with that worker count, anything else to ``serial``."""
-    if workers is None and processes is not None and processes > 1:
-        workers = processes
+    """Default the backend to ``serial`` and size its pool: one worker
+    for ``serial``, :func:`~repro.api.backends.default_workers` for a
+    pool backend."""
     if backend is None:
-        backend = (
-            "process" if processes is not None and processes > 1
-            else "serial"
-        )
+        backend = "serial"
     if workers is None:
         workers = 1 if backend == "serial" else default_workers()
     if workers < 1:
@@ -454,7 +447,6 @@ def _resolve_backend(
 def run(
     jobs: Union[str, Mapping, Sequence],
     base_seed: Optional[int] = None,
-    processes: Optional[int] = None,
     jsonl: Optional[IO[str]] = None,
     include_timings: bool = False,
     backend: Optional[str] = None,
@@ -472,11 +464,9 @@ def run(
     containing one), else 0; an explicit argument always wins.
 
     ``backend`` — an execution plane from the
-    :mod:`repro.api.backends` registry (``serial`` / ``process`` /
-    ``thread``); ``workers`` sizes its pool. The legacy ``processes``
-    parameter maps onto them (``> 1`` → ``backend="process"``). Rows
-    are reassembled by job index, so every backend × worker count emits
-    byte-identical output.
+    :mod:`repro.api.backends` registry (``serial`` / ``process``);
+    ``workers`` sizes its pool. Rows are reassembled by job index, so
+    every backend × worker count emits byte-identical output.
 
     ``jsonl`` — a text stream receiving one row per job, written in job
     order *as jobs complete* (an in-order prefix streams out while
@@ -513,7 +503,7 @@ def run(
     ]
     digests = [job_digest(job, seed) for job, seed in zip(job_list, seeds)]
 
-    backend_name, worker_count = _resolve_backend(backend, workers, processes)
+    backend_name, worker_count = _resolve_backend(backend, workers)
     plane = get_backend(backend_name)
 
     if checkpoint is not None and include_timings:
@@ -620,7 +610,6 @@ def run_to_jsonl(
     jobs: Union[str, Mapping, Sequence],
     path: str,
     base_seed: Optional[int] = None,
-    processes: Optional[int] = None,
     include_timings: bool = False,
     backend: Optional[str] = None,
     workers: Optional[int] = None,
@@ -633,7 +622,6 @@ def run_to_jsonl(
         return run(
             jobs,
             base_seed=base_seed,
-            processes=processes,
             jsonl=handle,
             include_timings=include_timings,
             backend=backend,

@@ -681,7 +681,6 @@ class GraphSession:
         max_rounds: int = 100000,
         trace: bool = False,
         engine: Optional[str] = None,
-        shards: Optional[int] = None,
         show_outputs: Optional[int] = None,
     ) -> Result:
         """Run a registered scenario program on the round simulator.
@@ -691,9 +690,7 @@ class GraphSession:
         RNG stream is unchanged, so results match a standalone
         :class:`~repro.simulator.scenario.Scenario` bit for bit.
         ``engine`` picks a registered round loop (``"indexed"``,
-        ``"reference"``, ``"sharded"``, ``"vectorized"`` — all
-        bit-identical); ``shards`` sets the worker count of
-        multiprocess engines (``engine="sharded"``).
+        ``"reference"``, ``"vectorized"`` — all bit-identical).
         ``show_outputs`` caps how many node
         outputs enter the payload (``None``: all). The envelope's
         ``params`` carry the *full* fault/adversary configuration
@@ -713,7 +710,6 @@ class GraphSession:
             max_rounds=max_rounds,
             trace=trace,
             engine=engine,
-            shards=shards,
             indexed=self.indexed,
         )
         resolved = scenario.resolve()
@@ -743,7 +739,6 @@ class GraphSession:
                 "model": model,
                 "max_rounds": max_rounds,
                 "engine": engine,
-                "shards": shards,
                 # Full plan configs (seeds included; bound during the
                 # run, so the envelope pins the exact loss/corruption
                 # pattern). None = reliable / honest channels.

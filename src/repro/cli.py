@@ -314,13 +314,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         from repro.simulator.runner import _require_engine
 
         _require_engine(args.engine)
-    if args.shards is not None and args.engine != "sharded":
-        # Single-process engines ignore the worker count; a silent
-        # ignore would let users believe they parallelized.
-        raise GraphValidationError(
-            "--shards only applies to --engine sharded "
-            f"(got engine {args.engine or 'indexed'!r})"
-        )
     session = GraphSession(args.graph)
     if schedule and args.model != "congested-clique":
         # A typo'd node in a schedule file would silently schedule drops
@@ -338,7 +331,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         max_rounds=args.max_rounds,
         trace=args.trace,
         engine=args.engine,
-        shards=args.shards,
         show_outputs=args.show_outputs,
     )
     if _emit(args, envelope):
@@ -399,7 +391,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     stats: dict = {}
     common = dict(
         base_seed=args.base_seed,
-        processes=args.processes,
         include_timings=args.timings,
         backend=args.backend,
         workers=args.workers,
@@ -448,10 +439,8 @@ _EXPERIMENTS = [
     ("E23", "bench_simulator", "engine rounds/sec (indexed vs reference)"),
     ("E24", "bench_cds_packing", "CDS kernel speed (indexed vs reference)"),
     ("E25", "bench_api", "session-cached pipeline vs per-call canonicalization"),
-    ("E26", "bench_simulator", "sharded-engine scale sweep (n up to 5000)"),
     ("E27", "bench_resilience", "adversarial channels: coded vs uncoded flood"),
     ("E28", "bench_simulator", "vectorized columnar engine vs indexed (dense regime)"),
-    ("E29", "bench_simulator", "multi-worker dense scaling (columnar sharded barrier)"),
     ("E30", "bench_service", "warm service vs cold sessions; incremental re-canonicalization"),
     ("E31", "bench_batch", "batch scheduler jobs/sec vs backend × workers"),
     ("F1-F3", "bench_figures", "paper figures (text renderings)"),
@@ -592,15 +581,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default=None, metavar="ENGINE",
         help=(
             "round-loop implementation: indexed (default), reference, "
-            "sharded (multiprocess), or vectorized (columnar numpy plane); "
-            "an unknown name lists the registered engines"
-        ),
-    )
-    simulate.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=(
-            "worker-process count for --engine sharded "
-            "(default: one per core, capped at 8)"
+            "or vectorized (columnar numpy plane); an unknown name lists "
+            "the registered engines"
         ),
     )
     simulate.add_argument(
@@ -685,15 +667,15 @@ def build_parser() -> argparse.ArgumentParser:
     batch.add_argument(
         "--backend", default=None, metavar="NAME",
         help=(
-            "execution plane: serial (default), process, or thread; an "
-            "unknown name fails with the registry listing"
+            "execution plane: serial (default) or process; an unknown "
+            "name fails with the registry listing"
         ),
     )
     batch.add_argument(
         "--workers", type=int, default=None, metavar="N",
         help=(
-            "pool size for process/thread backends "
-            "(default: one per core, capped at 8)"
+            "pool size for the process backend (default: one per "
+            "schedulable core, capped at 8)"
         ),
     )
     batch.add_argument(
@@ -709,10 +691,6 @@ def build_parser() -> argparse.ArgumentParser:
             "reload --checkpoint and skip completed jobs; the final "
             "JSONL stays byte-identical to an uninterrupted run"
         ),
-    )
-    batch.add_argument(
-        "--processes", type=int, default=None,
-        help="legacy alias: N > 1 maps to --backend process --workers N",
     )
     batch.add_argument(
         "--base-seed", type=int, default=None,

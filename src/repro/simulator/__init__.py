@@ -26,7 +26,6 @@ from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
 from repro.simulator.runner import (
     Model,
-    ShardedRunner,
     SimulationResult,
     SyncRunner,
     available_engines,
@@ -65,7 +64,6 @@ __all__ = [
     "Model",
     "SimulationResult",
     "SyncRunner",
-    "ShardedRunner",
     "simulate",
     "available_engines",
     "engine_context",

@@ -12,7 +12,7 @@ one that was sent. This module provides that regime for every engine:
   decisions that are **pure functions of (plan seed, directed edge,
   round)**, with budget knobs (global corruption budget, per-round edge
   budget, targeted edge sets) enforced deterministically, so the
-  indexed, reference, and sharded engines agree on every corrupted
+  indexed, reference, and vectorized engines agree on every corrupted
   delivery bit for bit.
 * three corruption kinds, selected per corrupted slot from the same
   digest that decided the corruption: ``"flip"`` XORs the payload's
@@ -31,8 +31,8 @@ directed ``(sender, receiver)`` edge, the round number, and — for
 replay — the sequence of payloads previously delivered on that same
 edge (itself deterministic, since an edge carries at most one message
 per round and rounds are evaluated in order). No decision reads global
-state, so engines, shards, and sweeps may evaluate deliveries in any
-order and corrupt exactly the same ones the same way.
+state, so engines and sweeps may evaluate deliveries in any order and
+corrupt exactly the same ones the same way.
 
 **Budget semantics.** Budgets cap corrupted *edge-round slots*, not
 delivered messages: a budgeted plan pre-commits, round by round, to the
@@ -41,8 +41,8 @@ corruption coin passes, ranked by coin value, truncated to the
 per-round and remaining-global budgets). A slot spends budget whether
 or not a message actually crosses its edge that round. This is what
 keeps the decision a pure function — enforcing budgets over *actual*
-traffic would make one shard's corruptions depend on another shard's
-delivery count mid-round. Budgeted (or targeted) plans are bound to the
+traffic would make one delivery's corruption depend on how many other
+deliveries an engine happened to evaluate first that round. Budgeted (or targeted) plans are bound to the
 network by :class:`~repro.simulator.runner.SyncRunner` so the slot
 universe (the directed edge list — all ordered pairs under the
 congested clique) is fixed before the first round.

@@ -20,11 +20,8 @@ onward (crash-stop; no recovery). Random drops are decided per delivery
 by a **pure function of (plan seed, directed edge, round)** — sha256 of
 the three, thresholded against ``drop_probability`` — so the decision
 for a given delivery is the same no matter which engine evaluates it or
-in which order deliveries are iterated. This order-independence is what
-lets the sharded engine (:mod:`repro.simulator.runner_sharded`) evaluate
-drops shard-locally and still reproduce a single-process faulty run bit
-for bit; it also means a fault sweep's losses depend only on the seed,
-never on incidental engine iteration order. Scheduled drops name exact
+in which order deliveries are iterated, so a fault sweep's losses
+depend only on the seed, never on incidental engine iteration order. Scheduled drops name exact
 (sender, receiver, round) deliveries — no RNG involved at all. The
 plan's seed follows the shared ``ensure_rng`` path end to end: give the
 plan a seed directly, or leave it unset and
@@ -168,7 +165,7 @@ class FaultPlan:
         hash seeds) yields a uniform 64-bit value thresholded against
         ``drop_probability``. No shared stream is consumed, so the
         decision does not depend on how many other deliveries were
-        decided first — engines, shards, and sweeps may evaluate
+        decided first — engines and sweeps may evaluate
         deliveries in any order and agree on every loss.
         """
         if self.drop_schedule:

@@ -24,9 +24,13 @@ Round loops themselves are pluggable: the default ``"indexed"`` engine is
 the integer-index loop below; ``"reference"``
 (:mod:`repro.simulator.runner_reference`) preserves the pre-engine
 dict-per-round loop as the bit-exactness oracle of the equivalence test
-suite. Both produce identical :class:`SimulationResult` values and
-identical :class:`~repro.simulator.tracing.Tracer` transcripts under a
-fixed seed.
+suite, and ``"vectorized"`` (:mod:`repro.simulator.runner_vectorized`)
+delivers honest broadcast rounds through a columnar numpy plane. All
+produce identical :class:`SimulationResult` values and identical
+:class:`~repro.simulator.tracing.Tracer` transcripts under a fixed
+seed. Node setup (:func:`start_nodes`) and the general delivery path
+(:func:`deliver`) live here once, shared by the indexed and vectorized
+loops.
 
 Model enforcement (see :mod:`repro.simulator.transport`):
 
@@ -48,7 +52,7 @@ from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional
+from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulator.message import Message
@@ -68,14 +72,12 @@ __all__ = [
     "Model",
     "SimulationResult",
     "SyncRunner",
-    "ShardedRunner",
     "simulate",
     "default_message_budget",
     "available_engines",
     "register_engine",
     "set_default_engine",
     "engine_context",
-    "fastest_inprocess_engine",
 ]
 
 
@@ -107,7 +109,6 @@ _DEFAULT_ENGINE = "indexed"
 # for them.
 _LAZY_ENGINE_MODULES = {
     "reference": "repro.simulator.runner_reference",
-    "sharded": "repro.simulator.runner_sharded",
     "vectorized": "repro.simulator.runner_vectorized",
 }
 
@@ -140,19 +141,6 @@ def set_default_engine(name: str) -> None:
 
 def default_engine() -> str:
     return _DEFAULT_ENGINE
-
-
-def fastest_inprocess_engine() -> str:
-    """The fastest single-process engine this interpreter can run.
-
-    ``"vectorized"`` where numpy imports, ``"indexed"`` otherwise. The
-    multiprocess engine consults this for its delegations: a one-shard
-    run collapses to this engine in-process, and each forked worker runs
-    the same columnar inner loop when it is available.
-    """
-    from repro.simulator.runner_vectorized import numpy_available
-
-    return "vectorized" if numpy_available() else "indexed"
 
 
 @contextlib.contextmanager
@@ -202,8 +190,6 @@ class SyncRunner:
     plugs in custom delivery semantics (then ``model`` is ignored for
     delivery and kept only as a label). ``engine`` names the round-loop
     implementation; ``None`` uses the module default (``"indexed"``).
-    ``shards`` is consumed by multiprocess engines (``"sharded"``) as
-    the worker-process count; single-process engines ignore it.
     """
 
     def __init__(
@@ -216,7 +202,6 @@ class SyncRunner:
         adversary_plan=None,
         transport: Optional[Transport] = None,
         engine: Optional[str] = None,
-        shards: Optional[int] = None,
     ) -> None:
         self.network = network
         self.model = model
@@ -254,9 +239,6 @@ class SyncRunner:
             )
         self.adversary_plan = adversary_plan
         self.engine = engine
-        if shards is not None and shards < 1:
-            raise SimulationError(f"shards must be >= 1, got {shards}")
-        self.shards = shards
 
     def run(
         self,
@@ -273,37 +255,11 @@ class SyncRunner:
         """
         engine = _require_engine(self.engine or _DEFAULT_ENGINE)
         if self.adversary_plan is not None:
-            # Per-run state (the replay history) resets here — parent
-            # side, before any multiprocess engine forks — so a reused
-            # plan object never leaks one run's traffic into the next.
+            # Per-run state (the replay history) resets here, so a
+            # reused plan object never leaks one run's traffic into the
+            # next.
             self.adversary_plan.begin_run()
         return engine(self, program_factory, max_rounds, quiescence_halts)
-
-
-class ShardedRunner(SyncRunner):
-    """A :class:`SyncRunner` pinned to the ``"sharded"`` multiprocess
-    engine (:mod:`repro.simulator.runner_sharded`).
-
-    Identical surface and — by the engine contract — identical results,
-    metrics, and traces to the indexed loop under a fixed seed; the
-    round loop is executed by ``shards`` worker processes over
-    contiguous node-index shards (``None``: one per *schedulable* core —
-    the affinity mask, not the host count — capped by
-    :data:`repro.simulator.runner_sharded.MAX_DEFAULT_SHARDS`). Each
-    worker runs the columnar inner loop of
-    :mod:`repro.simulator.runner_vectorized` when numpy is available
-    (see :func:`fastest_inprocess_engine`), falling back to the scalar
-    loop for faulted/adversarial runs or numpy-less interpreters.
-    """
-
-    def __init__(
-        self,
-        network: Network,
-        shards: Optional[int] = None,
-        **kwargs,
-    ) -> None:
-        kwargs.setdefault("engine", "sharded")
-        super().__init__(network, shards=shards, **kwargs)
 
 
 def _check_plan_nodes(plan, network: Network) -> None:
@@ -318,6 +274,144 @@ def _check_plan_nodes(plan, network: Network) -> None:
         raise SimulationError(
             f"fault plan names nodes not in the network: {sorted(map(repr, set(unknown)))}"
         )
+
+
+def start_nodes(
+    runner: SyncRunner,
+    program_factory: Callable[[Hashable], NodeProgram],
+) -> Tuple[List[Context], List[NodeProgram]]:
+    """One :class:`Context` and one program per node, in node order.
+
+    Context RNG seeds are drawn from the run RNG in canonical node order
+    — the draw order every engine shares, so one run seed pins every
+    node's randomness whichever loop executes it.
+    """
+    net = runner.network
+    n = net.n
+    runner_rng = runner._rng
+    contexts: List[Context] = []
+    programs: List[NodeProgram] = []
+    for index, node in enumerate(net.nodes):
+        contexts.append(
+            Context(
+                node=node,
+                node_id=net.node_id(node),
+                neighbors=net.neighbors(node),
+                n=n,
+                rng_seed=fresh_seed(runner_rng),
+                index=index,
+            )
+        )
+        programs.append(program_factory(node))
+    return contexts, programs
+
+
+def finish(
+    nodes: List[Hashable],
+    contexts: List[Context],
+    metrics: SimulationMetrics,
+    halted: bool,
+) -> SimulationResult:
+    """The run's result: every node's output, in node order."""
+    return SimulationResult(
+        outputs={nodes[i]: contexts[i].output for i in range(len(nodes))},
+        metrics=metrics,
+        halted=halted,
+    )
+
+
+def deliver(
+    senders: List[int],
+    outbound: Any,
+    round_no: int,
+    nodes: List[Hashable],
+    fanout_table: List[Tuple[int, ...]],
+    plan,
+    adversary,
+    inboxes: List[Dict[Hashable, Message]],
+    touched: List[int],
+) -> Tuple[int, int, int]:
+    """The general delivery path: one round of traffic into the inboxes.
+
+    ``senders`` lists the indices with traffic in ascending order and
+    ``outbound[s]`` holds sender ``s``'s validated traffic (see
+    :mod:`repro.simulator.transport`); each entry is consumed (reset to
+    ``None``) as it is delivered. Crashed senders
+    stay silent; every delivery then consults the fault plan's drop
+    decision — a pure function of (plan seed, directed edge, round) —
+    and the adversary, which tampers on the wire. Inbox insertion order
+    is ascending sender index. Each receiver whose inbox was empty is
+    appended to ``touched`` so the caller can clear it after the round's
+    programs ran. Returns the round's ``(messages, bits, max message
+    bits)``.
+    """
+    messages = 0
+    total_bits = 0
+    max_bits = 0
+    for s in senders:
+        out = outbound[s]
+        outbound[s] = None
+        sender = nodes[s]
+        if plan is not None and plan.is_crashed(sender, round_no):
+            continue
+        if out[0] is BROADCAST:
+            message = out[1]
+            bits = message.bits
+            if plan is None and adversary is None:
+                targets = fanout_table[s]
+                for r in targets:
+                    box = inboxes[r]
+                    if not box:
+                        touched.append(r)
+                    box[sender] = message
+                delivered = len(targets)
+            else:
+                delivered = 0
+                for r in fanout_table[s]:
+                    receiver = nodes[r]
+                    if plan is not None and plan.drops(
+                        sender, receiver, round_no
+                    ):
+                        continue
+                    box = inboxes[r]
+                    if not box:
+                        touched.append(r)
+                    box[sender] = (
+                        message
+                        if adversary is None
+                        else adversary.apply(
+                            sender, receiver, round_no, message
+                        )
+                    )
+                    delivered += 1
+            if delivered:
+                messages += delivered
+                total_bits += bits * delivered
+                if bits > max_bits:
+                    max_bits = bits
+        else:
+            for r, message in out:
+                receiver = nodes[r]
+                if plan is not None and plan.drops(
+                    sender, receiver, round_no
+                ):
+                    continue
+                box = inboxes[r]
+                if not box:
+                    touched.append(r)
+                box[sender] = (
+                    message
+                    if adversary is None
+                    else adversary.apply(sender, receiver, round_no, message)
+                )
+                # Accounting charges the honest transmission — the
+                # adversary tampers on the wire, after the sender paid
+                # for (and the budget validated) the real message.
+                messages += 1
+                total_bits += message.bits
+                if message.bits > max_bits:
+                    max_bits = message.bits
+    return messages, total_bits, max_bits
 
 
 def _run_indexed(
@@ -340,36 +434,18 @@ def _run_indexed(
     adversary = runner.adversary_plan
     nodes = net.nodes  # index → label, frozen for the run
     n = len(nodes)
-    runner_rng = runner._rng
     validate = transport.validate
     fanout_table = [transport.fanout(i) for i in range(n)]
-
-    contexts: List[Context] = []
-    programs: List[NodeProgram] = []
-    for index, node in enumerate(nodes):
-        contexts.append(
-            Context(
-                node=node,
-                node_id=net.node_id(node),
-                neighbors=net.neighbors(node),
-                n=n,
-                rng_seed=fresh_seed(runner_rng),
-                index=index,
-            )
-        )
-        programs.append(program_factory(node))
+    contexts, programs = start_nodes(runner, program_factory)
 
     metrics = SimulationMetrics(runs=1)
     # outbound[i] = validated indexed traffic produced by node i this
     # round (see transport.Outbound); `senders` lists the indices with
-    # traffic, in index order — the delivery loop never scans silent
-    # nodes. Entries are consumed (reset to None) at delivery.
+    # traffic, in index order — delivery never scans silent nodes.
     outbound: List[Any] = [None] * n
     senders: List[int] = []
     for i in range(n):
-        ctx = contexts[i]
-        raw = programs[i].on_start(ctx)
-        out = validate(nodes[i], i, raw)
+        out = validate(nodes[i], i, programs[i].on_start(contexts[i]))
         if out:
             outbound[i] = out
             senders.append(i)
@@ -384,80 +460,14 @@ def _run_indexed(
     inboxes: List[Dict[Hashable, Message]] = [{} for _ in range(n)]
 
     for round_no in range(1, max_rounds + 1):
-        round_messages = 0
-        round_bits = 0
-        round_max_bits = 0
         touched: List[int] = []
-        for s in senders:
-            out = outbound[s]
-            outbound[s] = None
-            sender = nodes[s]
-            if plan is not None and plan.is_crashed(sender, round_no):
-                continue
-            if out[0] is BROADCAST:
-                message = out[1]
-                bits = message.bits
-                if plan is None and adversary is None:
-                    targets = fanout_table[s]
-                    for r in targets:
-                        box = inboxes[r]
-                        if not box:
-                            touched.append(r)
-                        box[sender] = message
-                    delivered = len(targets)
-                else:
-                    delivered = 0
-                    for r in fanout_table[s]:
-                        receiver = nodes[r]
-                        if plan is not None and plan.drops(
-                            sender, receiver, round_no
-                        ):
-                            continue
-                        box = inboxes[r]
-                        if not box:
-                            touched.append(r)
-                        box[sender] = (
-                            message
-                            if adversary is None
-                            else adversary.apply(
-                                sender, receiver, round_no, message
-                            )
-                        )
-                        delivered += 1
-                if delivered:
-                    round_messages += delivered
-                    round_bits += bits * delivered
-                    if bits > round_max_bits:
-                        round_max_bits = bits
-            else:
-                for r, message in out:
-                    receiver = nodes[r]
-                    if plan is not None and plan.drops(
-                        sender, receiver, round_no
-                    ):
-                        continue
-                    box = inboxes[r]
-                    if not box:
-                        touched.append(r)
-                    box[sender] = (
-                        message
-                        if adversary is None
-                        else adversary.apply(
-                            sender, receiver, round_no, message
-                        )
-                    )
-                    # Accounting charges the honest transmission — the
-                    # adversary tampers on the wire, after the sender
-                    # paid for (and the budget validated) the real
-                    # message.
-                    round_messages += 1
-                    round_bits += message.bits
-                    if message.bits > round_max_bits:
-                        round_max_bits = message.bits
-        if round_messages or unhalted:
-            metrics.record_round(round_messages, round_bits, round_max_bits)
+        messages, bits, max_bits = deliver(
+            senders, outbound, round_no, nodes, fanout_table, plan,
+            adversary, inboxes, touched,
+        )
+        if messages or unhalted:
+            metrics.record_round(messages, bits, max_bits)
 
-        any_traffic = round_messages > 0
         senders = []
         next_live: List[int] = []
         for i in live:
@@ -483,17 +493,9 @@ def _run_indexed(
         live = next_live
 
         if not live:
-            return SimulationResult(
-                outputs={nodes[i]: contexts[i].output for i in range(n)},
-                metrics=metrics,
-                halted=True,
-            )
-        if quiescence_halts and not any_traffic and not senders:
-            return SimulationResult(
-                outputs={nodes[i]: contexts[i].output for i in range(n)},
-                metrics=metrics,
-                halted=False,
-            )
+            return finish(nodes, contexts, metrics, True)
+        if quiescence_halts and not messages and not senders:
+            return finish(nodes, contexts, metrics, False)
     raise SimulationError(
         f"simulation did not terminate within {max_rounds} rounds"
     )
@@ -511,7 +513,6 @@ def simulate(
     rng: RngLike = None,
     transport: Optional[Transport] = None,
     engine: Optional[str] = None,
-    shards: Optional[int] = None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`SyncRunner`."""
     runner = SyncRunner(
@@ -521,6 +522,5 @@ def simulate(
         rng=rng,
         transport=transport,
         engine=engine,
-        shards=shards,
     )
     return runner.run(program_factory, max_rounds=max_rounds)

@@ -53,12 +53,10 @@ same node order), the same metrics, and the same
 * ``on_round`` runs for every live node every round (idle trace events
   included), and validation reuses the transport's own reject paths, so
   every :class:`~repro.errors.ModelViolationError` is byte-identical;
-* fault drops and adversary corruption stay pure sha256 functions of
-  (plan seed, directed edge, round) — rounds that carry a plan, an
-  adversary, or addressed traffic are delivered by a general path that
-  replicates the indexed loop delivery-for-delivery (drops evaluated en
-  masse per sender batch), so faulted and corrupted runs are
-  bit-identical by construction.
+* rounds that carry a fault plan, an adversary, or addressed traffic
+  are delivered by :func:`repro.simulator.runner.deliver` — the indexed
+  loop's own general path, not a copy of it — so faulted, corrupted,
+  and addressed runs are bit-identical by construction.
 
 The columnar batch path handles the hot case: broadcast-only rounds on
 honest channels. The congested clique gets a dedicated shape — the
@@ -72,13 +70,6 @@ because :class:`~repro.simulator.runner.SyncRunner` builds a fresh
 transport per run — consistent with the session layer's
 cache-the-canonicalization story: warm runs over the same network skip
 every rebuild and re-intern nothing.
-
-The message plane is also exported in per-shard form: the sharded
-engine's forked workers each build a :class:`_ShardPlane` — the in-CSR
-**row slice** for their receiver range via :func:`build_in_csr`, plus a
-shard-local interner and send cache — and run this same columnar loop
-behind the per-round barrier (see
-:mod:`repro.simulator.runner_sharded`).
 
 numpy is a soft import: the module always imports (so
 ``available_engines()`` can list every engine), and running without
@@ -98,10 +89,15 @@ except ImportError:  # pragma: no cover - exercised via monkeypatch
 from repro.errors import SimulationError
 from repro.simulator.message import _SCALAR_TYPES, Message, payload_bits
 from repro.simulator.metrics import SimulationMetrics
-from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import SimulationResult, register_engine
+from repro.simulator.node import NodeProgram
+from repro.simulator.runner import (
+    SimulationResult,
+    deliver,
+    finish,
+    register_engine,
+    start_nodes,
+)
 from repro.simulator.transport import BROADCAST, CliqueTransport
-from repro.utils.rng import fresh_seed
 
 __all__ = [
     "PayloadInterner",
@@ -147,21 +143,14 @@ class PayloadInterner:
     assigning ids densely in first-seen order; ``payload_of`` round-trips
     an id back to the canonical payload object. Raises ``TypeError`` for
     unhashable payloads — callers route those to the uninterned path.
-
-    ``generation`` counts wholesale clears. Anyone who exported payload
-    ids (the sharded engine's interner-sync protocol ships
-    ``payloads[mark:]`` deltas across the per-round barrier) compares
-    generations to learn that every previously shipped id is now stale
-    and the table must be re-synced from scratch.
     """
 
-    __slots__ = ("_ids", "payloads", "bits", "generation")
+    __slots__ = ("_ids", "payloads", "bits")
 
     def __init__(self) -> None:
         self._ids: Dict[Any, int] = {}
         self.payloads: List[Any] = []
         self.bits: List[int] = []
-        self.generation = 0
 
     def __len__(self) -> int:
         return len(self.payloads)
@@ -186,7 +175,6 @@ class PayloadInterner:
         self._ids.clear()
         self.payloads.clear()
         self.bits.clear()
-        self.generation += 1
 
 
 class _ColumnInbox:
@@ -342,25 +330,14 @@ except Exception:  # pragma: no cover
     pass
 
 
-def build_in_csr(
-    fanout: List[Tuple[int, ...]],
-    n: int,
-    lo: int = 0,
-    hi: Optional[int] = None,
-):
+def build_in_csr(fanout: List[Tuple[int, ...]], n: int):
     """Transpose per-sender fan-out rows into per-receiver source slices.
 
-    Returns ``(in_ptr, in_src, in_dst)`` covering receivers ``[lo, hi)``
-    (defaulting to all ``n``): ``in_src[in_ptr[r - lo]:in_ptr[r - lo + 1]]``
+    Returns ``(in_ptr, in_src, in_dst)``: ``in_src[in_ptr[r]:in_ptr[r + 1]]``
     lists the senders whose broadcast reaches receiver ``r``, in
     ascending sender order — exactly the indexed loop's inbox insertion
-    order. ``in_dst`` holds the kept edges' receiver indices **relative
-    to** ``lo``, so a shard's slice bincounts straight into its local
-    inbox windows. Sender indices stay global: a shard receives from the
-    whole graph even though it owns only a receiver range.
+    order — and ``in_dst`` holds each edge's receiver index.
     """
-    if hi is None:
-        hi = n
     src = np.repeat(
         np.arange(n, dtype=np.int64),
         np.asarray([len(fanout[i]) for i in range(n)], dtype=np.int64),
@@ -372,86 +349,17 @@ def build_in_csr(
         )
     else:
         dst = np.empty(0, dtype=np.int64)
-    if lo > 0 or hi < n:
-        keep = (dst >= lo) & (dst < hi)
-        src = src[keep]
-        dst = dst[keep]
-    if lo:
-        dst = dst - lo
     # Stable sort by receiver: src is already ascending, so the sender
     # order inside each receiver group is preserved.
     order = np.argsort(dst, kind="stable")
     in_src = src[order]
     in_dst = dst[order]
-    rows = hi - lo
-    counts = np.bincount(dst, minlength=rows) if dst.size else np.zeros(
-        rows, dtype=np.int64
+    counts = np.bincount(dst, minlength=n) if dst.size else np.zeros(
+        n, dtype=np.int64
     )
-    in_ptr = np.zeros(rows + 1, dtype=np.int64)
+    in_ptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=in_ptr[1:])
     return in_ptr, in_src, in_dst
-
-
-class _ShardPlane:
-    """One shard's columnar message plane, built locally in a worker.
-
-    The worker-process counterpart of :class:`_VectorPlane` for the
-    sharded engine: the in-CSR **row slice** for the shard's receivers
-    ``[lo, hi)`` over all ``n`` senders, the node-label column, full
-    out-degrees (sender-side accounting needs every sender's fan-out
-    size), a shard-local :class:`PayloadInterner` plus warm-send cache,
-    and the per-round message-column scratch. A worker builds this
-    after fork and it lives for exactly one run — never cached across
-    runs, unlike the parent-side plane.
-    """
-
-    __slots__ = (
-        "n",
-        "lo",
-        "hi",
-        "labels",
-        "labels_np",
-        "deg",
-        "complete",
-        "interner",
-        "send_cache",
-        "in_ptr",
-        "in_src",
-        "in_dst",
-        "msg_col",
-    )
-
-    def __init__(self, transport, nodes, lo: int, hi: int) -> None:
-        n = len(nodes)
-        self.n = n
-        self.lo = lo
-        self.hi = hi
-        self.labels = list(nodes)
-        self.labels_np = np.empty(n, dtype=object)
-        for j, label in enumerate(self.labels):
-            # Element-wise: tuple labels must stay scalars.
-            self.labels_np[j] = label
-        fanout = transport._fanout
-        self.deg = [len(fanout[i]) for i in range(n)]
-        # Exact-type check, as in _VectorPlane: only the stock clique
-        # fan-out is provably "everyone else".
-        self.complete = type(transport) is CliqueTransport
-        self.interner = PayloadInterner()
-        self.send_cache: Dict[Any, Message] = {}
-        self.in_ptr = None
-        self.in_src = None
-        self.in_dst = None
-        # Message column indexed by *global* sender: local sends and
-        # barrier imports scatter in, masked gathers read out. Stale
-        # entries are never gathered.
-        self.msg_col = np.empty(n, dtype=object)
-
-    def ensure_in_csr(self, transport) -> None:
-        """Build the shard's in-CSR row slice on first columnar round."""
-        if self.in_ptr is None:
-            self.in_ptr, self.in_src, self.in_dst = build_in_csr(
-                transport._fanout, self.n, self.lo, self.hi
-            )
 
 
 class _VectorPlane:
@@ -557,18 +465,6 @@ def _plane_for(network, transport, nodes) -> "_VectorPlane":
     return plane
 
 
-def _bulk_drops(plan, sender, receivers, round_no) -> List[bool]:
-    """The round's drop decisions for one sender's delivery batch.
-
-    Each decision is the same pure sha256 function of (plan seed,
-    directed edge, round) the indexed loop evaluates per delivery —
-    batched here per (sender, round) so the general path consumes the
-    plan in one pass per edge group.
-    """
-    drops = plan.drops
-    return [drops(sender, receiver, round_no) for receiver in receivers]
-
-
 def _run_vectorized(
     runner,
     program_factory: Callable[[Hashable], NodeProgram],
@@ -587,7 +483,6 @@ def _run_vectorized(
     adversary = runner.adversary_plan
     nodes = net.nodes
     n = len(nodes)
-    runner_rng = runner._rng
     validate = transport.validate
     budget = transport.bits_per_message
     fanout_table = [transport.fanout(i) for i in range(n)]
@@ -602,20 +497,7 @@ def _run_vectorized(
     send_get = send_cache.get
     msg_col = plane.msg_col
 
-    contexts: List[Context] = []
-    programs: List[NodeProgram] = []
-    for index, node in enumerate(nodes):
-        contexts.append(
-            Context(
-                node=node,
-                node_id=net.node_id(node),
-                neighbors=net.neighbors(node),
-                n=n,
-                rng_seed=fresh_seed(runner_rng),
-                index=index,
-            )
-        )
-        programs.append(program_factory(node))
+    contexts, programs = start_nodes(runner, program_factory)
     on_rounds = [program.on_round for program in programs]
 
     metrics = SimulationMetrics(runs=1)
@@ -709,9 +591,6 @@ def _run_vectorized(
     empty_boxes: List[Dict[Hashable, Message]] = [{} for _ in range(n)]
 
     for round_no in range(1, max_rounds + 1):
-        round_messages = 0
-        round_bits = 0
-        round_max_bits = 0
         touched: List[int] = []
         columnar = (
             plan is None
@@ -755,91 +634,18 @@ def _run_vectorized(
                 round_messages = int(kept.size)
                 round_bits = int(bits_arr @ deg_np[bsend])
                 round_max_bits = int(bits_arr.max())
-        elif bsend or addressed:
-            # General path: replicate the indexed loop delivery for
-            # delivery — crashes, drops (en masse per sender batch),
-            # corruption, and the exact accounting rules — merging the
-            # broadcast and addressed columns back into ascending
-            # sender order.
-            bi = ai = 0
-            nb = len(bsend)
-            na = len(addressed)
-            while bi < nb or ai < na:
-                if ai >= na or (bi < nb and bsend[bi] < addressed[ai][0]):
-                    s = bsend[bi]
-                    message = bmsgs[bi]
-                    bi += 1
-                    out: Any = (BROADCAST, message)
-                else:
-                    s, out = addressed[ai]
-                    ai += 1
-                sender = nodes[s]
-                if plan is not None and plan.is_crashed(sender, round_no):
-                    continue
-                if out[0] is BROADCAST:
-                    message = out[1]
-                    bits = message.bits
-                    if plan is None and adversary is None:
-                        targets = fanout_table[s]
-                        for r in targets:
-                            box = inboxes[r]
-                            if not box:
-                                touched.append(r)
-                            box[sender] = message
-                        delivered = len(targets)
-                    else:
-                        delivered = 0
-                        targets = fanout_table[s]
-                        dropped = (
-                            _bulk_drops(
-                                plan,
-                                sender,
-                                [nodes[r] for r in targets],
-                                round_no,
-                            )
-                            if plan is not None
-                            else None
-                        )
-                        for j, r in enumerate(targets):
-                            if dropped is not None and dropped[j]:
-                                continue
-                            box = inboxes[r]
-                            if not box:
-                                touched.append(r)
-                            box[sender] = (
-                                message
-                                if adversary is None
-                                else adversary.apply(
-                                    sender, nodes[r], round_no, message
-                                )
-                            )
-                            delivered += 1
-                    if delivered:
-                        round_messages += delivered
-                        round_bits += bits * delivered
-                        if bits > round_max_bits:
-                            round_max_bits = bits
-                else:
-                    for r, message in out:
-                        receiver = nodes[r]
-                        if plan is not None and plan.drops(
-                            sender, receiver, round_no
-                        ):
-                            continue
-                        box = inboxes[r]
-                        if not box:
-                            touched.append(r)
-                        box[sender] = (
-                            message
-                            if adversary is None
-                            else adversary.apply(
-                                sender, receiver, round_no, message
-                            )
-                        )
-                        round_messages += 1
-                        round_bits += message.bits
-                        if message.bits > round_max_bits:
-                            round_max_bits = message.bits
+        else:
+            # General path (fault plan, adversary, or addressed traffic):
+            # the indexed loop's own delivery, fed the broadcast and
+            # addressed columns merged back into ascending sender order.
+            outbound: Dict[int, Any] = {
+                s: (BROADCAST, message) for s, message in zip(bsend, bmsgs)
+            }
+            outbound.update(addressed)
+            round_messages, round_bits, round_max_bits = deliver(
+                sorted(outbound), outbound, round_no, nodes, fanout_table,
+                plan, adversary, inboxes, touched,
+            )
         if round_messages or unhalted:
             metrics.record_round(round_messages, round_bits, round_max_bits)
 
@@ -946,22 +752,14 @@ def _run_vectorized(
         addressed = out_addressed
 
         if not live:
-            return SimulationResult(
-                outputs={nodes[i]: contexts[i].output for i in range(n)},
-                metrics=metrics,
-                halted=True,
-            )
+            return finish(nodes, contexts, metrics, True)
         if (
             quiescence_halts
             and not any_traffic
             and not bsend
             and not addressed
         ):
-            return SimulationResult(
-                outputs={nodes[i]: contexts[i].output for i in range(n)},
-                metrics=metrics,
-                halted=False,
-            )
+            return finish(nodes, contexts, metrics, False)
     raise SimulationError(
         f"simulation did not terminate within {max_rounds} rounds"
     )

@@ -136,9 +136,6 @@ class Scenario:
     delivered payloads (seed derivation as for ``fault_plan``);
     ``trace`` — record a :class:`RoundTrace` alongside the result;
     ``engine`` — round-loop implementation (``None``: module default);
-    ``shards`` — worker-process count for multiprocess engines
-    (``engine="sharded"``; composite drivers shard their inner runs via
-    the same value);
     ``indexed`` — prebuilt :class:`~repro.fastgraph.IndexedGraph`
     canonicalization of the topology (e.g. a
     :class:`repro.api.GraphSession`'s), shared with the network instead
@@ -155,7 +152,6 @@ class Scenario:
     max_rounds: int = 100000
     trace: bool = False
     engine: Optional[str] = None
-    shards: Optional[int] = None
     transport: Optional[Transport] = None
     name: str = ""
     indexed: Optional["IndexedGraph"] = None
@@ -225,7 +221,6 @@ class Scenario:
             adversary_plan=self.adversary_plan,
             transport=self.transport,
             engine=self.engine,
-            shards=self.shards,
         )
         start = time.perf_counter()
         result = runner.run(factory, max_rounds=self.max_rounds)
@@ -273,16 +268,8 @@ class Scenario:
             if self.engine is not None
             else nullcontext()
         )
-        if self.shards is not None:
-            # Drivers build their own inner runners; the context pins
-            # the worker count each inner sharded run forks.
-            from repro.simulator.runner_sharded import shards_context
-
-            shards = shards_context(self.shards)
-        else:
-            shards = nullcontext()
         start = time.perf_counter()
-        with engine, shards:
+        with engine:
             result = program.driver(
                 network,
                 model=self.model or program.model,

@@ -15,22 +15,12 @@ Typical use::
 Traces are also the substrate of the regression tests that pin protocol
 *schedules* (e.g. that a BFS wave reaches distance-d nodes exactly at
 round d), which aggregate metrics cannot express.
-
-The sharded engine's shard-local harvest rides on one hook:
-:func:`trace_sink` exposes the tracer a wrapped factory advertises, so
-each forked worker records its own nodes' events locally (events are
-per-node facts — sender, round, summary — never cross-shard state) and
-ships them home once, at run end, outside the per-round columnar
-barrier. The parent merges round-major, shard-major, which equals the
-single-process transcript because shards are contiguous index ranges;
-the equivalence matrix byte-compares the merged transcripts, columnar
-and scalar worker loops alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional
 
 from repro.simulator.node import Context, NodeProgram
 
@@ -144,24 +134,5 @@ class Tracer:
         def traced_factory(node: Hashable) -> NodeProgram:
             return _TracedProgram(factory(node), self.trace)
 
-        # Advertise the sink on the factory itself so engines that run
-        # programs in worker processes (the sharded engine) can find the
-        # trace to merge harvested events into — without constructing a
-        # probe program. See :func:`trace_sink`.
-        traced_factory._repro_trace_sink = self.trace
         return traced_factory
 
-
-def trace_sink(
-    factory: Callable[[Hashable], NodeProgram]
-) -> Optional[RoundTrace]:
-    """The :class:`RoundTrace` a :meth:`Tracer.wrap`-ped factory records
-    into, or ``None`` for an unwrapped factory.
-
-    Multiprocess engines use this twice: a worker locates its (forked)
-    copy of the trace to ship new events home, and the parent locates
-    the original object to merge them into. Re-wrapping a traced factory
-    in another closure hides the sink — keep the Tracer's factory
-    outermost when tracing a sharded run.
-    """
-    return getattr(factory, "_repro_trace_sink", None)

@@ -37,7 +37,7 @@ from repro.simulator.network import Network
 from repro.simulator.runner import Model, SyncRunner, engine_context
 from repro.simulator.scenario import Scenario
 
-from sharded_support import SHARDED_SKIP_REASON, SHARDED_TESTS_OK
+from vectorized_support import VECTORIZED_SKIP_REASON, VECTORIZED_TESTS_OK
 
 
 def _msg(payload, sender="s"):
@@ -246,8 +246,8 @@ class TestBudgets:
 
     def test_out_of_order_round_queries_agree_with_in_order(self):
         """Slot commitment is sequential internally, but queries may
-        arrive round-out-of-order (sharded workers race); answers must
-        match an in-order evaluation."""
+        arrive round-out-of-order; answers must match an in-order
+        evaluation."""
         network = Network(harary_graph(4, 10), rng=1)
         in_order = AdversaryPlan(
             corruption_probability=0.6, budget=9, rng=4
@@ -472,7 +472,7 @@ class TestPrefixCacheBound:
 class TestEngineEquivalence:
     """The same seeded hostile run is bit-identical on every engine."""
 
-    def _run(self, engine, kinds, shards=None, budget=None):
+    def _run(self, engine, kinds, budget=None):
         network = Network(harary_graph(4, 12), rng=2)
         plan = AdversaryPlan(
             corruption_probability=0.3,
@@ -480,16 +480,12 @@ class TestEngineEquivalence:
             budget=budget,
             rng=17,
         )
-        kwargs = {}
-        if shards is not None:
-            kwargs["shards"] = shards
         runner = SyncRunner(
             network,
             model=Model.V_CONGEST,
             rng=5,
             adversary_plan=plan,
             engine=engine,
-            **kwargs,
         )
         result = runner.run(
             lambda v: RetransmittingFloodProgram(
@@ -510,20 +506,18 @@ class TestEngineEquivalence:
     def test_indexed_matches_reference(self, kinds):
         assert self._run("indexed", kinds) == self._run("reference", kinds)
 
-    @pytest.mark.skipif(not SHARDED_TESTS_OK, reason=SHARDED_SKIP_REASON)
+    @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
     @pytest.mark.parametrize(
         "kinds", [("flip",), ("flip", "forge", "replay")]
     )
-    def test_sharded_matches_indexed(self, kinds):
-        assert self._run("indexed", kinds) == self._run(
-            "sharded", kinds, shards=3
-        )
+    def test_vectorized_matches_indexed(self, kinds):
+        assert self._run("indexed", kinds) == self._run("vectorized", kinds)
 
-    @pytest.mark.skipif(not SHARDED_TESTS_OK, reason=SHARDED_SKIP_REASON)
+    @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
     def test_budgeted_plan_agrees_across_engines(self):
         want = self._run("indexed", ("flip",), budget=7)
         assert self._run("reference", ("flip",), budget=7) == want
-        assert self._run("sharded", ("flip",), shards=3, budget=7) == want
+        assert self._run("vectorized", ("flip",), budget=7) == want
 
     def test_corruption_actually_changes_the_run(self):
         corrupted = self._run("indexed", ("flip",))

@@ -1,11 +1,13 @@
-"""Batch backends + checkpoint/resume: registry, chunk planning,
-byte-identity across execution planes, the one-graph parallelism fix,
-kill-and-resume equivalence, and failure-path taxonomy."""
+"""Batch backends + checkpoint/resume: registry, worker sizing, chunk
+planning, byte-identity across execution planes, the one-graph
+parallelism fix, kill-and-resume equivalence, and failure-path
+taxonomy."""
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import re
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -15,8 +17,10 @@ import pytest
 from repro.api import backends, batch
 from repro.api.backends import (
     available_backends,
+    default_workers,
     get_backend,
     make_chunks,
+    schedulable_cpus,
 )
 from repro.errors import BatchExecutionError, GraphValidationError
 
@@ -41,15 +45,23 @@ def _jsonl(jobs, **kwargs) -> str:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"serial", "process", "thread"} <= set(available_backends())
+        assert available_backends() == ["process", "serial"]
 
     def test_unknown_backend_lists_registry(self):
         with pytest.raises(GraphValidationError) as excinfo:
             get_backend("quantum")
         message = str(excinfo.value)
         assert "quantum" in message
-        for name in ("serial", "process", "thread"):
+        for name in ("serial", "process"):
             assert name in message
+
+    def test_thread_backend_is_gone(self):
+        with pytest.raises(GraphValidationError) as excinfo:
+            batch.run(MATRIX, backend="thread", workers=2)
+        assert str(excinfo.value) == (
+            "unknown batch backend 'thread'; registered backends: "
+            "process, serial"
+        )
 
     def test_unknown_backend_through_run(self):
         with pytest.raises(GraphValidationError, match="registered backends"):
@@ -57,7 +69,47 @@ class TestRegistry:
 
     def test_invalid_worker_count(self):
         with pytest.raises(GraphValidationError, match=">= 1"):
-            batch.run(MATRIX, backend="thread", workers=0)
+            batch.run(MATRIX, backend="process", workers=0)
+
+
+class TestSchedulableCpus:
+    """Worker sizing reads the *schedulable* CPU set, not the host count:
+    in a cgroup/affinity-limited container ``os.cpu_count()`` reports
+    host logical CPUs and over-forks."""
+
+    def test_affinity_set_wins(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5}, raising=False)
+        assert schedulable_cpus() == 2
+
+    def test_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 7)
+        assert schedulable_cpus() == 7
+
+    def test_oserror_falls_back_to_cpu_count(self, monkeypatch):
+        def boom(pid):
+            raise OSError("no affinity syscall here")
+
+        monkeypatch.setattr(os, "sched_getaffinity", boom, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert schedulable_cpus() == 3
+
+    def test_never_below_one(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert schedulable_cpus() == 1
+
+    def test_default_workers_track_affinity(self, monkeypatch):
+        # One schedulable core on a 64-core host: one worker, not 8.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert default_workers() == 1
+
+    def test_default_workers_capped(self, monkeypatch):
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: set(range(32)), raising=False
+        )
+        assert default_workers() == backends.MAX_DEFAULT_WORKERS
 
 
 class TestChunkPlanning:
@@ -103,16 +155,10 @@ class TestChunkPlanning:
 class TestBackendEquivalence:
     def test_all_backends_byte_identical(self):
         reference = _jsonl(MATRIX)
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             assert _jsonl(MATRIX, backend=backend, workers=2) == reference, (
                 backend
             )
-
-    def test_legacy_processes_maps_to_process_backend(self):
-        stats = {}
-        _jsonl(MATRIX, processes=2, stats=stats)
-        assert stats["backend"] == "process"
-        assert stats["workers"] == 2
 
     def test_serial_default(self):
         stats = {}
@@ -129,13 +175,6 @@ class TestBackendEquivalence:
         assert stats["chunks"] >= 2
         assert len(stats["worker_pids"]) >= 2
         assert rows == _jsonl(ONE_GRAPH)  # and bytes still match serial
-
-    def test_thread_backend_keeps_raw(self):
-        results = batch.run(
-            [batch.JobSpec(graph="hypercube:3", task="pack_cds")],
-            backend="thread", workers=2,
-        )
-        assert results[0].raw is not None
 
 
 class _FailAfter(io.StringIO):
@@ -163,7 +202,7 @@ class TestCheckpointResume:
         assert header["jobs"] == len(reference.splitlines())
         assert len(lines) == 1 + header["jobs"]
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_killed_run_resumes_byte_identical(self, tmp_path, backend):
         reference = _jsonl(MATRIX)
         ck = tmp_path / "ck.jsonl"

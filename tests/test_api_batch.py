@@ -120,7 +120,7 @@ class TestDeterministicJsonl:
 
     def test_parallel_matches_serial(self):
         serial = _jsonl(MATRIX)
-        parallel = _jsonl(MATRIX, processes=2)
+        parallel = _jsonl(MATRIX, backend="process", workers=2)
         assert parallel == serial
 
     def test_rows_are_valid_envelopes_in_job_order(self):
@@ -195,8 +195,8 @@ class TestExecution:
             ),
             JobSpec(graph="harary:4,12", task="connectivity"),
         ]
-        for processes in (None, 2):
-            results = run(jobs, processes=processes)
+        for backend, workers in ((None, None), ("process", 2)):
+            results = run(jobs, backend=backend, workers=workers)
             assert "error" in results[0].payload
             assert "error" in results[1].payload
             assert "lower_bound" in results[2].payload

@@ -188,36 +188,8 @@ class TestCommands:
         ) == 2
         err = capsys.readouterr().err
         assert "unknown simulation engine 'shraded'" in err
-        for engine in ("indexed", "reference", "sharded"):
+        for engine in ("indexed", "reference", "vectorized"):
             assert engine in err
-
-    def test_simulate_sharded_engine_matches_indexed(self, capsys):
-        from sharded_support import SHARDED_SKIP_REASON, SHARDED_TESTS_OK
-
-        if not SHARDED_TESTS_OK:
-            pytest.skip(SHARDED_SKIP_REASON)
-        assert main(
-            ["simulate", "harary:4,12", "--engine", "sharded",
-             "--shards", "2", "--seed", "1"]
-        ) == 0
-        sharded_out = capsys.readouterr().out
-        assert main(
-            ["simulate", "harary:4,12", "--engine", "indexed", "--seed", "1"]
-        ) == 0
-        indexed_out = capsys.readouterr().out
-        facts = lambda text: [  # noqa: E731
-            line for line in text.splitlines()
-            if line.startswith(("rounds:", "messages:", "outputs", "  "))
-        ]
-        assert facts(sharded_out) == facts(indexed_out)
-
-    def test_simulate_shards_require_sharded_engine(self, capsys):
-        """--shards on a single-process engine would be silently ignored;
-        the CLI refuses instead."""
-        assert main(
-            ["simulate", "harary:4,12", "--shards", "4"]
-        ) == 2
-        assert "--engine sharded" in capsys.readouterr().err
 
     def test_simulate_bad_crash_spec(self, capsys):
         assert main(
@@ -260,23 +232,23 @@ class TestBatchBackendFlags:
         out = tmp_path / "rows.jsonl"
         assert main([
             "batch", str(jobs_file), "--out", str(out),
-            "--backend", "thread", "--workers", "2",
+            "--backend", "process", "--workers", "2",
         ]) == 0
         summary = capsys.readouterr().out
-        assert "backend=thread" in summary
+        assert "backend=process" in summary
         assert "workers=2" in summary
         assert len(out.read_text().splitlines()) == 4
 
     def test_backends_agree_byte_for_byte(self, jobs_file, tmp_path):
         outputs = {}
-        for backend in ("serial", "thread", "process"):
+        for backend in ("serial", "process"):
             out = tmp_path / f"{backend}.jsonl"
             assert main([
                 "batch", str(jobs_file), "--out", str(out),
                 "--backend", backend, "--workers", "2",
             ]) == 0
             outputs[backend] = out.read_bytes()
-        assert outputs["serial"] == outputs["thread"] == outputs["process"]
+        assert outputs["serial"] == outputs["process"]
 
     def test_checkpoint_then_resume_replays(self, jobs_file, tmp_path, capsys):
         out = tmp_path / "rows.jsonl"

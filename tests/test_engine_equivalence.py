@@ -10,12 +10,10 @@ the fault machinery, whose drop derivation is part of the contract) on
 both engines and diffs the results.
 
 The **differential matrix** at the bottom extends the same oracle
-discipline to the multiprocess ``"sharded"`` engine
-(``runner_sharded.py``): every registered scenario program × every
+discipline to the columnar ``"vectorized"`` engine
+(``runner_vectorized.py``): every registered scenario program × every
 applicable transport × every engine, pinned seeds, byte-identical
-traces. Sharded cases skip cleanly where the engine cannot run (no
-``fork``) or would only add noise (single-core runners — set
-``REPRO_SHARDED_TESTS=1`` to force them there).
+traces — clean, faulted, corrupted, and addressed runs alike.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from repro.simulator.runner import (
 )
 from repro.simulator.tracing import Tracer
 from repro.utils.rng import ensure_rng
-from sharded_support import SHARDED_SKIP_REASON, SHARDED_TESTS_OK
 from vectorized_support import VECTORIZED_SKIP_REASON, VECTORIZED_TESTS_OK
 
 ENGINES = ("indexed", "reference")
@@ -101,6 +98,9 @@ class TestEngineRegistry:
         assert "indexed" in engines
         assert "reference" in engines
 
+    def test_registry_is_exactly_the_in_process_engines(self):
+        assert available_engines() == ["indexed", "reference", "vectorized"]
+
     def test_vectorized_engine_registered(self):
         # Lazily registered but always listed — even without numpy the
         # module imports (and raises a clean error only when *run*).
@@ -112,6 +112,19 @@ class TestEngineRegistry:
         net = _network()
         with pytest.raises(SimulationError):
             simulate(net, lambda v: ExtremumFloodProgram(0), engine="no-such")
+
+    def test_sharded_engine_is_gone(self):
+        """The multiprocess engine was deleted: naming it is a typo like
+        any other, answered with the registered-engine menu."""
+        from repro.errors import SimulationError
+
+        net = _network()
+        with pytest.raises(SimulationError) as excinfo:
+            simulate(net, lambda v: ExtremumFloodProgram(0), engine="sharded")
+        assert str(excinfo.value) == (
+            "unknown simulation engine 'sharded'; registered engines: "
+            "indexed, reference, vectorized"
+        )
 
     def test_reference_rejects_clique(self):
         from repro.errors import SimulationError
@@ -462,7 +475,6 @@ class TestDriverEquivalence:
 
 MATRIX_GRAPH = "harary:4,12"
 MATRIX_SEED = 3
-MATRIX_SHARDS = 2
 
 # (program, model) pairs the registry itself rules out: the CDS-packing
 # driver validates its model and accepts V-CONGEST / clique only.
@@ -495,9 +507,13 @@ def _run_matrix_case(program: str, model: Model, engine: str):
         seed=MATRIX_SEED,
         trace=True,
         engine=engine,
-        shards=MATRIX_SHARDS if engine == "sharded" else None,
         max_rounds=2000,
     ).run()
+    return _comparable(run)
+
+
+def _comparable(run):
+    """A traced scenario run reduced to comparable bytes."""
     metrics = run.result.metrics
     return {
         "outputs": list(run.result.outputs.items()),  # value AND order
@@ -518,7 +534,7 @@ class TestDifferentialMatrix:
     """Every registered scenario program, under every transport it can
     run on, must behave *byte-identically* on every engine. The indexed
     loop is the baseline; the reference loop covers the paper's two
-    models (it predates the clique transport); the sharded engine
+    models (it predates the clique transport); the vectorized engine
     covers everything."""
 
     @pytest.mark.parametrize(
@@ -533,17 +549,6 @@ class TestDifferentialMatrix:
         other = _run_matrix_case(program, model, "reference")
         assert other == baseline
 
-    @pytest.mark.skipif(not SHARDED_TESTS_OK, reason=SHARDED_SKIP_REASON)
-    @pytest.mark.parametrize(
-        "program,model",
-        _matrix_cases(),
-        ids=lambda value: getattr(value, "value", value),
-    )
-    def test_sharded_matches_indexed(self, program, model):
-        baseline = _run_matrix_case(program, model, "indexed")
-        other = _run_matrix_case(program, model, "sharded")
-        assert other == baseline
-
     @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
     @pytest.mark.parametrize(
         "program,model",
@@ -554,83 +559,6 @@ class TestDifferentialMatrix:
         baseline = _run_matrix_case(program, model, "indexed")
         other = _run_matrix_case(program, model, "vectorized")
         assert other == baseline
-
-    @pytest.mark.skipif(not SHARDED_TESTS_OK, reason=SHARDED_SKIP_REASON)
-    def test_sharded_identical_across_shard_counts(self):
-        """The shard count is an execution detail: 1, 2, and 3 workers
-        must all reproduce the indexed bytes."""
-        from repro.simulator.scenario import Scenario
-
-        baseline = _run_matrix_case("mis", Model.V_CONGEST, "indexed")
-        for shards in (1, 2, 3):
-            run = Scenario(
-                topology=MATRIX_GRAPH,
-                program="mis",
-                model=Model.V_CONGEST,
-                seed=MATRIX_SEED,
-                trace=True,
-                engine="sharded",
-                shards=shards,
-            ).run()
-            assert list(run.result.outputs.items()) == baseline["outputs"]
-            assert [repr(e) for e in run.trace.events] == baseline["trace"]
-
-
-@pytest.mark.skipif(not SHARDED_TESTS_OK, reason=SHARDED_SKIP_REASON)
-class TestShardedFaultEquivalence:
-    """Faulty runs shard identically: drop decisions derive from (seed,
-    edge, round) — never from shard-local iteration order — and crash
-    accounting matches the single-process loops."""
-
-    def _both(self, plan_of, rng=5, horizon=18):
-        graph = harary_graph(4, 14)
-        results = {}
-        for engine, shards in (("indexed", None), ("sharded", 3)):
-            network = _network(graph, seed=2)
-            runner = SyncRunner(
-                network,
-                rng=rng,
-                fault_plan=plan_of(network),
-                engine=engine,
-                shards=shards,
-            )
-            results[engine] = runner.run(
-                lambda v: RetransmittingFloodProgram(
-                    network.node_id(v), horizon=horizon
-                )
-            )
-        return results
-
-    def test_iid_drops(self):
-        runs = self._both(
-            lambda net: FaultPlan(drop_probability=0.35, rng=11)
-        )
-        _assert_same_result(runs["indexed"], runs["sharded"])
-
-    def test_drop_schedule(self):
-        def plan(net):
-            a, b, c = net.nodes[0], net.nodes[1], net.nodes[5]
-            return FaultPlan(
-                drop_schedule={(a, b): {1, 2, 3}, (c, a): {2}}
-            )
-
-        runs = self._both(plan)
-        _assert_same_result(runs["indexed"], runs["sharded"])
-
-    def test_crashes_with_drops(self):
-        def plan(net):
-            return FaultPlan(
-                drop_probability=0.2,
-                crash_rounds={net.nodes[3]: 2, net.nodes[7]: 0},
-                rng=4,
-            )
-
-        runs = self._both(plan)
-        _assert_same_result(runs["indexed"], runs["sharded"])
-
-    def test_unseeded_plan_derives_from_run_seed(self):
-        runs = self._both(lambda net: FaultPlan(drop_probability=0.4))
-        _assert_same_result(runs["indexed"], runs["sharded"])
 
 
 @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
@@ -816,22 +744,9 @@ def _run_corrupted_case(program: str, model: Model, engine: str, plan_kwargs):
         adversary_plan=AdversaryPlan(**plan_kwargs),
         trace=True,
         engine=engine,
-        shards=MATRIX_SHARDS if engine == "sharded" else None,
         max_rounds=2000,
     ).run()
-    metrics = run.result.metrics
-    return {
-        "outputs": list(run.result.outputs.items()),
-        "halted": run.result.halted,
-        "metrics": (
-            metrics.rounds,
-            metrics.messages,
-            metrics.bits,
-            metrics.max_message_bits,
-            sorted(metrics.phase_rounds.items()),
-        ),
-        "trace": [repr(event) for event in run.trace.events],
-    }
+    return _comparable(run)
 
 
 class TestCorruptedDifferentialMatrix:
@@ -850,17 +765,6 @@ class TestCorruptedDifferentialMatrix:
             pytest.skip("the reference loop predates the clique transport")
         baseline = _run_corrupted_case(program, model, "indexed", plan_kwargs)
         other = _run_corrupted_case(program, model, "reference", plan_kwargs)
-        assert other == baseline
-
-    @pytest.mark.skipif(not SHARDED_TESTS_OK, reason=SHARDED_SKIP_REASON)
-    @pytest.mark.parametrize(
-        "program,model,plan_kwargs",
-        [(p, m, k) for _, p, m, k in _CORRUPTED_CASES],
-        ids=[case_id for case_id, _, _, _ in _CORRUPTED_CASES],
-    )
-    def test_sharded_matches_indexed(self, program, model, plan_kwargs):
-        baseline = _run_corrupted_case(program, model, "indexed", plan_kwargs)
-        other = _run_corrupted_case(program, model, "sharded", plan_kwargs)
         assert other == baseline
 
     @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
@@ -892,20 +796,25 @@ class TestCorruptedDifferentialMatrix:
 
 
 # ----------------------------------------------------------------------
-# The shard-count hostile matrix: shards {2, 3} × {plain, faulted,
-# corrupted}, byte-compared transcripts
+# The hostile matrix: faulted runs on the shared general delivery path
 # ----------------------------------------------------------------------
 
+# Each row: (id, FaultPlan kwargs, corrupted). Corrupted-only and
+# addressed runs are rows of the matrices above (flip-flood-vcongest,
+# bfs); these add drops and crashes, alone and under corruption.
+_HOSTILE_CASES = [
+    ("faulted", {"drop_probability": 0.3, "rng": 11}, False),
+    (
+        "crashed",
+        {"drop_probability": 0.3, "crash_rounds": {3: 2, 7: 0}, "rng": 11},
+        False,
+    ),
+    ("faulted-corrupted", {"drop_probability": 0.3, "rng": 11}, True),
+]
 
-def _run_hostile_case(
-    engine: str,
-    shards,
-    *,
-    faulted: bool = False,
-    corrupted: bool = False,
-    program: str = "retransmit-flood",
-):
-    """One pinned-seed run with optional hostile machinery attached.
+
+def _run_hostile_case(engine: str, fault_kwargs, corrupted: bool):
+    """One pinned-seed retransmit-flood run with hostile machinery.
 
     Plans are built fresh per run: drop decisions and replay histories
     are per-execution state, and both derive their RNG streams from the
@@ -916,12 +825,10 @@ def _run_hostile_case(
 
     run = Scenario(
         topology=MATRIX_GRAPH,
-        program=program,
+        program="retransmit-flood",
         model=Model.V_CONGEST,
         seed=MATRIX_SEED,
-        fault_plan=(
-            FaultPlan(drop_probability=0.3, rng=11) if faulted else None
-        ),
+        fault_plan=FaultPlan(**fault_kwargs),
         adversary_plan=(
             AdversaryPlan(corruption_probability=0.25, kinds=("flip",))
             if corrupted
@@ -929,51 +836,43 @@ def _run_hostile_case(
         ),
         trace=True,
         engine=engine,
-        shards=shards if engine == "sharded" else None,
         max_rounds=2000,
     ).run()
-    metrics = run.result.metrics
-    return {
-        "outputs": list(run.result.outputs.items()),
-        "halted": run.result.halted,
-        "metrics": (
-            metrics.rounds,
-            metrics.messages,
-            metrics.bits,
-            metrics.max_message_bits,
-            sorted(metrics.phase_rounds.items()),
-        ),
-        "trace": [repr(event) for event in run.trace.events],
-    }
+    return _comparable(run)
 
 
-@pytest.mark.skipif(not SHARDED_TESTS_OK, reason=SHARDED_SKIP_REASON)
-class TestShardCountHostileMatrix:
-    """The columnar barrier under every shard count it advertises: 2 and
-    3 workers × {plain, faulted, corrupted} must reproduce the indexed
-    transcript byte for byte. Hostile rounds are exactly where a worker
-    falls back from the columnar fast path to the scalar export loop, so
-    this matrix pins the seam between the two."""
+class TestHostileMatrix:
+    """Every round of a faulted run goes through the general delivery
+    path — the one :func:`repro.simulator.runner.deliver` the indexed
+    and vectorized loops share — so the independent reference loop and
+    the vectorized engine must both reproduce the indexed transcript
+    byte for byte."""
 
     @pytest.mark.parametrize(
-        "faulted,corrupted",
-        [(False, False), (True, False), (False, True)],
-        ids=["plain", "faulted", "corrupted"],
+        "fault_kwargs,corrupted",
+        [(k, c) for _, k, c in _HOSTILE_CASES],
+        ids=[case_id for case_id, _, _ in _HOSTILE_CASES],
     )
-    @pytest.mark.parametrize("shards", (2, 3))
-    def test_sharded_matches_indexed(self, shards, faulted, corrupted):
-        baseline = _run_hostile_case(
-            "indexed", None, faulted=faulted, corrupted=corrupted
-        )
-        other = _run_hostile_case(
-            "sharded", shards, faulted=faulted, corrupted=corrupted
-        )
+    def test_reference_matches_indexed(self, fault_kwargs, corrupted):
+        baseline = _run_hostile_case("indexed", fault_kwargs, corrupted)
+        other = _run_hostile_case("reference", fault_kwargs, corrupted)
         assert other == baseline
 
-    @pytest.mark.parametrize("shards", (2, 3))
-    def test_addressed_traffic_matches_indexed(self, shards):
-        """BFS parent-pointer traffic is dict-addressed, forcing the
-        columnar worker onto its general (addressed) merge path."""
-        baseline = _run_hostile_case("indexed", None, program="bfs")
-        other = _run_hostile_case("sharded", shards, program="bfs")
+    @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
+    @pytest.mark.parametrize(
+        "fault_kwargs,corrupted",
+        [(k, c) for _, k, c in _HOSTILE_CASES],
+        ids=[case_id for case_id, _, _ in _HOSTILE_CASES],
+    )
+    def test_vectorized_matches_indexed(self, fault_kwargs, corrupted):
+        baseline = _run_hostile_case("indexed", fault_kwargs, corrupted)
+        other = _run_hostile_case("vectorized", fault_kwargs, corrupted)
         assert other == baseline
+
+    def test_faults_change_the_clean_run(self):
+        """The rows are not vacuous: drops alter the clean transcript."""
+        clean = _run_matrix_case(
+            "retransmit-flood", Model.V_CONGEST, "indexed"
+        )
+        faulted = _run_hostile_case("indexed", _HOSTILE_CASES[0][1], False)
+        assert faulted["trace"] != clean["trace"]

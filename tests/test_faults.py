@@ -131,9 +131,8 @@ class TestDropOrderIndependence:
     """Random drops are a pure function of (seed, directed edge, round):
     the decision for one delivery cannot depend on which — or how many —
     other deliveries were decided before it. This is the contract that
-    makes fault sweeps reproducible across engines (the sharded engine
-    evaluates drops shard-locally, in a different global order than the
-    single-process loops)."""
+    makes fault sweeps reproducible across engines, whatever order each
+    one evaluates deliveries in."""
 
     EDGES = [("a", "b"), ("b", "a"), ("c", "d"), (0, 1), (1, 0), (2, 7)]
 
@@ -220,8 +219,8 @@ class TestDropPurityProperties:
     """Hypothesis pins the purity contract over arbitrary edge/round
     universes: a drop decision is a function of (seed, directed edge,
     round) alone — query order, interleaving, and plan object identity
-    are invisible to it. This is the exact contract the sharded engine
-    leans on when workers evaluate drops shard-locally."""
+    are invisible to it — the contract every engine's delivery order
+    leans on."""
 
     edges = st.lists(
         st.tuples(

@@ -102,6 +102,22 @@ def test_core_error_taxonomy():
     assert stats["errors"] == 4 and stats["requests"] == 5
 
 
+def test_core_simulate_rejects_the_deleted_sharded_engine():
+    """A wire client naming ``engine="sharded"`` gets the typed
+    unknown-engine error listing the registered engines — the daemon
+    has no multiprocess engine left to fork workers for."""
+    core = ServiceCore()
+    envelope = core.handle(
+        {"op": "simulate", "graph": "harary:4,12", "engine": "sharded"}
+    )
+    assert is_error(envelope)
+    assert envelope["payload"]["error_type"] == "library"
+    assert envelope["payload"]["error"] == (
+        "unknown simulation engine 'sharded'; registered engines: "
+        "indexed, reference, vectorized"
+    )
+
+
 def test_core_node_ops():
     core = ServiceCore()
     nbr = core.handle(
@@ -481,14 +497,14 @@ def test_core_batch_op_matches_library_rows():
     core = ServiceCore()
     matrix = {"graphs": ["harary:4,12"], "tasks": ["connectivity"], "trials": 3}
     envelope = core.handle(
-        {"op": "batch", "jobs": matrix, "base_seed": 0, "backend": "thread",
+        {"op": "batch", "jobs": matrix, "base_seed": 0, "backend": "process",
          "workers": 2}
     )
     assert not is_error(envelope)
     payload = envelope["payload"]
     assert payload["jobs"] == 3
     assert payload["errors"] == 0
-    assert payload["backend"] == "thread"
+    assert payload["backend"] == "process"
     assert payload["workers"] == 2
     direct = batch.run(matrix, base_seed=0)
     assert payload["rows"] == [r.to_dict(include_timings=False) for r in direct]

@@ -7,8 +7,7 @@ columnar machinery directly — a hypothesis property that random traffic
 payloads) delivers in the indexed loop's exact order and contents, the
 payload-interning table's round-trip and type-awareness, the inbox
 views' Mapping surface, plane caching across runs, the clique shape,
-and the numpy-absent error path. The sharded 1-worker fast path rides
-along: it delegates to these inner loops.
+and the numpy-absent error path.
 """
 
 from __future__ import annotations
@@ -290,58 +289,24 @@ class TestPayloadInterner:
         assert len(interner) == 1
         assert interner.payload_of(0) == 99
 
-    def test_generation_counts_clears(self, monkeypatch):
-        """``generation`` is the sharded barrier's reset signal: a
-        destination shard drops its mirrored payload table exactly when
-        the source's counter moved, so the counter must tick on every
-        clear — explicit or cap-triggered — and never otherwise."""
-        monkeypatch.setattr(rv, "MAX_INTERNED_PAYLOADS", 2)
-        interner = PayloadInterner()
-        assert interner.generation == 0
-        interner.intern("a")
-        interner.intern("b")
-        assert interner.generation == 0  # filling the table is not a reset
-        interner.intern("c")  # cap crossed: wholesale clear
-        assert interner.generation == 1
-        interner.clear()
-        assert interner.generation == 2
-
 
 class TestBuildInCsr:
-    """The module-level ``build_in_csr`` must slice consistently: a
-    shard's ``[lo, hi)`` window is exactly the full CSR restricted to
-    receivers in the window, with destinations relocalized."""
+    """``build_in_csr`` transposes the fan-out: receiver ``r``'s slice
+    lists exactly the senders whose broadcast reaches it, in ascending
+    sender order — the indexed loop's inbox insertion order."""
 
-    def _fanout(self, graph):
-        network = Network(graph, rng=1)
-        transport = SyncRunner(network, model=Model.V_CONGEST).transport
-        return transport._fanout, network.n
-
-    def test_slices_tile_the_full_csr(self):
-        fanout, n = self._fanout(harary_graph(4, 13))
-        full_ptr, full_src, full_dst = rv.build_in_csr(fanout, n)
-        for lo, hi in ((0, 5), (5, 9), (9, 13), (0, n)):
-            ptr, src, dst = rv.build_in_csr(fanout, n, lo, hi)
-            assert len(ptr) == hi - lo + 1
-            for r in range(lo, hi):
-                window = slice(ptr[r - lo], ptr[r - lo + 1])
-                # Same senders, in the same (ascending) order…
-                assert list(src[window]) == list(
-                    full_src[full_ptr[r]:full_ptr[r + 1]]
-                )
-                # …and every local destination maps back to r.
-                assert all(d == r - lo for d in dst[window])
-
-    def test_sender_indices_stay_global(self):
-        fanout, n = self._fanout(nx.cycle_graph(6))
-        _, src, _ = rv.build_in_csr(fanout, n, 3, 6)
-        # Receivers 3..5 hear from global neighbors 2..5 ∪ {0}.
-        assert set(src.tolist()) == {2, 3, 4, 5, 0}
-
-
-# ----------------------------------------------------------------------
-# Inbox views
-# ----------------------------------------------------------------------
+    def test_rows_transpose_the_fanout(self):
+        network = Network(harary_graph(4, 13), rng=1)
+        fanout = SyncRunner(network, model=Model.V_CONGEST).transport._fanout
+        n = network.n
+        ptr, src, dst = rv.build_in_csr(fanout, n)
+        assert len(ptr) == n + 1
+        for r in range(n):
+            window = slice(ptr[r], ptr[r + 1])
+            assert list(src[window]) == [
+                s for s in range(n) if r in fanout[s]
+            ]
+            assert all(d == r for d in dst[window])
 
 
 class TestInboxViews:
@@ -563,46 +528,3 @@ class TestDictSubclassDispatch:
             return log, list(result.outputs.items()), result.halted
 
         assert run("vectorized") == run("indexed")
-
-
-class TestShardedSingleWorkerFastPath:
-    """shards=1 must not fork: it delegates to the in-process inner
-    loop (vectorized when numpy imports, indexed otherwise), so it works
-    — and stays bit-identical — even where fork is unavailable."""
-
-    def _run(self, engine, shards=None):
-        network = Network(harary_graph(4, 12), rng=3)
-        factory = self._factory(network)
-        tracer = Tracer()
-        result = SyncRunner(
-            network, rng=5, engine=engine, shards=shards
-        ).run(tracer.wrap(factory))
-        return result, [repr(e) for e in tracer.trace.events]
-
-    def _factory(self, network):
-        from repro.simulator.algorithms.flooding import ExtremumFloodProgram
-
-        return lambda v: ExtremumFloodProgram(network.node_id(v))
-
-    def test_single_shard_matches_indexed(self):
-        base, base_trace = self._run("indexed")
-        one, one_trace = self._run("sharded", shards=1)
-        assert one.outputs == base.outputs
-        assert list(one.outputs) == list(base.outputs)
-        assert one_trace == base_trace
-        a, b = one.metrics, base.metrics
-        assert (a.rounds, a.messages, a.bits) == (b.rounds, b.messages, b.bits)
-
-    def test_single_shard_runs_without_fork(self, monkeypatch):
-        from repro.simulator import runner_sharded
-
-        monkeypatch.setattr(runner_sharded, "fork_available", lambda: False)
-        base, _ = self._run("indexed")
-        one, _ = self._run("sharded", shards=1)
-        assert one.outputs == base.outputs
-
-    def test_single_shard_without_numpy_uses_indexed(self, monkeypatch):
-        monkeypatch.setattr(rv, "np", None)
-        base, _ = self._run("indexed")
-        one, _ = self._run("sharded", shards=1)
-        assert one.outputs == base.outputs

@@ -1,7 +1,6 @@
 """Shared gating for vectorized-engine tests.
 
-Mirrors ``sharded_support``: the columnar engine needs numpy, which is a
-soft dependency — the suite must pass (with clean skips) where numpy is
+The columnar engine needs numpy, which is a soft dependency — the suite must pass (with clean skips) where numpy is
 absent. ``REPRO_VECTORIZED_TESTS=1`` forces the rows on (CI's
 engine-equivalence job sets it so a broken numpy install fails loudly
 instead of skipping silently); ``REPRO_VECTORIZED_TESTS=0`` forces them
