@@ -10,11 +10,13 @@ numbers instead of anecdotes):
   implementation (:mod:`repro.core.spanning_packing_reference`), with
   packings asserted identical → ``BENCH_spanning_packing.json``.
   Acceptance gate: ≥ 5× at n≈500.
-* ``simulator`` — the indexed round-loop engine vs the preserved
-  reference loop (:mod:`repro.simulator.runner_reference`) on flooding
-  and shared-MST workloads, outputs asserted identical →
-  ``BENCH_simulator.json`` (see :mod:`bench_simulator`). Acceptance
-  gate: ≥ 2× rounds/sec on flooding at n = 1000.
+* ``simulator`` — the round loop vs the preserved reference loop
+  (:mod:`repro.simulator.runner_reference`) and vs itself with the
+  column step off, on flooding and shared-MST workloads, outputs
+  asserted identical → ``BENCH_simulator.json`` (see
+  :mod:`bench_simulator`). Acceptance gates: ≥ 2× rounds/sec over the
+  reference on flooding at n = 1000; ≥ 3× over the dict plane on
+  flooding at n = 5000, degree 128.
 * ``cds_packing`` — the kernel-backed CDS / dominating-tree packing vs
   the pre-kernel loop (:mod:`repro.core.cds_packing_reference`),
   packings asserted bit-identical → ``BENCH_cds_packing.json`` (see
@@ -182,10 +184,7 @@ def _run_simulator(args) -> None:
         import bench_simulator
     except ImportError:  # running as a module from the repo root
         from benchmarks import bench_simulator
-    forwarded = _forwarded_args(args, "simulator")
-    if args.engines is not None:
-        forwarded += ["--engines", args.engines]
-    bench_simulator.main(forwarded)
+    bench_simulator.main(_forwarded_args(args, "simulator"))
 
 
 def _run_cds(args) -> None:
@@ -256,12 +255,6 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--seed", type=int, default=None,
         help="seed (default: 9 spanning/cds_packing / 3 simulator)",
-    )
-    parser.add_argument(
-        "--engines", type=str, default=None,
-        help="comma-separated engine filter for the simulator suite "
-        "(e.g. 'indexed,vectorized'); typos fail with the engine "
-        "registry's listing",
     )
     parser.add_argument(
         "--out",

@@ -680,7 +680,6 @@ class GraphSession:
         adversary_plan=None,
         max_rounds: int = 100000,
         trace: bool = False,
-        engine: Optional[str] = None,
         show_outputs: Optional[int] = None,
     ) -> Result:
         """Run a registered scenario program on the round simulator.
@@ -689,8 +688,6 @@ class GraphSession:
         the session's canonicalization (``Scenario.indexed``); the run
         RNG stream is unchanged, so results match a standalone
         :class:`~repro.simulator.scenario.Scenario` bit for bit.
-        ``engine`` picks a registered round loop (``"indexed"``,
-        ``"reference"``, ``"vectorized"`` — all bit-identical).
         ``show_outputs`` caps how many node
         outputs enter the payload (``None``: all). The envelope's
         ``params`` carry the *full* fault/adversary configuration
@@ -709,7 +706,6 @@ class GraphSession:
             adversary_plan=adversary_plan,
             max_rounds=max_rounds,
             trace=trace,
-            engine=engine,
             indexed=self.indexed,
         )
         resolved = scenario.resolve()
@@ -718,13 +714,10 @@ class GraphSession:
         outputs = list(run.result.outputs.items())
         if show_outputs is not None:
             outputs = outputs[:show_outputs]
-        from repro.simulator.runner import default_engine
-
         payload = {
             "program": resolved.name,
             "description": resolved.description,
             "model": (scenario.model or resolved.model).value,
-            "engine": engine or default_engine(),
             "rounds": summary["rounds"],
             "messages": summary["messages"],
             "bits": summary["bits"],
@@ -738,7 +731,6 @@ class GraphSession:
                 "program": program,
                 "model": model,
                 "max_rounds": max_rounds,
-                "engine": engine,
                 # Full plan configs (seeds included; bound during the
                 # run, so the envelope pins the exact loss/corruption
                 # pattern). None = reliable / honest channels.

@@ -308,12 +308,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
             drop_schedule=schedule,
         )
     adversary = _build_adversary_plan(args)
-    if args.engine is not None:
-        # Validate eagerly so a typo fails with the engine menu before
-        # any graph work happens (mirrors the graph-family errors).
-        from repro.simulator.runner import _require_engine
-
-        _require_engine(args.engine)
     session = GraphSession(args.graph)
     if schedule and args.model != "congested-clique":
         # A typo'd node in a schedule file would silently schedule drops
@@ -330,7 +324,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         adversary_plan=adversary,
         max_rounds=args.max_rounds,
         trace=args.trace,
-        engine=args.engine,
         show_outputs=args.show_outputs,
     )
     if _emit(args, envelope):
@@ -339,7 +332,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     run = envelope.raw
     print(f"graph: {args.graph}  n={envelope.n}  m={envelope.m}")
     print(f"program: {payload['program']} — {payload['description']}")
-    print(f"model:   {payload['model']}   engine: {payload['engine']}")
+    print(f"model:   {payload['model']}")
     if plan is not None:
         print(
             f"faults:  drop={plan.drop_probability:g} "
@@ -440,7 +433,7 @@ _EXPERIMENTS = [
     ("E24", "bench_cds_packing", "CDS kernel speed (indexed vs reference)"),
     ("E25", "bench_api", "session-cached pipeline vs per-call canonicalization"),
     ("E27", "bench_resilience", "adversarial channels: coded vs uncoded flood"),
-    ("E28", "bench_simulator", "vectorized columnar engine vs indexed (dense regime)"),
+    ("E28", "bench_simulator", "column step vs the dict plane (dense regime)"),
     ("E30", "bench_service", "warm service vs cold sessions; incremental re-canonicalization"),
     ("E31", "bench_batch", "batch scheduler jobs/sec vs backend × workers"),
     ("F1-F3", "bench_figures", "paper figures (text renderings)"),
@@ -577,14 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the program's communication model",
     )
     simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--engine", default=None, metavar="ENGINE",
-        help=(
-            "round-loop implementation: indexed (default), reference, "
-            "or vectorized (columnar numpy plane); an unknown name lists "
-            "the registered engines"
-        ),
-    )
     simulate.add_argument(
         "--drop", type=float, default=0.0,
         help="i.i.d. message drop probability",

@@ -353,7 +353,6 @@ class ServiceCore:
             model=request.get("model"),
             seed=int(request.get("seed", 0)),
             max_rounds=int(request.get("max_rounds", 100000)),
-            engine=request.get("engine"),
             show_outputs=request.get("show_outputs", 5),
         )
 

@@ -28,9 +28,6 @@ from repro.simulator.runner import (
     Model,
     SimulationResult,
     SyncRunner,
-    available_engines,
-    engine_context,
-    set_default_engine,
     simulate,
 )
 from repro.simulator.transport import (
@@ -65,9 +62,6 @@ __all__ = [
     "SimulationResult",
     "SyncRunner",
     "simulate",
-    "available_engines",
-    "engine_context",
-    "set_default_engine",
     "Transport",
     "VCongestTransport",
     "ECongestTransport",

@@ -11,9 +11,9 @@ one that was sent. This module provides that regime for every engine:
   :class:`~repro.simulator.faults.FaultPlan`: per-delivery corruption
   decisions that are **pure functions of (plan seed, directed edge,
   round)**, with budget knobs (global corruption budget, per-round edge
-  budget, targeted edge sets) enforced deterministically, so the
-  indexed, reference, and vectorized engines agree on every corrupted
-  delivery bit for bit.
+  budget, targeted edge sets) enforced deterministically, so the round
+  loop and the reference loop agree on every corrupted delivery bit for
+  bit.
 * three corruption kinds, selected per corrupted slot from the same
   digest that decided the corruption: ``"flip"`` XORs the payload's
   integer content inside its honest two's-complement width (so a

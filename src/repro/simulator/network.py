@@ -73,6 +73,10 @@ class Network:
         self._neighbor_indices: List[Tuple[int, ...]] = [
             tuple(index_of[u] for u in self._neighbors[v]) for v in self._nodes
         ]
+        # The column step's edge arrays (repro.simulator.column_step):
+        # a function of the adjacency alone, built on the first columnar
+        # round of any run over this network.
+        self._column_plane = None
         rand = ensure_rng(rng)
         # 4·log n random bits per id (Section 2); distinct w.h.p., re-drawn
         # on collision — but bounded: a generator that keeps colliding

@@ -20,17 +20,19 @@ The executor is an *engine* with three separated layers:
 * **scenario layer** — :mod:`repro.simulator.scenario` builds whole runs
   declaratively on top of this module.
 
-Round loops themselves are pluggable: the default ``"indexed"`` engine is
-the integer-index loop below; ``"reference"``
-(:mod:`repro.simulator.runner_reference`) preserves the pre-engine
-dict-per-round loop as the bit-exactness oracle of the equivalence test
-suite, and ``"vectorized"`` (:mod:`repro.simulator.runner_vectorized`)
-delivers honest broadcast rounds through a columnar numpy plane. All
-produce identical :class:`SimulationResult` values and identical
-:class:`~repro.simulator.tracing.Tracer` transcripts under a fixed
-seed. Node setup (:func:`start_nodes`) and the general delivery path
-(:func:`deliver`) live here once, shared by the indexed and vectorized
-loops.
+There is one round loop (:func:`_run_rounds`), and it picks a delivery
+plane per round. Rounds go through :func:`deliver`, the general path
+over engine-owned inbox dicts, unless the round qualifies for the
+**column step** (:mod:`repro.simulator.column_step`), which delivers
+through numpy edge arrays. A round qualifies when it is honest (no
+fault plan, no adversary), carries only broadcasts, its transport's
+fan-out is the network adjacency itself, and it passes the measured
+rule of :data:`COLUMN_MIN_FANOUT` and :data:`COLUMN_MIN_EDGE_SHARE`.
+Both planes produce identical :class:`SimulationResult` values and
+identical :class:`~repro.simulator.tracing.Tracer` transcripts under a
+fixed seed; :mod:`repro.simulator.runner_reference` preserves the
+pre-engine loop as the independent oracle the equivalence tests
+compare against.
 
 Model enforcement (see :mod:`repro.simulator.transport`):
 
@@ -50,9 +52,8 @@ protocol that needs bigger messages is *not* a CONGEST protocol.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Hashable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.errors import SimulationError
 from repro.simulator.message import Message
@@ -74,11 +75,16 @@ __all__ = [
     "SyncRunner",
     "simulate",
     "default_message_budget",
-    "available_engines",
-    "register_engine",
-    "set_default_engine",
-    "engine_context",
 ]
+
+#: The column step's rule, picked from the sweep in DESIGN.md §3e. A run
+#: qualifies when its mean fan-out (2m/n) is at least COLUMN_MIN_FANOUT;
+#: a round of such a run takes the step when its broadcasts cover at
+#: least COLUMN_MIN_EDGE_SHARE of the directed edges, because the step
+#: pays for every edge of the network while the dict plane pays only for
+#: the edges that carry traffic.
+COLUMN_MIN_FANOUT = 32
+COLUMN_MIN_EDGE_SHARE = 0.75
 
 
 @dataclass
@@ -94,91 +100,6 @@ class SimulationResult:
 
 
 # ----------------------------------------------------------------------
-# Engine registry
-# ----------------------------------------------------------------------
-
-# An engine is a round-loop implementation:
-#   engine(runner, program_factory, max_rounds, quiescence_halts) -> SimulationResult
-EngineFn = Callable[..., SimulationResult]
-
-_ENGINES: Dict[str, EngineFn] = {}
-_DEFAULT_ENGINE = "indexed"
-
-# Engines whose modules register themselves on first import — kept out
-# of this module so the common reliable single-process path never pays
-# for them.
-_LAZY_ENGINE_MODULES = {
-    "reference": "repro.simulator.runner_reference",
-    "vectorized": "repro.simulator.runner_vectorized",
-}
-
-
-def register_engine(name: str, engine: EngineFn) -> None:
-    """Register a named round-loop implementation."""
-    _ENGINES[name] = engine
-
-
-def _load_lazy_engines() -> None:
-    import importlib
-
-    for name, module in _LAZY_ENGINE_MODULES.items():
-        if name not in _ENGINES:
-            importlib.import_module(module)
-
-
-def available_engines() -> List[str]:
-    """Names of the registered round-loop implementations."""
-    _load_lazy_engines()
-    return sorted(_ENGINES)
-
-
-def set_default_engine(name: str) -> None:
-    """Select the engine used when a runner does not name one."""
-    global _DEFAULT_ENGINE
-    _require_engine(name)
-    _DEFAULT_ENGINE = name
-
-
-def default_engine() -> str:
-    return _DEFAULT_ENGINE
-
-
-@contextlib.contextmanager
-def engine_context(name: str) -> Iterator[None]:
-    """Temporarily switch the default engine (the equivalence tests use
-    this to run composite algorithms on the reference loop)."""
-    global _DEFAULT_ENGINE
-    _require_engine(name)
-    previous = _DEFAULT_ENGINE
-    _DEFAULT_ENGINE = name
-    try:
-        yield
-    finally:
-        _DEFAULT_ENGINE = previous
-
-
-def _require_engine(name: str) -> EngineFn:
-    if name not in _ENGINES:
-        module = _LAZY_ENGINE_MODULES.get(name)
-        if module is not None:
-            # The loop lives in its own module; importing registers it.
-            import importlib
-
-            importlib.import_module(module)
-    try:
-        return _ENGINES[name]
-    except KeyError:
-        # Mirror the graph-spec family errors: a typo gets the full
-        # menu, not a stack trace (load the lazy engines first so the
-        # menu is complete).
-        _load_lazy_engines()
-        raise SimulationError(
-            f"unknown simulation engine {name!r}; registered engines: "
-            + ", ".join(sorted(_ENGINES))
-        )
-
-
-# ----------------------------------------------------------------------
 # Runner
 # ----------------------------------------------------------------------
 
@@ -188,8 +109,7 @@ class SyncRunner:
 
     ``model`` selects a stock transport; passing ``transport`` directly
     plugs in custom delivery semantics (then ``model`` is ignored for
-    delivery and kept only as a label). ``engine`` names the round-loop
-    implementation; ``None`` uses the module default (``"indexed"``).
+    delivery and kept only as a label).
     """
 
     def __init__(
@@ -201,7 +121,6 @@ class SyncRunner:
         fault_plan=None,
         adversary_plan=None,
         transport: Optional[Transport] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.network = network
         self.model = model
@@ -227,7 +146,7 @@ class SyncRunner:
         self.fault_plan = fault_plan
         # Optional repro.simulator.adversary.AdversaryPlan; None = honest
         # channels. Seed derivation mirrors the fault plan's, drawn
-        # *after* it — the fixed draw order every engine shares, so one
+        # *after* it — the fixed draw order every loop shares, so one
         # run seed reproduces both plans.
         if adversary_plan is not None:
             if getattr(adversary_plan, "rng", 0) is None:
@@ -238,7 +157,6 @@ class SyncRunner:
                 == "congested-clique",
             )
         self.adversary_plan = adversary_plan
-        self.engine = engine
 
     def run(
         self,
@@ -253,13 +171,12 @@ class SyncRunner:
         a fully silent round. Raises :class:`SimulationError` if
         ``max_rounds`` is exceeded — runaway protocols are bugs.
         """
-        engine = _require_engine(self.engine or _DEFAULT_ENGINE)
         if self.adversary_plan is not None:
             # Per-run state (the replay history) resets here, so a
             # reused plan object never leaks one run's traffic into the
             # next.
             self.adversary_plan.begin_run()
-        return engine(self, program_factory, max_rounds, quiescence_halts)
+        return _run_rounds(self, program_factory, max_rounds, quiescence_halts)
 
 
 def _check_plan_nodes(plan, network: Network) -> None:
@@ -283,8 +200,8 @@ def start_nodes(
     """One :class:`Context` and one program per node, in node order.
 
     Context RNG seeds are drawn from the run RNG in canonical node order
-    — the draw order every engine shares, so one run seed pins every
-    node's randomness whichever loop executes it.
+    — the draw order the reference loop shares, so one run seed pins
+    every node's randomness whichever loop executes it.
     """
     net = runner.network
     n = net.n
@@ -414,18 +331,20 @@ def deliver(
     return messages, total_bits, max_bits
 
 
-def _run_indexed(
+def _run_rounds(
     runner: SyncRunner,
     program_factory: Callable[[Hashable], NodeProgram],
     max_rounds: int,
     quiescence_halts: bool,
 ) -> SimulationResult:
-    """The default engine: the round loop over integer node indices.
+    """The round loop over integer node indices.
 
     Per-round work is proportional to live nodes and delivered messages —
     not ``n`` — and message payloads are validated/sized once per payload
-    object, not once per receiver. Inbox dicts are owned by the engine
-    and recycled between rounds; programs must consume their inbox during
+    object, not once per receiver. Each round is delivered either by
+    :func:`deliver` into engine-owned inbox dicts, recycled between
+    rounds, or by the column step into views over its columns (see the
+    module docstring). Programs must consume their inbox during
     ``on_round`` (every shipped program does).
     """
     net = runner.network
@@ -437,6 +356,20 @@ def _run_indexed(
     validate = transport.validate
     fanout_table = [transport.fanout(i) for i in range(n)]
     contexts, programs = start_nodes(runner, program_factory)
+
+    # The run's half of the column step's rule. The identity test on the
+    # fan-out keeps the clique and custom transports on the dict plane:
+    # the step's edge arrays are built from the network adjacency alone.
+    column_edges = None
+    if (
+        plan is None
+        and adversary is None
+        and transport._fanout is net.neighbor_index_table()
+        and 2 * net.m >= COLUMN_MIN_FANOUT * n
+    ):
+        degree = [len(row) for row in fanout_table]
+        column_edges = max(1, COLUMN_MIN_EDGE_SHARE * 2 * net.m)
+    column = None
 
     metrics = SimulationMetrics(runs=1)
     # outbound[i] = validated indexed traffic produced by node i this
@@ -461,10 +394,25 @@ def _run_indexed(
 
     for round_no in range(1, max_rounds + 1):
         touched: List[int] = []
-        messages, bits, max_bits = deliver(
-            senders, outbound, round_no, nodes, fanout_table, plan,
-            adversary, inboxes, touched,
-        )
+        delivered = None
+        if column_edges is not None and (
+            sum(map(degree.__getitem__, senders)) >= column_edges
+        ):
+            if column is None:
+                # numpy loads here: runs that never take the step never
+                # load it.
+                from repro.simulator.column_step import ColumnStep
+
+                column = ColumnStep(net)
+            delivered = column.deliver(senders, outbound, inboxes)
+        if delivered is None:
+            boxes = inboxes
+            messages, bits, max_bits = deliver(
+                senders, outbound, round_no, nodes, fanout_table, plan,
+                adversary, inboxes, touched,
+            )
+        else:
+            boxes, messages, bits, max_bits = delivered
         if messages or unhalted:
             metrics.record_round(messages, bits, max_bits)
 
@@ -478,7 +426,7 @@ def _run_indexed(
                 continue
             ctx = contexts[i]
             ctx.round = round_no
-            raw = programs[i].on_round(ctx, inboxes[i])
+            raw = programs[i].on_round(ctx, boxes[i])
             if ctx._halted:
                 unhalted -= 1
             else:
@@ -501,9 +449,6 @@ def _run_indexed(
     )
 
 
-register_engine("indexed", _run_indexed)
-
-
 def simulate(
     network: Network,
     program_factory: Callable[[Hashable], NodeProgram],
@@ -512,7 +457,6 @@ def simulate(
     bits_per_message: Optional[int] = None,
     rng: RngLike = None,
     transport: Optional[Transport] = None,
-    engine: Optional[str] = None,
 ) -> SimulationResult:
     """One-shot convenience wrapper around :class:`SyncRunner`."""
     runner = SyncRunner(
@@ -521,6 +465,5 @@ def simulate(
         bits_per_message=bits_per_message,
         rng=rng,
         transport=transport,
-        engine=engine,
     )
     return runner.run(program_factory, max_rounds=max_rounds)

@@ -1,4 +1,4 @@
-"""The pre-engine round loop, preserved as the ``"reference"`` engine.
+"""The pre-engine round loop, preserved as the equivalence oracle.
 
 This module is a byte-faithful port of the original
 :class:`~repro.simulator.runner.SyncRunner` loop: per-round dicts keyed
@@ -21,11 +21,9 @@ Determinism contract shared with the indexed engine (do not change):
   :meth:`~repro.simulator.faults.FaultPlan.drops` — a pure function of
   (plan seed, directed edge, round), so iteration order cannot matter.
 
-Use :func:`repro.simulator.runner.engine_context` to route a composite
-algorithm through this loop::
-
-    with engine_context("reference"):
-        result = flood_extremum(network, values)
+:func:`_run_reference` has the signature of
+``repro.simulator.runner._run_rounds``; the tests route runs (composite
+algorithms included) through it by patching that name.
 
 Only ``Model.V_CONGEST`` and ``Model.E_CONGEST`` are supported — the
 congested clique postdates this loop.
@@ -40,7 +38,7 @@ from repro.errors import ModelViolationError, SimulationError
 from repro.simulator.message import Message
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import Model, SimulationResult, register_engine
+from repro.simulator.runner import Model, SimulationResult
 from repro.utils.rng import fresh_seed
 
 
@@ -204,5 +202,3 @@ def _check_size(runner, node: Hashable, message: Message) -> None:
             f"{runner.bits_per_message} bits (O(log n))"
         )
 
-
-register_engine("reference", _run_reference)

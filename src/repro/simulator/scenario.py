@@ -7,7 +7,7 @@ a single declarative object with a ``run()`` method. The CLI
 benchmarks (``benchmarks/bench_simulator.py``) all build runs through
 scenarios instead of hand-wiring :class:`~repro.simulator.runner.SyncRunner`,
 so a workload is one value that can be named, swept, serialized into a
-bench row, or replayed under a different engine.
+bench row, or replayed.
 
 Topologies are given as CLI graph-spec strings (``"harary:6,24"``), as
 prebuilt :class:`networkx.Graph` objects, or as zero-argument builders.
@@ -135,7 +135,6 @@ class Scenario:
     ``adversary_plan`` — optional :class:`AdversaryPlan` corrupting
     delivered payloads (seed derivation as for ``fault_plan``);
     ``trace`` — record a :class:`RoundTrace` alongside the result;
-    ``engine`` — round-loop implementation (``None``: module default);
     ``indexed`` — prebuilt :class:`~repro.fastgraph.IndexedGraph`
     canonicalization of the topology (e.g. a
     :class:`repro.api.GraphSession`'s), shared with the network instead
@@ -151,7 +150,6 @@ class Scenario:
     adversary_plan: Optional[AdversaryPlan] = None
     max_rounds: int = 100000
     trace: bool = False
-    engine: Optional[str] = None
     transport: Optional[Transport] = None
     name: str = ""
     indexed: Optional["IndexedGraph"] = None
@@ -220,7 +218,6 @@ class Scenario:
             fault_plan=plan,
             adversary_plan=self.adversary_plan,
             transport=self.transport,
-            engine=self.engine,
         )
         start = time.perf_counter()
         result = runner.run(factory, max_rounds=self.max_rounds)
@@ -258,25 +255,15 @@ class Scenario:
                 f"program {program.name!r} sizes its own message budgets; "
                 "bits_per_message is not supported"
             )
-        from contextlib import nullcontext
-
-        from repro.simulator.runner import engine_context
-
         tracer = Tracer() if self.trace else None
-        engine = (
-            engine_context(self.engine)
-            if self.engine is not None
-            else nullcontext()
-        )
         start = time.perf_counter()
-        with engine:
-            result = program.driver(
-                network,
-                model=self.model or program.model,
-                rng=rand,
-                tracer=tracer,
-                max_rounds=self.max_rounds,
-            )
+        result = program.driver(
+            network,
+            model=self.model or program.model,
+            rng=rand,
+            tracer=tracer,
+            max_rounds=self.max_rounds,
+        )
         wall = time.perf_counter() - start
         return ScenarioRun(
             scenario=self,

@@ -1,11 +1,16 @@
-"""Shared fixtures: deterministic small graphs spanning the k/λ/D space."""
+"""Shared fixtures: deterministic small graphs spanning the k/λ/D space,
+and the round-loop selector of the equivalence suites."""
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import networkx as nx
 import pytest
+
+from repro.simulator import runner
+from repro.simulator.runner_reference import _run_reference
 
 from repro.graphs.generators import (
     clique_chain,
@@ -77,3 +82,34 @@ def family_graph(request):
         "torus": lambda: torus_grid(5, 5),
     }
     return builders[request.param]()
+
+
+#: What each ``round_loop`` name patches in :mod:`repro.simulator.runner`.
+_ROUND_LOOPS = {
+    # The shipped loop with its measured rule.
+    "default": {},
+    # The column step on every round it can take: honest broadcast
+    # rounds over the network adjacency.
+    "column": {"COLUMN_MIN_FANOUT": 0, "COLUMN_MIN_EDGE_SHARE": 0},
+    # The dict plane only.
+    "dict": {"COLUMN_MIN_FANOUT": float("inf")},
+    # The preserved pre-engine loop, the independent oracle.
+    "reference": {"_run_rounds": _run_reference},
+}
+
+
+@contextlib.contextmanager
+def _use_round_loop(name):
+    with pytest.MonkeyPatch.context() as patch:
+        for attr, value in _ROUND_LOOPS[name].items():
+            patch.setattr(runner, attr, value)
+        yield
+
+
+@pytest.fixture(scope="session")
+def round_loop():
+    """``with round_loop(name):`` runs simulations on one delivery path:
+    ``"default"``, ``"column"`` (forced), ``"dict"`` or ``"reference"``.
+    Session-scoped so hypothesis tests may use it; each ``with`` block
+    undoes its own patches."""
+    return _use_round_loop

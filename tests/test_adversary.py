@@ -1,5 +1,5 @@
 """Adversarial-channel tests: AdversaryPlan semantics, budget slots,
-corruption purity (hypothesis), engine equivalence, and coded defenses."""
+corruption purity (hypothesis), loop equivalence, and coded defenses."""
 
 from __future__ import annotations
 
@@ -34,10 +34,9 @@ from repro.simulator.adversary import (
 from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.message import Message, payload_bits
 from repro.simulator.network import Network
-from repro.simulator.runner import Model, SyncRunner, engine_context
+from repro.simulator.runner import Model, SyncRunner
 from repro.simulator.scenario import Scenario
 
-from vectorized_support import VECTORIZED_SKIP_REASON, VECTORIZED_TESTS_OK
 
 
 def _msg(payload, sender="s"):
@@ -127,7 +126,7 @@ class TestPlanValidation:
 
 class TestCorruptionDecisions:
     """corrupts()/kind_of()/apply() are pure functions of (seed, directed
-    edge, round) — the contract every engine relies on."""
+    edge, round) — the contract every loop relies on."""
 
     EDGES = [("a", "b"), ("b", "a"), ("c", "d"), (0, 1), (1, 0), (2, 7)]
 
@@ -470,9 +469,11 @@ class TestPrefixCacheBound:
 
 
 class TestEngineEquivalence:
-    """The same seeded hostile run is bit-identical on every engine."""
+    """The same seeded hostile run is bit-identical on the reference
+    loop, under the default rule, and with the column step forced (the
+    ``round_loop`` fixture of ``conftest.py``)."""
 
-    def _run(self, engine, kinds, budget=None):
+    def _run(self, round_loop, loop, kinds, budget=None):
         network = Network(harary_graph(4, 12), rng=2)
         plan = AdversaryPlan(
             corruption_probability=0.3,
@@ -485,14 +486,14 @@ class TestEngineEquivalence:
             model=Model.V_CONGEST,
             rng=5,
             adversary_plan=plan,
-            engine=engine,
         )
-        result = runner.run(
-            lambda v: RetransmittingFloodProgram(
-                network.node_id(v), horizon=16
-            ),
-            max_rounds=64,
-        )
+        with round_loop(loop):
+            result = runner.run(
+                lambda v: RetransmittingFloodProgram(
+                    network.node_id(v), horizon=16
+                ),
+                max_rounds=64,
+            )
         return (
             {repr(k): v for k, v in result.outputs.items()},
             result.halted,
@@ -503,24 +504,26 @@ class TestEngineEquivalence:
     @pytest.mark.parametrize(
         "kinds", [("flip",), ("flip", "forge", "replay")]
     )
-    def test_indexed_matches_reference(self, kinds):
-        assert self._run("indexed", kinds) == self._run("reference", kinds)
+    def test_indexed_matches_reference(self, round_loop, kinds):
+        assert self._run(round_loop, "default", kinds) == self._run(
+            round_loop, "reference", kinds
+        )
 
-    @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
     @pytest.mark.parametrize(
         "kinds", [("flip",), ("flip", "forge", "replay")]
     )
-    def test_vectorized_matches_indexed(self, kinds):
-        assert self._run("indexed", kinds) == self._run("vectorized", kinds)
+    def test_vectorized_matches_indexed(self, round_loop, kinds):
+        assert self._run(round_loop, "default", kinds) == self._run(
+            round_loop, "column", kinds
+        )
 
-    @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
-    def test_budgeted_plan_agrees_across_engines(self):
-        want = self._run("indexed", ("flip",), budget=7)
-        assert self._run("reference", ("flip",), budget=7) == want
-        assert self._run("vectorized", ("flip",), budget=7) == want
+    def test_budgeted_plan_agrees_across_engines(self, round_loop):
+        want = self._run(round_loop, "reference", ("flip",), budget=7)
+        assert self._run(round_loop, "default", ("flip",), budget=7) == want
+        assert self._run(round_loop, "column", ("flip",), budget=7) == want
 
-    def test_corruption_actually_changes_the_run(self):
-        corrupted = self._run("indexed", ("flip",))
+    def test_corruption_actually_changes_the_run(self, round_loop):
+        corrupted = self._run(round_loop, "default", ("flip",))
         network = Network(harary_graph(4, 12), rng=2)
         clean = SyncRunner(network, model=Model.V_CONGEST, rng=5).run(
             lambda v: RetransmittingFloodProgram(

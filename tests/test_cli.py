@@ -164,32 +164,18 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "rounds:" in out
 
-    def test_simulate_reference_engine_matches(self, capsys):
-        assert main(
-            ["simulate", "harary:4,12", "--engine", "reference", "--seed", "1"]
-        ) == 0
+    def test_simulate_reference_engine_matches(self, capsys, round_loop):
+        with round_loop("reference"):
+            assert main(["simulate", "harary:4,12", "--seed", "1"]) == 0
         reference_out = capsys.readouterr().out
-        assert main(
-            ["simulate", "harary:4,12", "--engine", "indexed", "--seed", "1"]
-        ) == 0
+        assert main(["simulate", "harary:4,12", "--seed", "1"]) == 0
         indexed_out = capsys.readouterr().out
-        # Identical protocol facts; only engine label and wall time differ.
+        # Identical protocol facts; only wall time differs.
         ref_facts = [l for l in reference_out.splitlines()
                      if l.startswith(("rounds:", "messages:", "outputs", "  "))]
         idx_facts = [l for l in indexed_out.splitlines()
                      if l.startswith(("rounds:", "messages:", "outputs", "  "))]
         assert ref_facts == idx_facts
-
-    def test_simulate_unknown_engine_lists_registered(self, capsys):
-        """A typo'd --engine fails before any graph work, naming every
-        registered engine (mirrors the graph-family errors)."""
-        assert main(
-            ["simulate", "harary:4,12", "--engine", "shraded"]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "unknown simulation engine 'shraded'" in err
-        for engine in ("indexed", "reference", "vectorized"):
-            assert engine in err
 
     def test_simulate_bad_crash_spec(self, capsys):
         assert main(

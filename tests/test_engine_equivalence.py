@@ -1,19 +1,20 @@
-"""Engine equivalence: every registered engine against the indexed loop.
+"""Loop equivalence: both delivery planes against the reference loop.
 
-The refactored engine (``runner.py``, engine ``"indexed"``) must be
-*bit-identical* to the preserved pre-engine loop
-(``runner_reference.py``, engine ``"reference"``) under a fixed seed:
-same :class:`SimulationResult` outputs, same metrics, and — where the
+The round loop (``runner.py``) must be *bit-identical* to the preserved
+pre-engine loop (``runner_reference.py``) under a fixed seed: same
+:class:`SimulationResult` outputs, same metrics, and — where the
 schedule matters — the same :class:`Tracer` transcript, event for event.
 This suite runs every algorithm in ``repro/simulator/algorithms`` (and
 the fault machinery, whose drop derivation is part of the contract) on
-both engines and diffs the results.
+the reference loop and on the round loop twice: under its default rule
+and with the column step forced on every round it can take (the
+``round_loop`` fixture of ``conftest.py``), and diffs the results.
 
-The **differential matrix** at the bottom extends the same oracle
-discipline to the columnar ``"vectorized"`` engine
-(``runner_vectorized.py``): every registered scenario program × every
-applicable transport × every engine, pinned seeds, byte-identical
-traces — clean, faulted, corrupted, and addressed runs alike.
+The **differential matrix** at the bottom extends the same discipline
+to every registered scenario program × every applicable transport,
+pinned seeds, byte-identical traces — clean, faulted, corrupted, and
+addressed runs alike. In its test names ``indexed`` is the default
+rule and ``vectorized`` the forced column step.
 """
 
 from __future__ import annotations
@@ -51,15 +52,13 @@ from repro.simulator.runner import (
     Model,
     SimulationResult,
     SyncRunner,
-    available_engines,
-    engine_context,
     simulate,
 )
 from repro.simulator.tracing import Tracer
 from repro.utils.rng import ensure_rng
-from vectorized_support import VECTORIZED_SKIP_REASON, VECTORIZED_TESTS_OK
 
-ENGINES = ("indexed", "reference")
+#: The round loop's two ways to run, each held against the reference.
+PLANES = ("default", "column")
 
 
 def _network(graph=None, seed=1) -> Network:
@@ -83,59 +82,26 @@ def _assert_same_metrics(a, b) -> None:
     assert a.phase_rounds == b.phase_rounds
 
 
-def _on_engines(run):
-    """Run ``run()`` under each engine; return {engine: value}."""
-    results = {}
-    for engine in ENGINES:
-        with engine_context(engine):
-            results[engine] = run()
-    return results
+def _against_reference(round_loop, run):
+    """Run ``run()`` on the reference loop and on each plane; yield
+    ``(plane's value, reference value)`` pairs."""
+    with round_loop("reference"):
+        expected = run()
+    for plane in PLANES:
+        with round_loop(plane):
+            yield run(), expected
 
 
 class TestEngineRegistry:
-    def test_both_engines_registered(self):
-        engines = available_engines()
-        assert "indexed" in engines
-        assert "reference" in engines
-
-    def test_registry_is_exactly_the_in_process_engines(self):
-        assert available_engines() == ["indexed", "reference", "vectorized"]
-
-    def test_vectorized_engine_registered(self):
-        # Lazily registered but always listed — even without numpy the
-        # module imports (and raises a clean error only when *run*).
-        assert "vectorized" in available_engines()
-
-    def test_unknown_engine_rejected(self):
+    def test_reference_rejects_clique(self, round_loop):
         from repro.errors import SimulationError
 
         net = _network()
-        with pytest.raises(SimulationError):
-            simulate(net, lambda v: ExtremumFloodProgram(0), engine="no-such")
-
-    def test_sharded_engine_is_gone(self):
-        """The multiprocess engine was deleted: naming it is a typo like
-        any other, answered with the registered-engine menu."""
-        from repro.errors import SimulationError
-
-        net = _network()
-        with pytest.raises(SimulationError) as excinfo:
-            simulate(net, lambda v: ExtremumFloodProgram(0), engine="sharded")
-        assert str(excinfo.value) == (
-            "unknown simulation engine 'sharded'; registered engines: "
-            "indexed, reference, vectorized"
-        )
-
-    def test_reference_rejects_clique(self):
-        from repro.errors import SimulationError
-
-        net = _network()
-        with pytest.raises(SimulationError):
+        with round_loop("reference"), pytest.raises(SimulationError):
             simulate(
                 net,
                 lambda v: ExtremumFloodProgram(0),
                 model=Model.CONGESTED_CLIQUE,
-                engine="reference",
             )
 
 
@@ -152,50 +118,52 @@ class TestPrimitiveEquivalence:
         )
         return result, tracer.trace
 
-    def _check(self, graph, factory_of, model=Model.V_CONGEST):
+    def _check(self, round_loop, graph, factory_of, model=Model.V_CONGEST):
         network = _network(graph)
-        runs = _on_engines(
-            lambda: self._traced(network, factory_of, model)
-        )
-        res_a, trace_a = runs["indexed"]
-        res_b, trace_b = runs["reference"]
-        _assert_same_result(res_a, res_b)
-        assert trace_a.events == trace_b.events
+        for (res_a, trace_a), (res_b, trace_b) in _against_reference(
+            round_loop, lambda: self._traced(network, factory_of, model)
+        ):
+            _assert_same_result(res_a, res_b)
+            assert trace_a.events == trace_b.events
 
-    def test_extremum_flood(self):
+    def test_extremum_flood(self, round_loop):
         self._check(
+            round_loop,
             harary_graph(4, 16),
             lambda net: (
                 lambda v: ExtremumFloodProgram((net.node_id(v) * 7) % 31)
             ),
         )
 
-    def test_bfs_wave(self):
+    def test_bfs_wave(self, round_loop):
         from repro.simulator.algorithms.bfs import BfsProgram
 
         graph = nx.path_graph(9)
         self._check(
+            round_loop,
             graph,
             lambda net: (lambda v: BfsProgram(is_root=(v == 0))),
         )
 
-    def test_luby_mis_uses_identical_context_rngs(self):
+    def test_luby_mis_uses_identical_context_rngs(self, round_loop):
         # Luby draws from ctx.rng every phase: equality pins the per-node
         # fresh_seed order of both engines.
         self._check(
+            round_loop,
             harary_graph(4, 18),
             lambda net: (lambda v: LubyMisProgram()),
         )
 
-    def test_retransmitting_flood(self):
+    def test_retransmitting_flood(self, round_loop):
         self._check(
+            round_loop,
             nx.cycle_graph(11),
             lambda net: (
                 lambda v: RetransmittingFloodProgram(net.node_id(v), horizon=9)
             ),
         )
 
-    def test_e_congest_per_neighbor_traffic(self):
+    def test_e_congest_per_neighbor_traffic(self, round_loop):
         class SendRight:
             """Address one specific neighbor (E-CONGEST dict traffic)."""
 
@@ -216,6 +184,7 @@ class TestPrimitiveEquivalence:
             pass
 
         self._check(
+            round_loop,
             nx.cycle_graph(10),
             lambda net: (lambda v: Prog(v)),
             model=Model.E_CONGEST,
@@ -225,7 +194,7 @@ class TestPrimitiveEquivalence:
 class TestFaultEquivalence:
     """Fault filtering consumes the plan RNG in the same order."""
 
-    def test_iid_drops_identical(self):
+    def test_iid_drops_identical(self, round_loop):
         graph = harary_graph(4, 16)
 
         def run():
@@ -240,10 +209,10 @@ class TestFaultEquivalence:
                 rng=5,
             )
 
-        runs = _on_engines(run)
-        _assert_same_result(runs["indexed"], runs["reference"])
+        for a, b in _against_reference(round_loop, run):
+            _assert_same_result(a, b)
 
-    def test_crashes_identical(self):
+    def test_crashes_identical(self, round_loop):
         graph = nx.path_graph(8)
 
         def run():
@@ -256,14 +225,14 @@ class TestFaultEquivalence:
                 rng=5,
             )
 
-        runs = _on_engines(run)
-        _assert_same_result(runs["indexed"], runs["reference"])
+        for a, b in _against_reference(round_loop, run):
+            _assert_same_result(a, b)
 
 
 class TestCompositeEquivalence:
     """Composite algorithms (many chained simulations) end to end."""
 
-    def test_flood_extremum_and_leader(self):
+    def test_flood_extremum_and_leader(self, round_loop):
         graph = harary_graph(4, 15)
 
         def run():
@@ -273,14 +242,14 @@ class TestCompositeEquivalence:
             leader, election = elect_leader(network)
             return flood, leader, election
 
-        runs = _on_engines(run)
-        flood_a, leader_a, el_a = runs["indexed"]
-        flood_b, leader_b, el_b = runs["reference"]
-        _assert_same_result(flood_a, flood_b)
-        assert leader_a == leader_b
-        _assert_same_result(el_a, el_b)
+        for (flood_a, leader_a, el_a), (flood_b, leader_b, el_b) in (
+            _against_reference(round_loop, run)
+        ):
+            _assert_same_result(flood_a, flood_b)
+            assert leader_a == leader_b
+            _assert_same_result(el_a, el_b)
 
-    def test_subgraph_flood_and_components(self):
+    def test_subgraph_flood_and_components(self, round_loop):
         graph = harary_graph(4, 16)
 
         def run():
@@ -299,12 +268,12 @@ class TestCompositeEquivalence:
             components, ident = identify_components(network, members, adjacency)
             return flood, components, ident
 
-        runs = _on_engines(run)
-        _assert_same_result(runs["indexed"][0], runs["reference"][0])
-        assert runs["indexed"][1] == runs["reference"][1]
-        _assert_same_result(runs["indexed"][2], runs["reference"][2])
+        for a, b in _against_reference(round_loop, run):
+            _assert_same_result(a[0], b[0])
+            assert a[1] == b[1]
+            _assert_same_result(a[2], b[2])
 
-    def test_exchange_and_convergecast(self):
+    def test_exchange_and_convergecast(self, round_loop):
         graph = harary_graph(4, 12)
 
         def run():
@@ -320,16 +289,15 @@ class TestCompositeEquivalence:
             )
             return heard, res, tree, bfs_res, total, sum_res
 
-        runs = _on_engines(run)
-        a, b = runs["indexed"], runs["reference"]
-        assert a[0] == b[0]
-        _assert_same_result(a[1], b[1])
-        assert a[2] == b[2]
-        _assert_same_result(a[3], b[3])
-        assert a[4] == b[4] == 12
-        _assert_same_result(a[5], b[5])
+        for a, b in _against_reference(round_loop, run):
+            assert a[0] == b[0]
+            _assert_same_result(a[1], b[1])
+            assert a[2] == b[2]
+            _assert_same_result(a[3], b[3])
+            assert a[4] == b[4] == 12
+            _assert_same_result(a[5], b[5])
 
-    def test_multikey_flood(self):
+    def test_multikey_flood(self, round_loop):
         graph = harary_graph(4, 12)
 
         def run():
@@ -346,10 +314,10 @@ class TestCompositeEquivalence:
                 network, values, allowed, minimize=True, keys_bound=2
             )
 
-        runs = _on_engines(run)
-        _assert_same_result(runs["indexed"], runs["reference"])
+        for a, b in _against_reference(round_loop, run):
+            _assert_same_result(a, b)
 
-    def test_pipelined_upcast(self):
+    def test_pipelined_upcast(self, round_loop):
         graph = harary_graph(4, 14)
 
         def run():
@@ -360,13 +328,12 @@ class TestCompositeEquivalence:
             }
             return pipelined_upcast(network, items)
 
-        runs = _on_engines(run)
-        a, b = runs["indexed"], runs["reference"]
-        assert a.collected == b.collected
-        assert a.rounds == b.rounds
-        assert a.root == b.root
+        for a, b in _against_reference(round_loop, run):
+            assert a.collected == b.collected
+            assert a.rounds == b.rounds
+            assert a.root == b.root
 
-    def test_distributed_mst(self):
+    def test_distributed_mst(self, round_loop):
         graph = harary_graph(4, 14)
 
         def run():
@@ -378,13 +345,11 @@ class TestCompositeEquivalence:
             )
             return mst
 
-        runs = _on_engines(run)
-        assert runs["indexed"].edges == runs["reference"].edges
-        _assert_same_metrics(
-            runs["indexed"].metrics, runs["reference"].metrics
-        )
+        for a, b in _against_reference(round_loop, run):
+            assert a.edges == b.edges
+            _assert_same_metrics(a.metrics, b.metrics)
 
-    def test_simultaneous_msts(self):
+    def test_simultaneous_msts(self, round_loop):
         graph = harary_graph(6, 15)
 
         def run():
@@ -393,43 +358,41 @@ class TestCompositeEquivalence:
             network = _network(graph, seed=3)
             return simultaneous_msts(network, parts)
 
-        runs = _on_engines(run)
-        a, b = runs["indexed"], runs["reference"]
-        assert a.forests == b.forests
-        assert a.fragment_rounds == b.fragment_rounds
-        assert a.completion_rounds == b.completion_rounds
-        assert a.upcast_items == b.upcast_items
+        for a, b in _against_reference(round_loop, run):
+            assert a.forests == b.forests
+            assert a.fragment_rounds == b.fragment_rounds
+            assert a.completion_rounds == b.completion_rounds
+            assert a.upcast_items == b.upcast_items
 
-    def test_network_preprocessing(self):
+    def test_network_preprocessing(self, round_loop):
         graph = harary_graph(4, 13)
 
         def run():
             network = _network(graph)
             return network_preprocessing(network)
 
-        runs = _on_engines(run)
-        a, b = runs["indexed"], runs["reference"]
-        assert a.leader == b.leader
-        assert a.n == b.n == 13
-        assert a.diameter_lower == b.diameter_lower
-        _assert_same_metrics(a.metrics, b.metrics)
+        for a, b in _against_reference(round_loop, run):
+            assert a.leader == b.leader
+            assert a.n == b.n == 13
+            assert a.diameter_lower == b.diameter_lower
+            _assert_same_metrics(a.metrics, b.metrics)
 
-    def test_luby_mis_composite(self):
+    def test_luby_mis_composite(self, round_loop):
         graph = harary_graph(4, 17)
 
         def run():
             network = _network(graph, seed=6)
             return luby_mis(network, rng=9)
 
-        runs = _on_engines(run)
-        assert runs["indexed"][0] == runs["reference"][0]
-        _assert_same_result(runs["indexed"][1], runs["reference"][1])
+        for a, b in _against_reference(round_loop, run):
+            assert a[0] == b[0]
+            _assert_same_result(a[1], b[1])
 
 
 class TestDriverEquivalence:
-    """The core distributed drivers, end to end on both engines."""
+    """The core distributed drivers, end to end on every loop."""
 
-    def test_distributed_spanning_packing(self):
+    def test_distributed_spanning_packing(self, round_loop):
         from repro.core.spanning_packing_distributed import (
             distributed_spanning_packing,
         )
@@ -441,14 +404,13 @@ class TestDriverEquivalence:
                 graph, rng=8, max_iterations=4
             )
 
-        runs = _on_engines(run)
-        a, b = runs["indexed"], runs["reference"]
-        assert a.iterations_per_part == b.iterations_per_part
-        assert a.packing.size == b.packing.size
-        assert len(a.packing.trees) == len(b.packing.trees)
-        _assert_same_metrics(a.report.measured, b.report.measured)
+        for a, b in _against_reference(round_loop, run):
+            assert a.iterations_per_part == b.iterations_per_part
+            assert a.packing.size == b.packing.size
+            assert len(a.packing.trees) == len(b.packing.trees)
+            _assert_same_metrics(a.report.measured, b.report.measured)
 
-    def test_distributed_integral_packing(self):
+    def test_distributed_integral_packing(self, round_loop):
         from repro.core.integral_packing_distributed import (
             distributed_integral_spanning_packing,
         )
@@ -460,17 +422,16 @@ class TestDriverEquivalence:
                 graph, parts_factor=1.0, rng=5
             )
 
-        runs = _on_engines(run)
-        a, b = runs["indexed"], runs["reference"]
-        assert a.size == b.size
-        assert a.total_rounds == b.total_rounds
-        assert [sorted(map(sorted, f)) for f in a.mst_rounds.forests] == [
-            sorted(map(sorted, f)) for f in b.mst_rounds.forests
-        ]
+        for a, b in _against_reference(round_loop, run):
+            assert a.size == b.size
+            assert a.total_rounds == b.total_rounds
+            assert [sorted(map(sorted, f)) for f in a.mst_rounds.forests] == [
+                sorted(map(sorted, f)) for f in b.mst_rounds.forests
+            ]
 
 
 # ----------------------------------------------------------------------
-# The differential matrix: every registered scenario × transport × engine
+# The differential matrix: every registered scenario × transport × loop
 # ----------------------------------------------------------------------
 
 MATRIX_GRAPH = "harary:4,12"
@@ -496,19 +457,19 @@ def _matrix_cases():
     return cases
 
 
-def _run_matrix_case(program: str, model: Model, engine: str):
+def _run_matrix_case(round_loop, program: str, model: Model, loop: str):
     """One pinned-seed scenario run, reduced to comparable bytes."""
     from repro.simulator.scenario import Scenario
 
-    run = Scenario(
-        topology=MATRIX_GRAPH,
-        program=program,
-        model=model,
-        seed=MATRIX_SEED,
-        trace=True,
-        engine=engine,
-        max_rounds=2000,
-    ).run()
+    with round_loop(loop):
+        run = Scenario(
+            topology=MATRIX_GRAPH,
+            program=program,
+            model=model,
+            seed=MATRIX_SEED,
+            trace=True,
+            max_rounds=2000,
+        ).run()
     return _comparable(run)
 
 
@@ -532,76 +493,71 @@ def _comparable(run):
 
 class TestDifferentialMatrix:
     """Every registered scenario program, under every transport it can
-    run on, must behave *byte-identically* on every engine. The indexed
-    loop is the baseline; the reference loop covers the paper's two
-    models (it predates the clique transport); the vectorized engine
-    covers everything."""
+    run on, must behave *byte-identically* on every loop. The default
+    rule is the baseline; the reference loop covers the paper's two
+    models (it predates the clique transport); the forced column step
+    covers everything (the clique and addressed rounds leave it for the
+    dict plane)."""
 
     @pytest.mark.parametrize(
         "program,model",
         _matrix_cases(),
         ids=lambda value: getattr(value, "value", value),
     )
-    def test_reference_matches_indexed(self, program, model):
+    def test_reference_matches_indexed(self, round_loop, program, model):
         if model is Model.CONGESTED_CLIQUE:
             pytest.skip("the reference loop predates the clique transport")
-        baseline = _run_matrix_case(program, model, "indexed")
-        other = _run_matrix_case(program, model, "reference")
+        baseline = _run_matrix_case(round_loop, program, model, "default")
+        other = _run_matrix_case(round_loop, program, model, "reference")
         assert other == baseline
 
-    @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
     @pytest.mark.parametrize(
         "program,model",
         _matrix_cases(),
         ids=lambda value: getattr(value, "value", value),
     )
-    def test_vectorized_matches_indexed(self, program, model):
-        baseline = _run_matrix_case(program, model, "indexed")
-        other = _run_matrix_case(program, model, "vectorized")
+    def test_vectorized_matches_indexed(self, round_loop, program, model):
+        baseline = _run_matrix_case(round_loop, program, model, "default")
+        other = _run_matrix_case(round_loop, program, model, "column")
         assert other == baseline
 
 
-@pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
 class TestVectorizedFaultEquivalence:
-    """Faulted runs push the columnar engine onto its general path —
-    drop decisions stay pure functions of (seed, edge, round), so the
-    bytes must match the indexed loop exactly."""
+    """Faulted runs never take the column step, forced or not — drop
+    decisions stay pure functions of (seed, edge, round), so the bytes
+    must match the default rule exactly."""
 
-    def _both(self, plan_of, rng=5, horizon=18):
+    def _both(self, round_loop, plan_of, rng=5, horizon=18):
         graph = harary_graph(4, 14)
         results = {}
-        for engine in ("indexed", "vectorized"):
+        for loop in ("default", "column"):
             network = _network(graph, seed=2)
-            runner = SyncRunner(
-                network,
-                rng=rng,
-                fault_plan=plan_of(network),
-                engine=engine,
-            )
-            results[engine] = runner.run(
-                lambda v: RetransmittingFloodProgram(
-                    network.node_id(v), horizon=horizon
+            runner = SyncRunner(network, rng=rng, fault_plan=plan_of(network))
+            with round_loop(loop):
+                results[loop] = runner.run(
+                    lambda v: RetransmittingFloodProgram(
+                        network.node_id(v), horizon=horizon
+                    )
                 )
-            )
         return results
 
-    def test_iid_drops(self):
+    def test_iid_drops(self, round_loop):
         runs = self._both(
-            lambda net: FaultPlan(drop_probability=0.35, rng=11)
+            round_loop, lambda net: FaultPlan(drop_probability=0.35, rng=11)
         )
-        _assert_same_result(runs["indexed"], runs["vectorized"])
+        _assert_same_result(runs["default"], runs["column"])
 
-    def test_drop_schedule(self):
+    def test_drop_schedule(self, round_loop):
         def plan(net):
             a, b, c = net.nodes[0], net.nodes[1], net.nodes[5]
             return FaultPlan(
                 drop_schedule={(a, b): {1, 2, 3}, (c, a): {2}}
             )
 
-        runs = self._both(plan)
-        _assert_same_result(runs["indexed"], runs["vectorized"])
+        runs = self._both(round_loop, plan)
+        _assert_same_result(runs["default"], runs["column"])
 
-    def test_crashes_with_drops(self):
+    def test_crashes_with_drops(self, round_loop):
         def plan(net):
             return FaultPlan(
                 drop_probability=0.2,
@@ -609,28 +565,29 @@ class TestVectorizedFaultEquivalence:
                 rng=4,
             )
 
-        runs = self._both(plan)
-        _assert_same_result(runs["indexed"], runs["vectorized"])
+        runs = self._both(round_loop, plan)
+        _assert_same_result(runs["default"], runs["column"])
 
-    def test_unseeded_plan_derives_from_run_seed(self):
-        runs = self._both(lambda net: FaultPlan(drop_probability=0.4))
-        _assert_same_result(runs["indexed"], runs["vectorized"])
+    def test_unseeded_plan_derives_from_run_seed(self, round_loop):
+        runs = self._both(
+            round_loop, lambda net: FaultPlan(drop_probability=0.4)
+        )
+        _assert_same_result(runs["default"], runs["column"])
 
 
-@pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
 class TestVectorizedCompositeEquivalence:
-    """Composites chain many runs over one network, so they exercise the
-    plane cache (interning table and in-CSR reused across runs) and the
-    per-node RNG draw order end to end."""
+    """Composites chain many runs over one network, so with the column
+    step forced they reuse the network's cached in-CSR across runs and
+    pin the per-node RNG draw order end to end."""
 
-    def _on_vectorized_and_indexed(self, run):
+    def _on_planes(self, round_loop, run):
         results = {}
-        for engine in ("indexed", "vectorized"):
-            with engine_context(engine):
-                results[engine] = run()
+        for loop in ("default", "column"):
+            with round_loop(loop):
+                results[loop] = run()
         return results
 
-    def test_flood_extremum_and_leader(self):
+    def test_flood_extremum_and_leader(self, round_loop):
         graph = harary_graph(4, 15)
 
         def run():
@@ -640,25 +597,25 @@ class TestVectorizedCompositeEquivalence:
             leader, election = elect_leader(network)
             return flood, leader, election
 
-        runs = self._on_vectorized_and_indexed(run)
-        flood_a, leader_a, el_a = runs["indexed"]
-        flood_b, leader_b, el_b = runs["vectorized"]
+        runs = self._on_planes(round_loop, run)
+        flood_a, leader_a, el_a = runs["default"]
+        flood_b, leader_b, el_b = runs["column"]
         _assert_same_result(flood_a, flood_b)
         assert leader_a == leader_b
         _assert_same_result(el_a, el_b)
 
-    def test_luby_mis_uses_identical_context_rngs(self):
+    def test_luby_mis_uses_identical_context_rngs(self, round_loop):
         graph = harary_graph(4, 17)
 
         def run():
             network = _network(graph, seed=6)
             return luby_mis(network, rng=9)
 
-        runs = self._on_vectorized_and_indexed(run)
-        assert runs["indexed"][0] == runs["vectorized"][0]
-        _assert_same_result(runs["indexed"][1], runs["vectorized"][1])
+        runs = self._on_planes(round_loop, run)
+        assert runs["default"][0] == runs["column"][0]
+        _assert_same_result(runs["default"][1], runs["column"][1])
 
-    def test_distributed_spanning_packing(self):
+    def test_distributed_spanning_packing(self, round_loop):
         from repro.core.spanning_packing_distributed import (
             distributed_spanning_packing,
         )
@@ -670,8 +627,8 @@ class TestVectorizedCompositeEquivalence:
                 graph, rng=8, max_iterations=4
             )
 
-        runs = self._on_vectorized_and_indexed(run)
-        a, b = runs["indexed"], runs["vectorized"]
+        runs = self._on_planes(round_loop, run)
+        a, b = runs["default"], runs["column"]
         assert a.iterations_per_part == b.iterations_per_part
         assert a.packing.size == b.packing.size
         assert len(a.packing.trees) == len(b.packing.trees)
@@ -679,12 +636,12 @@ class TestVectorizedCompositeEquivalence:
 
 
 # ----------------------------------------------------------------------
-# The corrupted matrix: adversarial scenarios across every engine
+# The corrupted matrix: adversarial scenarios across every loop
 # ----------------------------------------------------------------------
 
 # Each row: (id, program, model, AdversaryPlan kwargs). Plans are built
 # fresh per run (replay history is per-execution state); seeds derive
-# from the scenario seed, so every engine binds the same plan seed.
+# from the scenario seed, so every loop binds the same plan seed.
 _CORRUPTED_CASES = [
     (
         "flip-flood-vcongest",
@@ -732,26 +689,28 @@ _CORRUPTED_CASES = [
 ]
 
 
-def _run_corrupted_case(program: str, model: Model, engine: str, plan_kwargs):
+def _run_corrupted_case(
+    round_loop, program: str, model: Model, loop: str, plan_kwargs
+):
     from repro.simulator.adversary import AdversaryPlan
     from repro.simulator.scenario import Scenario
 
-    run = Scenario(
-        topology=MATRIX_GRAPH,
-        program=program,
-        model=model,
-        seed=MATRIX_SEED,
-        adversary_plan=AdversaryPlan(**plan_kwargs),
-        trace=True,
-        engine=engine,
-        max_rounds=2000,
-    ).run()
+    with round_loop(loop):
+        run = Scenario(
+            topology=MATRIX_GRAPH,
+            program=program,
+            model=model,
+            seed=MATRIX_SEED,
+            adversary_plan=AdversaryPlan(**plan_kwargs),
+            trace=True,
+            max_rounds=2000,
+        ).run()
     return _comparable(run)
 
 
 class TestCorruptedDifferentialMatrix:
     """The oracle discipline extended to hostile channels: every
-    corrupted scenario must behave byte-identically on every engine —
+    corrupted scenario must behave byte-identically on every loop —
     the corruption decisions, budget slots, and replay histories are
     part of the determinism contract, not an excuse to diverge."""
 
@@ -760,36 +719,46 @@ class TestCorruptedDifferentialMatrix:
         [(p, m, k) for _, p, m, k in _CORRUPTED_CASES],
         ids=[case_id for case_id, _, _, _ in _CORRUPTED_CASES],
     )
-    def test_reference_matches_indexed(self, program, model, plan_kwargs):
+    def test_reference_matches_indexed(
+        self, round_loop, program, model, plan_kwargs
+    ):
         if model is Model.CONGESTED_CLIQUE:
             pytest.skip("the reference loop predates the clique transport")
-        baseline = _run_corrupted_case(program, model, "indexed", plan_kwargs)
-        other = _run_corrupted_case(program, model, "reference", plan_kwargs)
+        baseline = _run_corrupted_case(
+            round_loop, program, model, "default", plan_kwargs
+        )
+        other = _run_corrupted_case(
+            round_loop, program, model, "reference", plan_kwargs
+        )
         assert other == baseline
 
-    @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
     @pytest.mark.parametrize(
         "program,model,plan_kwargs",
         [(p, m, k) for _, p, m, k in _CORRUPTED_CASES],
         ids=[case_id for case_id, _, _, _ in _CORRUPTED_CASES],
     )
-    def test_vectorized_matches_indexed(self, program, model, plan_kwargs):
-        baseline = _run_corrupted_case(program, model, "indexed", plan_kwargs)
+    def test_vectorized_matches_indexed(
+        self, round_loop, program, model, plan_kwargs
+    ):
+        baseline = _run_corrupted_case(
+            round_loop, program, model, "default", plan_kwargs
+        )
         other = _run_corrupted_case(
-            program, model, "vectorized", plan_kwargs
+            round_loop, program, model, "column", plan_kwargs
         )
         assert other == baseline
 
-    def test_corruption_changes_the_clean_run(self):
+    def test_corruption_changes_the_clean_run(self, round_loop):
         """The matrix rows are not vacuous: the hostile run differs from
         the clean run of the same seed."""
         clean = _run_matrix_case(
-            "retransmit-flood", Model.V_CONGEST, "indexed"
+            round_loop, "retransmit-flood", Model.V_CONGEST, "default"
         )
         hostile = _run_corrupted_case(
+            round_loop,
             "retransmit-flood",
             Model.V_CONGEST,
-            "indexed",
+            "default",
             {"corruption_probability": 0.25, "kinds": ("flip",)},
         )
         assert hostile["outputs"] != clean["outputs"]
@@ -813,66 +782,78 @@ _HOSTILE_CASES = [
 ]
 
 
-def _run_hostile_case(engine: str, fault_kwargs, corrupted: bool):
+def _run_hostile_case(round_loop, loop: str, fault_kwargs, corrupted: bool):
     """One pinned-seed retransmit-flood run with hostile machinery.
 
     Plans are built fresh per run: drop decisions and replay histories
     are per-execution state, and both derive their RNG streams from the
-    scenario seed, so every engine binds identical randomness.
+    scenario seed, so every loop binds identical randomness.
     """
     from repro.simulator.adversary import AdversaryPlan
     from repro.simulator.scenario import Scenario
 
-    run = Scenario(
-        topology=MATRIX_GRAPH,
-        program="retransmit-flood",
-        model=Model.V_CONGEST,
-        seed=MATRIX_SEED,
-        fault_plan=FaultPlan(**fault_kwargs),
-        adversary_plan=(
-            AdversaryPlan(corruption_probability=0.25, kinds=("flip",))
-            if corrupted
-            else None
-        ),
-        trace=True,
-        engine=engine,
-        max_rounds=2000,
-    ).run()
+    with round_loop(loop):
+        run = Scenario(
+            topology=MATRIX_GRAPH,
+            program="retransmit-flood",
+            model=Model.V_CONGEST,
+            seed=MATRIX_SEED,
+            fault_plan=FaultPlan(**fault_kwargs),
+            adversary_plan=(
+                AdversaryPlan(corruption_probability=0.25, kinds=("flip",))
+                if corrupted
+                else None
+            ),
+            trace=True,
+            max_rounds=2000,
+        ).run()
     return _comparable(run)
 
 
 class TestHostileMatrix:
     """Every round of a faulted run goes through the general delivery
-    path — the one :func:`repro.simulator.runner.deliver` the indexed
-    and vectorized loops share — so the independent reference loop and
-    the vectorized engine must both reproduce the indexed transcript
-    byte for byte."""
+    path, :func:`repro.simulator.runner.deliver`, even with the column
+    step forced — so the independent reference loop and the forced run
+    must both reproduce the default transcript byte for byte."""
 
     @pytest.mark.parametrize(
         "fault_kwargs,corrupted",
         [(k, c) for _, k, c in _HOSTILE_CASES],
         ids=[case_id for case_id, _, _ in _HOSTILE_CASES],
     )
-    def test_reference_matches_indexed(self, fault_kwargs, corrupted):
-        baseline = _run_hostile_case("indexed", fault_kwargs, corrupted)
-        other = _run_hostile_case("reference", fault_kwargs, corrupted)
+    def test_reference_matches_indexed(
+        self, round_loop, fault_kwargs, corrupted
+    ):
+        baseline = _run_hostile_case(
+            round_loop, "default", fault_kwargs, corrupted
+        )
+        other = _run_hostile_case(
+            round_loop, "reference", fault_kwargs, corrupted
+        )
         assert other == baseline
 
-    @pytest.mark.skipif(not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON)
     @pytest.mark.parametrize(
         "fault_kwargs,corrupted",
         [(k, c) for _, k, c in _HOSTILE_CASES],
         ids=[case_id for case_id, _, _ in _HOSTILE_CASES],
     )
-    def test_vectorized_matches_indexed(self, fault_kwargs, corrupted):
-        baseline = _run_hostile_case("indexed", fault_kwargs, corrupted)
-        other = _run_hostile_case("vectorized", fault_kwargs, corrupted)
+    def test_vectorized_matches_indexed(
+        self, round_loop, fault_kwargs, corrupted
+    ):
+        baseline = _run_hostile_case(
+            round_loop, "default", fault_kwargs, corrupted
+        )
+        other = _run_hostile_case(
+            round_loop, "column", fault_kwargs, corrupted
+        )
         assert other == baseline
 
-    def test_faults_change_the_clean_run(self):
+    def test_faults_change_the_clean_run(self, round_loop):
         """The rows are not vacuous: drops alter the clean transcript."""
         clean = _run_matrix_case(
-            "retransmit-flood", Model.V_CONGEST, "indexed"
+            round_loop, "retransmit-flood", Model.V_CONGEST, "default"
         )
-        faulted = _run_hostile_case("indexed", _HOSTILE_CASES[0][1], False)
+        faulted = _run_hostile_case(
+            round_loop, "default", _HOSTILE_CASES[0][1], False
+        )
         assert faulted["trace"] != clean["trace"]

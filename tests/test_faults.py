@@ -111,14 +111,13 @@ class TestFaultPlan:
                 FaultPlan(drop_schedule={(0, 77): {1}}),
             )
 
-    def test_reference_engine_rejects_drop_schedule(self):
+    def test_reference_engine_rejects_drop_schedule(self, round_loop):
         """The legacy loop cannot honor per-edge schedules; it must fail
         loudly rather than simulate a fault-free run."""
         from repro.errors import SimulationError
-        from repro.simulator.runner import engine_context
 
         network = Network(nx.path_graph(4), rng=1)
-        with engine_context("reference"):
+        with round_loop("reference"):
             with pytest.raises(SimulationError):
                 simulate_with_faults(
                     network,
@@ -131,7 +130,7 @@ class TestDropOrderIndependence:
     """Random drops are a pure function of (seed, directed edge, round):
     the decision for one delivery cannot depend on which — or how many —
     other deliveries were decided before it. This is the contract that
-    makes fault sweeps reproducible across engines, whatever order each
+    makes fault sweeps reproducible across loops, whatever order each
     one evaluates deliveries in."""
 
     EDGES = [("a", "b"), ("b", "a"), ("c", "d"), (0, 1), (1, 0), (2, 7)]
@@ -185,12 +184,11 @@ class TestDropOrderIndependence:
             for r in range(1, 20):
                 assert a.drops(u, v, r) == b.drops(u, v, r)
 
-    def test_engines_agree_under_iid_loss(self):
+    def test_engines_agree_under_iid_loss(self, round_loop):
         """The end-to-end payoff: the same seeded faulty run is
-        bit-identical whether the indexed or the reference loop iterates
-        the deliveries."""
-        from repro.simulator.runner import engine_context
-
+        bit-identical whether the round loop (under its default rule or
+        with the column step forced) or the reference loop iterates the
+        deliveries."""
         graph = harary_graph(4, 12)
 
         def run():
@@ -205,21 +203,22 @@ class TestDropOrderIndependence:
             )
 
         outcomes = {}
-        for engine in ("indexed", "reference"):
-            with engine_context(engine):
-                outcomes[engine] = run()
-        assert outcomes["indexed"].outputs == outcomes["reference"].outputs
-        assert (
-            outcomes["indexed"].metrics.messages
-            == outcomes["reference"].metrics.messages
-        )
+        for loop in ("reference", "default", "column"):
+            with round_loop(loop):
+                outcomes[loop] = run()
+        for loop in ("default", "column"):
+            assert outcomes[loop].outputs == outcomes["reference"].outputs
+            assert (
+                outcomes[loop].metrics.messages
+                == outcomes["reference"].metrics.messages
+            )
 
 
 class TestDropPurityProperties:
     """Hypothesis pins the purity contract over arbitrary edge/round
     universes: a drop decision is a function of (seed, directed edge,
     round) alone — query order, interleaving, and plan object identity
-    are invisible to it — the contract every engine's delivery order
+    are invisible to it — the contract every loop's delivery order
     leans on."""
 
     edges = st.lists(

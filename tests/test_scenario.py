@@ -111,16 +111,13 @@ class TestScenarioRun:
         assert run.rounds == 1
         assert run.result.halted
 
-    def test_engine_override_matches_default(self):
-        indexed = Scenario(
+    def test_engine_override_matches_default(self, round_loop):
+        scenario = Scenario(
             topology="harary:4,12", program="flood-min", seed=9
-        ).run()
-        reference = Scenario(
-            topology="harary:4,12",
-            program="flood-min",
-            seed=9,
-            engine="reference",
-        ).run()
+        )
+        indexed = scenario.run()
+        with round_loop("reference"):
+            reference = scenario.run()
         assert indexed.result.outputs == reference.result.outputs
         assert indexed.rounds == reference.rounds
 

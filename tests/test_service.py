@@ -102,22 +102,6 @@ def test_core_error_taxonomy():
     assert stats["errors"] == 4 and stats["requests"] == 5
 
 
-def test_core_simulate_rejects_the_deleted_sharded_engine():
-    """A wire client naming ``engine="sharded"`` gets the typed
-    unknown-engine error listing the registered engines — the daemon
-    has no multiprocess engine left to fork workers for."""
-    core = ServiceCore()
-    envelope = core.handle(
-        {"op": "simulate", "graph": "harary:4,12", "engine": "sharded"}
-    )
-    assert is_error(envelope)
-    assert envelope["payload"]["error_type"] == "library"
-    assert envelope["payload"]["error"] == (
-        "unknown simulation engine 'sharded'; registered engines: "
-        "indexed, reference, vectorized"
-    )
-
-
 def test_core_node_ops():
     core = ServiceCore()
     nbr = core.handle(

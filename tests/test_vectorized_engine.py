@@ -1,46 +1,42 @@
-"""The columnar plane of the ``"vectorized"`` engine, unit by unit.
+"""The column step of the round loop, unit by unit.
 
 The differential matrix in ``test_engine_equivalence.py`` proves
-byte-identity on the registered scenarios; this suite attacks the
-columnar machinery directly — a hypothesis property that random traffic
+byte-identity on the registered scenarios; this suite attacks the column
+step directly — a hypothesis property that random traffic
 (unicast/broadcast mixes, duplicate sends, empty rounds, mutable
-payloads) delivers in the indexed loop's exact order and contents, the
-payload-interning table's round-trip and type-awareness, the inbox
-views' Mapping surface, plane caching across runs, the clique shape,
-and the numpy-absent error path.
+payloads) delivers in the reference loop's exact order and contents with
+the step forced on every round it can take, the in-CSR and its cache on
+the network, the inbox view's Mapping surface, the rule that picks the
+step per round, and numpy staying unloaded by runs that never take it.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ModelViolationError, SimulationError
-from repro.graphs.generators import harary_graph
-from repro.simulator.message import Message, payload_bits
+import repro
+from repro.graphs.generators import harary_graph, random_regular_connected
+from repro.simulator import column_step, runner
+from repro.simulator.adversary import AdversaryPlan
+from repro.simulator.column_step import ColumnStep, _ArrayInbox
+from repro.simulator.faults import FaultPlan
+from repro.simulator.message import Message
 from repro.simulator.network import Network
 from repro.simulator.node import NodeProgram
 from repro.simulator.runner import Model, SyncRunner, simulate
 from repro.simulator.tracing import Tracer
-from vectorized_support import VECTORIZED_SKIP_REASON, VECTORIZED_TESTS_OK
-
-pytestmark = pytest.mark.skipif(
-    not VECTORIZED_TESTS_OK, reason=VECTORIZED_SKIP_REASON
-)
-
-np = pytest.importorskip("numpy")
-
-from repro.simulator import runner_vectorized as rv  # noqa: E402
-from repro.simulator.runner_vectorized import (  # noqa: E402
-    PayloadInterner,
-    _ArrayInbox,
-    _ColumnInbox,
-)
+from repro.simulator.transport import VCongestTransport
 
 
 # ----------------------------------------------------------------------
-# Random traffic: vectorized delivery == indexed delivery, bytewise
+# Random traffic: the forced column step == the reference loop, bytewise
 # ----------------------------------------------------------------------
 
 
@@ -123,22 +119,22 @@ _schedules = st.lists(
 )
 
 
-def _run_traffic(engine, graph, schedules, model):
+def _run_traffic(round_loop, loop, graph, schedules, model):
     network = Network(graph, rng=7)
     log = []
-    result = simulate(
-        network,
-        lambda v: ScheduledTrafficProgram(
-            v,
-            schedules[v % len(schedules)],
-            log,
-            unicast_ok=model is not Model.V_CONGEST,
-        ),
-        model=model,
-        rng=5,
-        engine=engine,
-        max_rounds=50,
-    )
+    with round_loop(loop):
+        result = simulate(
+            network,
+            lambda v: ScheduledTrafficProgram(
+                v,
+                schedules[v % len(schedules)],
+                log,
+                unicast_ok=model is not Model.V_CONGEST,
+            ),
+            model=model,
+            rng=5,
+            max_rounds=50,
+        )
     metrics = result.metrics
     return {
         "outputs": list(result.outputs.items()),
@@ -157,7 +153,7 @@ class TestRandomTrafficProperty:
     @settings(max_examples=40, deadline=None)
     @given(schedules=_schedules, data=st.data())
     def test_delivery_order_and_contents_match_indexed(
-        self, schedules, data
+        self, round_loop, schedules, data
     ):
         n = len(schedules)
         graph = nx.cycle_graph(n)
@@ -168,13 +164,13 @@ class TestRandomTrafficProperty:
         model = data.draw(
             st.sampled_from([Model.V_CONGEST, Model.E_CONGEST])
         )
-        baseline = _run_traffic("indexed", graph, schedules, model)
-        other = _run_traffic("vectorized", graph, schedules, model)
+        baseline = _run_traffic(round_loop, "reference", graph, schedules, model)
+        other = _run_traffic(round_loop, "column", graph, schedules, model)
         assert other == baseline
 
-    def test_duplicate_and_empty_rounds(self):
-        # Same payload re-broadcast (warm send cache), idle gaps, and a
-        # payload shared by many senders — deterministic anchor case.
+    def test_duplicate_and_empty_rounds(self, round_loop):
+        # Same payload re-broadcast, idle gaps, and a payload shared by
+        # many senders — deterministic anchor case.
         schedules = [
             [("b", 7), None, ("b", 7), ("b", 7)],
             [None, ("b", 7), None, ("b", (1, True))],
@@ -182,19 +178,22 @@ class TestRandomTrafficProperty:
             [None, None, None, None],
         ]
         graph = nx.cycle_graph(8)
-        baseline = _run_traffic("indexed", graph, schedules, Model.E_CONGEST)
-        other = _run_traffic("vectorized", graph, schedules, Model.E_CONGEST)
+        baseline = _run_traffic(
+            round_loop, "reference", graph, schedules, Model.E_CONGEST
+        )
+        other = _run_traffic(
+            round_loop, "column", graph, schedules, Model.E_CONGEST
+        )
         assert other == baseline
 
 
 class TestMutablePayloadSemantics:
-    def test_mutated_list_payload_stays_live_shared(self):
-        """The indexed loop hands every receiver the *same live object*
-        a sender broadcast — a source that mutates its list before the
-        receiver's ``on_round`` fires is observed mutated (nodes execute
-        in index order). The columnar engine must not copy or intern its
-        way out of that aliasing: the uninterned path forwards the
-        object itself."""
+    def test_mutated_list_payload_stays_live_shared(self, round_loop):
+        """Every receiver gets the *same live object* a sender broadcast
+        — a source that mutates its list before the receiver's
+        ``on_round`` fires is observed mutated (nodes execute in index
+        order). The column step must not copy its way out of that
+        aliasing: it gathers the sender's own Message."""
 
         class Mutator(NodeProgram):
             def __init__(self, is_source, seen):
@@ -216,131 +215,50 @@ class TestMutablePayloadSemantics:
                     return self._payload
                 return None
 
-        def run(engine):
+        def run(loop):
             network = Network(nx.path_graph(3), rng=2)
             seen = []
-            simulate(
-                network,
-                lambda v: Mutator(v == 0, seen),
-                rng=4,
-                engine=engine,
-                max_rounds=20,
-            )
+            with round_loop(loop):
+                simulate(
+                    network,
+                    lambda v: Mutator(v == 0, seen),
+                    rng=4,
+                    max_rounds=20,
+                )
             return seen
 
-        indexed = run("indexed")
-        vectorized = run("vectorized")
-        assert vectorized == indexed
+        reference = run("reference")
+        column = run("column")
+        assert column == reference
         # Node 0 runs first each round, so by the time node 1 reads its
         # inbox the list already says 10 (then 20): live aliasing, kept.
-        assert (1, (10,)) in vectorized
-        assert (2, (20,)) in vectorized
+        assert (1, (10,)) in column
+        assert (2, (20,)) in column
 
 
 # ----------------------------------------------------------------------
-# The interning table
+# The in-CSR and the inbox view
 # ----------------------------------------------------------------------
-
-
-class TestPayloadInterner:
-    def test_round_trip_and_stable_ids(self):
-        interner = PayloadInterner()
-        payloads = [0, 1, -3, "x", (1, 2), frozenset({3}), None, True, 1.5]
-        ids = {}
-        for payload in payloads:
-            pid, bits = interner.intern(payload)
-            assert bits == payload_bits(payload)
-            assert interner.payload_of(pid) == payload
-            ids[pid] = payload
-        assert len(ids) == len(payloads)  # all distinct
-        for payload in payloads:  # re-interning is stable
-            pid, _ = interner.intern(payload)
-            assert interner.payload_of(pid) == payload
-        assert len(interner) == len(payloads)
-
-    def test_type_aware_keys(self):
-        """``1 == True == 1.0`` in Python, but their encodings differ —
-        the table must keep them (and nested variants) apart."""
-        interner = PayloadInterner()
-        distinct = [1, True, 1.0, (1,), (True,), ((1,),), ((True,),),
-                    frozenset({1}), frozenset({True})]
-        pids = [interner.intern(payload)[0] for payload in distinct]
-        assert len(set(pids)) == len(distinct)
-        for payload, pid in zip(distinct, pids):
-            canonical = interner.payload_of(pid)
-            assert canonical == payload
-            assert type(canonical) is type(payload)
-
-    def test_unhashable_payloads_raise_typeerror(self):
-        interner = PayloadInterner()
-        for payload in ([1, 2], ([1],), (1, [2]), ((1, [2]),)):
-            with pytest.raises(TypeError):
-                interner.intern(payload)
-        assert len(interner) == 0  # nothing half-registered
-
-    def test_cap_clears_wholesale(self, monkeypatch):
-        monkeypatch.setattr(rv, "MAX_INTERNED_PAYLOADS", 4)
-        interner = PayloadInterner()
-        for i in range(4):
-            interner.intern(i)
-        assert len(interner) == 4
-        pid, _ = interner.intern(99)  # crosses the cap: table restarts
-        assert pid == 0
-        assert len(interner) == 1
-        assert interner.payload_of(0) == 99
 
 
 class TestBuildInCsr:
-    """``build_in_csr`` transposes the fan-out: receiver ``r``'s slice
-    lists exactly the senders whose broadcast reaches it, in ascending
-    sender order — the indexed loop's inbox insertion order."""
+    """``build_in_csr`` lists, for each receiver ``r``, exactly the
+    senders whose broadcast reaches it, in ascending sender order — the
+    dict plane's inbox insertion order."""
 
     def test_rows_transpose_the_fanout(self):
         network = Network(harary_graph(4, 13), rng=1)
         fanout = SyncRunner(network, model=Model.V_CONGEST).transport._fanout
         n = network.n
-        ptr, src, dst = rv.build_in_csr(fanout, n)
-        assert len(ptr) == n + 1
+        src, dst = column_step.build_in_csr(fanout, n)
+        assert list(dst) == sorted(dst)
         for r in range(n):
-            window = slice(ptr[r], ptr[r + 1])
-            assert list(src[window]) == [
+            assert list(src[dst == r]) == [
                 s for s in range(n) if r in fanout[s]
             ]
-            assert all(d == r for d in dst[window])
 
 
 class TestInboxViews:
-    def _column(self):
-        labels = ["a", "b", "c", "d"]
-        msgs = [Message(label, ord(label), 8) for label in labels]
-        box = _ColumnInbox(labels, msgs)
-        box._lo, box._hi = 1, 4
-        return box, labels, msgs
-
-    def test_column_inbox_is_a_mapping(self):
-        from collections.abc import Mapping
-
-        box, labels, msgs = self._column()
-        assert isinstance(box, Mapping)
-        assert len(box) == 3 and box
-        assert list(box) == box.keys() == ["b", "c", "d"]
-        assert box.values() == msgs[1:4]
-        assert box.items() == list(zip(labels[1:], msgs[1:]))
-        assert box["c"] == msgs[2]
-        assert box.get("a") is None and "a" not in box
-        assert "b" in box
-        assert box == dict(zip(labels[1:], msgs[1:]))
-        with pytest.raises(KeyError):
-            box["zz"]
-
-    def test_column_inbox_self_skip(self):
-        box, labels, msgs = self._column()
-        box._lo, box._hi, box._skip = 0, 4, 2  # clique view of node "c"
-        assert len(box) == 3
-        assert box.keys() == ["a", "b", "d"]
-        assert box.values() == [msgs[0], msgs[1], msgs[3]]
-        assert "c" not in box
-
     def test_array_inbox_matches_column_semantics(self):
         from collections.abc import Mapping
 
@@ -357,140 +275,246 @@ class TestInboxViews:
         box._lo, box._hi = 0, 3
         assert isinstance(box, Mapping)
         assert len(box) == 3 and box
-        assert box.keys() == ["b", "c", "d"]
+        assert list(box) == box.keys() == ["b", "c", "d"]
         assert box.values() == msgs[1:4]
+        assert box.items() == list(zip(labels[1:], msgs[1:]))
         assert box["d"] == msgs[3]
         assert box.get("zz", 0) == 0 and "zz" not in box
+        assert "b" in box
         assert box == dict(zip(labels[1:], msgs[1:]))
-        column = _ColumnInbox(labels, msgs)
-        column._lo, column._hi = 1, 4
-        assert box == column and column == box
+        with pytest.raises(KeyError):
+            box["zz"]
+        box._lo = box._hi = 2
+        assert not box and len(box) == 0 and box == {}
 
 
 # ----------------------------------------------------------------------
-# Plane caching, the clique shape, and the numpy-absent error
+# The cached plane and the transports the step never serves
 # ----------------------------------------------------------------------
+
+
+def _flood_factory(network):
+    from repro.simulator.algorithms.flooding import ExtremumFloodProgram
+
+    return lambda v: ExtremumFloodProgram(network.node_id(v))
 
 
 class TestPlaneAndEngineEdges:
-    def _flood_factory(self, network):
-        from repro.simulator.algorithms.flooding import ExtremumFloodProgram
-
-        return lambda v: ExtremumFloodProgram(network.node_id(v))
-
-    def test_plane_cached_across_runs(self):
+    def test_plane_cached_across_runs(self, round_loop):
         network = Network(harary_graph(4, 12), rng=3)
-        factory = self._flood_factory(network)
-        first = SyncRunner(network, rng=5, engine="vectorized").run(factory)
-        planes = network._repro_vector_planes
-        assert len(planes) == 1
-        plane = next(iter(planes.values()))
-        interned_after_first = len(plane.interner)
-        assert interned_after_first > 0
-        second = SyncRunner(network, rng=5, engine="vectorized").run(factory)
-        assert network._repro_vector_planes is planes
-        assert next(iter(planes.values())) is plane  # reused, not rebuilt
-        # Warm run re-interns nothing new — same payload population.
-        assert len(plane.interner) == interned_after_first
+        factory = _flood_factory(network)
+        assert network._column_plane is None
+        with round_loop("column"):
+            first = SyncRunner(network, rng=5).run(factory)
+            plane = network._column_plane
+            assert plane is not None
+            second = SyncRunner(network, rng=5).run(factory)
+        assert network._column_plane is plane  # reused, not rebuilt
         assert first.outputs == second.outputs
 
-    def test_clique_transport_matches_indexed(self):
+    def test_clique_transport_matches_indexed(self, round_loop):
         network = Network(harary_graph(4, 10), rng=3)
-        factory = self._flood_factory(network)
+        factory = _flood_factory(network)
         results = {}
         traces = {}
-        for engine in ("indexed", "vectorized"):
+        for loop in ("dict", "column"):
             tracer = Tracer()
-            results[engine] = simulate(
-                network,
-                tracer.wrap(factory),
-                model=Model.CONGESTED_CLIQUE,
-                rng=5,
-                engine=engine,
-            )
-            traces[engine] = [repr(e) for e in tracer.trace.events]
-        assert results["vectorized"].outputs == results["indexed"].outputs
-        assert traces["vectorized"] == traces["indexed"]
-        a, b = results["vectorized"].metrics, results["indexed"].metrics
+            with round_loop(loop):
+                results[loop] = simulate(
+                    network,
+                    tracer.wrap(factory),
+                    model=Model.CONGESTED_CLIQUE,
+                    rng=5,
+                )
+            traces[loop] = [repr(e) for e in tracer.trace.events]
+        assert results["column"].outputs == results["dict"].outputs
+        assert traces["column"] == traces["dict"]
+        a, b = results["column"].metrics, results["dict"].metrics
         assert (a.rounds, a.messages, a.bits) == (b.rounds, b.messages, b.bits)
-
-    def test_missing_numpy_raises_clean_error(self, monkeypatch):
-        monkeypatch.setattr(rv, "np", None)
-        assert not rv.numpy_available()
-        network = Network(nx.path_graph(4), rng=1)
-        with pytest.raises(SimulationError, match="requires numpy"):
-            simulate(
-                network,
-                self._flood_factory(network),
-                rng=2,
-                engine="vectorized",
-            )
+        # The clique's fan-out is not the adjacency: no plane was built.
+        assert network._column_plane is None
 
 
-class TestWarmSendCacheBudget:
-    """The warm-send cache must never outlive the budget it validated
-    against: runs over the same Network with a different
-    ``bits_per_message`` re-validate every send, exactly like the
-    indexed loop."""
+class _ShiftTransport(VCongestTransport):
+    """A broadcast reaches only the node ``shift`` places ahead."""
 
-    class _OneShotBroadcast(NodeProgram):
-        def __init__(self, payload):
-            self._payload = payload
+    def __init__(self, network, shift):
+        self.shift = shift
+        super().__init__(network)
 
-        def on_start(self, ctx):
-            # Send from on_round only, so the payload travels through
-            # the warm-send cache path (on_start validates directly).
-            return None
+    def _build_fanout(self, network):
+        return [((i + self.shift) % network.n,) for i in range(network.n)]
 
-        def on_round(self, ctx, inbox):
-            if ctx.round == 1:
-                return self._payload
+
+class _HearOnce(NodeProgram):
+    """Broadcasts its own label, then halts holding what it heard."""
+
+    def __init__(self, node):
+        self._node = node
+
+    def on_start(self, ctx):
+        return self._node
+
+    def on_round(self, ctx, inbox):
+        ctx.halt(output=sorted(m.payload for m in inbox.values()))
+        return None
+
+
+class TestCustomTransport:
+    def test_same_class_transports_keep_their_own_fanout(self, round_loop):
+        """Two transports of one class with equal degrees but different
+        receivers, run in turn on one network: each run delivers along
+        its own fan-out, never along an edge plane cached for the other.
+        """
+        network = Network(nx.cycle_graph(8), rng=1)
+        runs = {}
+        for loop in ("dict", "column"):
+            for shift in (1, 2):
+                with round_loop(loop):
+                    runs[loop, shift] = simulate(
+                        network,
+                        _HearOnce,
+                        transport=_ShiftTransport(network, shift),
+                        rng=2,
+                    ).outputs
+        assert runs["column", 1][0] == [7]
+        assert runs["column", 2][0] == [6]
+        for shift in (1, 2):
+            assert runs["column", shift] == runs["dict", shift]
+
+
+# ----------------------------------------------------------------------
+# The rule: which rounds take the column step
+# ----------------------------------------------------------------------
+
+
+class _AddressAll(NodeProgram):
+    """E-CONGEST: sends its id to every neighbor by name for two rounds."""
+
+    def on_start(self, ctx):
+        return {u: ctx.node_id for u in ctx.neighbors}
+
+    def on_round(self, ctx, inbox):
+        if ctx.round >= 2:
             ctx.halt(output=len(inbox))
             return None
+        return {u: ctx.node_id for u in ctx.neighbors}
 
-    def test_budget_change_revalidates_cached_sends(self):
-        network = Network(nx.cycle_graph(6), rng=1)
-        payload = (900, 901)  # well under 1000 bits, well over 8
-        factory = lambda v: self._OneShotBroadcast(payload)  # noqa: E731
-        generous = simulate(
-            network, factory, rng=2, engine="vectorized",
-            bits_per_message=1000,
+
+@pytest.fixture
+def planes(monkeypatch):
+    """Record, per round, which plane delivered it and the share of the
+    network's directed edges its broadcasts covered."""
+    log = []
+    column_deliver = ColumnStep.deliver
+    dict_deliver = runner.deliver
+
+    def share(senders, fanout_table):
+        edges = sum(map(len, fanout_table))
+        return sum(len(fanout_table[s]) for s in senders) / edges
+
+    def spy_column(self, senders, outbound, inboxes):
+        delivered = column_deliver(self, senders, outbound, inboxes)
+        if delivered is not None:
+            log.append(("column", len(senders)))
+        return delivered
+
+    def spy_dict(senders, outbound, round_no, nodes, fanout_table, *rest):
+        log.append(("dict", share(senders, fanout_table)))
+        return dict_deliver(
+            senders, outbound, round_no, nodes, fanout_table, *rest
         )
-        assert generous.halted
-        plane = next(iter(network._repro_vector_planes.values()))
-        assert plane.send_cache  # the generous run primed the cache
-        with pytest.raises(ModelViolationError) as vec_err:
-            simulate(
-                network, factory, rng=2, engine="vectorized",
-                bits_per_message=8,
-            )
-        with pytest.raises(ModelViolationError) as idx_err:
-            simulate(
-                network, factory, rng=2, engine="indexed",
-                bits_per_message=8,
-            )
-        assert str(vec_err.value) == str(idx_err.value)
-        assert plane.cache_budget == 8
 
-    def test_same_budget_reuses_cache(self):
-        network = Network(nx.cycle_graph(6), rng=1)
-        factory = lambda v: self._OneShotBroadcast((3, 4))  # noqa: E731
-        simulate(network, factory, rng=2, engine="vectorized")
-        plane = next(iter(network._repro_vector_planes.values()))
-        cached = dict(plane.send_cache)
-        assert cached
-        simulate(network, factory, rng=2, engine="vectorized")
-        assert plane.send_cache == cached  # warm run, nothing re-keyed
+    monkeypatch.setattr(ColumnStep, "deliver", spy_column)
+    monkeypatch.setattr(runner, "deliver", spy_dict)
+    return log
+
+
+class TestColumnRule:
+    """The step pays for every edge of the network, so the rule gives it
+    only rounds whose broadcasts cover most of the edge set, on graphs
+    dense enough on average."""
+
+    GRAPH = random_regular_connected(64, 300, rng=1)
+
+    def _run(self, factory_of, **kwargs):
+        network = Network(self.GRAPH, rng=1)
+        return simulate(network, factory_of(network), rng=2, **kwargs)
+
+    def test_flood_takes_the_step_on_saturated_rounds(self, planes):
+        self._run(_flood_factory)
+        assert planes[0] == ("column", 300)  # every node broadcasts
+        assert planes[1][0] == "column"
+        # Every round left to the dict plane covered too few edges.
+        assert all(
+            share < runner.COLUMN_MIN_EDGE_SHARE
+            for plane, share in planes
+            if plane == "dict"
+        )
+
+    def test_bfs_wave_keeps_its_sparse_rounds_on_the_dict_plane(
+        self, planes
+    ):
+        from repro.simulator.algorithms.bfs import BfsProgram
+
+        self._run(
+            lambda net: (lambda v: BfsProgram(is_root=v == net.nodes[0]))
+        )
+        # The root alone, then its 64 neighbors: a fifth of the edges.
+        assert [plane for plane, _ in planes[:2]] == ["dict", "dict"]
+
+    def test_sparse_graphs_never_take_it(self, planes):
+        network = Network(random_regular_connected(8, 300, rng=1), rng=1)
+        simulate(network, _flood_factory(network), rng=2)
+        assert planes and all(plane == "dict" for plane, _ in planes)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"fault_plan": FaultPlan(drop_probability=0.1)},
+            {"adversary_plan": AdversaryPlan(corruption_probability=0.1)},
+        ],
+        ids=["faulted", "corrupted"],
+    )
+    def test_hostile_rounds_never_take_it(
+        self, planes, round_loop, kwargs
+    ):
+        network = Network(self.GRAPH, rng=1)
+        with round_loop("column"):
+            SyncRunner(network, rng=2, **kwargs).run(_flood_factory(network))
+        assert planes and all(plane == "dict" for plane, _ in planes)
+
+    def test_addressed_rounds_never_take_it(self, planes, round_loop):
+        with round_loop("column"):
+            self._run(lambda net: (lambda v: _AddressAll()),
+                      model=Model.E_CONGEST)
+        assert planes and all(plane == "dict" for plane, _ in planes)
+
+    def test_clique_and_custom_transports_never_take_it(
+        self, planes, round_loop
+    ):
+        network = Network(self.GRAPH, rng=1)
+        with round_loop("column"):
+            simulate(
+                network, _flood_factory(network),
+                model=Model.CONGESTED_CLIQUE, rng=2,
+            )
+            simulate(
+                network, _HearOnce,
+                transport=_ShiftTransport(network, 1), rng=2,
+            )
+        assert planes and all(plane == "dict" for plane, _ in planes)
+        assert network._column_plane is None
 
 
 class TestDictSubclassDispatch:
-    def test_dict_subclass_routes_as_addressed_traffic(self):
+    def test_dict_subclass_routes_as_addressed_traffic(self, round_loop):
         """``Transport.validate`` dispatches addressed traffic with
         ``isinstance``, so an OrderedDict return must be addressed
-        traffic on every engine — not an interning-path error."""
+        traffic with the column step forced too."""
         from collections import OrderedDict
 
-        def run(engine):
+        def run(loop):
             network = Network(nx.cycle_graph(5), rng=3)
             log = []
 
@@ -517,14 +541,34 @@ class TestDictSubclassDispatch:
                     ctx.halt(output=self._vid)
                     return None
 
-            result = simulate(
-                network,
-                lambda v: Addressor(v),
-                model=Model.E_CONGEST,
-                rng=4,
-                engine=engine,
-                max_rounds=10,
-            )
+            with round_loop(loop):
+                result = simulate(
+                    network,
+                    lambda v: Addressor(v),
+                    model=Model.E_CONGEST,
+                    rng=4,
+                    max_rounds=10,
+                )
             return log, list(result.outputs.items()), result.halted
 
-        assert run("vectorized") == run("indexed")
+        assert run("column") == run("reference")
+
+
+class TestNumpyStaysUnloaded:
+    def test_sparse_session_simulate_leaves_numpy_unloaded(self):
+        """The daemon and the batch workers rely on sparse runs never
+        loading numpy (its import costs tens of milliseconds and about
+        12 MiB): only the column step imports it."""
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = (
+            "import sys\n"
+            "from repro.api import GraphSession\n"
+            "GraphSession('harary:8,256').simulate(program='flood-min')\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
