@@ -32,11 +32,6 @@ numbers instead of anecdotes):
   gate: at the reference corruption rate the uncoded flood measurably
   fails while both coded variants hold ≥ 0.99 coverage with zero wrong
   answers.
-* ``service`` — the warm ``repro serve`` core vs cold per-call
-  sessions, plus incremental vs from-scratch re-canonicalization per
-  edit → ``BENCH_service.json`` (see :mod:`bench_service`). Acceptance
-  gate: warm beats cold on every full-size row; both edit paths end
-  bit-identical.
 * ``batch`` — batch scheduler jobs/sec across backend × worker plans on
   a single-graph matrix → ``BENCH_batch.json`` (see :mod:`bench_batch`).
   Acceptance gate: every backend byte-identical to serial; the
@@ -218,14 +213,6 @@ def _run_resilience(args) -> None:
     bench_resilience.main(forwarded)
 
 
-def _run_service(args) -> None:
-    try:
-        import bench_service
-    except ImportError:  # running as a module from the repo root
-        from benchmarks import bench_service
-    bench_service.main(_forwarded_args(args, "service"))
-
-
 def _run_batch(args) -> None:
     try:
         import bench_batch
@@ -243,7 +230,7 @@ def main(argv=None) -> int:
         "--suite",
         choices=[
             "all", "spanning", "simulator", "cds_packing", "api",
-            "resilience", "service", "batch",
+            "resilience", "batch",
         ],
         default="all",
         help="which benchmark suite(s) to run",
@@ -275,8 +262,6 @@ def main(argv=None) -> int:
         _run_api(args)
     if args.suite in ("all", "resilience"):
         _run_resilience(args)
-    if args.suite in ("all", "service"):
-        _run_service(args)
     if args.suite in ("all", "batch"):
         _run_batch(args)
     return 0

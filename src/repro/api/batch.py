@@ -433,15 +433,14 @@ def _resolve_backend(
     backend: Optional[str], workers: Optional[int]
 ) -> Tuple[str, int]:
     """Default the backend to ``serial`` and size its pool: one worker
-    for ``serial``, :func:`~repro.api.backends.default_workers` for a
+    for ``serial`` (it runs in-process whatever ``workers`` asks for),
+    ``workers`` or :func:`~repro.api.backends.default_workers` for a
     pool backend."""
-    if backend is None:
-        backend = "serial"
-    if workers is None:
-        workers = 1 if backend == "serial" else default_workers()
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise GraphValidationError(f"workers must be >= 1, got {workers}")
-    return backend, workers
+    if backend is None or backend == "serial":
+        return "serial", 1
+    return backend, workers if workers is not None else default_workers()
 
 
 def run(

@@ -76,11 +76,11 @@ def _coerce_topology(topology: TopologyLike) -> Tuple[nx.Graph, str]:
     )
 
 
-#: Default bound on a session's per-task result cache. Long-lived
-#: processes (the ``repro serve`` daemon) hold sessions indefinitely, so
-#: an unbounded cache is a leak; 256 envelopes comfortably covers any
+#: Bound on a session's per-task result cache. Long-lived processes
+#: (the ``repro serve`` daemon) hold sessions indefinitely, so an
+#: unbounded cache is a leak; 256 entries comfortably cover any
 #: interactive working set while keeping the worst case small.
-DEFAULT_CACHE_LIMIT = 256
+RESULT_CACHE_LIMIT = 256
 
 
 class GraphSession:
@@ -93,45 +93,28 @@ class GraphSession:
     single canonicalization and a single packing construction.
     ``session.stats`` reports the cache behavior.
 
-    The result cache is an LRU bounded by ``cache_limit`` entries
-    (``None`` for unbounded; evictions are counted in
-    ``stats["evictions"]``), so a session can serve an unbounded query
-    stream — the ``repro serve`` daemon holds sessions for its whole
-    lifetime — without leaking.
+    The result cache is an LRU bounded by :data:`RESULT_CACHE_LIMIT`
+    entries (evictions are counted in ``stats["evictions"]``), so a
+    session can serve an unbounded query stream — the ``repro serve``
+    daemon holds sessions for its whole lifetime — without leaking.
 
     Sessions are also *mutable*: :meth:`add_edge` / :meth:`remove_edge`
-    update the graph and the cached :class:`IndexedGraph` incrementally
-    (no re-canonicalization) and bump :attr:`generation`; the dependent
-    layers — ``CdsIndex``, fingerprint, result cache — carry the
-    generation they were built at and lazily rebuild when stale. After
-    any edit sequence the session is bit-identical to a fresh session
-    built from the final graph (``tests/test_incremental_index.py``).
+    edit the graph, bump :attr:`generation` and drop everything derived
+    from it (index, ``CdsIndex``, fingerprint, result cache); the next
+    read re-canonicalizes. So after any edit sequence the session is
+    bit-identical to a fresh session built from the final graph.
     """
 
-    def __init__(
-        self,
-        topology: TopologyLike,
-        label: Optional[str] = None,
-        cache_limit: Optional[int] = DEFAULT_CACHE_LIMIT,
-    ):
+    def __init__(self, topology: TopologyLike, label: Optional[str] = None):
         graph, descriptor = _coerce_topology(topology)
-        if cache_limit is not None and cache_limit < 1:
-            raise GraphValidationError(
-                f"cache_limit must be >= 1 or None, got {cache_limit!r}"
-            )
         self._graph = graph
         self._label = label or descriptor
-        self._cache_limit = cache_limit
         self._indexed = None
         self._cds_index = None
         self._fingerprint: Optional[str] = None
-        self._results: "OrderedDict[Tuple, Result]" = OrderedDict()
-        #: Bumped on every mutation; dependent caches stamp the
-        #: generation they were built at and rebuild lazily when stale.
+        self._results: "OrderedDict[Tuple, Any]" = OrderedDict()
+        #: Edit counter: bumped by :meth:`add_edge` / :meth:`remove_edge`.
         self.generation = 0
-        self._cds_generation = 0
-        self._fingerprint_generation = 0
-        self._results_generation = 0
         self.stats: Dict[str, int] = {
             "canonicalizations": 0,
             "cache_hits": 0,
@@ -171,17 +154,11 @@ class GraphSession:
 
     @property
     def cds_index(self):
-        """The CDS-pipeline index, sharing :attr:`indexed`.
-
-        Rebuilt lazily after a mutation (the generation stamp differs);
-        the underlying :class:`IndexedGraph` is *not* rebuilt — it was
-        maintained incrementally by the mutation itself.
-        """
-        if self._cds_index is None or self._cds_generation != self.generation:
+        """The CDS-pipeline index, sharing :attr:`indexed`."""
+        if self._cds_index is None:
             from repro.core.virtual_graph import CdsIndex
 
             self._cds_index = CdsIndex(self._graph, indexed=self.indexed)
-            self._cds_generation = self.generation
         return self._cds_index
 
     @property
@@ -190,12 +167,8 @@ class GraphSession:
 
         Stable across processes and hash seeds (node ``repr`` based), so
         batch rows from different workers agree on graph identity.
-        Recomputed lazily after a mutation.
         """
-        if (
-            self._fingerprint is None
-            or self._fingerprint_generation != self.generation
-        ):
+        if self._fingerprint is None:
             indexed = self.indexed
             digest = hashlib.sha256()
             for node in indexed.nodes:
@@ -207,27 +180,18 @@ class GraphSession:
             ):
                 digest.update(f"{a},{b};".encode("ascii"))
             self._fingerprint = digest.hexdigest()[:16]
-            self._fingerprint_generation = self.generation
         return self._fingerprint
 
-    # -- incremental mutation ------------------------------------------
+    # -- mutation ------------------------------------------------------
 
     def add_edge(self, a: Hashable, b: Hashable) -> None:
-        """Add edge ``{a, b}`` (new labels become new nodes).
-
-        The cached :class:`IndexedGraph` is spliced in place — no
-        re-canonicalization — and :attr:`generation` is bumped so the
-        dependent layers (``CdsIndex``, fingerprint, result cache)
-        rebuild lazily on next use.
-        """
+        """Add edge ``{a, b}`` (new labels become new nodes)."""
         if a == b:
             raise GraphValidationError(
                 f"self-loop {a!r}-{b!r} is not allowed"
             )
         if self._graph.has_edge(a, b):
             raise GraphValidationError(f"edge {a!r}-{b!r} already exists")
-        if self._indexed is not None:
-            self._indexed.add_edge(a, b)
         self._graph.add_edge(a, b)
         self._note_mutation()
 
@@ -237,51 +201,47 @@ class GraphSession:
             raise GraphValidationError(
                 f"edge {a!r}-{b!r} is not in the graph"
             )
-        if self._indexed is not None:
-            self._indexed.remove_edge(a, b)
         self._graph.remove_edge(a, b)
         self._note_mutation()
 
     def _note_mutation(self) -> None:
+        """Forget everything derived from the graph; the next read
+        re-canonicalizes."""
         self.generation += 1
         self.stats["mutations"] += 1
+        self._indexed = None
+        self._cds_index = None
+        self._fingerprint = None
+        self.stats["invalidations"] += len(self._results)
+        self._results.clear()
 
     # -- result cache --------------------------------------------------
 
-    def _fresh_results(self) -> "OrderedDict[Tuple, Result]":
-        """The result cache, cleared first if a mutation made it stale."""
-        if self._results_generation != self.generation:
-            if self._results:
-                self.stats["invalidations"] += len(self._results)
-                self._results.clear()
-            self._results_generation = self.generation
-        return self._results
-
-    def _store_result(self, key: Tuple, value) -> None:
-        """Insert into the LRU; evict the least-recently-used overflow."""
-        results = self._fresh_results()
-        results[key] = value
-        results.move_to_end(key)
-        if self._cache_limit is not None:
-            while len(results) > self._cache_limit:
-                results.popitem(last=False)
-                self.stats["evictions"] += 1
+    def _memo(self, key: Tuple, build) -> Any:
+        """The one get-or-build path: look ``key`` up in the LRU (touching
+        it) or build, store and bound it. Entries are returned as stored."""
+        results = self._results
+        if key in results:
+            results.move_to_end(key)
+            return results[key]
+        value = results[key] = build()
+        while len(results) > RESULT_CACHE_LIMIT:
+            results.popitem(last=False)
+            self.stats["evictions"] += 1
+        return value
 
     def _cached(self, key: Tuple, build) -> Result:
+        # Envelope tasks count hits/misses and get ``total_s`` on a miss.
         # Envelopes are handed out as copies (raw shared): a caller
         # mutating payload/timings in place must not poison the cache.
-        results = self._fresh_results()
-        if key in results:
-            self.stats["cache_hits"] += 1
-            results.move_to_end(key)
-            return results[key].copy()
-        self.stats["cache_misses"] += 1
+        hit = key in self._results
+        self.stats["cache_hits" if hit else "cache_misses"] += 1
         start = time.perf_counter()
-        result = build()
-        result.timings.setdefault(
-            "total_s", time.perf_counter() - start
-        )
-        self._store_result(key, result)
+        result = self._memo(key, build)
+        if not hit:
+            result.timings.setdefault(
+                "total_s", time.perf_counter() - start
+            )
         return result.copy()
 
     def _envelope(
@@ -315,17 +275,13 @@ class GraphSession:
         """
         from repro.core.cds_packing import fractional_cds_packing
 
-        key = ("_cds", k, seed, params)
-        results = self._fresh_results()
-        if key not in results:
-            result = fractional_cds_packing(
+        return self._memo(
+            ("_cds", k, seed, params),
+            lambda: fractional_cds_packing(
                 self._graph, k=k, params=params, rng=seed,
                 index=self.cds_index,
-            )
-            self._store_result(key, result)
-        else:
-            results.move_to_end(key)
-        return self._results[key]
+            ),
+        )
 
     def pack_cds(
         self,
@@ -412,30 +368,23 @@ class GraphSession:
 
     def exact_vertex_connectivity(self) -> int:
         """Exact ``k`` via Even–Tarjan (cached; the expensive oracle)."""
-        key = ("_exact_k",)
-        results = self._fresh_results()
-        if key not in results:
-            from repro.baselines.vertex_connectivity_exact import (
-                even_tarjan_vertex_connectivity,
-            )
+        from repro.baselines.vertex_connectivity_exact import (
+            even_tarjan_vertex_connectivity,
+        )
 
-            exact_k, _ = even_tarjan_vertex_connectivity(self._graph)
-            self._store_result(key, exact_k)
-        else:
-            results.move_to_end(key)
-        return self._results[key]
+        return self._memo(
+            ("_exact_k",),
+            lambda: even_tarjan_vertex_connectivity(self._graph)[0],
+        )
 
     def exact_edge_connectivity(self) -> int:
         """Exact ``λ`` via Stoer–Wagner (cached)."""
-        key = ("_exact_lam",)
-        results = self._fresh_results()
-        if key not in results:
-            from repro.baselines.mincut import edge_connectivity_exact
+        from repro.baselines.mincut import edge_connectivity_exact
 
-            self._store_result(key, edge_connectivity_exact(self._graph))
-        else:
-            results.move_to_end(key)
-        return self._results[key]
+        return self._memo(
+            ("_exact_lam",),
+            lambda: edge_connectivity_exact(self._graph),
+        )
 
     def pack_spanning(
         self,

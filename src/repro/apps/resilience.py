@@ -277,21 +277,25 @@ def _variant_factory(variant: str, horizon: int, votes: int):
     return build
 
 
-def _corruption_report(
-    label: str, variant: str, rate: float, run: ScenarioRun
-) -> CorruptionReport:
-    network = run.network
+def _flood_coverage(network: Network, result) -> Tuple[float, float]:
+    """``(coverage, wrong_rate)`` of an extremum flood's outputs: the
+    fractions of nodes holding the true minimum id, and a value below it."""
     true_min = min(network.node_id(v) for v in network.nodes)
     holders = 0
     poisoned = 0
     for v in network.nodes:
-        output = run.result.output_of(v)
+        output = result.output_of(v)
         if output == true_min:
             holders += 1
         elif isinstance(output, int) and output < true_min:
             poisoned += 1
-    coverage = holders / network.n
-    wrong_rate = poisoned / network.n
+    return holders / network.n, poisoned / network.n
+
+
+def _corruption_report(
+    label: str, variant: str, rate: float, run: ScenarioRun
+) -> CorruptionReport:
+    coverage, wrong_rate = _flood_coverage(run.network, run.result)
     metrics = run.result.metrics
     return CorruptionReport(
         label=label,

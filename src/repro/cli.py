@@ -434,7 +434,6 @@ _EXPERIMENTS = [
     ("E25", "bench_api", "session-cached pipeline vs per-call canonicalization"),
     ("E27", "bench_resilience", "adversarial channels: coded vs uncoded flood"),
     ("E28", "bench_simulator", "column step vs the dict plane (dense regime)"),
-    ("E30", "bench_service", "warm service vs cold sessions; incremental re-canonicalization"),
     ("E31", "bench_batch", "batch scheduler jobs/sec vs backend × workers"),
     ("F1-F3", "bench_figures", "paper figures (text renderings)"),
     ("A1-A5", "bench_ablation", "design-choice ablations"),
@@ -714,11 +713,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="interactive graph shell (in-process or against a daemon)",
         description=(
             "A GCLI-style shell over the service surface: graph open, "
-            "node list/nbr/p, edge new/rmv (incremental "
-            "re-canonicalization), estimate, pack, simulate, stats. "
-            "Runs in-process by default; --connect HOST:PORT drives a "
-            "running 'repro serve' daemon. Reads commands from stdin, "
-            "so it scripts cleanly: "
+            "node list/nbr/p, edge new/rmv, estimate, pack, simulate, "
+            "stats. Runs in-process by default; --connect HOST:PORT "
+            "drives a running 'repro serve' daemon. Reads commands from "
+            "stdin, so it scripts cleanly: "
             "echo 'estimate k' | repro shell --graph harary:6,24"
         ),
     )

@@ -72,6 +72,14 @@ class ServiceError(ReproError):
     """
 
 
+class BadRequestError(ServiceError):
+    """A service request field has a value of the wrong type.
+
+    The daemon answers it with a ``bad-request`` error envelope, before
+    the request opens a session or runs a task.
+    """
+
+
 class WireProtocolError(ServiceError):
     """A wire frame violated the newline-delimited JSON protocol.
 

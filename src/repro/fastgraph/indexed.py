@@ -10,7 +10,6 @@ networkx results bit-for-bit (see :mod:`repro.fastgraph.kruskal`).
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from collections import deque
 from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence, Tuple
 
@@ -28,24 +27,13 @@ class IndexedGraph:
         nodes: original node labels, position = integer id;
         index_of: label → integer id;
         u, v: parallel lists, edge ``i`` joins ``u[i]`` and ``v[i]``;
-        n, m: node and edge counts;
-        generation: mutation counter — bumped by :meth:`add_edge` /
-            :meth:`remove_edge`, so caches derived from this index can
-            detect staleness without holding back-references.
+        n, m: node and edge counts.
 
-    A :meth:`from_networkx` index can also be maintained *incrementally*:
-    :meth:`add_edge` / :meth:`remove_edge` splice the canonical edge
-    array (and the cached adjacency lists) exactly where a from-scratch
-    re-canonicalization of the equally-mutated ``nx.Graph`` would place
-    the edge, so ``IndexedGraph.from_networkx(g)`` and an incrementally
-    edited index never diverge (``tests/test_incremental_index.py`` pins
-    this bit for bit).
+    An index is immutable once built: a caller whose graph changes
+    re-canonicalizes with :meth:`from_networkx`.
     """
 
-    __slots__ = (
-        "nodes", "index_of", "u", "v", "n", "m", "generation",
-        "_neighbors", "_canonical",
-    )
+    __slots__ = ("nodes", "index_of", "u", "v", "n", "m", "_neighbors")
 
     def __init__(
         self,
@@ -65,9 +53,7 @@ class IndexedGraph:
             self.u.append(a)
             self.v.append(b)
         self.m = len(self.u)
-        self.generation = 0
         self._neighbors: Optional[List[List[int]]] = None
-        self._canonical: Optional[bool] = None
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "IndexedGraph":
@@ -95,123 +81,6 @@ class IndexedGraph:
                     adj[b].append(a)
             self._neighbors = adj
         return self._neighbors
-
-    # ------------------------------------------------------------------
-    # Incremental mutation (mirrors networkx canonical edge order)
-    # ------------------------------------------------------------------
-
-    def _require_canonical(self) -> None:
-        """Mutation needs the ``from_networkx`` order invariant.
-
-        In any index canonicalized from a ``networkx`` graph, edge ``i``
-        is reported by the endpoint appearing *earlier* in node-insertion
-        order, so ``u[i] < v[i]`` and ``u`` is non-decreasing (edges of
-        one reporting node are contiguous). The splice arithmetic below
-        is only correct under that invariant, so indexes built with an
-        arbitrary hand-rolled edge order refuse to mutate.
-        """
-        if self._canonical is None:
-            u = self.u
-            v = self.v
-            self._canonical = all(
-                u[i] < v[i] for i in range(self.m)
-            ) and all(u[i] <= u[i + 1] for i in range(self.m - 1))
-        if not self._canonical:
-            raise ValueError(
-                "cannot mutate an IndexedGraph whose edge array is not in "
-                "networkx canonical order; rebuild via from_networkx()"
-            )
-
-    def has_edge(self, a: Hashable, b: Hashable) -> bool:
-        """Whether the edge ``{a, b}`` (original labels) is present."""
-        ia = self.index_of.get(a)
-        ib = self.index_of.get(b)
-        if ia is None or ib is None:
-            return False
-        first, second = (ia, ib) if ia < ib else (ib, ia)
-        lo = bisect_left(self.u, first)
-        hi = bisect_right(self.u, first, lo=lo)
-        return any(self.v[i] == second for i in range(lo, hi))
-
-    def add_edge(self, a: Hashable, b: Hashable) -> int:
-        """Splice edge ``{a, b}`` in at its canonical position.
-
-        Unknown labels become new nodes (appended in ``a``, ``b`` order —
-        exactly where ``nx.Graph.add_edge`` puts them). Returns the new
-        edge's index. The cached adjacency lists, when built, are
-        updated in place; every other derived structure must be
-        invalidated by the caller (:attr:`generation` is bumped so
-        caches can notice).
-        """
-        if a == b:
-            raise ValueError(f"self-loop {a!r}-{b!r} is not allowed")
-        self._require_canonical()
-        if self.has_edge(a, b):
-            raise ValueError(f"edge {a!r}-{b!r} already exists")
-        for label in (a, b):
-            if label not in self.index_of:
-                self.index_of[label] = self.n
-                self.nodes.append(label)
-                self.n += 1
-                if self._neighbors is not None:
-                    self._neighbors.append([])
-        ia, ib = self.index_of[a], self.index_of[b]
-        first, second = (ia, ib) if ia < ib else (ib, ia)
-        # networkx appends to ``adj[first]``, so a fresh canonicalization
-        # reports the new edge *last* in ``first``'s contiguous block.
-        position = bisect_right(self.u, first)
-        self.u.insert(position, first)
-        self.v.insert(position, second)
-        self.m += 1
-        if self._neighbors is not None:
-            adjacency = self._neighbors
-            # Every existing edge incident to ``first`` lives in a block
-            # at or before ``first``'s, i.e. strictly before the new
-            # edge: append keeps adjacency in edge order.
-            adjacency[first].append(second)
-            # ``second``'s neighbors with a smaller endpoint than
-            # ``second`` form a strictly increasing prefix (one edge per
-            # block); the new edge follows exactly those with c <= first.
-            spot = 0
-            for c in adjacency[second]:
-                if c <= first:
-                    spot += 1
-                else:
-                    break
-            adjacency[second].insert(spot, first)
-        self.generation += 1
-        return position
-
-    def remove_edge(self, a: Hashable, b: Hashable) -> int:
-        """Remove edge ``{a, b}``; returns the edge index it occupied.
-
-        Nodes are never removed (matching ``nx.Graph.remove_edge``).
-        """
-        ia = self.index_of.get(a)
-        ib = self.index_of.get(b)
-        if ia is None or ib is None:
-            raise KeyError(f"edge {a!r}-{b!r} is not in the graph")
-        self._require_canonical()
-        first, second = (ia, ib) if ia < ib else (ib, ia)
-        lo = bisect_left(self.u, first)
-        hi = bisect_right(self.u, first, lo=lo)
-        for i in range(lo, hi):
-            if self.v[i] == second:
-                break
-        else:
-            raise KeyError(f"edge {a!r}-{b!r} is not in the graph")
-        del self.u[i]
-        del self.v[i]
-        self.m -= 1
-        if self._neighbors is not None:
-            self._neighbors[first].remove(second)
-            self._neighbors[second].remove(first)
-        self.generation += 1
-        return i
-
-    def edge_frozenset(self, i: int) -> Edge:
-        """Edge ``i`` as the ``frozenset``-of-labels key of the legacy API."""
-        return frozenset((self.nodes[self.u[i]], self.nodes[self.v[i]]))
 
     def edges_to_node_sets(self, edge_ids: Iterable[int]) -> FrozenSet[Edge]:
         """Edge-index set → the legacy ``frozenset``-of-``frozenset`` form."""

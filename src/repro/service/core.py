@@ -11,9 +11,9 @@ Sessions are cached in :class:`SessionCache`, an LRU **keyed by graph
 fingerprint**: two spec strings that canonicalize to the same graph
 share one warm :class:`~repro.api.GraphSession` (a spec → fingerprint
 memo makes the repeat lookup cheap). Mutations (``edge_new`` /
-``edge_rmv``) update the session incrementally — the session splices
-its ``IndexedGraph`` in place and lazily invalidates the dependent
-layers — and the cache re-keys the session under its new fingerprint.
+``edge_rmv``) edit the session's graph — the session drops everything
+derived from it and re-canonicalizes on the next read — and the cache
+re-keys the session under its new fingerprint.
 """
 
 from __future__ import annotations
@@ -24,8 +24,13 @@ from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
 from repro.api.envelope import Result
-from repro.api.session import DEFAULT_CACHE_LIMIT, GraphSession
-from repro.errors import GraphValidationError, ReproError, ServiceError
+from repro.api.session import GraphSession
+from repro.errors import (
+    BadRequestError,
+    GraphValidationError,
+    ReproError,
+    ServiceError,
+)
 from repro.service.protocol import SERVICE_GRAPH, error_envelope
 
 #: Scenario aliases accepted by the ``simulate`` op (shell-friendly
@@ -36,6 +41,23 @@ PROGRAM_ALIASES = {"flooding": "flood-min"}
 DEFAULT_SESSIONS = 8
 
 
+def _int_field(
+    request: Dict[str, Any], name: str, default: Optional[int],
+    nullable: bool = False,
+) -> Optional[int]:
+    """An integer request field: whatever ``int()`` accepts (``None``
+    too when ``nullable``); anything else is a :class:`BadRequestError`."""
+    value = request.get(name, default)
+    if value is None and nullable:
+        return None
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise BadRequestError(
+            f"field {name!r} must be an integer, got {value!r}"
+        ) from exc
+
+
 class SessionCache:
     """Bounded LRU of :class:`GraphSession`s keyed by graph fingerprint.
 
@@ -44,17 +66,12 @@ class SessionCache:
     (session built and inserted), and ``evictions`` (LRU overflow).
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_SESSIONS,
-        session_cache_limit: Optional[int] = DEFAULT_CACHE_LIMIT,
-    ) -> None:
+    def __init__(self, capacity: int = DEFAULT_SESSIONS) -> None:
         if capacity < 1:
             raise ServiceError(
                 f"session cache capacity must be >= 1, got {capacity}"
             )
         self.capacity = capacity
-        self._session_cache_limit = session_cache_limit
         self._sessions: "OrderedDict[str, GraphSession]" = OrderedDict()
         self._spec_memo: Dict[str, str] = {}  # spec → fingerprint
         self.stats = {"hits": 0, "misses": 0, "evictions": 0}
@@ -80,9 +97,7 @@ class SessionCache:
             self.stats["hits"] += 1
             self._sessions.move_to_end(memoized)
             return self._sessions[memoized], memoized, False
-        session = GraphSession(
-            spec, cache_limit=self._session_cache_limit
-        )
+        session = GraphSession(spec)
         fingerprint = session.fingerprint
         self._spec_memo[spec] = fingerprint
         if fingerprint in self._sessions:
@@ -142,32 +157,26 @@ class ServiceCore:
     trade for a cache whose wins come from reuse, not parallelism.
     """
 
-    #: op → (handler name, needs_session)
+    #: op → handler name. A handler reads its request fields before it
+    #: opens a session, so a malformed request leaves the cache alone.
     OPS = {
-        "ping": ("_op_ping", False),
-        "open": ("_op_open", True),
-        "estimate": ("_op_estimate", True),
-        "pack": ("_op_pack", True),
-        "simulate": ("_op_simulate", True),
-        "node_list": ("_op_node_list", True),
-        "node_nbr": ("_op_node_nbr", True),
-        "node_path": ("_op_node_path", True),
-        "edge_new": ("_op_edge_mutate", True),
-        "edge_rmv": ("_op_edge_mutate", True),
-        "batch": ("_op_batch", False),
-        "stats": ("_op_stats", False),
-        "shutdown": ("_op_shutdown", False),
+        "ping": "_op_ping",
+        "open": "_op_open",
+        "estimate": "_op_estimate",
+        "pack": "_op_pack",
+        "simulate": "_op_simulate",
+        "node_list": "_op_node_list",
+        "node_nbr": "_op_node_nbr",
+        "node_path": "_op_node_path",
+        "edge_new": "_op_edge_mutate",
+        "edge_rmv": "_op_edge_mutate",
+        "batch": "_op_batch",
+        "stats": "_op_stats",
+        "shutdown": "_op_shutdown",
     }
 
-    def __init__(
-        self,
-        cache_capacity: int = DEFAULT_SESSIONS,
-        session_cache_limit: Optional[int] = DEFAULT_CACHE_LIMIT,
-    ) -> None:
-        self.cache = SessionCache(
-            capacity=cache_capacity,
-            session_cache_limit=session_cache_limit,
-        )
+    def __init__(self, cache_capacity: int = DEFAULT_SESSIONS) -> None:
+        self.cache = SessionCache(capacity=cache_capacity)
         self._lock = threading.RLock()
         self._started = time.monotonic()
         self._requests = 0
@@ -192,6 +201,8 @@ class ServiceCore:
                 self._op_counts[op] = self._op_counts.get(op, 0) + 1
             try:
                 envelope = self._dispatch(request)
+            except BadRequestError as exc:
+                envelope = error_envelope(str(exc), "bad-request", op=op)
             except GraphValidationError as exc:
                 envelope = error_envelope(str(exc), "graph", op=op)
             except ServiceError as exc:
@@ -223,18 +234,13 @@ class ServiceCore:
                 "request needs an 'op' field; valid ops: "
                 + ", ".join(sorted(self.OPS))
             )
-        entry = self.OPS.get(op)
-        if entry is None:
+        handler_name = self.OPS.get(op)
+        if handler_name is None:
             raise ServiceError(
                 f"unknown op {op!r}; valid ops: "
                 + ", ".join(sorted(self.OPS))
             )
-        handler_name, needs_session = entry
-        handler = getattr(self, handler_name)
-        if not needs_session:
-            return handler(request)
-        session, fingerprint, created = self._resolve_session(request)
-        return handler(request, session, fingerprint, created)
+        return getattr(self, handler_name)(request)
 
     def _resolve_session(
         self, request: Dict[str, Any]
@@ -316,7 +322,8 @@ class ServiceCore:
             "ping", {"pong": True, "uptime_s": self.uptime_s}
         )
 
-    def _op_open(self, request, session, fingerprint, created) -> Result:
+    def _op_open(self, request: Dict[str, Any]) -> Result:
+        session, fingerprint, created = self._resolve_session(request)
         return self._session_envelope(
             "graph_open", session,
             {
@@ -329,42 +336,50 @@ class ServiceCore:
             },
         )
 
-    def _op_estimate(self, request, session, fingerprint, created) -> Result:
-        seed = int(request.get("seed", 0))
+    def _op_estimate(self, request: Dict[str, Any]) -> Result:
+        seed = _int_field(request, "seed", 0)
         exact = bool(request.get("exact", False))
+        session, _, _ = self._resolve_session(request)
         return session.connectivity(seed=seed, exact=exact)
 
-    def _op_pack(self, request, session, fingerprint, created) -> Result:
+    def _op_pack(self, request: Dict[str, Any]) -> Result:
         kind = request.get("kind", "cds")
-        seed = int(request.get("seed", 0))
+        seed = _int_field(request, "seed", 0)
+        if kind not in ("cds", "spanning"):
+            raise ServiceError(
+                f"unknown packing kind {kind!r}; valid kinds: cds, spanning"
+            )
+        session, _, _ = self._resolve_session(request)
         if kind == "cds":
             return session.pack_cds(seed=seed)
-        if kind == "spanning":
-            return session.pack_spanning(seed=seed)
-        raise ServiceError(
-            f"unknown packing kind {kind!r}; valid kinds: cds, spanning"
-        )
+        return session.pack_spanning(seed=seed)
 
-    def _op_simulate(self, request, session, fingerprint, created) -> Result:
+    def _op_simulate(self, request: Dict[str, Any]) -> Result:
         program = request.get("program", "flood-min")
         program = PROGRAM_ALIASES.get(program, program)
+        seed = _int_field(request, "seed", 0)
+        max_rounds = _int_field(request, "max_rounds", 100000)
+        show_outputs = _int_field(request, "show_outputs", 5, nullable=True)
+        session, _, _ = self._resolve_session(request)
         return session.simulate(
             program=program,
             model=request.get("model"),
-            seed=int(request.get("seed", 0)),
-            max_rounds=int(request.get("max_rounds", 100000)),
-            show_outputs=request.get("show_outputs", 5),
+            seed=seed,
+            max_rounds=max_rounds,
+            show_outputs=show_outputs,
         )
 
-    def _op_node_list(self, request, session, fingerprint, created) -> Result:
+    def _op_node_list(self, request: Dict[str, Any]) -> Result:
+        session, _, _ = self._resolve_session(request)
         nodes = list(session.graph.nodes())
         return self._session_envelope(
             "node_list", session, {"nodes": nodes, "n": len(nodes)}
         )
 
-    def _op_node_nbr(self, request, session, fingerprint, created) -> Result:
+    def _op_node_nbr(self, request: Dict[str, Any]) -> Result:
         if "node" not in request:
             raise ServiceError("op 'node_nbr' needs a 'node' field")
+        session, _, _ = self._resolve_session(request)
         node = self._resolve_node(session, request["node"])
         neighbors = list(session.graph.neighbors(node))
         return self._session_envelope(
@@ -373,12 +388,13 @@ class ServiceCore:
             params={"node": node},
         )
 
-    def _op_node_path(self, request, session, fingerprint, created) -> Result:
+    def _op_node_path(self, request: Dict[str, Any]) -> Result:
         import networkx as nx
 
         for field in ("source", "target"):
             if field not in request:
                 raise ServiceError(f"op 'node_path' needs a {field!r} field")
+        session, _, _ = self._resolve_session(request)
         source = self._resolve_node(session, request["source"])
         target = self._resolve_node(session, request["target"])
         try:
@@ -399,11 +415,12 @@ class ServiceCore:
             params={"source": source, "target": target},
         )
 
-    def _op_edge_mutate(self, request, session, fingerprint, created) -> Result:
+    def _op_edge_mutate(self, request: Dict[str, Any]) -> Result:
         op = request["op"]
         for field in ("a", "b"):
             if field not in request:
                 raise ServiceError(f"op {op!r} needs {field!r} (endpoint)")
+        session, fingerprint, _ = self._resolve_session(request)
         a, b = request["a"], request["b"]
         if op == "edge_new":
             # New labels are allowed (they become new nodes), so only
@@ -467,15 +484,12 @@ class ServiceCore:
                 "op 'batch' takes inline jobs (a list or matrix "
                 "mapping), not a server-side file path"
             )
-        backend = request.get("backend", "serial")
-        workers = request.get("workers")
-        base_seed = request.get("base_seed")
         stats: Dict[str, Any] = {}
         results = api_batch.run(
             jobs,
-            base_seed=int(base_seed) if base_seed is not None else None,
-            backend=backend,
-            workers=int(workers) if workers is not None else None,
+            base_seed=_int_field(request, "base_seed", None, nullable=True),
+            backend=request.get("backend", "serial"),
+            workers=_int_field(request, "workers", None, nullable=True),
             stats=stats,
         )
         rows = [result.to_dict(include_timings=False) for result in results]

@@ -43,7 +43,7 @@ commands
   node nbr <id>                list a node's neighbours
   node n <id>                  neighbour count
   node p <src> <dst>           shortest path
-  edge new <a> <b>             add an edge (incremental re-canonicalization)
+  edge new <a> <b>             add an edge
   edge rmv <a> <b>             remove an edge
   estimate [k]                 Corollary 1.7 vertex-connectivity estimate
   pack [cds|spanning]          fractional tree packing (default: cds)

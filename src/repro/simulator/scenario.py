@@ -456,24 +456,19 @@ def _resilience_sweep_driver(
     engine). Outputs are per-point summary dicts keyed by
     ``"{variant}@p={rate}"``; metrics are the merged cost of the grid.
     """
-    from repro.apps.coded import ChecksummedFloodProgram, VotedFloodProgram
-    from repro.simulator.faults import RetransmittingFloodProgram
+    from repro.apps.resilience import (
+        FLOOD_VARIANTS,
+        _flood_coverage,
+        _variant_factory,
+    )
     from repro.simulator.metrics import SimulationMetrics
 
     rand = ensure_rng(rng)
     horizon = 4 * network.diameter() + 8
     factories = {
-        "uncoded": lambda node: RetransmittingFloodProgram(
-            network.node_id(node), horizon=horizon
-        ),
-        "checksum": lambda node: ChecksummedFloodProgram(
-            network.node_id(node), horizon=horizon
-        ),
-        "vote": lambda node: VotedFloodProgram(
-            network.node_id(node), horizon=horizon, votes=2
-        ),
+        variant: _variant_factory(variant, horizon, 2)(network)
+        for variant in FLOOD_VARIANTS
     }
-    true_min = min(network.node_id(v) for v in network.nodes)
     outputs: Dict[Hashable, Any] = {}
     merged = SimulationMetrics()
     halted = True
@@ -485,20 +480,10 @@ def _resilience_sweep_driver(
             )
             wrapped = tracer.wrap(factory) if tracer is not None else factory
             result = runner.run(wrapped, max_rounds=max_rounds)
-            holders = sum(
-                1
-                for v in network.nodes
-                if result.output_of(v) == true_min
-            )
-            poisoned = sum(
-                1
-                for v in network.nodes
-                if isinstance(result.output_of(v), int)
-                and result.output_of(v) < true_min
-            )
+            coverage, wrong_rate = _flood_coverage(network, result)
             outputs[f"{variant}@p={rate:g}"] = {
-                "coverage": holders / network.n,
-                "wrong_rate": poisoned / network.n,
+                "coverage": coverage,
+                "wrong_rate": wrong_rate,
                 "rounds": result.metrics.rounds,
                 "messages": result.metrics.messages,
                 "bits": result.metrics.bits,

@@ -166,6 +166,18 @@ class TestBackendEquivalence:
         assert stats["backend"] == "serial"
         assert stats["workers"] == 1
 
+    def test_serial_plane_plans_one_worker(self):
+        # The serial plane runs in-process: asking it for workers must
+        # not split a one-graph matrix into chunks that each rebuild
+        # the graph's index.
+        jobs = dict(ONE_GRAPH, trials=8)
+        stats = {}
+        rows = _jsonl(jobs, workers=4, stats=stats)
+        assert (stats["chunks"], stats["workers"]) == (1, 1)
+        assert rows == _jsonl(jobs)
+        with pytest.raises(GraphValidationError, match=">= 1"):
+            batch.run(jobs, workers=0)
+
     def test_single_graph_matrix_uses_multiple_workers(self):
         # The acceptance gate: a 200-job sweep over ONE graph must fan
         # out — previously `len(groups) > 1` kept it on a single worker.

@@ -3,9 +3,8 @@
 The tentpole contract: the service surface (``ServiceCore.handle``) is
 one request dict → one envelope dict, *never* an exception; sessions
 stay warm in a fingerprint-keyed LRU, survive ``edge_new``/``edge_rmv``
-via incremental re-canonicalization (re-keyed under the new
-fingerprint), and a mutated service session answers byte-identically to
-a cold one built from the final graph.
+(re-keyed under the new fingerprint), and a mutated service session
+answers byte-identically to a cold one built from the final graph.
 """
 
 from __future__ import annotations
@@ -122,13 +121,16 @@ def test_core_mutation_rekeys_cache_and_matches_cold_session():
     core = ServiceCore()
     opened = core.handle({"op": "open", "graph": "harary:4,12"})
     old_fp = opened["payload"]["fingerprint"]
+    original = Result.from_dict(
+        core.handle({"op": "estimate", "session": old_fp, "seed": 1})
+    )
     mutated = core.handle({"op": "edge_new", "session": old_fp, "a": 0, "b": 6})
     new_fp = mutated["payload"]["fingerprint"]
     assert new_fp != old_fp
     assert core.cache.fingerprints() == [new_fp]  # re-keyed, old gone
     assert is_error(core.handle({"op": "node_list", "session": old_fp}))
 
-    # warm (mutated, incremental) == cold (built from the final graph)
+    # warm (mutated) == cold (built from the final graph)
     warm = Result.from_dict(
         core.handle({"op": "estimate", "session": new_fp, "seed": 1})
     )
@@ -140,9 +142,54 @@ def test_core_mutation_rekeys_cache_and_matches_cold_session():
     assert warm.fingerprint == cold.fingerprint
     assert warm.payload == cold.payload
 
-    # removing the edge again returns to the original fingerprint
+    # removing the edge again returns to the original fingerprint, and
+    # the restored graph answers exactly as it did before the edit
     back = core.handle({"op": "edge_rmv", "session": new_fp, "a": 0, "b": 6})
     assert back["payload"]["fingerprint"] == old_fp
+    restored = Result.from_dict(
+        core.handle({"op": "estimate", "session": old_fp, "seed": 1})
+    )
+    assert restored.canonical_json() == original.canonical_json()
+
+
+_JOBS = [{"graph": "hypercube:3"}]
+
+
+@pytest.mark.parametrize(
+    "request_body",
+    [
+        {"op": "estimate", "graph": "harary:4,8", "seed": "x"},
+        {"op": "pack", "graph": "harary:4,8", "seed": None},
+        {"op": "simulate", "graph": "harary:4,8", "max_rounds": "lots"},
+        {"op": "simulate", "graph": "harary:4,8", "show_outputs": "all"},
+        {"op": "batch", "jobs": _JOBS, "workers": "two"},
+        {"op": "batch", "jobs": _JOBS, "base_seed": "x"},
+    ],
+    ids=[
+        "estimate-seed", "pack-seed-null", "simulate-max_rounds",
+        "simulate-show_outputs", "batch-workers", "batch-base_seed",
+    ],
+)
+def test_core_malformed_field_is_bad_request(request_body):
+    core = ServiceCore()
+    core.handle({"op": "open", "graph": "harary:4,12"})
+    cache_before = (core.cache.fingerprints(), dict(core.cache.stats))
+    reply = core.handle(request_body)
+    assert reply["payload"]["error_type"] == "bad-request"
+    assert core.handle({"op": "stats"})["payload"]["errors"] == 1
+    assert (core.cache.fingerprints(), core.cache.stats) == cache_before
+
+
+def test_core_integer_fields_accept_what_int_accepts():
+    core = ServiceCore()
+    as_text = core.handle({"op": "estimate", "graph": "harary:4,8", "seed": "1"})
+    as_int = core.handle({"op": "estimate", "graph": "harary:4,8", "seed": 1})
+    assert as_text["seed"] == 1
+    assert as_text["payload"] == as_int["payload"]
+    every = Result.from_dict(core.handle(
+        {"op": "simulate", "graph": "harary:4,8", "show_outputs": None}
+    ))
+    assert len(every.payload["outputs"]) == 8
 
 
 def test_core_mutation_errors_keep_session():
@@ -463,13 +510,6 @@ def test_cli_shell_scripted_error_exit(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO("bogus\n"))
     code = main(["shell"])
     assert code == 1
-
-
-def test_cli_experiments_lists_service_row(capsys):
-    from repro.cli import main
-
-    assert main(["experiments"]) == 0
-    assert "bench_service" in capsys.readouterr().out
 
 
 # -- batch op --------------------------------------------------------------

@@ -1,13 +1,11 @@
-"""Incremental re-canonicalization == from-scratch, bit for bit.
+"""An edited session == a fresh session on the final graph, bit for bit.
 
-:meth:`IndexedGraph.add_edge` / :meth:`IndexedGraph.remove_edge` splice
-the canonical edge arrays and the neighbor lists in place; the contract
-is that after *any* edit schedule the index is **indistinguishable**
-from ``IndexedGraph.from_networkx`` of the equally-edited ``nx.Graph``
-— same node order, same (u, v) arrays, same neighbor lists. The same
-contract one level up: a mutated :class:`GraphSession` must be
-byte-identical (fingerprints, payload JSON, simulation traces) to a
-fresh session built from the final graph.
+:meth:`GraphSession.add_edge` / :meth:`GraphSession.remove_edge` edit the
+graph and drop everything derived from it (index, ``CdsIndex``,
+fingerprint, result cache); the next read re-canonicalizes. The
+contract: after *any* edit schedule the session is byte-identical
+(fingerprints, payload JSON, simulation traces) to a fresh session
+built from the final graph.
 """
 
 from __future__ import annotations
@@ -19,17 +17,7 @@ import pytest
 
 from repro.api import GraphSession
 from repro.errors import GraphValidationError
-from repro.fastgraph import IndexedGraph
-from repro.graphs.generators import harary_graph, hypercube, torus_grid
-
-
-def assert_same_index(actual: IndexedGraph, expected: IndexedGraph) -> None:
-    assert actual.nodes == expected.nodes
-    assert actual.index_of == expected.index_of
-    assert (actual.n, actual.m) == (expected.n, expected.m)
-    assert actual.u == expected.u
-    assert actual.v == expected.v
-    assert actual.neighbors() == expected.neighbors()
+from repro.graphs.generators import harary_graph
 
 
 def random_schedule(graph: nx.Graph, rng: random.Random, steps: int):
@@ -66,84 +54,6 @@ def random_schedule(graph: nx.Graph, rng: random.Random, steps: int):
                     break
 
 
-BASE_GRAPHS = [
-    ("harary", lambda: harary_graph(4, 14)),
-    ("hypercube", lambda: hypercube(3)),
-    ("torus", lambda: torus_grid(3, 4)),
-]
-
-
-@pytest.mark.parametrize("name,build", BASE_GRAPHS, ids=[g[0] for g in BASE_GRAPHS])
-@pytest.mark.parametrize("schedule_seed", range(6))
-def test_incremental_matches_scratch(name, build, schedule_seed):
-    """Randomized edit schedules: spliced index == rebuilt index."""
-    salt = sum(ord(c) for c in name)  # deterministic, unlike hash()
-    rng = random.Random(1000 * schedule_seed + salt)
-    graph = build()
-    indexed = IndexedGraph.from_networkx(graph)
-    for op, a, b in random_schedule(graph, rng, steps=20):
-        if op == "add":
-            indexed.add_edge(a, b)
-            graph.add_edge(a, b)
-        else:
-            indexed.remove_edge(a, b)
-            graph.remove_edge(a, b)
-        assert_same_index(indexed, IndexedGraph.from_networkx(graph))
-
-
-def test_incremental_cold_neighbors():
-    """Edits before the neighbor lists were ever materialized."""
-    graph = harary_graph(4, 10)
-    indexed = IndexedGraph.from_networkx(graph)
-    indexed.add_edge(0, 5)
-    graph.add_edge(0, 5)
-    indexed.remove_edge(0, 1)
-    graph.remove_edge(0, 1)
-    assert_same_index(indexed, IndexedGraph.from_networkx(graph))
-
-
-def test_add_edge_new_nodes_appended_in_order():
-    graph = nx.path_graph(4)
-    indexed = IndexedGraph.from_networkx(graph)
-    indexed.add_edge(10, 11)  # both endpoints brand new
-    graph.add_edge(10, 11)
-    assert_same_index(indexed, IndexedGraph.from_networkx(graph))
-    assert indexed.nodes[-2:] == [10, 11]
-
-
-def test_mutation_rejects_self_loop_and_duplicates():
-    indexed = IndexedGraph.from_networkx(nx.path_graph(4))
-    with pytest.raises(ValueError):
-        indexed.add_edge(2, 2)
-    with pytest.raises(ValueError):
-        indexed.add_edge(0, 1)  # already present
-    with pytest.raises(KeyError):
-        indexed.remove_edge(0, 2)  # not present
-
-
-def test_has_edge_and_generation():
-    indexed = IndexedGraph.from_networkx(nx.cycle_graph(5))
-    assert indexed.generation == 0
-    assert indexed.has_edge(0, 1) and indexed.has_edge(1, 0)
-    assert not indexed.has_edge(0, 2)
-    indexed.add_edge(0, 2)
-    assert indexed.generation == 1
-    assert indexed.has_edge(0, 2)
-    indexed.remove_edge(0, 2)
-    assert indexed.generation == 2
-    assert not indexed.has_edge(0, 2)
-
-
-def test_non_canonical_index_refuses_mutation():
-    """Hand-built indexes without the canonical order can't be spliced."""
-    indexed = IndexedGraph([0, 1, 2], [(1, 0), (0, 2)])  # u[0] > v[0]
-    with pytest.raises(ValueError):
-        indexed.add_edge(1, 2)
-
-
-# -- session-level differential --------------------------------------------
-
-
 def edit_session_and_graph(session, graph, rng, steps=10):
     """Apply one connectivity-preserving schedule to both; returns the
     number of edits actually applied (the schedule may skip steps)."""
@@ -164,8 +74,7 @@ def test_session_differential_byte_identity(schedule_seed):
     """A mutated session == a fresh session from the final graph.
 
     Fingerprint, connectivity/packing payload JSON, and simulation
-    traces must agree byte for byte — the acceptance criterion of the
-    incremental re-canonicalization layer.
+    traces must agree byte for byte.
     """
     rng = random.Random(42 + schedule_seed)
     graph = harary_graph(4, 12)
@@ -173,7 +82,7 @@ def test_session_differential_byte_identity(schedule_seed):
     session.connectivity(seed=1)  # warm the index + caches pre-edit
     shadow = graph.copy()
     applied = edit_session_and_graph(session, shadow, rng, steps=12)
-    assert applied >= 6  # the schedule really exercised the splice path
+    assert applied >= 6  # the schedule really exercised the edit path
 
     fresh = GraphSession(shadow.copy(), label="edited")
     assert session.fingerprint == fresh.fingerprint
@@ -190,7 +99,9 @@ def test_session_differential_byte_identity(schedule_seed):
         == fresh.simulate(program="flood-min", seed=3).canonical_json()
     )
     assert session.stats["mutations"] == applied
-    assert session.stats["canonicalizations"] == 1  # never rebuilt
+    # Edits cost nothing until a read; the reads after the whole
+    # schedule share one re-canonicalization.
+    assert session.stats["canonicalizations"] == 2
 
 
 def test_session_mutation_invalidates_dependent_layers():
@@ -198,16 +109,21 @@ def test_session_mutation_invalidates_dependent_layers():
     before = session.connectivity(seed=0)
     fp_before = session.fingerprint
     cds_before = session.cds_index
+    builds = session.stats["canonicalizations"]
     session.add_edge(0, 6)
     assert session.generation == 1
     assert session.fingerprint != fp_before
-    assert session.cds_index is not cds_before  # rebuilt lazily
+    assert session.stats["canonicalizations"] == builds + 1
+    assert session.cds_index is not cds_before
     after = session.connectivity(seed=0)
     assert after.payload != before.payload or after.fingerprint != before.fingerprint
     assert session.stats["invalidations"] >= 1
+    # an edit followed by reads costs exactly one more canonicalization
+    assert session.stats["canonicalizations"] == builds + 1
     # undo: everything converges back to the original fingerprint
     session.remove_edge(0, 6)
     assert session.fingerprint == fp_before
+    assert session.stats["canonicalizations"] == builds + 2
 
 
 def test_session_mutation_validation_errors():
@@ -221,11 +137,11 @@ def test_session_mutation_validation_errors():
     assert session.stats["mutations"] == 0
 
 
-def test_session_result_cache_lru_bound():
+def test_session_result_cache_lru_bound(monkeypatch):
     """The per-session result cache is bounded and counts evictions."""
-    session = GraphSession("harary:4,12", cache_limit=3)
+    monkeypatch.setattr("repro.api.session.RESULT_CACHE_LIMIT", 3)
+    session = GraphSession("harary:4,12")
     for seed in range(6):
-        session.simulate  # no-op attr touch; simulate is uncached
         session.connectivity(seed=seed)
     assert len(session._results) <= 3
     assert session.stats["evictions"] > 0
@@ -233,9 +149,3 @@ def test_session_result_cache_lru_bound():
     hits_before = session.stats["cache_hits"]
     session.connectivity(seed=5)
     assert session.stats["cache_hits"] == hits_before + 1
-
-
-def test_session_cache_limit_validation():
-    with pytest.raises(GraphValidationError):
-        GraphSession("harary:4,12", cache_limit=0)
-    GraphSession("harary:4,12", cache_limit=None)  # unbounded is allowed
