@@ -9,24 +9,19 @@
 * :class:`Result` — the typed, JSON-round-trippable envelope every task
   returns (graph fingerprint, seed, parameters, timings, payload).
 * :class:`JobSpec` / :func:`run` — the batch scheduler: a declarative
-  graph × seed × task × transport matrix fanned across a pluggable
-  backend (``serial`` / ``process`` — see :mod:`repro.api.backends`) with deterministic per-job seeds,
-  streaming JSONL rows, and sha256-manifest checkpoint/resume.
+  graph × seed × task × transport matrix fanned across an execution
+  plane (``serial`` / ``process`` — see :mod:`repro.api.backends`) with
+  deterministic per-job seeds, streaming JSONL rows, and
+  sha256-manifest checkpoint/resume.
+* :mod:`repro.api.tasks` — the one request table: each task's JSON
+  fields and their parsers, shared by the daemon, batch jobs and
+  ``repro simulate`` (:data:`SESSION_TASKS` names its tasks).
 * :func:`parse_graph_spec` — the hardened graph-family spec parser
   (previously CLI-only).
-
-The module-level task functions (:func:`connectivity`, :func:`pack_cds`,
-…) are one-shot conveniences: each builds a throwaway session. For more
-than one call on the same graph, hold a :class:`GraphSession`.
 """
 
 from __future__ import annotations
 
-from repro.api.backends import (
-    BatchBackend,
-    available_backends,
-    register_backend,
-)
 from repro.api.batch import (
     JobSpec,
     derive_seed,
@@ -43,7 +38,7 @@ from repro.api.envelope import (
     decode_value,
     encode_value,
 )
-from repro.api.session import SESSION_TASKS, GraphSession, TopologyLike
+from repro.api.session import GraphSession, TopologyLike
 from repro.api.specs import (
     GRAPH_FAMILIES,
     available_families,
@@ -51,42 +46,7 @@ from repro.api.specs import (
     load_adjacency_csv,
     parse_graph_spec,
 )
-
-
-def connectivity(topology: TopologyLike, **kwargs) -> Result:
-    """One-shot :meth:`GraphSession.connectivity`."""
-    return GraphSession(topology).connectivity(**kwargs)
-
-
-def pack_cds(topology: TopologyLike, **kwargs) -> Result:
-    """One-shot :meth:`GraphSession.pack_cds`."""
-    return GraphSession(topology).pack_cds(**kwargs)
-
-
-def pack_spanning(topology: TopologyLike, **kwargs) -> Result:
-    """One-shot :meth:`GraphSession.pack_spanning`."""
-    return GraphSession(topology).pack_spanning(**kwargs)
-
-
-def pack_integral(topology: TopologyLike, **kwargs) -> Result:
-    """One-shot :meth:`GraphSession.pack_integral`."""
-    return GraphSession(topology).pack_integral(**kwargs)
-
-
-def broadcast(topology: TopologyLike, **kwargs) -> Result:
-    """One-shot :meth:`GraphSession.broadcast`."""
-    return GraphSession(topology).broadcast(**kwargs)
-
-
-def gossip(topology: TopologyLike, **kwargs) -> Result:
-    """One-shot :meth:`GraphSession.gossip`."""
-    return GraphSession(topology).gossip(**kwargs)
-
-
-def simulate(topology: TopologyLike, **kwargs) -> Result:
-    """One-shot :meth:`GraphSession.simulate`."""
-    return GraphSession(topology).simulate(**kwargs)
-
+from repro.api.tasks import SESSION_TASKS
 
 __all__ = [
     "GraphSession",
@@ -104,19 +64,9 @@ __all__ = [
     "derive_seed",
     "job_digest",
     "is_error_row",
-    "BatchBackend",
-    "available_backends",
-    "register_backend",
     "parse_graph_spec",
     "load_adjacency_csv",
     "available_families",
     "family_signatures",
     "GRAPH_FAMILIES",
-    "connectivity",
-    "pack_cds",
-    "pack_spanning",
-    "pack_integral",
-    "broadcast",
-    "gossip",
-    "simulate",
 ]

@@ -1,17 +1,18 @@
-"""Pluggable batch backends: the execution plane behind :func:`repro.api.run`.
+"""Batch backends: the execution planes behind :func:`repro.api.run`.
 
 The batch scheduler (:mod:`repro.api.batch`) plans *what* runs — jobs
 grouped by graph so each group shares one
 :class:`~repro.api.GraphSession`, split into **chunks** sized to the
-worker count — and a :class:`BatchBackend` decides *how*: in-process
-(``serial``) or across a
-:class:`~concurrent.futures.ProcessPoolExecutor` (``process``).
+worker count — and one of two execution planes (:data:`BACKENDS`)
+decides *how*: in-process (:class:`SerialBackend`) or across a
+:class:`~concurrent.futures.ProcessPoolExecutor`
+(:class:`ProcessBackend`).
 
-Three contracts every backend honors:
+Three contracts both planes honor:
 
-* **chunk-at-a-time streaming** — :meth:`BatchBackend.execute` *yields*
-  each chunk's rows as that chunk completes (completion order is
-  unspecified); the scheduler reassembles rows by job index, so the
+* **chunk-at-a-time streaming** — ``execute(chunks, workers, stats)``
+  *yields* each chunk's rows as that chunk completes (completion order
+  is unspecified); the scheduler reassembles rows by job index, so the
   final JSONL is byte-identical no matter the backend, worker count, or
   finish order.
 * **rows, never exceptions, for job failures** — per-job errors are
@@ -129,29 +130,17 @@ def _chunk_span(chunk: Chunk) -> str:
     return f"graph {graph!r}, jobs {min(indexes)}..{max(indexes)}"
 
 
-class BatchBackend:
-    """Protocol for a batch execution plane.
+class SerialBackend:
+    """In-process, in-order execution; envelopes keep their ``raw``.
 
-    Subclasses set :attr:`name` and implement :meth:`execute`, yielding
-    each chunk's :data:`ChunkRows` as the chunk completes. ``stats`` is
-    a scratch dict the backend annotates in place (``worker_pids`` at
-    minimum) so callers can observe parallelism without parsing rows.
+    ``execute`` yields each chunk's :data:`ChunkRows` as the chunk
+    completes and adds the pids it ran on to ``stats["worker_pids"]``,
+    as :class:`ProcessBackend` does.
     """
-
-    name: str = "?"
 
     def execute(
         self, chunks: List[Chunk], workers: int, stats: Dict[str, Any]
     ) -> Iterator[ChunkRows]:
-        raise NotImplementedError
-
-
-class SerialBackend(BatchBackend):
-    """In-process, in-order execution; envelopes keep their ``raw``."""
-
-    name = "serial"
-
-    def execute(self, chunks, workers, stats):
         from repro.api.batch import _execute_items
 
         stats["worker_pids"].add(os.getpid())
@@ -162,7 +151,7 @@ class SerialBackend(BatchBackend):
             ]
 
 
-class ProcessBackend(BatchBackend):
+class ProcessBackend:
     """Process-pool execution: chunks fan out across real processes.
 
     Chunks are submitted individually and yielded as they finish, so a
@@ -171,8 +160,6 @@ class ProcessBackend(BatchBackend):
     :class:`~repro.errors.BatchExecutionError` naming the chunk, with
     the pool's exception chained — never a bare pool traceback.
     """
-
-    name = "process"
 
     def execute(self, chunks, workers, stats):
         try:
@@ -203,33 +190,16 @@ class ProcessBackend(BatchBackend):
             ) from exc
 
 
-#: The registry: backend name → instance. Extend via
-#: :func:`register_backend` (e.g. an asyncio plane for the service).
-BACKENDS: Dict[str, BatchBackend] = {}
+#: The execution planes by name.
+BACKENDS = {"serial": SerialBackend(), "process": ProcessBackend()}
 
 
-def register_backend(backend: BatchBackend) -> BatchBackend:
-    """Add a backend to the registry (name collisions overwrite —
-    latest registration wins, mirroring the scenario registry)."""
-    BACKENDS[backend.name] = backend
-    return backend
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(BACKENDS)
-
-
-def get_backend(name: str) -> BatchBackend:
-    """Lookup with the registry listing in the failure message."""
+def get_backend(name: str):
+    """Lookup with the plane names in the failure message."""
     backend = BACKENDS.get(name)
     if backend is None:
         raise GraphValidationError(
             f"unknown batch backend {name!r}; registered backends: "
-            + ", ".join(available_backends())
+            + ", ".join(sorted(BACKENDS))
         )
     return backend
-
-
-register_backend(SerialBackend())
-register_backend(ProcessBackend())

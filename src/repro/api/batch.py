@@ -1,4 +1,4 @@
-"""Batch scheduler: fan declarative job specs across pluggable backends.
+"""Batch scheduler: fan declarative job specs across execution planes.
 
 A :class:`JobSpec` names one unit of work — *graph × task × seed ×
 transport (+ task kwargs)* — and :func:`run` executes a list of them,
@@ -14,8 +14,8 @@ substrate every sweep/serving layer sits on:
   spec file always produces byte-identical JSONL (rows are
   :meth:`~repro.api.envelope.Result.canonical_json`: sorted keys, no
   timings);
-* **pluggable fan-out** — ``backend=`` selects an execution plane from
-  the :mod:`repro.api.backends` registry (``serial`` / ``process``);
+* **fan-out** — ``backend=`` selects one of the execution planes of
+  :mod:`repro.api.backends` (``serial`` / ``process``);
   graph groups are split into worker-sized chunks (a
   single-graph sweep still uses every worker) and rows are reassembled
   in job order, so every backend emits identical bytes;
@@ -42,8 +42,9 @@ from typing import (
 
 from repro.api.backends import default_workers, get_backend, make_chunks
 from repro.api.envelope import Result
-from repro.api.session import SESSION_TASKS, GraphSession
-from repro.errors import GraphValidationError, ReproError
+from repro.api.session import GraphSession
+from repro.api.tasks import SESSION_TASKS, decode, error_type
+from repro.errors import BadRequestError, GraphValidationError
 
 _SEED_SPACE = 2**63
 
@@ -60,8 +61,8 @@ class JobSpec:
     ``seed=None`` means "derive deterministically from the batch's
     ``base_seed`` and this job's position/identity"; an explicit int is
     used verbatim. ``transport`` maps to the task's transport-like
-    argument (``broadcast``: vertex/edge; ``simulate``: the model).
-    ``params`` are extra keyword arguments for the session method.
+    field (``broadcast``: ``transport``; ``simulate``: ``model``).
+    ``params`` are the task's other :mod:`repro.api.tasks` fields.
     """
 
     graph: str
@@ -232,39 +233,31 @@ def load_jobs(source: Union[str, Mapping, Sequence]) -> List[JobSpec]:
     )
 
 
-def _execute_job(session: GraphSession, job: JobSpec, seed: int) -> Result:
-    kwargs = dict(job.params)
+def _job_fields(job: JobSpec, seed: int) -> Dict[str, Any]:
+    """A job's request fields for :func:`repro.api.tasks.decode`."""
+    if "seed" in job.params:
+        raise BadRequestError(
+            "params may not set 'seed'; the job's own seed field owns it"
+        )
+    fields = {**job.params, "seed": seed}
     if job.transport is not None:
-        if job.task == "broadcast":
-            kwargs["transport"] = job.transport
-        elif job.task == "simulate":
-            kwargs["model"] = job.transport
-        else:
+        name = {"broadcast": "transport", "simulate": "model"}.get(job.task)
+        if name is None:
             raise GraphValidationError(
                 f"task {job.task!r} does not take a transport "
                 f"(got {job.transport!r})"
             )
-    method = getattr(session, job.task)
-    return method(seed=seed, **kwargs)
-
-
-def _error_taxonomy(error: Exception) -> str:
-    """Exception → the service protocol's machine-readable category
-    (``"graph"`` / ``"library"`` / ``"internal"``), matching
-    :func:`repro.service.protocol.error_envelope` semantics."""
-    if isinstance(error, GraphValidationError):
-        return "graph"
-    if isinstance(error, ReproError):
-        return "library"
-    return "internal"
+        fields[name] = job.transport
+    return fields
 
 
 def _error_result(job: JobSpec, seed: Optional[int], error: Exception) -> Result:
     """A failed job's row: machine-readable, no string parsing needed.
 
     ``payload["status"] == "error"`` discriminates failure rows from
-    real results; ``error_type`` is the service-protocol taxonomy
-    category and ``error_name`` the Python exception class, with the
+    real results; ``error_type`` is the service's category
+    (:func:`repro.api.tasks.error_type`) and ``error_name`` the Python
+    exception class, with the
     bare message in ``error`` — consumers no longer have to split a
     ``"ErrorName: msg"`` string.
     """
@@ -279,7 +272,7 @@ def _error_result(job: JobSpec, seed: Optional[int], error: Exception) -> Result
         payload={
             "status": "error",
             "error": str(error),
-            "error_type": _error_taxonomy(error),
+            "error_type": error_type(error),
             "error_name": type(error).__name__,
         },
     )
@@ -296,11 +289,11 @@ def _execute_items(
     """Run one chunk's jobs through a shared session.
 
     The one job-execution loop — every backend's chunk runner goes
-    through it. *Any* per-job failure (bad params raising TypeError
-    included, not just ReproError) becomes an error-row envelope: one
-    broken job must not abort the batch. Chunks are same-graph by
-    construction, but the session is rebuilt defensively if a mixed
-    chunk ever appears.
+    through it. A job is decoded before its session is built, and *any*
+    per-job failure (a malformed field is ``bad-request``) becomes an
+    error-row envelope: one broken job must not abort the batch. Chunks
+    are same-graph by construction, but the session is rebuilt
+    defensively if a mixed chunk ever appears.
     """
     rows: List[Tuple[int, Result]] = []
     session: Optional[GraphSession] = None
@@ -308,10 +301,11 @@ def _execute_items(
     for index, job_body, seed in items:
         job = JobSpec.from_dict(job_body)
         try:
+            kwargs = decode(job.task, _job_fields(job, seed))
             if session is None or session_graph != job.graph:
                 session = GraphSession(job.graph)
                 session_graph = job.graph
-            result = _execute_job(session, job, seed)
+            result = getattr(session, job.task)(**kwargs)
         except Exception as error:  # noqa: BLE001 — error row, keep going
             result = _error_result(job, seed, error)
         rows.append((index, result))
@@ -462,8 +456,8 @@ def run(
     matrix's ``base_seed`` field when ``jobs`` is a matrix (or a file
     containing one), else 0; an explicit argument always wins.
 
-    ``backend`` — an execution plane from the
-    :mod:`repro.api.backends` registry (``serial`` / ``process``);
+    ``backend`` — an execution plane of :mod:`repro.api.backends`
+    (``serial`` / ``process``);
     ``workers`` sizes its pool. Rows are reassembled by job index, so
     every backend × worker count emits byte-identical output.
 

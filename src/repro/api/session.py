@@ -40,18 +40,6 @@ from repro.utils.rng import RngLike
 
 TopologyLike = Union[str, nx.Graph, Iterable[Tuple[Hashable, Hashable]]]
 
-#: Tasks a batch :class:`~repro.api.batch.JobSpec` may name — exactly the
-#: session methods returning envelopes.
-SESSION_TASKS = (
-    "connectivity",
-    "pack_cds",
-    "pack_spanning",
-    "pack_integral",
-    "broadcast",
-    "gossip",
-    "simulate",
-)
-
 
 def _coerce_topology(topology: TopologyLike) -> Tuple[nx.Graph, str]:
     """(graph, descriptor) from a spec string, graph, or edge list."""
@@ -637,11 +625,16 @@ class GraphSession:
         the session's canonicalization (``Scenario.indexed``); the run
         RNG stream is unchanged, so results match a standalone
         :class:`~repro.simulator.scenario.Scenario` bit for bit.
-        ``show_outputs`` caps how many node
-        outputs enter the payload (``None``: all). The envelope's
-        ``params`` carry the *full* fault/adversary configuration
-        (including the plan seeds bound during the run), so a ``--json``
-        row alone reproduces a hostile execution.
+        ``show_outputs`` caps how many node outputs enter the payload
+        (``None``: all). A drop schedule naming a non-edge is a
+        :class:`GraphValidationError`, except on the congested clique.
+        The envelope's ``params`` carry the *full* fault/adversary
+        configuration, bound plan seeds included, in the shape
+        :mod:`repro.api.tasks` decodes, so a ``--json`` row alone
+        reproduces a hostile execution through any front door. (A
+        program drawing node randomness, such as ``mis``, replays
+        exactly only from plans given explicit seeds: the runner draws
+        a missing plan seed from the run seed before the node seeds.)
         """
         from repro.simulator.runner import Model
         from repro.simulator.scenario import Scenario
@@ -658,6 +651,12 @@ class GraphSession:
             indexed=self.indexed,
         )
         resolved = scenario.resolve()
+        run_model = scenario.model or resolved.model
+        schedule = getattr(fault_plan, "drop_schedule", None)
+        if schedule and run_model is not Model.CONGESTED_CLIQUE:
+            from repro.apps.resilience import validate_schedule_edges
+
+            validate_schedule_edges(self._graph, schedule)
         run = scenario.run()
         summary = run.summary()
         outputs = list(run.result.outputs.items())
@@ -666,7 +665,7 @@ class GraphSession:
         payload = {
             "program": resolved.name,
             "description": resolved.description,
-            "model": (scenario.model or resolved.model).value,
+            "model": run_model.value,
             "rounds": summary["rounds"],
             "messages": summary["messages"],
             "bits": summary["bits"],

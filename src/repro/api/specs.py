@@ -16,6 +16,7 @@ the error messages are both generated from it, so the two cannot drift.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
@@ -128,15 +129,12 @@ _register(GraphFamily(
 ))
 
 
-def _coerce_node_id(token: str):
-    """CSV node IDs: integer-looking tokens become ints, others strings.
-
-    Matches the CLI's crash-spec coercion so node identity agrees across
-    every front door (a CSV node ``3`` equals ``repro shell``'s
-    ``node nbr 3``).
-    """
+def coerce_node_id(token: str):
+    """Node labels given as text: integer-looking tokens become ints,
+    others stay (stripped) strings. CSV graphs, service node fields and
+    the plans of :mod:`repro.api.tasks` all apply this one rule."""
     token = token.strip()
-    return int(token) if token.lstrip("-").isdigit() and token else token
+    return int(token) if re.fullmatch(r"-?\d+", token) else token
 
 
 def load_adjacency_csv(path: str) -> nx.Graph:
@@ -165,7 +163,7 @@ def load_adjacency_csv(path: str) -> nx.Graph:
             f"adjacency CSV {path!r} needs a header row and at least one "
             "node row (first row/column are node IDs)"
         )
-    header = [_coerce_node_id(cell) for cell in rows[0][1:]]
+    header = [coerce_node_id(cell) for cell in rows[0][1:]]
     if not header or len(set(header)) != len(header):
         raise GraphValidationError(
             f"adjacency CSV {path!r}: header row must list unique node "
@@ -175,7 +173,7 @@ def load_adjacency_csv(path: str) -> nx.Graph:
     graph.add_nodes_from(header)
     conflicting = []
     for row_number, row in enumerate(rows[1:], start=2):
-        row_id = _coerce_node_id(row[0])
+        row_id = coerce_node_id(row[0])
         if row_id not in graph:
             raise GraphValidationError(
                 f"adjacency CSV {path!r} line {row_number}: row node "
@@ -200,7 +198,7 @@ def load_adjacency_csv(path: str) -> nx.Graph:
         (a, b): value for a, b, value in conflicting
     }
     for row_number, row in enumerate(rows[1:], start=2):
-        row_id = _coerce_node_id(row[0])
+        row_id = coerce_node_id(row[0])
         for column, cell in zip(header, row[1:]):
             if column == row_id:
                 continue

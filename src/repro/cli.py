@@ -41,11 +41,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro import __version__
 from repro.api import GraphSession, parse_graph_spec  # noqa: F401  (re-export)
 from repro.api.envelope import Result
+from repro.api.tasks import decode
 from repro.errors import GraphValidationError, ReproError
 
 # ``parse_graph_spec`` stays importable from here for backward
@@ -162,125 +163,76 @@ def _cmd_broadcast(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_crash_spec(specs: List[str]):
-    """``NODE:ROUND`` pairs → crash_rounds dict (int nodes when possible)."""
-    crash_rounds = {}
-    for spec in specs:
-        node_text, sep, round_text = spec.partition(":")
-        if not sep:
-            raise GraphValidationError(
-                f"crash spec {spec!r} must look like NODE:ROUND"
-            )
-        try:
-            round_no = int(round_text)
-        except ValueError as exc:
-            raise GraphValidationError(
-                f"non-integer crash round in {spec!r}"
-            ) from exc
-        node = int(node_text) if node_text.lstrip("-").isdigit() else node_text
-        crash_rounds[node] = round_no
-    return crash_rounds
+def _read_rows(path: str, what: str):
+    """The JSON rows of a ``--drop-schedule`` / ``--corrupt-targets``
+    file."""
+    import json
+
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise GraphValidationError(
+            f"cannot read {what} {path!r}: {exc}"
+        ) from exc
 
 
-def _load_drop_schedule(path: str):
-    """``--drop-schedule`` file → FaultPlan schedule dict.
+def _plan_fields(args: argparse.Namespace) -> dict:
+    """The fault and adversary flags → the ``fault_plan`` and
+    ``adversary_plan`` fields of :mod:`repro.api.tasks`.
 
-    The file is a JSON list of ``[sender, receiver, [round, …]]`` rows
-    (JSON-native node labels, so int nodes stay ints). Directed: a row
-    silences only the ``sender → receiver`` half of an edge.
+    A drop-schedule file holds ``[sender, receiver, [round, …]]`` rows
+    (directed: a row silences only ``sender → receiver``); a targets
+    file holds ``[sender, receiver]`` pairs.
     """
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            rows = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphValidationError(
-            f"cannot read drop schedule {path!r}: {exc}"
-        ) from exc
-    if not isinstance(rows, list):
-        raise GraphValidationError(
-            "drop schedule must be a JSON list of [sender, receiver, "
-            "[rounds…]] rows"
-        )
-    schedule = {}
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 3:
-            raise GraphValidationError(
-                f"bad drop-schedule row {row!r}; expected "
-                "[sender, receiver, [rounds…]]"
-            )
-        sender, receiver, rounds = row
-        if not isinstance(rounds, list):
-            raise GraphValidationError(
-                f"bad rounds list in drop-schedule row {row!r}"
-            )
-        key = (sender, receiver)
-        schedule[key] = frozenset(rounds) | schedule.get(key, frozenset())
-    return schedule
-
-
-def _load_corrupt_targets(path: str):
-    """``--corrupt-targets`` file → frozenset of directed pairs."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            rows = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphValidationError(
-            f"cannot read corruption targets {path!r}: {exc}"
-        ) from exc
-    if not isinstance(rows, list):
-        raise GraphValidationError(
-            "corruption targets must be a JSON list of [sender, receiver] "
-            "pairs"
-        )
-    targets = set()
-    for row in rows:
-        if not isinstance(row, list) or len(row) != 2:
-            raise GraphValidationError(
-                f"bad corruption-target row {row!r}; expected "
-                "[sender, receiver]"
-            )
-        targets.add((row[0], row[1]))
-    return frozenset(targets)
-
-
-def _build_adversary_plan(args: argparse.Namespace):
-    """The CLI's ``--corrupt-*`` flags → AdversaryPlan (or None)."""
-    configured = (
+    fields = {}
+    schedule = (
+        _read_rows(args.drop_schedule, "drop schedule")
+        if args.drop_schedule is not None
+        else []
+    )
+    if args.drop > 0.0 or args.crash or schedule:
+        crash_rounds = {}
+        for spec in args.crash:
+            node, sep, round_no = spec.partition(":")
+            if not sep:
+                raise GraphValidationError(
+                    f"crash spec {spec!r} must look like NODE:ROUND"
+                )
+            crash_rounds[node] = round_no
+        fields["fault_plan"] = {
+            "drop_probability": args.drop,
+            "crash_rounds": crash_rounds,
+            "drop_schedule": schedule,
+        }
+    if (
         args.corrupt_rate > 0.0
         or args.corrupt_kind
         or args.corrupt_budget is not None
         or args.corrupt_round_budget is not None
         or args.corrupt_targets is not None
         or args.corrupt_seed is not None
-    )
-    if not configured:
-        return None
-    if args.corrupt_rate <= 0.0:
-        raise GraphValidationError(
-            "--corrupt-* flags need --corrupt-rate > 0 to take effect"
-        )
-    from repro.simulator.adversary import AdversaryPlan
-
-    return AdversaryPlan(
-        corruption_probability=args.corrupt_rate,
-        kinds=tuple(args.corrupt_kind) or ("flip",),
-        targets=(
-            _load_corrupt_targets(args.corrupt_targets)
-            if args.corrupt_targets is not None
-            else None
-        ),
-        budget=args.corrupt_budget,
-        round_budget=args.corrupt_round_budget,
-        rng=args.corrupt_seed,
-    )
+    ):
+        if args.corrupt_rate <= 0.0:
+            raise GraphValidationError(
+                "--corrupt-* flags need --corrupt-rate > 0 to take effect"
+            )
+        fields["adversary_plan"] = {
+            "corruption_probability": args.corrupt_rate,
+            "kinds": args.corrupt_kind or ["flip"],
+            "targets": (
+                _read_rows(args.corrupt_targets, "corruption targets")
+                if args.corrupt_targets is not None
+                else None
+            ),
+            "budget": args.corrupt_budget,
+            "round_budget": args.corrupt_round_budget,
+            "seed": args.corrupt_seed,
+        }
+    return fields
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.simulator.faults import FaultPlan
     from repro.simulator.scenario import available_programs
 
     if args.list_programs:
@@ -295,37 +247,18 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         raise GraphValidationError(
             "a graph spec is required (or pass --list-programs)"
         )
-    plan = None
-    schedule = (
-        _load_drop_schedule(args.drop_schedule)
-        if args.drop_schedule is not None
-        else {}
-    )
-    if args.drop > 0.0 or args.crash or schedule:
-        plan = FaultPlan(
-            drop_probability=args.drop,
-            crash_rounds=_parse_crash_spec(args.crash),
-            drop_schedule=schedule,
-        )
-    adversary = _build_adversary_plan(args)
-    session = GraphSession(args.graph)
-    if schedule and args.model != "congested-clique":
-        # A typo'd node in a schedule file would silently schedule drops
-        # on a nonexistent edge (the clique is exempt: every ordered
-        # pair is deliverable there).
-        from repro.apps.resilience import validate_schedule_edges
-
-        validate_schedule_edges(session.graph, schedule)
-    envelope = session.simulate(
-        program=args.program,
-        model=args.model,
-        seed=args.seed,
-        fault_plan=plan,
-        adversary_plan=adversary,
-        max_rounds=args.max_rounds,
-        trace=args.trace,
-        show_outputs=args.show_outputs,
-    )
+    kwargs = decode("simulate", {
+        "program": args.program,
+        "model": args.model,
+        "seed": args.seed,
+        "max_rounds": args.max_rounds,
+        "trace": args.trace,
+        "show_outputs": args.show_outputs,
+        **_plan_fields(args),
+    })
+    plan = kwargs.get("fault_plan")
+    adversary = kwargs.get("adversary_plan")
+    envelope = GraphSession(args.graph).simulate(**kwargs)
     if _emit(args, envelope):
         return 0
     payload = envelope.payload

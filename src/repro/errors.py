@@ -73,10 +73,11 @@ class ServiceError(ReproError):
 
 
 class BadRequestError(ServiceError):
-    """A service request field has a value of the wrong type.
+    """A request field is unknown or has a value its parser rejects.
 
-    The daemon answers it with a ``bad-request`` error envelope, before
-    the request opens a session or runs a task.
+    Raised by :func:`repro.api.tasks.decode` on every front door: the
+    daemon answers ``bad-request`` before opening a session, a batch job
+    becomes a ``bad-request`` row, and ``repro simulate`` exits 2.
     """
 
 

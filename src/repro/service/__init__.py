@@ -12,7 +12,6 @@ layers so the next read re-canonicalizes.
 
 from repro.service.core import (
     DEFAULT_SESSIONS,
-    PROGRAM_ALIASES,
     ServiceCore,
     SessionCache,
 )
@@ -36,7 +35,6 @@ from repro.service.shell import (
 
 __all__ = [
     "DEFAULT_SESSIONS",
-    "PROGRAM_ALIASES",
     "ServiceCore",
     "SessionCache",
     "ReproServer",

@@ -23,39 +23,18 @@ import time
 from collections import OrderedDict
 from typing import Any, Dict, Hashable, List, Optional, Tuple
 
+from repro.api import tasks
 from repro.api.envelope import Result
 from repro.api.session import GraphSession
-from repro.errors import (
-    BadRequestError,
-    GraphValidationError,
-    ReproError,
-    ServiceError,
-)
+from repro.api.specs import coerce_node_id
+from repro.errors import GraphValidationError, ServiceError
 from repro.service.protocol import SERVICE_GRAPH, error_envelope
-
-#: Scenario aliases accepted by the ``simulate`` op (shell-friendly
-#: names → registry names).
-PROGRAM_ALIASES = {"flooding": "flood-min"}
 
 #: Default number of warm sessions the daemon keeps.
 DEFAULT_SESSIONS = 8
 
-
-def _int_field(
-    request: Dict[str, Any], name: str, default: Optional[int],
-    nullable: bool = False,
-) -> Optional[int]:
-    """An integer request field: whatever ``int()`` accepts (``None``
-    too when ``nullable``); anything else is a :class:`BadRequestError`."""
-    value = request.get(name, default)
-    if value is None and nullable:
-        return None
-    try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise BadRequestError(
-            f"field {name!r} must be an integer, got {value!r}"
-        ) from exc
+#: Request fields that route a task op rather than feed its task.
+_ROUTING_FIELDS = ("op", "id", "graph", "session", "kind")
 
 
 class SessionCache:
@@ -162,9 +141,9 @@ class ServiceCore:
     OPS = {
         "ping": "_op_ping",
         "open": "_op_open",
-        "estimate": "_op_estimate",
-        "pack": "_op_pack",
-        "simulate": "_op_simulate",
+        "estimate": "_op_task",
+        "pack": "_op_task",
+        "simulate": "_op_task",
         "node_list": "_op_node_list",
         "node_nbr": "_op_node_nbr",
         "node_path": "_op_node_path",
@@ -188,9 +167,10 @@ class ServiceCore:
     def handle(self, request: Dict[str, Any]) -> Dict[str, Any]:
         """One request dict → one envelope dict (never raises).
 
-        Library errors become typed error envelopes
-        (``payload["error_type"]``: ``"bad-request"``, ``"graph"``,
-        ``"service"``, ``"internal"``); the per-request wall time lands
+        Every failure becomes a typed error envelope whose
+        ``payload["error_type"]`` is :func:`repro.api.tasks.error_type`'s
+        category (``"bad-request"``, ``"graph"``, ``"service"``,
+        ``"library"``, ``"internal"``); the per-request wall time lands
         in ``timings["request_s"]``.
         """
         start = time.perf_counter()
@@ -201,18 +181,13 @@ class ServiceCore:
                 self._op_counts[op] = self._op_counts.get(op, 0) + 1
             try:
                 envelope = self._dispatch(request)
-            except BadRequestError as exc:
-                envelope = error_envelope(str(exc), "bad-request", op=op)
-            except GraphValidationError as exc:
-                envelope = error_envelope(str(exc), "graph", op=op)
-            except ServiceError as exc:
-                envelope = error_envelope(str(exc), "service", op=op)
-            except ReproError as exc:
-                envelope = error_envelope(str(exc), "library", op=op)
             except Exception as exc:  # noqa: BLE001 — daemon must survive
-                envelope = error_envelope(
-                    f"{type(exc).__name__}: {exc}", "internal", op=op
+                kind = tasks.error_type(exc)
+                message = (
+                    f"{type(exc).__name__}: {exc}"
+                    if kind == "internal" else str(exc)
                 )
+                envelope = error_envelope(message, kind, op=op)
             if envelope.task == "error":
                 self._errors += 1
         envelope.timings["request_s"] = time.perf_counter() - start
@@ -298,18 +273,18 @@ class ServiceCore:
         )
 
     @staticmethod
-    def _resolve_node(session: GraphSession, node: Hashable) -> Hashable:
-        """A wire node label → the graph's label (int fallback for
-        digit strings, since shell tokens arrive as text)."""
+    def _resolve_node(
+        session: GraphSession, node: Hashable, new: bool = False
+    ) -> Hashable:
+        """A wire node label → the graph's label. Shell tokens arrive as
+        text, so a string falls back to :func:`coerce_node_id`'s int;
+        with ``new`` a label not in the graph names a new node."""
         graph = session.graph
         if node in graph:
             return node
-        if isinstance(node, str):
-            stripped = node.strip()
-            if stripped.lstrip("-").isdigit():
-                candidate = int(stripped)
-                if candidate in graph:
-                    return candidate
+        label = coerce_node_id(node) if isinstance(node, str) else node
+        if new or label in graph:
+            return label
         sample = ", ".join(repr(n) for n in list(graph.nodes())[:8])
         raise GraphValidationError(
             f"node {node!r} is not in the graph; nodes include: {sample}"
@@ -336,38 +311,33 @@ class ServiceCore:
             },
         )
 
-    def _op_estimate(self, request: Dict[str, Any]) -> Result:
-        seed = _int_field(request, "seed", 0)
-        exact = bool(request.get("exact", False))
+    def _op_task(self, request: Dict[str, Any]) -> Result:
+        """``estimate`` → ``connectivity``, ``pack`` → ``pack_<kind>``,
+        ``simulate`` → ``simulate``: every other field is the task's,
+        decoded through :mod:`repro.api.tasks`."""
+        op = request["op"]
+        fields = {
+            name: value for name, value in request.items()
+            if name not in _ROUTING_FIELDS
+        }
+        if op == "estimate":
+            task = "connectivity"
+        elif op == "pack":
+            kind = request.get("kind", "cds")
+            if kind not in ("cds", "spanning"):
+                raise ServiceError(
+                    f"unknown packing kind {kind!r}; valid kinds: "
+                    "cds, spanning"
+                )
+            task = f"pack_{kind}"
+        else:
+            task = "simulate"
+            fields.setdefault("show_outputs", 5)
+            if fields.get("program") == "flooding":  # the shell's name
+                fields["program"] = "flood-min"
+        kwargs = tasks.decode(task, fields)
         session, _, _ = self._resolve_session(request)
-        return session.connectivity(seed=seed, exact=exact)
-
-    def _op_pack(self, request: Dict[str, Any]) -> Result:
-        kind = request.get("kind", "cds")
-        seed = _int_field(request, "seed", 0)
-        if kind not in ("cds", "spanning"):
-            raise ServiceError(
-                f"unknown packing kind {kind!r}; valid kinds: cds, spanning"
-            )
-        session, _, _ = self._resolve_session(request)
-        if kind == "cds":
-            return session.pack_cds(seed=seed)
-        return session.pack_spanning(seed=seed)
-
-    def _op_simulate(self, request: Dict[str, Any]) -> Result:
-        program = request.get("program", "flood-min")
-        program = PROGRAM_ALIASES.get(program, program)
-        seed = _int_field(request, "seed", 0)
-        max_rounds = _int_field(request, "max_rounds", 100000)
-        show_outputs = _int_field(request, "show_outputs", 5, nullable=True)
-        session, _, _ = self._resolve_session(request)
-        return session.simulate(
-            program=program,
-            model=request.get("model"),
-            seed=seed,
-            max_rounds=max_rounds,
-            show_outputs=show_outputs,
-        )
+        return getattr(session, task)(**kwargs)
 
     def _op_node_list(self, request: Dict[str, Any]) -> Result:
         session, _, _ = self._resolve_session(request)
@@ -421,16 +391,12 @@ class ServiceCore:
             if field not in request:
                 raise ServiceError(f"op {op!r} needs {field!r} (endpoint)")
         session, fingerprint, _ = self._resolve_session(request)
-        a, b = request["a"], request["b"]
-        if op == "edge_new":
-            # New labels are allowed (they become new nodes), so only
-            # coerce digit strings that name *existing* int nodes.
-            a = self._coerce_existing(session, a)
-            b = self._coerce_existing(session, b)
+        new = op == "edge_new"  # new labels become new nodes
+        a = self._resolve_node(session, request["a"], new=new)
+        b = self._resolve_node(session, request["b"], new=new)
+        if new:
             session.add_edge(a, b)
         else:
-            a = self._resolve_node(session, a)
-            b = self._resolve_node(session, b)
             session.remove_edge(a, b)
         new_fingerprint = session.fingerprint
         if new_fingerprint != fingerprint:
@@ -439,7 +405,7 @@ class ServiceCore:
             op, session,
             {
                 "edge": [a, b],
-                "action": "added" if op == "edge_new" else "removed",
+                "action": "added" if new else "removed",
                 "fingerprint": new_fingerprint,
                 "n": session.n,
                 "m": session.m,
@@ -447,19 +413,6 @@ class ServiceCore:
             },
             params={"a": a, "b": b},
         )
-
-    @staticmethod
-    def _coerce_existing(session: GraphSession, node: Hashable) -> Hashable:
-        if node in session.graph:
-            return node
-        if isinstance(node, str):
-            stripped = node.strip()
-            if stripped.lstrip("-").isdigit():
-                candidate = int(stripped)
-                if candidate in session.graph:
-                    return candidate
-                return candidate  # brand-new node: keep the int form
-        return node
 
     def _op_batch(self, request: Dict[str, Any]) -> Result:
         """Run an inline job list/matrix through the batch scheduler.
@@ -487,9 +440,11 @@ class ServiceCore:
         stats: Dict[str, Any] = {}
         results = api_batch.run(
             jobs,
-            base_seed=_int_field(request, "base_seed", None, nullable=True),
+            base_seed=tasks.optional_integer(
+                "base_seed", request.get("base_seed")
+            ),
             backend=request.get("backend", "serial"),
-            workers=_int_field(request, "workers", None, nullable=True),
+            workers=tasks.optional_integer("workers", request.get("workers")),
             stats=stats,
         )
         rows = [result.to_dict(include_timings=False) for result in results]

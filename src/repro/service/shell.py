@@ -55,11 +55,6 @@ commands
   quit | exit                  leave the shell"""
 
 
-def coerce_token(token: str) -> Any:
-    """Shell tokens: digit-like → int (node ids agree with generators)."""
-    return int(token) if token.lstrip("-").isdigit() and token else token
-
-
 class LocalBackend:
     """In-process backend: the shell drives a ServiceCore directly."""
 
@@ -223,16 +218,12 @@ class ReproShell:
             self._session_request({"op": "node_list"})
         elif sub in ("nbr", "n") and len(rest) == 1:
             self._session_request(
-                {"op": "node_nbr", "node": coerce_token(rest[0])},
+                {"op": "node_nbr", "node": rest[0]},
                 degree_only=(sub == "n"),
             )
         elif sub == "p" and len(rest) == 2:
             self._session_request(
-                {
-                    "op": "node_path",
-                    "source": coerce_token(rest[0]),
-                    "target": coerce_token(rest[1]),
-                }
+                {"op": "node_path", "source": rest[0], "target": rest[1]}
             )
         else:
             self._fail("usage: node list | nbr <id> | n <id> | p <s> <d>")
@@ -241,11 +232,7 @@ class ReproShell:
         if len(args) == 3 and args[0] in ("new", "rmv"):
             op = "edge_new" if args[0] == "new" else "edge_rmv"
             response = self._session_request(
-                {
-                    "op": op,
-                    "a": coerce_token(args[1]),
-                    "b": coerce_token(args[2]),
-                }
+                {"op": op, "a": args[1], "b": args[2]}
             )
             if response is not None and not is_error(response):
                 # The mutation changed the fingerprint; follow the

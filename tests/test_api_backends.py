@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import backends, batch
 from repro.api.backends import (
-    available_backends,
     default_workers,
     get_backend,
     make_chunks,
@@ -45,7 +44,7 @@ def _jsonl(jobs, **kwargs) -> str:
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ["process", "serial"]
+        assert sorted(backends.BACKENDS) == ["process", "serial"]
 
     def test_unknown_backend_lists_registry(self):
         with pytest.raises(GraphValidationError) as excinfo:
@@ -347,13 +346,13 @@ class TestFailurePaths:
                 batch.JobSpec(graph="hypercube:3"),
             ]
         )
-        graph_error, type_error, success = results
+        graph_error, bad_request, success = results
         assert graph_error.payload["status"] == "error"
         assert graph_error.payload["error_type"] == "graph"
         assert graph_error.payload["error_name"] == "GraphValidationError"
         assert "unknown graph family" in graph_error.payload["error"]
-        assert type_error.payload["error_type"] == "internal"
-        assert type_error.payload["error_name"] == "TypeError"
+        assert bad_request.payload["error_type"] == "bad-request"
+        assert bad_request.payload["error_name"] == "BadRequestError"
         assert batch.is_error_row(graph_error)
         assert not batch.is_error_row(success)
         assert "status" not in success.payload

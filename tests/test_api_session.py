@@ -291,12 +291,6 @@ class TestValidation:
 
 
 class TestModuleLevelShims:
-    def test_one_shot_functions(self):
-        import repro.api as api
-
-        envelope = api.pack_cds(SPEC, seed=3)
-        assert envelope.payload == GraphSession(SPEC).pack_cds(seed=3).payload
-
     def test_top_level_lazy_exports(self):
         import repro
 

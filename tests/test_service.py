@@ -164,10 +164,20 @@ _JOBS = [{"graph": "hypercube:3"}]
         {"op": "simulate", "graph": "harary:4,8", "show_outputs": "all"},
         {"op": "batch", "jobs": _JOBS, "workers": "two"},
         {"op": "batch", "jobs": _JOBS, "base_seed": "x"},
+        {"op": "estimate", "graph": "harary:4,8", "bogus": 1},
+        {"op": "simulate", "graph": "harary:4,8", "model": "quantum"},
+        {"op": "simulate", "graph": "harary:4,8", "fault_plan": "x"},
+        {"op": "simulate", "graph": "harary:4,8",
+         "fault_plan": {"drop_probability": "x"}},
+        {"op": "simulate", "graph": "harary:4,8",
+         "adversary_plan": {"targets": [[0]]}},
     ],
     ids=[
         "estimate-seed", "pack-seed-null", "simulate-max_rounds",
         "simulate-show_outputs", "batch-workers", "batch-base_seed",
+        "estimate-unknown-field", "simulate-model", "simulate-fault_plan",
+        "simulate-fault_plan-drop_probability",
+        "simulate-adversary_plan-targets",
     ],
 )
 def test_core_malformed_field_is_bad_request(request_body):
