@@ -1,7 +1,7 @@
 """Round-loop throughput of the simulator (rounds/sec).
 
-Times the one round loop on workloads built through the scenario layer,
-three ways per row:
+Times the one round loop on workloads run straight on a
+:class:`~repro.simulator.network.Network`, three ways per row:
 
 * ``default`` — the loop as shipped: each round picks the dict plane or
   the numpy column step by the measured rule in

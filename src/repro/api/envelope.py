@@ -14,7 +14,8 @@ library produces (:class:`fractions.Fraction`, ``frozenset``, ``set``,
 ``tuple``, and dicts with non-string keys) so
 ``Result.from_json(r.to_json()) == r`` holds for every envelope.
 
-The underlying rich object (a ``CdsPackingResult``, ``ScenarioRun``, …)
+The underlying rich object (a ``CdsPackingResult``, the
+:class:`~repro.simulator.scenario.ScenarioRun` of a ``simulate``, …)
 rides along in ``Result.raw`` for in-process callers; it is never
 serialized and is excluded from equality.
 """

@@ -318,8 +318,8 @@ class GraphSession:
 
         Shares the packing with :meth:`pack_cds` (same seed/params) —
         the estimate is derived, not recomputed. ``exact=True`` adds the
-        exact Even–Tarjan ``k`` and Stoer–Wagner ``λ`` oracles to the
-        payload (expensive; off by default).
+        exact ``k`` and ``λ`` of :meth:`exact_vertex_connectivity` and
+        :meth:`exact_edge_connectivity` to the payload (off by default).
         """
         def build():
             from repro.core.vertex_connectivity import estimate_from_packing
@@ -355,23 +355,21 @@ class GraphSession:
         )
 
     def exact_vertex_connectivity(self) -> int:
-        """Exact ``k`` via Even–Tarjan (cached; the expensive oracle)."""
-        from repro.baselines.vertex_connectivity_exact import (
-            even_tarjan_vertex_connectivity,
-        )
+        """Exact ``k`` from the production oracle
+        (:func:`repro.graphs.connectivity.vertex_connectivity`; cached)."""
+        from repro.graphs.connectivity import vertex_connectivity
 
         return self._memo(
-            ("_exact_k",),
-            lambda: even_tarjan_vertex_connectivity(self._graph)[0],
+            ("_exact_k",), lambda: vertex_connectivity(self._graph)
         )
 
     def exact_edge_connectivity(self) -> int:
-        """Exact ``λ`` via Stoer–Wagner (cached)."""
-        from repro.baselines.mincut import edge_connectivity_exact
+        """Exact ``λ`` from the production oracle
+        (:func:`repro.graphs.connectivity.edge_connectivity`; cached)."""
+        from repro.graphs.connectivity import edge_connectivity
 
         return self._memo(
-            ("_exact_lam",),
-            lambda: edge_connectivity_exact(self._graph),
+            ("_exact_lam",), lambda: edge_connectivity(self._graph)
         )
 
     def pack_spanning(
@@ -619,12 +617,18 @@ class GraphSession:
         trace: bool = False,
         show_outputs: Optional[int] = None,
     ) -> Result:
-        """Run a registered scenario program on the round simulator.
+        """Run a registered program on the round simulator.
 
-        The scenario's :class:`~repro.simulator.network.Network` reuses
-        the session's canonicalization (``Scenario.indexed``); the run
-        RNG stream is unchanged, so results match a standalone
-        :class:`~repro.simulator.scenario.Scenario` bit for bit.
+        This is where every registered program runs. The
+        :class:`~repro.simulator.network.Network` is built on the
+        session's canonicalization and draws the node ids from the run
+        RNG (``seed``); :class:`~repro.simulator.runner.SyncRunner` then
+        draws any unseeded plan seed (fault plan first, adversary plan
+        second) and the node seeds. A composite driver (``cds_packing``,
+        ``resilience-sweep``) gets the network and the run RNG instead
+        and takes no plans. ``raw`` is the
+        :class:`~repro.simulator.scenario.ScenarioRun`, and
+        ``timings["total_s"]`` covers the run alone, not the builder.
         ``show_outputs`` caps how many node outputs enter the payload
         (``None``: all). A drop schedule naming a non-edge is a
         :class:`GraphValidationError`, except on the congested clique.
@@ -636,28 +640,56 @@ class GraphSession:
         exactly only from plans given explicit seeds: the runner draws
         a missing plan seed from the run seed before the node seeds.)
         """
-        from repro.simulator.runner import Model
-        from repro.simulator.scenario import Scenario
+        from repro.simulator.network import Network
+        from repro.simulator.runner import Model, SyncRunner
+        from repro.simulator.scenario import ScenarioRun, resolve_program
+        from repro.simulator.tracing import Tracer
+        from repro.utils.rng import ensure_rng
 
-        scenario = Scenario(
-            topology=self._graph,
-            program=program,
-            model=Model(model) if isinstance(model, str) else model,
-            seed=seed,
-            fault_plan=fault_plan,
-            adversary_plan=adversary_plan,
-            max_rounds=max_rounds,
-            trace=trace,
-            indexed=self.indexed,
-        )
-        resolved = scenario.resolve()
-        run_model = scenario.model or resolved.model
+        chosen_model = Model(model) if isinstance(model, str) else model
+        resolved = resolve_program(program)
+        run_model = chosen_model or resolved.model
         schedule = getattr(fault_plan, "drop_schedule", None)
         if schedule and run_model is not Model.CONGESTED_CLIQUE:
             from repro.apps.resilience import validate_schedule_edges
 
             validate_schedule_edges(self._graph, schedule)
-        run = scenario.run()
+        if resolved.driver is not None and fault_plan is not None:
+            raise GraphValidationError(
+                f"program {resolved.name!r} is a composite driver and does "
+                "not support fault plans"
+            )
+        if resolved.driver is not None and adversary_plan is not None:
+            raise GraphValidationError(
+                f"program {resolved.name!r} is a composite driver and does "
+                "not support adversary plans (drivers that model corruption "
+                "build their own plans internally)"
+            )
+        rand = ensure_rng(seed)
+        network = Network(self._graph, rng=rand, indexed=self.indexed)
+        tracer = Tracer() if trace else None
+        if resolved.driver is not None:
+            start = time.perf_counter()
+            result = resolved.driver(
+                network, model=run_model, rng=rand, tracer=tracer,
+                max_rounds=max_rounds,
+            )
+        else:
+            factory = resolved.build(network)
+            if tracer is not None:
+                factory = tracer.wrap(factory)
+            runner = SyncRunner(
+                network, model=run_model, rng=rand,
+                fault_plan=fault_plan, adversary_plan=adversary_plan,
+            )
+            start = time.perf_counter()
+            result = runner.run(factory, max_rounds=max_rounds)
+        run = ScenarioRun(
+            network=network,
+            result=result,
+            trace=tracer.trace if tracer is not None else None,
+            wall_seconds=time.perf_counter() - start,
+        )
         summary = run.summary()
         outputs = list(run.result.outputs.items())
         if show_outputs is not None:

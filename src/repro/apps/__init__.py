@@ -11,8 +11,8 @@
   budget (the Section 1 network-coding comparison).
 * :mod:`repro.apps.point_to_point` — the [24] Θ(√n) point-to-point
   oblivious-routing witness on the grid.
-* :mod:`repro.apps.resilience` — flood resilience under i.i.d. loss and
-  adversarial cut blockades, built on the scenario layer.
+* :mod:`repro.apps.resilience` — flood and gossip resilience under
+  i.i.d. loss, adversarial cut blockades and channel corruption.
 """
 
 from repro.apps.broadcast import (

@@ -1,4 +1,4 @@
-"""Fault-resilience sweeps for flooding protocols, built on scenarios.
+"""Fault-resilience sweeps for flooding and gossip protocols.
 
 The paper's model is synchronous and reliable; robust-computation work
 (e.g. Censor-Hillel et al., "Two for One and One for All") asks what
@@ -13,11 +13,12 @@ simplest primitive — extremum flooding — under two kinds of loss:
   exactly reproducible, no randomness involved
   (:func:`cut_drop_schedule`).
 
-Each run is a declarative :class:`~repro.simulator.scenario.Scenario`
-over the loss-tolerant
-:class:`~repro.simulator.faults.RetransmittingFloodProgram`; the report
-records *coverage* — the fraction of nodes that learned the true global
-minimum — next to the round/message cost, so the sweep shows where
+Each sweep point runs the loss-tolerant
+:class:`~repro.simulator.faults.RetransmittingFloodProgram` (built by
+:func:`~repro.simulator.scenario.flood_program`) on a bare
+:class:`~repro.simulator.runner.SyncRunner`; the report records
+*coverage* — the fraction of nodes that learned the true global minimum
+— next to the round/message cost, so the sweep shows where
 retransmission stops compensating for loss.
 
 :func:`flood_corruption_sweep` extends the question from erasures to
@@ -29,22 +30,40 @@ minimum, which no honest execution can produce. The sweep therefore
 reports ``wrong_rate`` next to ``coverage``, and runs each corruption
 rate over the uncoded flood and the coded defenses of
 :mod:`repro.apps.coded` (checksummed drop-on-bad, repetition voting) so
-the coded-vs-uncoded gap is one table.
+the coded-vs-uncoded gap is one table. :func:`corruption_grid` runs a
+small such grid on one network as the registered ``resilience-sweep``
+program.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Sequence, Tuple
+from typing import (
+    Any,
+    Dict,
+    FrozenSet,
+    Hashable,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import networkx as nx
 
 from repro.errors import GraphValidationError
 from repro.simulator.adversary import AdversaryPlan
-from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
+from repro.simulator.faults import FaultPlan
+from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.network import Network
-from repro.simulator.scenario import Scenario, ScenarioRun
-from repro.utils.rng import RngLike
+from repro.simulator.runner import Model, SimulationResult, SyncRunner
+from repro.simulator.scenario import (
+    FLOOD_VARIANTS,
+    flood_program,
+    gossip_program,
+)
+from repro.utils.rng import RngLike, ensure_rng
 
 DirectedEdge = Tuple[Hashable, Hashable]
 
@@ -130,41 +149,42 @@ def cut_drop_schedule(
     return validate_schedule_edges(graph, schedule)
 
 
-def _flood_scenario(
+def _run_point(
     graph: nx.Graph,
-    plan: FaultPlan,
-    horizon: int,
     seed: RngLike,
-) -> Scenario:
-    def build(network: Network):
-        return lambda node: RetransmittingFloodProgram(
-            network.node_id(node), horizon=horizon
-        )
+    program,
+    *args,
+    fault_plan: Optional[FaultPlan] = None,
+    adversary_plan: Optional[AdversaryPlan] = None,
+) -> Tuple[Network, SimulationResult]:
+    """One sweep point: ``program(network, *args)`` on a bare runner.
 
-    return Scenario(
-        topology=graph,
-        program=build,
-        seed=seed,
-        fault_plan=plan,
-        name="resilience-flood",
+    The run RNG draws in the order every front door shares: the node
+    ids (``Network``), any unseeded plan seed (``SyncRunner``), then the
+    node seeds (``run``).
+    """
+    rand = ensure_rng(seed)
+    network = Network(graph, rng=rand)
+    factory = program(network, *args)
+    runner = SyncRunner(
+        network, rng=rand, fault_plan=fault_plan,
+        adversary_plan=adversary_plan,
     )
+    return network, runner.run(factory)
 
 
-def _report(label: str, plan: FaultPlan, run: ScenarioRun) -> ResilienceReport:
-    network = run.network
-    true_min = min(network.node_id(v) for v in network.nodes)
-    holders = sum(
-        1 for v in network.nodes if run.result.output_of(v) == true_min
-    )
-    coverage = holders / network.n
+def _report(
+    label: str, plan: FaultPlan, network: Network, result: SimulationResult
+) -> ResilienceReport:
+    coverage, _ = _flood_coverage(network, result)
     return ResilienceReport(
         label=label,
         drop_probability=plan.drop_probability,
         scheduled_edges=len(plan.drop_schedule),
         coverage=coverage,
         completed=coverage == 1.0,
-        rounds=run.rounds,
-        messages=run.result.metrics.messages,
+        rounds=result.metrics.rounds,
+        messages=result.metrics.messages,
     )
 
 
@@ -186,8 +206,10 @@ def flood_loss_sweep(
     reports = []
     for p in drop_probabilities:
         plan = FaultPlan(drop_probability=p)
-        run = _flood_scenario(graph, plan, horizon, seed).run()
-        reports.append(_report(f"iid p={p:g}", plan, run))
+        network, result = _run_point(
+            graph, seed, flood_program, "uncoded", horizon, fault_plan=plan
+        )
+        reports.append(_report(f"iid p={p:g}", plan, network, result))
     return reports
 
 
@@ -211,23 +233,20 @@ def flood_partition_test(
         horizon = 2 * nx.diameter(graph) + 4 + (max(blocked, default=0))
     schedule = cut_drop_schedule(graph, side, blocked)
     plan = FaultPlan(drop_schedule=schedule)
-    run = _flood_scenario(graph, plan, horizon, seed).run()
+    network, result = _run_point(
+        graph, seed, flood_program, "uncoded", horizon, fault_plan=plan
+    )
     return _report(
         f"cut blockade rounds {min(blocked, default=0)}..{max(blocked, default=0)}",
         plan,
-        run,
+        network,
+        result,
     )
 
 
 # ----------------------------------------------------------------------
 # Corruption sweeps (adversarial channels)
 # ----------------------------------------------------------------------
-
-#: The flood variants a corruption sweep compares. ``uncoded`` is the
-#: retransmitting flood (loss-tolerant, corruption-defenseless);
-#: ``checksum``/``vote`` are the coded defenses of
-#: :mod:`repro.apps.coded`.
-FLOOD_VARIANTS = ("uncoded", "checksum", "vote")
 
 
 @dataclass(frozen=True)
@@ -252,31 +271,6 @@ class CorruptionReport:
     bits: int
 
 
-def _variant_factory(variant: str, horizon: int, votes: int):
-    """Per-node program factory builder for one flood variant."""
-    from repro.apps.coded import ChecksummedFloodProgram, VotedFloodProgram
-
-    def build(network: Network):
-        if variant == "uncoded":
-            return lambda node: RetransmittingFloodProgram(
-                network.node_id(node), horizon=horizon
-            )
-        if variant == "checksum":
-            return lambda node: ChecksummedFloodProgram(
-                network.node_id(node), horizon=horizon
-            )
-        if variant == "vote":
-            return lambda node: VotedFloodProgram(
-                network.node_id(node), horizon=horizon, votes=votes
-            )
-        raise GraphValidationError(
-            f"unknown flood variant {variant!r}; valid: "
-            + ", ".join(FLOOD_VARIANTS)
-        )
-
-    return build
-
-
 def _flood_coverage(network: Network, result) -> Tuple[float, float]:
     """``(coverage, wrong_rate)`` of an extremum flood's outputs: the
     fractions of nodes holding the true minimum id, and a value below it."""
@@ -293,10 +287,14 @@ def _flood_coverage(network: Network, result) -> Tuple[float, float]:
 
 
 def _corruption_report(
-    label: str, variant: str, rate: float, run: ScenarioRun
+    label: str,
+    variant: str,
+    rate: float,
+    network: Network,
+    result: SimulationResult,
 ) -> CorruptionReport:
-    coverage, wrong_rate = _flood_coverage(run.network, run.result)
-    metrics = run.result.metrics
+    coverage, wrong_rate = _flood_coverage(network, result)
+    metrics = result.metrics
     return CorruptionReport(
         label=label,
         variant=variant,
@@ -343,16 +341,13 @@ def flood_corruption_sweep(
     for rate in corruption_rates:
         for variant in variants:
             plan = AdversaryPlan(corruption_probability=rate, kinds=kinds)
-            run = Scenario(
-                topology=graph,
-                program=_variant_factory(variant, horizon, votes),
-                seed=seed,
+            network, result = _run_point(
+                graph, seed, flood_program, variant, horizon, votes,
                 adversary_plan=plan,
-                name=f"corruption-{variant}",
-            ).run()
+            )
             reports.append(
                 _corruption_report(
-                    f"{variant} p={rate:g}", variant, rate, run
+                    f"{variant} p={rate:g}", variant, rate, network, result
                 )
             )
     return reports
@@ -376,35 +371,16 @@ def gossip_corruption_sweep(
     corrupted token poisons every node downstream of the first bad
     delivery.
     """
-    from repro.apps.coded import TokenGossipProgram
-
     if horizon <= 0:
         horizon = graph.number_of_nodes() * (nx.diameter(graph) + 1) + 4
-
-    def builder_for(variant: str):
-        def build(network: Network):
-            return lambda node: TokenGossipProgram(
-                origin=network.node_id(node),
-                value=network.node_id(node),
-                horizon=horizon,
-                variant=variant,
-                votes=votes,
-            )
-
-        return build
-
     reports = []
     for rate in corruption_rates:
         for variant in variants:
             plan = AdversaryPlan(corruption_probability=rate, kinds=kinds)
-            run = Scenario(
-                topology=graph,
-                program=builder_for(variant),
-                seed=seed,
+            network, result = _run_point(
+                graph, seed, gossip_program, variant, horizon, votes,
                 adversary_plan=plan,
-                name=f"gossip-corruption-{variant}",
-            ).run()
-            network = run.network
+            )
             truth = {
                 network.node_id(v): network.node_id(v)
                 for v in network.nodes
@@ -413,13 +389,13 @@ def gossip_corruption_sweep(
             correct = 0
             wrong = 0
             for v in network.nodes:
-                committed = dict(run.result.output_of(v))
+                committed = dict(result.output_of(v))
                 for origin, value in committed.items():
                     if truth.get(origin) == value:
                         correct += 1
                     else:
                         wrong += 1
-            metrics = run.result.metrics
+            metrics = result.metrics
             reports.append(
                 CorruptionReport(
                     label=f"gossip-{variant} p={rate:g}",
@@ -434,3 +410,49 @@ def gossip_corruption_sweep(
                 )
             )
     return reports
+
+
+def corruption_grid(
+    network: Network,
+    model: Model = Model.V_CONGEST,
+    rng: RngLike = None,
+    tracer=None,
+    max_rounds: int = 100000,
+) -> SimulationResult:
+    """The ``resilience-sweep`` driver: a small corruption grid on the
+    given network.
+
+    Runs the uncoded/checksum/vote floods under a clean channel and a
+    flip adversary, one inner :class:`SyncRunner` per point sharing one
+    RNG stream (so the whole grid reproduces from one seed on every
+    engine). Outputs are per-point summary dicts keyed by
+    ``"{variant}@p={rate}"``; metrics are the merged cost of the grid.
+    """
+    rand = ensure_rng(rng)
+    horizon = 4 * network.diameter() + 8
+    factories = {
+        variant: flood_program(network, variant, horizon)
+        for variant in FLOOD_VARIANTS
+    }
+    outputs: Dict[Hashable, Any] = {}
+    merged = SimulationMetrics()
+    halted = True
+    for rate in (0.0, 0.05):
+        for variant, factory in factories.items():
+            plan = AdversaryPlan(corruption_probability=rate)
+            runner = SyncRunner(
+                network, model=model, rng=rand, adversary_plan=plan
+            )
+            wrapped = tracer.wrap(factory) if tracer is not None else factory
+            result = runner.run(wrapped, max_rounds=max_rounds)
+            coverage, wrong_rate = _flood_coverage(network, result)
+            outputs[f"{variant}@p={rate:g}"] = {
+                "coverage": coverage,
+                "wrong_rate": wrong_rate,
+                "rounds": result.metrics.rounds,
+                "messages": result.metrics.messages,
+                "bits": result.metrics.bits,
+            }
+            merged.merge(result.metrics)
+            halted = halted and result.halted
+    return SimulationResult(outputs=outputs, metrics=merged, halted=halted)

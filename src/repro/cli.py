@@ -94,8 +94,8 @@ def _cmd_connectivity(args: argparse.Namespace) -> int:
     payload = envelope.payload
     k, lam = payload["exact_k"], payload["exact_lambda"]
     print(f"graph: {args.graph}  n={envelope.n}  m={envelope.m}")
-    print(f"vertex connectivity k = {k}   (exact, Even–Tarjan)")
-    print(f"edge connectivity   λ = {lam}   (exact, Stoer–Wagner)")
+    print(f"vertex connectivity k = {k}   (exact)")
+    print(f"edge connectivity   λ = {lam}   (exact)")
     contains = payload["lower_bound"] <= k <= payload["upper_bound"]
     print(
         f"Corollary 1.7 estimate: k ∈ [{payload['lower_bound']:.2f}, "
@@ -482,11 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     simulate = commands.add_parser(
         "simulate",
-        help="run a scenario on the round-simulation engine",
+        help="run a registered program on the round simulator",
         description=(
-            "Run a registered node program on a graph family through the "
-            "scenario layer; prints rounds/messages/bits and optionally "
-            "the round-by-round trace."
+            "Run a registered node program on a graph family through "
+            "GraphSession.simulate; prints rounds/messages/bits and "
+            "optionally the round-by-round trace."
         ),
     )
     simulate.add_argument(

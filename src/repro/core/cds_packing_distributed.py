@@ -31,9 +31,9 @@ nodes). Protocol *decisions* consume only traffic from graph neighbors —
 every heard map is filtered through :func:`_from_neighbors`, in
 deterministic ``graph.neighbors()`` order — so under a fixed seed both
 transports produce the **same packing**; only the message/bit accounting
-differs. The scenario layer exposes this as the registered
-``cds_packing`` program (``repro simulate … --program cds_packing``),
-backed by :func:`run_cds_packing_scenario`.
+differs. The program registry exposes this as the ``cds_packing``
+program (``repro simulate … --program cds_packing``), backed by
+:func:`run_cds_packing_scenario`.
 """
 
 from __future__ import annotations
@@ -482,8 +482,8 @@ def distributed_cds_packing(
     ``model`` selects the transport (``V_CONGEST`` or
     ``CONGESTED_CLIQUE``; decisions are graph-local either way, so the
     packing is seed-identical across the two). ``network`` reuses an
-    existing :class:`Network` (the scenario layer passes its own; it
-    must wrap the same graph object when both are given); ``tracer``
+    existing :class:`Network` (``GraphSession.simulate`` passes its own;
+    it must wrap the same graph object when both are given); ``tracer``
     records every subroutine's round schedule into one transcript;
     ``max_rounds`` caps each inner flood subroutine (a runaway flood
     raises :class:`~repro.errors.SimulationError` instead of spinning).
@@ -574,7 +574,7 @@ def run_cds_packing_scenario(
     params: Optional[PackingParameters] = None,
     max_rounds: int = 100000,
 ) -> SimulationResult:
-    """Scenario-layer entry point for the registered ``cds_packing`` program.
+    """The driver of the registered ``cds_packing`` program.
 
     Runs :func:`distributed_cds_packing` on an existing network and
     shapes the outcome as a :class:`SimulationResult`: each node's output

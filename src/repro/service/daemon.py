@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import socketserver
 import threading
-from typing import Optional, TextIO, Tuple
+from typing import Any, Dict, Optional, TextIO, Tuple
 
 from repro.errors import WireProtocolError
 from repro.service.core import ServiceCore
@@ -57,7 +57,7 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
                 return
             if request is None:
                 return  # clean EOF
-            response = server.core.handle(request)
+            response = _file_refusal(request) or server.core.handle(request)
             try:
                 write_frame(self.wfile, response)
             except (BrokenPipeError, ConnectionResetError, OSError):
@@ -65,6 +65,38 @@ class _ServiceHandler(socketserver.StreamRequestHandler):
             if request.get("op") == "shutdown":
                 server.request_shutdown()
                 return
+
+
+def _file_refusal(request: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """The ``service`` error body for a request naming a ``csv:`` graph,
+    in its ``graph`` field or in an inline batch job or matrix; else
+    ``None``.
+
+    A remote client must not make the daemon read its own filesystem
+    (the batch op refuses a jobs path for the same reason). The
+    in-process shell drives :class:`ServiceCore` directly and still
+    opens CSV files.
+    """
+    specs = [request.get("graph")]
+    jobs = request.get("jobs") if request.get("op") == "batch" else None
+    if isinstance(jobs, dict) and isinstance(jobs.get("graphs"), list):
+        specs.extend(jobs["graphs"])
+    elif isinstance(jobs, list):
+        specs.extend(job.get("graph") for job in jobs if isinstance(job, dict))
+    if not any(
+        isinstance(spec, str) and spec.partition(":")[0] == "csv"
+        for spec in specs
+    ):
+        return None
+    body = error_envelope(
+        "the daemon does not read server-side files; csv: graph specs "
+        "open only in the in-process shell",
+        "service",
+        op=request.get("op"),
+    ).to_dict()
+    if "id" in request:
+        body["id"] = request["id"]
+    return body
 
 
 class ReproServer(socketserver.ThreadingTCPServer):

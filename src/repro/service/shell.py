@@ -196,10 +196,12 @@ class ReproShell:
         self._request({"op": "stats"})
 
     def _cmd_seed(self, args) -> None:
-        if len(args) != 1 or not args[0].lstrip("-").isdigit():
+        try:
+            (token,) = args
+            self.seed = int(token)
+        except ValueError:
             self._fail("usage: seed <integer>")
             return
-        self.seed = int(args[0])
         if not self.json_mode:
             print(f"seed = {self.seed}", file=self.out)
 

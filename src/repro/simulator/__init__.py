@@ -37,19 +37,16 @@ from repro.simulator.transport import (
     VCongestTransport,
     build_transport,
 )
-from repro.simulator.faults import FaultPlan, simulate_with_faults
+from repro.simulator.faults import FaultPlan
 from repro.simulator.scenario import (
-    Scenario,
     ScenarioProgram,
     ScenarioRun,
     register_program,
-    run_scenario,
 )
 from repro.simulator.tracing import RoundTrace, Tracer
 
 __all__ = [
     "FaultPlan",
-    "simulate_with_faults",
     "Tracer",
     "RoundTrace",
     "Message",
@@ -67,9 +64,7 @@ __all__ = [
     "ECongestTransport",
     "CliqueTransport",
     "build_transport",
-    "Scenario",
     "ScenarioProgram",
     "ScenarioRun",
     "register_program",
-    "run_scenario",
 ]

@@ -22,8 +22,9 @@ one that was sent. This module provides that regime for every engine:
   ``"forge"`` replaces the payload outright, and ``"replay"`` delivers
   the most recent payload previously carried on the same directed edge
   (a stale-but-well-formed message, the attack checksums cannot see).
-* :func:`simulate_with_adversary` — the corruption counterpart of
-  :func:`~repro.simulator.faults.simulate_with_faults`.
+
+Attach a plan to a run through ``GraphSession.simulate(adversary_plan=…)``
+or ``SyncRunner(…, adversary_plan=…)``.
 
 **Determinism contract.** Whether a delivery is corrupted, and what the
 corrupted payload is, depends only on the plan's bound seed, the
@@ -72,7 +73,6 @@ from typing import (
 from repro.errors import GraphValidationError, SimulationError
 from repro.simulator.message import Message, payload_bits
 from repro.simulator.network import Network
-from repro.simulator.runner import Model, SimulationResult, SyncRunner
 from repro.utils.rng import RngLike, ensure_rng, fresh_seed
 
 # A directed delivery: (sender, receiver).
@@ -459,33 +459,3 @@ def _flip_payload(payload: Any, material: int) -> Any:
                 for i, item in enumerate(payload)
             )
     return _forged_int(material)
-
-
-def simulate_with_adversary(
-    network: Network,
-    program_factory,
-    adversary_plan: AdversaryPlan,
-    fault_plan=None,
-    model: Model = Model.V_CONGEST,
-    max_rounds: int = 100_000,
-    bits_per_message: Optional[int] = None,
-    rng: RngLike = None,
-) -> SimulationResult:
-    """Run a simulation under an :class:`AdversaryPlan` (and optionally
-    a :class:`~repro.simulator.faults.FaultPlan` — drops are decided
-    first; the adversary only sees delivered traffic).
-
-    Plans built without their own ``rng`` derive their seeds from this
-    function's ``rng`` inside :class:`SyncRunner` (fault plan first,
-    adversary second — the draw order every engine shares), so a single
-    seed reproduces the whole hostile run.
-    """
-    runner = SyncRunner(
-        network,
-        model=model,
-        bits_per_message=bits_per_message,
-        rng=ensure_rng(rng),
-        fault_plan=fault_plan,
-        adversary_plan=adversary_plan,
-    )
-    return runner.run(program_factory, max_rounds=max_rounds)

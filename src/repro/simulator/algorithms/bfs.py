@@ -61,10 +61,17 @@ class BfsProgram(NodeProgram):
             return None
         best: Optional[Tuple[int, int, Hashable]] = None
         for sender, message in inbox.items():
-            tag, dist = message.payload
-            if tag != "bfs":
+            payload = message.payload
+            # A hostile channel can deliver anything; only ("bfs", int)
+            # is a wave message.
+            if not (
+                isinstance(payload, tuple)
+                and len(payload) == 2
+                and payload[0] == "bfs"
+                and isinstance(payload[1], int)
+            ):
                 continue
-            key = (dist, message.sender if isinstance(sender, int) else 0, sender)
+            dist = payload[1]
             candidate = (dist, sender)
             if best is None or candidate[0] < best[0] or (
                 candidate[0] == best[0] and str(candidate[1]) < str(best[2])

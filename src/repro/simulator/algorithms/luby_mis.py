@@ -12,7 +12,7 @@ active neighbors joins the MIS; MIS nodes and their neighbors deactivate.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Set, Tuple
+from typing import Any, Dict, Hashable, Optional, Set, Tuple
 
 from repro.simulator.message import Message
 from repro.simulator.network import Network
@@ -22,6 +22,22 @@ from repro.utils.rng import RngLike
 
 _IN_MIS = "in-mis"
 _OUT = "out"
+
+
+def _tag(payload: Any) -> Optional[str]:
+    """``"mis"`` or ``"val"`` for the payloads the program sends, else
+    ``None``: a hostile channel can deliver anything."""
+    if payload == ("mis",):
+        return "mis"
+    if (
+        isinstance(payload, tuple)
+        and len(payload) == 3
+        and payload[0] == "val"
+        and isinstance(payload[1], int)
+        and isinstance(payload[2], int)
+    ):
+        return "val"
+    return None
 
 
 class LubyMisProgram(NodeProgram):
@@ -52,7 +68,7 @@ class LubyMisProgram(NodeProgram):
             # when neighbors won in the previous phase.
             best_neighbor = None
             for message in inbox.values():
-                tag = message.payload[0]
+                tag = _tag(message.payload)
                 if tag == "mis":
                     self._state = _OUT
                     ctx.halt(_OUT)
@@ -72,7 +88,7 @@ class LubyMisProgram(NodeProgram):
             return None
         # Round B: losers re-draw unless a winner silenced them.
         for message in inbox.values():
-            if message.payload[0] == "mis":
+            if _tag(message.payload) == "mis":
                 self._state = _OUT
                 ctx.halt(_OUT)
                 return None

@@ -19,36 +19,26 @@ A crashed node stops executing and transmitting from its crash round
 onward (crash-stop; no recovery). Random drops are decided per delivery
 by a **pure function of (plan seed, directed edge, round)** — sha256 of
 the three, thresholded against ``drop_probability`` — so the decision
-for a given delivery is the same no matter which engine evaluates it or
-in which order deliveries are iterated, so a fault sweep's losses
-depend only on the seed, never on incidental engine iteration order. Scheduled drops name exact
-(sender, receiver, round) deliveries — no RNG involved at all. The
-plan's seed follows the shared ``ensure_rng`` path end to end: give the
-plan a seed directly, or leave it unset and
-:class:`~repro.simulator.runner.SyncRunner` derives one from the run
-seed at construction, so one seed pins the whole faulty execution on
-every path (scenario, :func:`simulate_with_faults`, or a bare runner).
+for a given delivery is the same no matter which loop evaluates it or
+in which order deliveries are iterated, and a fault sweep's losses
+depend only on the seed. Scheduled drops name exact (sender, receiver,
+round) deliveries — no RNG involved at all. The plan's seed follows the
+shared ``ensure_rng`` path end to end: give the plan a seed directly,
+or leave it unset and :class:`~repro.simulator.runner.SyncRunner`
+derives one from the run seed at construction, so one seed pins the
+whole faulty execution, whether it runs through
+:meth:`repro.api.GraphSession.simulate` or a bare runner.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    Optional,
-    Tuple,
-)
+from typing import Any, Dict, FrozenSet, Hashable, Tuple
 
 from repro.errors import GraphValidationError
 from repro.simulator.message import Message
-from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import Model, SimulationResult, SyncRunner
 from repro.utils.rng import RngLike, ensure_rng, fresh_seed
 
 # A directed delivery: (sender, receiver).
@@ -252,33 +242,3 @@ class RetransmittingFloodProgram(NodeProgram):
             ctx.halt(self._best)
             return None
         return self._best
-
-
-def simulate_with_faults(
-    network: Network,
-    program_factory,
-    fault_plan: FaultPlan,
-    model: Model = Model.V_CONGEST,
-    max_rounds: int = 100_000,
-    bits_per_message: Optional[int] = None,
-    rng: RngLike = None,
-) -> SimulationResult:
-    """Run a simulation under a :class:`FaultPlan`.
-
-    Thin wrapper over :class:`~repro.simulator.runner.SyncRunner` with the
-    plan attached; see the runner for semantics of the return value.
-
-    If the plan was built without its own ``rng``, its drop generator is
-    derived from this function's ``rng`` (one :func:`fresh_seed` draw
-    inside :class:`SyncRunner`), so a single seed reproduces the entire
-    faulty run — context randomness *and* message losses.
-    """
-    rand = ensure_rng(rng)
-    runner = SyncRunner(
-        network,
-        model=model,
-        bits_per_message=bits_per_message,
-        rng=rand,
-        fault_plan=fault_plan,
-    )
-    return runner.run(program_factory, max_rounds=max_rounds)

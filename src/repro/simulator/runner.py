@@ -17,8 +17,9 @@ The executor is an *engine* with three separated layers:
   :class:`~repro.simulator.transport.Transport` objects
   (``VCongestTransport`` / ``ECongestTransport`` / ``CliqueTransport``);
   the historical :class:`Model` enum selects a stock transport.
-* **scenario layer** — :mod:`repro.simulator.scenario` builds whole runs
-  declaratively on top of this module.
+* **program registry** — :mod:`repro.simulator.scenario` names the
+  runnable workloads; :meth:`repro.api.GraphSession.simulate` runs them
+  through this module.
 
 There is one round loop (:func:`_run_rounds`), and it picks a delivery
 plane per round. Rounds go through :func:`deliver`, the general path

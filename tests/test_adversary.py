@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import GraphSession
 from repro.apps.coded import (
     ChecksummedFloodProgram,
     TokenGossipProgram,
@@ -29,13 +30,11 @@ from repro.simulator.adversary import (
     _flip_int,
     _flip_payload,
     _forged_int,
-    simulate_with_adversary,
 )
 from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.message import Message, payload_bits
 from repro.simulator.network import Network
 from repro.simulator.runner import Model, SyncRunner
-from repro.simulator.scenario import Scenario
 
 
 
@@ -543,12 +542,10 @@ class TestEngineEquivalence:
         plan = AdversaryPlan(
             corruption_probability=1.0, kinds=("flip",), rng=4
         )
-        corrupted = simulate_with_adversary(
-            network,
+        corrupted = SyncRunner(network, adversary_plan=plan).run(
             lambda v: RetransmittingFloodProgram(
                 network.node_id(v), horizon=1
             ),
-            plan,
             max_rounds=8,
         )
         clean = SyncRunner(network, model=Model.V_CONGEST, rng=1).run(
@@ -566,14 +563,15 @@ class TestEngineEquivalence:
         network = Network(harary_graph(4, 10), rng=3)
 
         def run():
-            return simulate_with_adversary(
+            return SyncRunner(
                 network,
+                rng=8,
+                fault_plan=FaultPlan(drop_probability=0.2),
+                adversary_plan=AdversaryPlan(corruption_probability=0.2),
+            ).run(
                 lambda v: RetransmittingFloodProgram(
                     network.node_id(v), horizon=20
                 ),
-                AdversaryPlan(corruption_probability=0.2),
-                fault_plan=FaultPlan(drop_probability=0.2),
-                rng=8,
                 max_rounds=64,
             )
 
@@ -587,13 +585,8 @@ class TestCodedDefenses:
         graph = harary_graph(4, n)
         network = Network(graph, rng=seed)
         plan = AdversaryPlan(corruption_probability=rate, kinds=kinds)
-        return network, simulate_with_adversary(
-            network,
-            factory(network),
-            plan,
-            rng=seed,
-            max_rounds=256,
-        )
+        runner = SyncRunner(network, rng=seed, adversary_plan=plan)
+        return network, runner.run(factory(network), max_rounds=256)
 
     def test_uncoded_flood_poisoned_by_flips(self):
         network, result = self._flood(
@@ -663,16 +656,13 @@ class TestCodedDefenses:
         n = network.n
         diameter = 3  # >= actual diameter of harary(4,8)
         plan = AdversaryPlan(corruption_probability=0.03)
-        result = simulate_with_adversary(
-            network,
+        result = SyncRunner(network, rng=2, adversary_plan=plan).run(
             lambda v: TokenGossipProgram(
                 origin=network.node_id(v),
                 value=network.node_id(v),
                 horizon=n * (diameter + 1) + 4,
                 variant="checksum",
             ),
-            plan,
-            rng=2,
             max_rounds=n * (diameter + 1) + 8,
         )
         # The program reports committed (origin, value) pairs in its
@@ -752,25 +742,22 @@ class TestScheduleEdgeValidation:
 
 class TestScenarioIntegration:
     def test_scenario_threads_adversary_plan(self):
-        clean = Scenario(
-            topology="harary:4,12", program="retransmit-flood", seed=3
-        ).run()
-        hostile = Scenario(
-            topology="harary:4,12",
+        session = GraphSession("harary:4,12")
+        clean = session.simulate(program="retransmit-flood", seed=3).raw
+        hostile = session.simulate(
             program="retransmit-flood",
             seed=3,
             adversary_plan=AdversaryPlan(corruption_probability=0.2),
-        ).run()
+        ).raw
         assert clean.result.outputs != hostile.result.outputs
 
     def test_scenario_adversary_run_reproducible(self):
         def run():
-            return Scenario(
-                topology="harary:4,12",
+            return GraphSession("harary:4,12").simulate(
                 program="flood-vote",
                 seed=5,
                 adversary_plan=AdversaryPlan(corruption_probability=0.1),
-            ).run()
+            ).raw
 
         first, second = run(), run()
         assert first.result.outputs == second.result.outputs
@@ -780,17 +767,16 @@ class TestScenarioIntegration:
 
     def test_driver_scenarios_reject_external_adversary(self):
         with pytest.raises(GraphValidationError):
-            Scenario(
-                topology="harary:4,12",
+            GraphSession("harary:4,12").simulate(
                 program="resilience-sweep",
                 seed=1,
                 adversary_plan=AdversaryPlan(corruption_probability=0.1),
-            ).run()
+            )
 
     def test_resilience_sweep_driver_outputs(self):
-        run = Scenario(
-            topology="harary:4,12", program="resilience-sweep", seed=3
-        ).run()
+        run = GraphSession("harary:4,12").simulate(
+            program="resilience-sweep", seed=3
+        ).raw
         outputs = run.result.outputs
         assert any(key.startswith("uncoded@") for key in outputs)
         poisoned = outputs["uncoded@p=0.05"]

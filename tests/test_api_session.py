@@ -255,14 +255,22 @@ class TestShimEquivalence:
 
     @pytest.mark.parametrize("program", ["flood-min", "bfs"])
     def test_simulate_matches_standalone_scenario(self, program):
-        from repro.simulator.scenario import Scenario
+        """The session's run equals the registered builder on a bare
+        runner: one run RNG draws the node ids, then the node seeds."""
+        from repro.simulator.network import Network
+        from repro.simulator.runner import SyncRunner
+        from repro.simulator.scenario import resolve_program
+        from repro.utils.rng import ensure_rng
 
         session = GraphSession(SPEC)
         envelope = session.simulate(program=program, seed=3)
-        reference = Scenario(topology=SPEC, program=program, seed=3).run()
-        assert envelope.payload["rounds"] == reference.summary()["rounds"]
-        assert envelope.payload["messages"] == reference.summary()["messages"]
-        assert envelope.raw.result.outputs == reference.result.outputs
+        rand = ensure_rng(3)
+        network = Network(parse_graph_spec(SPEC), rng=rand)
+        factory = resolve_program(program).build(network)
+        reference = SyncRunner(network, rng=rand).run(factory)
+        assert envelope.payload["rounds"] == reference.metrics.rounds
+        assert envelope.payload["messages"] == reference.metrics.messages
+        assert envelope.raw.result.outputs == reference.outputs
 
 
 class TestValidation:

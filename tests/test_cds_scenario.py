@@ -1,8 +1,8 @@
 """The registered ``cds_packing`` scenario program: differential checks.
 
 Satellite of the CDS kernel PR: the Appendix B distributed construction
-is runnable through the PR-2 scenario layer (``repro simulate``) on both
-the V-CONGEST and Congested-Clique transports. This suite pins:
+is runnable through ``GraphSession.simulate`` (``repro simulate``) on
+both the V-CONGEST and Congested-Clique transports. This suite pins:
 
 * **transport differential** — same seed, same packing/outputs on both
   transports (decisions are graph-local by construction); the clique
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.api import GraphSession
 from repro.core.cds_packing_distributed import distributed_cds_packing
 from repro.errors import GraphValidationError
 from repro.graphs.connectivity import is_connected_dominating_set
@@ -25,31 +26,27 @@ from repro.graphs.generators import harary_graph
 from repro.simulator.faults import FaultPlan
 from repro.simulator.network import Network
 from repro.simulator.runner import Model
-from repro.simulator.scenario import Scenario, resolve_program
+from repro.simulator.scenario import ScenarioRun, resolve_program
 from repro.utils.rng import ensure_rng
 
 GRAPH_SPEC = "harary:4,16"
 SEED = 5
 
 
-def _scenario(model=None, trace=False, seed=SEED) -> Scenario:
-    return Scenario(
-        topology=GRAPH_SPEC,
-        program="cds_packing",
-        model=model,
-        seed=seed,
-        trace=trace,
-    )
+def _run(model=None, trace=False, seed=SEED, **plans) -> ScenarioRun:
+    return GraphSession(GRAPH_SPEC).simulate(
+        program="cds_packing", model=model, seed=seed, trace=trace, **plans
+    ).raw
 
 
 @pytest.fixture(scope="module")
 def vcongest_run():
-    return _scenario(trace=True).run()
+    return _run(trace=True)
 
 
 @pytest.fixture(scope="module")
 def clique_run():
-    return _scenario(model=Model.CONGESTED_CLIQUE, trace=True).run()
+    return _run(model=Model.CONGESTED_CLIQUE, trace=True)
 
 
 class TestRegistration:
@@ -60,11 +57,8 @@ class TestRegistration:
         assert program.model is Model.V_CONGEST
 
     def test_fault_plan_rejected(self):
-        scenario = _scenario().with_overrides(
-            fault_plan=FaultPlan(drop_probability=0.1)
-        )
         with pytest.raises(GraphValidationError):
-            scenario.run()
+            _run(fault_plan=FaultPlan(drop_probability=0.1))
 
 
 class TestTransportDifferential:
@@ -97,7 +91,7 @@ class TestAgainstCentralized:
         """Replaying the scenario's seed path through the core driver
         reproduces its outputs exactly, and the classes the nodes report
         are CDSs per the centralized oracle."""
-        run = _scenario().run()
+        run = _run()
         graph = harary_graph(4, 16)
         rand = ensure_rng(SEED)
         network = Network(graph, rng=rand)
@@ -124,7 +118,7 @@ class TestAgainstCentralized:
 
 class TestTraceDeterminism:
     def test_transcript_identical_across_runs(self, vcongest_run):
-        again = _scenario(trace=True).run()
+        again = _run(trace=True)
         assert vcongest_run.trace is not None
         assert vcongest_run.trace.events == again.trace.events
 

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.api import GraphSession
 from repro.baselines.mincut import edge_connectivity_exact
 from repro.baselines.tree_packing_exact import spanning_tree_packing_number
 from repro.baselines.vertex_connectivity_exact import (
@@ -47,13 +48,15 @@ def _random_connected(seed: int, n: int, p: float = 0.45):
 @_slow
 @given(seed=st.integers(0, 10_000), n=st.integers(4, 12))
 def test_three_edge_connectivity_implementations_agree(seed, n):
-    """Stoer–Wagner (ours) == networkx flow-based == the λ oracle."""
+    """Stoer–Wagner (ours) == networkx flow-based == the λ oracle ==
+    the session's exact λ."""
     graph = _random_connected(seed, n)
     if graph is None:
         return
     ours = edge_connectivity_exact(graph)
     assert ours == nx.edge_connectivity(graph)
     assert ours == edge_connectivity(graph)
+    assert ours == GraphSession(graph).exact_edge_connectivity()
 
 
 @_slow
@@ -64,6 +67,7 @@ def test_two_vertex_connectivity_implementations_agree(seed, n):
         return
     ours, _ = even_tarjan_vertex_connectivity(graph)
     assert ours == vertex_connectivity(graph)
+    assert ours == GraphSession(graph).exact_vertex_connectivity()
 
 
 @_slow

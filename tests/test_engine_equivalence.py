@@ -42,11 +42,7 @@ from repro.simulator.algorithms.subgraph_flood import (
     identify_components,
     subgraph_extremum,
 )
-from repro.simulator.faults import (
-    FaultPlan,
-    RetransmittingFloodProgram,
-    simulate_with_faults,
-)
+from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.network import Network
 from repro.simulator.runner import (
     Model,
@@ -200,13 +196,10 @@ class TestFaultEquivalence:
         def run():
             network = _network(graph, seed=2)
             plan = FaultPlan(drop_probability=0.3, rng=11)
-            return simulate_with_faults(
-                network,
+            return SyncRunner(network, rng=5, fault_plan=plan).run(
                 lambda v: RetransmittingFloodProgram(
                     network.node_id(v), horizon=20
                 ),
-                plan,
-                rng=5,
             )
 
         for a, b in _against_reference(round_loop, run):
@@ -218,11 +211,8 @@ class TestFaultEquivalence:
         def run():
             network = _network(graph, seed=2)
             plan = FaultPlan(crash_rounds={3: 2, 6: 4}, rng=1)
-            return simulate_with_faults(
-                network,
+            return SyncRunner(network, rng=5, fault_plan=plan).run(
                 lambda v: RetransmittingFloodProgram(v, horizon=14),
-                plan,
-                rng=5,
             )
 
         for a, b in _against_reference(round_loop, run):
@@ -457,19 +447,22 @@ def _matrix_cases():
     return cases
 
 
-def _run_matrix_case(round_loop, program: str, model: Model, loop: str):
-    """One pinned-seed scenario run, reduced to comparable bytes."""
-    from repro.simulator.scenario import Scenario
+def _run_matrix_case(
+    round_loop, program: str, model: Model, loop: str, **plans
+):
+    """One pinned-seed run through ``GraphSession.simulate``, the front
+    door every surface shares, reduced to comparable bytes."""
+    from repro.api import GraphSession
 
     with round_loop(loop):
-        run = Scenario(
-            topology=MATRIX_GRAPH,
+        run = GraphSession(MATRIX_GRAPH).simulate(
             program=program,
             model=model,
             seed=MATRIX_SEED,
             trace=True,
             max_rounds=2000,
-        ).run()
+            **plans,
+        ).raw
     return _comparable(run)
 
 
@@ -686,6 +679,21 @@ _CORRUPTED_CASES = [
             "targets": frozenset({(0, 1), (1, 0), (0, 2)}),
         },
     ),
+    # Forged payloads that are not the tuples the program sends: the
+    # program must skip them, not crash.
+    (
+        "forge-bfs",
+        "bfs",
+        Model.V_CONGEST,
+        {"corruption_probability": 0.3, "kinds": ("forge",)},
+    ),
+    # A flip of ("mis",) has no int to flip and forges an int instead.
+    (
+        "flip-mis",
+        "mis",
+        Model.V_CONGEST,
+        {"corruption_probability": 0.3, "kinds": ("flip",)},
+    ),
 ]
 
 
@@ -693,19 +701,11 @@ def _run_corrupted_case(
     round_loop, program: str, model: Model, loop: str, plan_kwargs
 ):
     from repro.simulator.adversary import AdversaryPlan
-    from repro.simulator.scenario import Scenario
 
-    with round_loop(loop):
-        run = Scenario(
-            topology=MATRIX_GRAPH,
-            program=program,
-            model=model,
-            seed=MATRIX_SEED,
-            adversary_plan=AdversaryPlan(**plan_kwargs),
-            trace=True,
-            max_rounds=2000,
-        ).run()
-    return _comparable(run)
+    return _run_matrix_case(
+        round_loop, program, model, loop,
+        adversary_plan=AdversaryPlan(**plan_kwargs),
+    )
 
 
 class TestCorruptedDifferentialMatrix:
@@ -790,24 +790,16 @@ def _run_hostile_case(round_loop, loop: str, fault_kwargs, corrupted: bool):
     scenario seed, so every loop binds identical randomness.
     """
     from repro.simulator.adversary import AdversaryPlan
-    from repro.simulator.scenario import Scenario
 
-    with round_loop(loop):
-        run = Scenario(
-            topology=MATRIX_GRAPH,
-            program="retransmit-flood",
-            model=Model.V_CONGEST,
-            seed=MATRIX_SEED,
-            fault_plan=FaultPlan(**fault_kwargs),
-            adversary_plan=(
-                AdversaryPlan(corruption_probability=0.25, kinds=("flip",))
-                if corrupted
-                else None
-            ),
-            trace=True,
-            max_rounds=2000,
-        ).run()
-    return _comparable(run)
+    return _run_matrix_case(
+        round_loop, "retransmit-flood", Model.V_CONGEST, loop,
+        fault_plan=FaultPlan(**fault_kwargs),
+        adversary_plan=(
+            AdversaryPlan(corruption_probability=0.25, kinds=("flip",))
+            if corrupted
+            else None
+        ),
+    )
 
 
 class TestHostileMatrix:

@@ -10,13 +10,9 @@ from hypothesis import strategies as st
 from repro.errors import GraphValidationError
 from repro.graphs.generators import harary_graph
 from repro.simulator.algorithms.flooding import flood_extremum
-from repro.simulator.faults import (
-    FaultPlan,
-    RetransmittingFloodProgram,
-    simulate_with_faults,
-)
+from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.network import Network
-from repro.simulator.runner import Model, simulate
+from repro.simulator.runner import Model, SyncRunner, simulate
 
 
 class TestFaultPlan:
@@ -99,16 +95,18 @@ class TestFaultPlan:
 
         network = Network(nx.path_graph(4), rng=1)
         with pytest.raises(SimulationError):
-            simulate_with_faults(
+            SyncRunner(
                 network,
+                fault_plan=FaultPlan(crash_rounds={99: 1}),
+            ).run(
                 lambda v: RetransmittingFloodProgram(v, horizon=4),
-                FaultPlan(crash_rounds={99: 1}),
             )
         with pytest.raises(SimulationError):
-            simulate_with_faults(
+            SyncRunner(
                 network,
+                fault_plan=FaultPlan(drop_schedule={(0, 77): {1}}),
+            ).run(
                 lambda v: RetransmittingFloodProgram(v, horizon=4),
-                FaultPlan(drop_schedule={(0, 77): {1}}),
             )
 
     def test_reference_engine_rejects_drop_schedule(self, round_loop):
@@ -119,10 +117,11 @@ class TestFaultPlan:
         network = Network(nx.path_graph(4), rng=1)
         with round_loop("reference"):
             with pytest.raises(SimulationError):
-                simulate_with_faults(
+                SyncRunner(
                     network,
+                    fault_plan=FaultPlan(drop_schedule={(0, 1): {1}}),
+                ).run(
                     lambda v: RetransmittingFloodProgram(v, horizon=4),
-                    FaultPlan(drop_schedule={(0, 1): {1}}),
                 )
 
 
@@ -193,13 +192,14 @@ class TestDropOrderIndependence:
 
         def run():
             network = Network(graph, rng=2)
-            return simulate_with_faults(
+            return SyncRunner(
                 network,
+                rng=5,
+                fault_plan=FaultPlan(drop_probability=0.4, rng=9),
+            ).run(
                 lambda v: RetransmittingFloodProgram(
                     network.node_id(v), horizon=16
                 ),
-                FaultPlan(drop_probability=0.4, rng=9),
-                rng=5,
             )
 
         outcomes = {}
@@ -307,10 +307,8 @@ class TestCrashInjection:
         values = {v: 100 + v for v in graph.nodes()}
         values[0] = 1  # the global minimum, held by the node we kill
         plan = FaultPlan(crash_rounds={0: 1})
-        result = simulate_with_faults(
-            network,
+        result = SyncRunner(network, fault_plan=plan).run(
             lambda v: RetransmittingFloodProgram(values[v], horizon=15),
-            plan,
         )
         assert result.output_of(5) == 101  # min among survivors
         assert result.output_of(1) == 101
@@ -323,10 +321,8 @@ class TestCrashInjection:
         values = {v: 50 + v for v in graph.nodes()}
         values[0] = 1
         plan = FaultPlan(crash_rounds={3: 2})
-        result = simulate_with_faults(
-            network,
+        result = SyncRunner(network, fault_plan=plan).run(
             lambda v: RetransmittingFloodProgram(values[v], horizon=20),
-            plan,
         )
         # Node 2 heard the minimum before the crash barrier formed…
         assert result.output_of(2) == 1
@@ -339,10 +335,8 @@ class TestCrashInjection:
         graph = nx.path_graph(3)
         network = Network(graph, rng=1)
         plan = FaultPlan(crash_rounds={1: 0})
-        result = simulate_with_faults(
-            network,
+        result = SyncRunner(network, fault_plan=plan).run(
             lambda v: RetransmittingFloodProgram(v, horizon=8),
-            plan,
         )
         # Node 1's value (the middle node) never reaches the ends; each
         # endpoint only ever sees its own value.
@@ -353,10 +347,8 @@ class TestCrashInjection:
         graph = nx.cycle_graph(8)
         network = Network(graph, rng=1)
         plan = FaultPlan(crash_rounds={0: 1, 1: 1})
-        result = simulate_with_faults(
-            network,
+        result = SyncRunner(network, fault_plan=plan).run(
             lambda v: RetransmittingFloodProgram(v, horizon=10),
-            plan,
         )
         assert result.halted
 
@@ -373,10 +365,8 @@ class TestDropInjection:
         plan = FaultPlan(drop_probability=1.0, rng=3)
         from repro.simulator.algorithms.flooding import ExtremumFloodProgram
 
-        result = simulate_with_faults(
-            network,
+        result = SyncRunner(network, fault_plan=plan).run(
             lambda v: ExtremumFloodProgram(values[v]),
-            plan,
         )
         assert result.output_of(7) == 107  # never learned the minimum
 
@@ -387,10 +377,8 @@ class TestDropInjection:
         network = Network(graph, rng=1)
         values = {v: v for v in graph.nodes()}
         plan = FaultPlan(drop_probability=0.5, rng=5)
-        result = simulate_with_faults(
-            network,
+        result = SyncRunner(network, fault_plan=plan).run(
             lambda v: RetransmittingFloodProgram(values[v], horizon=60),
-            plan,
         )
         for v in graph.nodes():
             assert result.output_of(v) == 0
@@ -402,11 +390,12 @@ class TestDropInjection:
 
         def run():
             network = Network(graph, rng=1)
-            return simulate_with_faults(
+            return SyncRunner(
                 network,
-                lambda v: RetransmittingFloodProgram(v, horizon=10),
-                FaultPlan(drop_probability=0.5),
                 rng=21,
+                fault_plan=FaultPlan(drop_probability=0.5),
+            ).run(
+                lambda v: RetransmittingFloodProgram(v, horizon=10),
             )
 
         first, second = run(), run()
@@ -421,15 +410,14 @@ class TestDropInjection:
         network = Network(graph, rng=1)
         values = {v: 10 + v for v in graph.nodes()}
         values[0] = 1
-        blocked = simulate_with_faults(
+        blocked = SyncRunner(
             network,
+            fault_plan=FaultPlan(drop_schedule={(0, 1): {1}}),
+        ).run(
             lambda v: RetransmittingFloodProgram(values[v], horizon=12),
-            FaultPlan(drop_schedule={(0, 1): {1}}),
         )
-        clear = simulate_with_faults(
-            network,
+        clear = SyncRunner(network, fault_plan=FaultPlan()).run(
             lambda v: RetransmittingFloodProgram(values[v], horizon=12),
-            FaultPlan(),
         )
         assert blocked.output_of(4) == 1  # retransmission repaired it
         assert clear.output_of(4) == 1
@@ -440,10 +428,11 @@ class TestDropInjection:
         graph = harary_graph(4, 12)
         network = Network(graph, rng=1)
         values = {v: v for v in graph.nodes()}
-        faulty = simulate_with_faults(
+        faulty = SyncRunner(
             network,
+            fault_plan=FaultPlan(drop_probability=0.0, rng=9),
+        ).run(
             lambda v: RetransmittingFloodProgram(values[v], horizon=12),
-            FaultPlan(drop_probability=0.0, rng=9),
         )
         reliable = flood_extremum(network, values)
         for v in graph.nodes():

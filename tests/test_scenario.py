@@ -1,10 +1,12 @@
-"""Scenario layer: declarative runs, the program registry, resilience app."""
+"""The program registry run through ``GraphSession.simulate``, and the
+resilience app."""
 
 from __future__ import annotations
 
 import networkx as nx
 import pytest
 
+from repro.api import GraphSession
 from repro.apps.resilience import (
     cut_drop_schedule,
     flood_loss_sweep,
@@ -13,16 +15,12 @@ from repro.apps.resilience import (
 from repro.errors import GraphValidationError
 from repro.graphs.generators import harary_graph
 from repro.simulator.faults import FaultPlan
-from repro.simulator.network import Network
-from repro.simulator.runner import Model
 from repro.simulator.scenario import (
     PROGRAM_REGISTRY,
-    Scenario,
     ScenarioProgram,
     available_programs,
     register_program,
     resolve_program,
-    run_scenario,
 )
 
 
@@ -42,6 +40,15 @@ class TestRegistry:
         with pytest.raises(GraphValidationError):
             resolve_program("definitely-not-registered")
 
+    def test_program_needs_exactly_one_of_build_or_driver(self):
+        with pytest.raises(GraphValidationError):
+            ScenarioProgram(name="empty", description="neither")
+        with pytest.raises(GraphValidationError):
+            ScenarioProgram(
+                name="both", description="both",
+                build=lambda net: None, driver=lambda net, **kw: None,
+            )
+
     def test_register_makes_program_runnable(self):
         from repro.simulator.algorithms.flooding import ExtremumFloodProgram
 
@@ -52,7 +59,9 @@ class TestRegistry:
         )
         register_program(program)
         try:
-            run = Scenario(topology="harary:4,10", program="test-const-flood").run()
+            run = GraphSession("harary:4,10").simulate(
+                program="test-const-flood"
+            ).raw
             assert all(
                 run.result.output_of(v) == 7 for v in run.network.nodes
             )
@@ -62,40 +71,44 @@ class TestRegistry:
 
 class TestScenarioRun:
     def test_topology_spec_string(self):
-        run = Scenario(topology="harary:4,12", program="flood-min", seed=3).run()
+        run = GraphSession("harary:4,12").simulate(
+            program="flood-min", seed=3
+        ).raw
         assert run.network.n == 12
         true_min = min(run.network.node_id(v) for v in run.network.nodes)
         assert all(
             run.result.output_of(v) == true_min for v in run.network.nodes
         )
 
-    def test_topology_graph_and_builder(self):
+    def test_topology_graph_and_edge_list(self):
         graph = nx.cycle_graph(8)
-        by_graph = Scenario(topology=graph, program="flood-min", seed=1).run()
-        by_builder = Scenario(
-            topology=lambda: nx.cycle_graph(8), program="flood-min", seed=1
-        ).run()
-        assert by_graph.result.outputs == by_builder.result.outputs
+        by_graph = GraphSession(graph).simulate(program="flood-min", seed=1)
+        by_edges = GraphSession(list(graph.edges())).simulate(
+            program="flood-min", seed=1
+        )
+        assert by_graph.raw.result.outputs == by_edges.raw.result.outputs
 
     def test_seed_reproducibility(self):
         runs = [
-            Scenario(topology="regular:4,20,2", program="mis", seed=5).run()
+            GraphSession("regular:4,20,2").simulate(program="mis", seed=5).raw
             for _ in range(2)
         ]
         assert runs[0].result.outputs == runs[1].result.outputs
         assert runs[0].rounds == runs[1].rounds
 
     def test_trace_sink(self):
-        run = Scenario(
-            topology="harary:4,10", program="flood-min", seed=2, trace=True
-        ).run()
+        run = GraphSession("harary:4,10").simulate(
+            program="flood-min", seed=2, trace=True
+        ).raw
         assert run.trace is not None
         assert {e.node for e in run.trace.events_in_round(0)} == set(
             run.network.nodes
         )
 
     def test_summary_fields(self):
-        run = Scenario(topology="harary:4,10", program="flood-min", seed=2).run()
+        run = GraphSession("harary:4,10").simulate(
+            program="flood-min", seed=2
+        ).raw
         summary = run.summary()
         assert summary["n"] == 10
         assert summary["rounds"] == run.rounds
@@ -105,44 +118,35 @@ class TestScenarioRun:
         )
 
     def test_model_override_and_clique(self):
-        run = Scenario(
-            topology="harary:4,12", program="clique-min", seed=4
-        ).run()
+        run = GraphSession("harary:4,12").simulate(
+            program="clique-min", seed=4
+        ).raw
         assert run.rounds == 1
         assert run.result.halted
 
     def test_engine_override_matches_default(self, round_loop):
-        scenario = Scenario(
-            topology="harary:4,12", program="flood-min", seed=9
-        )
-        indexed = scenario.run()
+        session = GraphSession("harary:4,12")
+        indexed = session.simulate(program="flood-min", seed=9).raw
         with round_loop("reference"):
-            reference = scenario.run()
+            reference = session.simulate(program="flood-min", seed=9).raw
         assert indexed.result.outputs == reference.result.outputs
         assert indexed.rounds == reference.rounds
 
     def test_fault_plan_rng_derived_from_seed(self):
         def run_once():
-            return Scenario(
-                topology="harary:4,14",
+            return GraphSession("harary:4,14").simulate(
                 program="retransmit-flood",
                 seed=6,
                 fault_plan=FaultPlan(drop_probability=0.4),
-            ).run()
+            ).raw
 
         first, second = run_once(), run_once()
         assert first.result.outputs == second.result.outputs
         assert first.result.metrics.messages == second.result.metrics.messages
 
-    def test_with_overrides_sweep_helper(self):
-        base = Scenario(topology="harary:4,10", program="flood-min", seed=1)
-        bigger = base.with_overrides(topology="harary:4,20")
-        assert bigger.seed == 1
-        assert run_scenario(bigger).network.n == 20
-
     def test_bad_topology_rejected(self):
         with pytest.raises(GraphValidationError):
-            Scenario(topology=123, program="flood-min").run()
+            GraphSession(123).simulate(program="flood-min")
 
 
 class TestResilienceApp:

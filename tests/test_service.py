@@ -412,6 +412,54 @@ def test_daemon_remote_shell_and_shutdown_op():
         RemoteBackend("127.0.0.1", server.port)  # nobody listening
 
 
+def test_daemon_refuses_csv_specs_over_tcp(tmp_path):
+    """A TCP client cannot make the daemon read a server-side file: a
+    csv: spec in a request's graph field or in an inline batch job or
+    matrix is a service error, and nothing is opened."""
+    path = write_csv(tmp_path, TRIANGLE_PLUS)
+    server = ReproServer(("127.0.0.1", 0))
+    thread = threading.Thread(
+        target=server.serve_forever, kwargs={"poll_interval": 0.02}
+    )
+    thread.start()
+    try:
+        backend = RemoteBackend("127.0.0.1", server.port)
+        requests = [
+            {"op": "open", "graph": f"csv:{path}", "id": 1},
+            {"op": "node_list", "graph": "csv:/no/such/file.csv"},
+            {"op": "batch", "jobs": [
+                {"graph": "hypercube:3", "task": "connectivity"},
+                {"graph": f"csv:{path}", "task": "connectivity"},
+            ]},
+            {"op": "batch", "jobs": {"graphs": [f"csv:{path}"]}},
+        ]
+        for request in requests:
+            response = backend.request(request)
+            assert is_error(response), response
+            assert response["payload"]["error_type"] == "service"
+            assert "0,1,2,3" not in json.dumps(response)
+            assert "No such file" not in response["payload"]["error"]
+        assert backend.request({"op": "stats"})["payload"]["cache"][
+            "sessions"
+        ] == 0
+        ok = backend.request({"op": "open", "graph": "hypercube:3", "id": 2})
+        assert ok["task"] == "graph_open" and ok["id"] == 2
+        backend.close()
+    finally:
+        server.shutdown()
+        thread.join(timeout=5)
+        server.server_close()
+
+
+def test_shell_bad_seed_is_a_usage_error():
+    out = io.StringIO()
+    code = run_shell(LocalBackend(), source=["seed --5", "ping"], out=out)
+    output = out.getvalue()
+    assert code == 1
+    assert output.count("usage: seed <integer>") == 1
+    assert "pong" in output
+
+
 def test_remote_backend_connect_failure_message():
     with pytest.raises(ServiceError) as excinfo:
         RemoteBackend("127.0.0.1", 1)  # reserved port, nothing there
