@@ -110,11 +110,12 @@ def batch_sweep(jobs, base_seed: int = None) -> SweepResult:
     """
     from repro.api import batch as api_batch
 
-    # Pass the original source through (not the pre-loaded list) so a
-    # matrix-level base_seed field reaches run(); the separate load only
-    # pairs jobs with their in-order results.
-    job_list = api_batch.load_jobs(jobs)
-    results = api_batch.run(jobs, base_seed=base_seed)
+    # One read of a jobs file: the rows are paired with the jobs parsed
+    # from the same bytes. run() gets the parsed source, not the job
+    # list, so a matrix-level base_seed field still reaches it.
+    source = api_batch.read_source(jobs)
+    job_list = api_batch.load_jobs(source)
+    results = api_batch.run(source, base_seed=base_seed)
     sweep_result = SweepResult()
     for job, envelope in zip(job_list, results):
         point = {"graph": job.graph, "task": job.task}

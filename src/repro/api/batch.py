@@ -215,14 +215,23 @@ def expand_matrix(matrix: Mapping[str, Any]) -> List[JobSpec]:
     return jobs
 
 
-def load_jobs(source: Union[str, Mapping, Sequence]) -> List[JobSpec]:
-    """Jobs from a JSON file path, a matrix mapping, or a list of dicts."""
+def read_source(source: Union[str, Mapping, Sequence]) -> Any:
+    """A job source with a JSON file path read and parsed; a matrix or
+    job list passes through. Callers that need both the jobs and the
+    matrix fields (``base_seed``) read a path once with this and hand
+    the parsed source on, so both come from the same bytes."""
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as handle:
-            return load_jobs(json.load(handle))
+            return json.load(handle)
+    return source
+
+
+def load_jobs(source: Union[str, Mapping, Sequence]) -> List[JobSpec]:
+    """Jobs from a JSON file path, a matrix mapping, or a list of dicts."""
+    source = read_source(source)
     if isinstance(source, Mapping):
         return expand_matrix(source)
-    if isinstance(source, Sequence):
+    if isinstance(source, Sequence) and not isinstance(source, str):
         return [
             job if isinstance(job, JobSpec) else JobSpec.from_dict(job)
             for job in source
@@ -480,10 +489,7 @@ def run(
     """
     # One read of the source: base_seed and the job list come from the
     # same parsed object (the old separate reads were a TOCTOU window).
-    source: Any = jobs
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as handle:
-            source = json.load(handle)
+    source = read_source(jobs)
     if base_seed is None:
         if isinstance(source, Mapping):
             base_seed = int(source.get("base_seed", 0))

@@ -630,8 +630,10 @@ class GraphSession:
         :class:`~repro.simulator.scenario.ScenarioRun`, and
         ``timings["total_s"]`` covers the run alone, not the builder.
         ``show_outputs`` caps how many node outputs enter the payload
-        (``None``: all). A drop schedule naming a non-edge is a
-        :class:`GraphValidationError`, except on the congested clique.
+        (``None``: all). The runner binds each plan to the run's links,
+        so a plan naming a node the graph lacks, or (off the congested
+        clique) a schedule or target naming a non-edge, is a
+        :class:`GraphValidationError`.
         The envelope's ``params`` carry the *full* fault/adversary
         configuration, bound plan seeds included, in the shape
         :mod:`repro.api.tasks` decodes, so a ``--json`` row alone
@@ -649,11 +651,6 @@ class GraphSession:
         chosen_model = Model(model) if isinstance(model, str) else model
         resolved = resolve_program(program)
         run_model = chosen_model or resolved.model
-        schedule = getattr(fault_plan, "drop_schedule", None)
-        if schedule and run_model is not Model.CONGESTED_CLIQUE:
-            from repro.apps.resilience import validate_schedule_edges
-
-            validate_schedule_edges(self._graph, schedule)
         if resolved.driver is not None and fault_plan is not None:
             raise GraphValidationError(
                 f"program {resolved.name!r} is a composite driver and does "

@@ -44,6 +44,7 @@ import hashlib
 from typing import Any, Dict, Hashable, Tuple
 
 from repro.errors import GraphValidationError
+from repro.simulator.faults import RetransmittingFloodProgram
 from repro.simulator.message import Message
 from repro.simulator.node import Context, NodeProgram
 
@@ -72,27 +73,7 @@ def token_checksum(value: Any, bits: int = DEFAULT_CHECKSUM_BITS) -> int:
     return int.from_bytes(digest[:8], "big") % (1 << bits)
 
 
-class _ExtremumBase(NodeProgram):
-    """Shared compare/halt scaffolding of the coded flood variants."""
-
-    def __init__(self, value: Any, horizon: int, minimize: bool) -> None:
-        if horizon < 1:
-            raise GraphValidationError("horizon must be >= 1")
-        self._best = value
-        self._horizon = horizon
-        self._minimize = minimize
-
-    def _better(self, candidate: Any) -> bool:
-        if self._best is None:
-            return candidate is not None
-        if candidate is None:
-            return False
-        if self._minimize:
-            return candidate < self._best
-        return candidate > self._best
-
-
-class ChecksummedFloodProgram(_ExtremumBase):
+class ChecksummedFloodProgram(RetransmittingFloodProgram):
     """Error-*detecting* extremum flood: ``(value, checksum)`` payloads,
     drop-on-bad, retransmit every round until ``horizon``.
 
@@ -113,32 +94,20 @@ class ChecksummedFloodProgram(_ExtremumBase):
         super().__init__(value, horizon, minimize)
         self._bits = checksum_bits
 
-    def _sealed(self) -> Tuple[Any, int]:
+    def _payload(self) -> Tuple[Any, int]:
         return (self._best, token_checksum(self._best, self._bits))
 
-    def on_start(self, ctx: Context):
-        ctx.output = self._best
-        return self._sealed()
-
-    def on_round(self, ctx: Context, inbox: Dict[Hashable, Message]):
-        for message in inbox.values():
-            payload = message.payload
-            if (
-                not isinstance(payload, tuple)
-                or len(payload) != 2
-                or payload[1] != token_checksum(payload[0], self._bits)
-            ):
-                continue  # detected corruption: treat as an erasure
-            if self._better(payload[0]):
-                self._best = payload[0]
-        ctx.output = self._best
-        if ctx.round >= self._horizon:
-            ctx.halt(self._best)
-            return None
-        return self._sealed()
+    def _ingest(self, payload: Any) -> None:
+        if (
+            not isinstance(payload, tuple)
+            or len(payload) != 2
+            or payload[1] != token_checksum(payload[0], self._bits)
+        ):
+            return  # detected corruption: treat as an erasure
+        super()._ingest(payload[0])
 
 
-class VotedFloodProgram(_ExtremumBase):
+class VotedFloodProgram(RetransmittingFloodProgram):
     """Error-*correcting* extremum flood: repetition voting.
 
     Broadcasts the current best every round (bare value, zero payload
@@ -182,19 +151,6 @@ class VotedFloodProgram(_ExtremumBase):
             }
         else:
             self._sightings[candidate] = count
-
-    def on_start(self, ctx: Context):
-        ctx.output = self._best
-        return self._best
-
-    def on_round(self, ctx: Context, inbox: Dict[Hashable, Message]):
-        for message in inbox.values():
-            self._ingest(message.payload)
-        ctx.output = self._best
-        if ctx.round >= self._horizon:
-            ctx.halt(self._best)
-            return None
-        return self._best
 
 
 class TokenGossipProgram(NodeProgram):
@@ -242,11 +198,27 @@ class TokenGossipProgram(NodeProgram):
         self._votes = votes
         self._bits = checksum_bits
         self._horizon = horizon
-        self._tokens: Dict[Hashable, Any] = {origin: value}
+        self._tokens: Dict[Hashable, Any] = {}
         self._sightings: Dict[Tuple[Hashable, Any], int] = {}
+        self._commit(origin, value)
+
+    def _commit(self, origin: Hashable, value: Any) -> None:
+        """Commit a token. The two sorted views of the token set (the
+        emit rotation by origin repr, the output by pair repr) go stale
+        and are rebuilt on their next read, so each is sorted at most
+        once per round, and not at all in a round without a commit."""
+        self._tokens[origin] = value
+        self._origins = self._committed = None
+
+    def _output(self) -> Tuple[Tuple[Hashable, Any], ...]:
+        if self._committed is None:
+            self._committed = tuple(sorted(self._tokens.items(), key=repr))
+        return self._committed
 
     def _emit(self, round_index: int):
-        origins = sorted(self._tokens, key=repr)
+        if self._origins is None:
+            self._origins = sorted(self._tokens, key=repr)
+        origins = self._origins
         origin = origins[round_index % len(origins)]
         token = (origin, self._tokens[origin])
         if self._variant == "checksum":
@@ -285,10 +257,7 @@ class TokenGossipProgram(NodeProgram):
                 k: seen for k, seen in self._sightings.items()
                 if k[0] != origin
             }
-        self._tokens[origin] = value
-
-    def _output(self) -> Tuple[Tuple[Hashable, Any], ...]:
-        return tuple(sorted(self._tokens.items(), key=repr))
+        self._commit(origin, value)
 
     def on_start(self, ctx: Context):
         ctx.output = self._output()

@@ -54,7 +54,7 @@ import networkx as nx
 
 from repro.errors import GraphValidationError
 from repro.simulator.adversary import AdversaryPlan
-from repro.simulator.faults import FaultPlan
+from repro.simulator.faults import DirectedEdge, FaultPlan
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.network import Network
 from repro.simulator.runner import Model, SimulationResult, SyncRunner
@@ -64,8 +64,6 @@ from repro.simulator.scenario import (
     gossip_program,
 )
 from repro.utils.rng import RngLike, ensure_rng
-
-DirectedEdge = Tuple[Hashable, Hashable]
 
 
 @dataclass(frozen=True)
@@ -83,34 +81,6 @@ class ResilienceReport:
     @property
     def failed_nodes(self) -> float:
         return 1.0 - self.coverage
-
-
-def validate_schedule_edges(
-    graph: nx.Graph,
-    schedule: Dict[DirectedEdge, FrozenSet[int]],
-) -> Dict[DirectedEdge, FrozenSet[int]]:
-    """Reject drop schedules naming edges that do not exist in ``graph``.
-
-    The engine accepts arbitrary directed pairs (the congested clique
-    makes every ordered pair a deliverable edge), so a typo'd node id in
-    a hand-written schedule would silently schedule drops on a
-    nonexistent edge and the "cut" run would quietly be loss-free. App-
-    and CLI-level schedules target concrete graphs, where that is always
-    a bug — validate here, loudly. Returns ``schedule`` unchanged.
-    """
-    known = set(graph.nodes())
-    bad = sorted(
-        repr(edge)
-        for edge in schedule
-        if edge[0] not in known
-        or edge[1] not in known
-        or not graph.has_edge(edge[0], edge[1])
-    )
-    if bad:
-        raise GraphValidationError(
-            f"drop schedule names non-edges of the network: {bad}"
-        )
-    return schedule
 
 
 def cut_drop_schedule(
@@ -146,7 +116,7 @@ def cut_drop_schedule(
             f"a silent no-op (side covers {len(side_set)} of "
             f"{graph.number_of_nodes()} nodes)"
         )
-    return validate_schedule_edges(graph, schedule)
+    return schedule
 
 
 def _run_point(

@@ -7,8 +7,10 @@ Computation in Congested Clique") studies the harsher regime where an
 adversary may *alter* traffic: the receiver gets a message, but not the
 one that was sent. This module provides that regime for every engine:
 
-* :class:`AdversaryPlan` — a declarative corruption adversary mirroring
-  :class:`~repro.simulator.faults.FaultPlan`: per-delivery corruption
+* :class:`AdversaryPlan` — a declarative corruption adversary on the
+  seeded edge coin it shares with
+  :class:`~repro.simulator.faults.FaultPlan`
+  (:class:`~repro.simulator.faults.EdgeCoins`): per-delivery corruption
   decisions that are **pure functions of (plan seed, directed edge,
   round)**, with budget knobs (global corruption budget, per-round edge
   budget, targeted edge sets) enforced deterministically, so the round
@@ -43,10 +45,12 @@ per-round and remaining-global budgets). A slot spends budget whether
 or not a message actually crosses its edge that round. This is what
 keeps the decision a pure function — enforcing budgets over *actual*
 traffic would make one delivery's corruption depend on how many other
-deliveries an engine happened to evaluate first that round. Budgeted (or targeted) plans are bound to the
-network by :class:`~repro.simulator.runner.SyncRunner` so the slot
-universe (the directed edge list — all ordered pairs under the
-congested clique) is fixed before the first round.
+deliveries an engine happened to evaluate first that round.
+:class:`~repro.simulator.runner.SyncRunner` binds every plan to the
+links of its transport (:meth:`AdversaryPlan.bind`), which checks the
+targets and fixes the slot universe (the directed links — the directed
+edge list, or all ordered pairs under the congested clique) before the
+first round.
 
 Accounting: metrics count the bits of the *honest transmission* — the
 adversary tampers on the wire, after the sender paid for (and the
@@ -57,38 +61,22 @@ carry their own size, which the receiver's inbox reports faithfully.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass, field
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Tuple,
-)
+from dataclasses import dataclass
+from typing import Any, Dict, FrozenSet, Hashable, List, Optional, Tuple
 
 from repro.errors import GraphValidationError, SimulationError
+from repro.simulator.faults import DirectedEdge, EdgeCoins
 from repro.simulator.message import Message, payload_bits
 from repro.simulator.network import Network
-from repro.utils.rng import RngLike, ensure_rng, fresh_seed
-
-# A directed delivery: (sender, receiver).
-DirectedEdge = Tuple[Hashable, Hashable]
+from repro.simulator.transport import Transport, VCongestTransport
+from repro.utils.rng import RngLike
 
 #: The corruption kinds a plan may draw from.
 CORRUPTION_KINDS = ("flip", "forge", "replay")
 
-#: Per-edge digest-prefix cache bound (mirrors FaultPlan's): cleared
-#: wholesale when full, so million-delivery sweeps over huge edge
-#: universes cannot grow the plan without limit.
-_EDGE_PREFIX_CACHE_MAX = 1 << 16
-
 
 @dataclass
-class AdversaryPlan:
+class AdversaryPlan(EdgeCoins):
     """A reproducible corruption adversary over directed deliveries.
 
     ``corruption_probability`` is the per-(edge, round) corruption coin
@@ -110,11 +98,13 @@ class AdversaryPlan:
 
     ``forge_payload`` is the payload the ``"forge"`` kind delivers;
     ``None`` derives a pseudo-random small int from the slot digest.
-    ``rng`` follows the shared seed path of
-    :class:`~repro.simulator.faults.FaultPlan`: an explicit int is used
+    ``rng`` follows the seed path of
+    :class:`~repro.simulator.faults.EdgeCoins`: an explicit int is used
     verbatim, ``None`` is derived from the run seed by
     :class:`~repro.simulator.runner.SyncRunner`.
     """
+
+    _TAG = "adv|"
 
     corruption_probability: float = 0.0
     kinds: Tuple[str, ...] = ("flip",)
@@ -165,31 +155,13 @@ class AdversaryPlan:
     # -- seeding -------------------------------------------------------
 
     def _bind_seed(self, rng: RngLike) -> None:
-        """Fix the integer seed every corruption digest derives from
-        (same contract as :meth:`FaultPlan._bind_seed`)."""
-        if isinstance(rng, bool):
-            raise GraphValidationError("rng must be None, int, or Random")
-        if isinstance(rng, int):
-            self._seed = rng
-        else:
-            self._seed = fresh_seed(ensure_rng(rng))
-        # Volatile caches, all derived purely from the bound seed.
-        self._edge_prefixes: Dict[DirectedEdge, bytes] = {}
+        """Bind the seed (:meth:`EdgeCoins._bind_seed`) and reset the
+        caches derived from it."""
+        super()._bind_seed(rng)
         self._slots: Dict[int, FrozenSet[DirectedEdge]] = {}
         self._slots_through = 0
         self._spent = 0
         self._history: Dict[DirectedEdge, Any] = {}
-
-    def reseed(self, rng: RngLike) -> "AdversaryPlan":
-        """Rebind the plan's corruption randomness (returns self).
-
-        The hook :class:`~repro.simulator.runner.SyncRunner` uses to
-        derive the plan's seed from the run seed when the plan was built
-        without one; ``rng`` stays ``None`` so every runner construction
-        re-derives and plan objects can be reused across runs.
-        """
-        self._bind_seed(rng)
-        return self
 
     def begin_run(self) -> "AdversaryPlan":
         """Reset per-run state (the replay history) before a run.
@@ -203,16 +175,22 @@ class AdversaryPlan:
 
     # -- binding to a network ------------------------------------------
 
-    def bind(self, network: Network, complete: bool = False) -> "AdversaryPlan":
-        """Validate targets against ``network`` and fix the slot universe.
+    def bind(
+        self, network: Network, transport: Optional[Transport] = None
+    ) -> "AdversaryPlan":
+        """Validate targets against a run and fix the slot universe.
 
-        ``complete=True`` (the congested clique) makes every ordered
-        node pair a potential delivery; otherwise only the network's
-        directed edges are. Called by the runner at construction; safe
-        to call repeatedly (re-binding to a different network resets the
-        budget bookkeeping, which is relative to the universe).
+        The run's links are those of ``transport`` (default: the edges
+        of ``network``; every ordered pair under the congested clique).
+        A target naming an unknown node or a pair that is not a link
+        would be a silent no-op, so it raises
+        :class:`~repro.errors.GraphValidationError`. Called by the
+        runner at construction with its own transport; safe to call
+        repeatedly (re-binding to a different network resets the budget
+        bookkeeping, which is relative to the universe).
         """
         known = network.index_map
+        transport = transport or VCongestTransport(network)
         if self.targets is not None:
             unknown = sorted(
                 repr(v)
@@ -221,35 +199,27 @@ class AdversaryPlan:
                 if v not in known
             )
             if unknown:
-                raise SimulationError(
+                raise GraphValidationError(
                     f"adversary plan targets nodes not in the network: "
                     f"{unknown}"
                 )
-            if not complete:
-                non_edges = [
-                    edge
-                    for edge in self.targets
-                    if edge[1] not in network.neighbors(edge[0])
-                ]
-                if non_edges:
-                    raise SimulationError(
-                        "adversary plan targets non-edges (corruption "
-                        "there would be a silent no-op): "
-                        f"{sorted(map(repr, non_edges))}"
-                    )
+            bad = self._unlinked(network, transport, self.targets)
+            if bad:
+                raise GraphValidationError(
+                    "adversary plan targets non-edges (corruption "
+                    f"there would be a silent no-op): {bad}"
+                )
         if self.budget is None and self.round_budget is None:
             return self
         index_of = network.index_of
         if self.targets is not None:
             pairs = list(self.targets)
-        elif complete:
-            nodes = network.nodes
-            pairs = [(u, v) for u in nodes for v in nodes if u is not v]
         else:
+            nodes = network.nodes
             pairs = [
-                (u, v)
-                for u in network.nodes
-                for v in network.neighbors(u)
+                (u, nodes[receiver])
+                for sender, u in enumerate(nodes)
+                for receiver in transport.links(sender)
             ]
         # Canonical order: by endpoint indices — the deterministic
         # tie-break of the slot ranking, stable across processes.
@@ -261,35 +231,6 @@ class AdversaryPlan:
         return self
 
     # -- the pure decision functions -----------------------------------
-
-    def _digest(
-        self, sender: Hashable, receiver: Hashable, round_no: int
-    ) -> bytes:
-        """sha256 over (seed, directed edge, round) — the one source of
-        corruption randomness. The per-edge prefix bytes are cached (and
-        the cache cleared wholesale at its bound), never the hasher."""
-        edge = (sender, receiver)
-        prefix = self._edge_prefixes.get(edge)
-        if prefix is None:
-            prefix = f"{self._seed}|adv|{sender!r}->{receiver!r}|".encode(
-                "utf-8"
-            )
-            if len(self._edge_prefixes) >= _EDGE_PREFIX_CACHE_MAX:
-                self._edge_prefixes.clear()
-            self._edge_prefixes[edge] = prefix
-        return hashlib.sha256(
-            prefix + str(round_no).encode("ascii")
-        ).digest()
-
-    def _coin(
-        self, sender: Hashable, receiver: Hashable, round_no: int
-    ) -> float:
-        return (
-            int.from_bytes(
-                self._digest(sender, receiver, round_no)[:8], "big"
-            )
-            / 2.0**64
-        )
 
     def _slots_for(self, round_no: int) -> FrozenSet[DirectedEdge]:
         """The pre-committed corrupted edge set of ``round_no``

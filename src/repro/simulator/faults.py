@@ -8,9 +8,12 @@ than return wrong answers silently) when the network misbehaves, and
 that retransmitting primitives tolerate loss. This module provides the
 machinery:
 
+* :class:`EdgeCoins` — the seeded per-delivery coin, shared with the
+  corruption adversary of :mod:`repro.simulator.adversary`.
 * :class:`FaultPlan` — a declarative schedule of crash rounds, an i.i.d.
   message drop probability, and a deterministic per-edge drop schedule,
-  consumed by :class:`~repro.simulator.runner.SyncRunner`.
+  consumed by :class:`~repro.simulator.runner.SyncRunner`, which binds
+  it to the run's links (:meth:`FaultPlan.bind`).
 * :class:`RetransmittingFloodProgram` — a loss-tolerant extremum flood
   (rebroadcasts every round for a fixed horizon), the positive control
   showing the fault plumbing composes with real protocols.
@@ -34,11 +37,15 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Hashable, Tuple
+from typing import (
+    Any, Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple,
+)
 
 from repro.errors import GraphValidationError
 from repro.simulator.message import Message
+from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
+from repro.simulator.transport import Transport, VCongestTransport
 from repro.utils.rng import RngLike, ensure_rng, fresh_seed
 
 # A directed delivery: (sender, receiver).
@@ -53,17 +60,116 @@ DirectedEdge = Tuple[Hashable, Hashable]
 _EDGE_PREFIX_CACHE_MAX = 1 << 16
 
 
+class EdgeCoins:
+    """The seeded per-delivery coin both hostile channels decide by.
+
+    Every decision of :class:`FaultPlan` and
+    :class:`~repro.simulator.adversary.AdversaryPlan` derives from
+    ``sha256(f"{seed}|{tag}{sender!r}->{receiver!r}|{round}")``: a pure
+    function of the bound seed, the directed edge and the round (``repr``
+    of the endpoints is stable across processes and hash seeds). No
+    shared stream is consumed, so the round loop, the reference loop and
+    the sweeps may evaluate deliveries in any order and agree on every
+    decision. ``_TAG`` keeps the two plans' coins apart.
+
+    Subclasses carry an ``rng`` field: an int is used verbatim, a
+    generator contributes one :func:`fresh_seed` draw, and ``None``
+    binds an OS-entropy seed that
+    :class:`~repro.simulator.runner.SyncRunner` replaces with a draw
+    from the run seed (via :meth:`reseed`) before any delivery is
+    decided.
+    """
+
+    _TAG = ""
+
+    def _bind_seed(self, rng: RngLike) -> None:
+        """Fix the integer seed every digest derives from."""
+        if isinstance(rng, bool):
+            raise GraphValidationError("rng must be None, int, or Random")
+        self._seed = (
+            rng if isinstance(rng, int) else fresh_seed(ensure_rng(rng))
+        )
+        # Per-edge digest-prefix *bytes* (not hasher objects — a retained
+        # hashlib handle per edge is both heavier and unpicklable),
+        # derived lazily from the bound seed and bounded by
+        # :data:`_EDGE_PREFIX_CACHE_MAX`.
+        self._edge_prefixes: Dict[DirectedEdge, bytes] = {}
+
+    def reseed(self, rng: RngLike) -> "EdgeCoins":
+        """Rebind the plan's randomness (returns self).
+
+        The runner calls this with a draw from the run seed when the
+        plan was built without one. ``rng`` stays ``None``, so every
+        runner construction re-derives: reusing one plan object across
+        two identically-seeded runners yields identical runs.
+        """
+        self._bind_seed(rng)
+        return self
+
+    def _prefix(self, sender: Hashable, receiver: Hashable) -> bytes:
+        """The edge's digest prefix, cached (cache-miss path)."""
+        prefix = f"{self._seed}|{self._TAG}{sender!r}->{receiver!r}|".encode(
+            "utf-8"
+        )
+        if len(self._edge_prefixes) >= _EDGE_PREFIX_CACHE_MAX:
+            self._edge_prefixes.clear()
+        self._edge_prefixes[(sender, receiver)] = prefix
+        return prefix
+
+    def _digest(
+        self, sender: Hashable, receiver: Hashable, round_no: int
+    ) -> bytes:
+        """The delivery's sha256 digest."""
+        prefix = self._edge_prefixes.get((sender, receiver)) or self._prefix(
+            sender, receiver
+        )
+        return hashlib.sha256(
+            prefix + str(round_no).encode("ascii")
+        ).digest()
+
+    def _coin(
+        self, sender: Hashable, receiver: Hashable, round_no: int
+    ) -> float:
+        """The delivery's uniform draw in [0, 1): the digest's first 64
+        bits. Computed inline, not through :meth:`_digest` — this is the
+        per-delivery hot path of every hostile round."""
+        prefix = self._edge_prefixes.get((sender, receiver)) or self._prefix(
+            sender, receiver
+        )
+        digest = hashlib.sha256(
+            prefix + str(round_no).encode("ascii")
+        ).digest()
+        return int.from_bytes(digest[:8], "big") / 2.0**64
+
+    @staticmethod
+    def _unlinked(
+        network: Network, transport: Transport, pairs: Iterable[DirectedEdge]
+    ) -> List[str]:
+        """Sorted reprs of the ``pairs`` (of ``network`` nodes) that are
+        not links of ``transport`` (:meth:`Transport.links`)."""
+        index_of = network.index_map
+        reach: Dict[int, FrozenSet[int]] = {}
+        bad = []
+        for pair in pairs:
+            sender = index_of[pair[0]]
+            if sender not in reach:
+                reach[sender] = transport.links(sender)
+            if index_of[pair[1]] not in reach[sender]:
+                bad.append(repr(pair))
+        return sorted(bad)
+
+
 @dataclass
-class FaultPlan:
+class FaultPlan(EdgeCoins):
     """A reproducible schedule of crash-stop and message-loss faults.
 
     ``crash_rounds`` maps node → first round at which the node is dead
     (``0`` kills it before its ``on_start`` traffic is delivered).
     ``drop_probability`` applies independently to every (message,
-    receiver) pair of non-crashed senders; each decision is a pure
-    function of the plan seed, the directed edge, and the round (see
-    :meth:`drops`), so the loss pattern of a seeded plan is fixed before
-    the run starts and independent of delivery iteration order.
+    receiver) pair of non-crashed senders; each decision is the
+    :class:`EdgeCoins` coin of the delivery (see :meth:`drops`), so the
+    loss pattern of a seeded plan is fixed before the run starts and
+    independent of delivery iteration order.
     ``drop_schedule`` maps a *directed* ``(sender, receiver)`` pair to
     the set of rounds in which that delivery is deterministically
     destroyed — the adversarial counterpart to the i.i.d. noise
@@ -104,37 +210,36 @@ class FaultPlan:
         self.drop_schedule = normalized
         self._bind_seed(self.rng)
 
-    def _bind_seed(self, rng: RngLike) -> None:
-        """Fix the integer seed the per-edge drop streams derive from.
+    def bind(
+        self, network: Network, transport: Optional[Transport] = None
+    ) -> "FaultPlan":
+        """Check the plan against the links of a run (returns self).
 
-        An explicit int seed is used verbatim (so the same int always
-        reproduces the same loss pattern); a generator contributes one
-        :func:`fresh_seed` draw; ``None`` falls back to OS entropy (the
-        runner replaces it with a run-seed derivation via
-        :meth:`reseed` before any delivery is decided).
+        Every crash or schedule node must exist; then every scheduled
+        pair must be a link of ``transport`` (default: the edges of
+        ``network``, as in V- and E-CONGEST). Either mistake would make
+        the faulty run silently fault-free, so it raises
+        :class:`~repro.errors.GraphValidationError`.
+        :class:`~repro.simulator.runner.SyncRunner` calls this at
+        construction with its own transport.
         """
-        if isinstance(rng, bool):
-            raise GraphValidationError("rng must be None, int, or Random")
-        if isinstance(rng, int):
-            self._drop_seed = rng
-        else:
-            self._drop_seed = fresh_seed(ensure_rng(rng))
-        # Per-edge digest-prefix *bytes* (not hasher objects — a retained
-        # hashlib handle per edge is both heavier and unpicklable),
-        # derived lazily from the bound seed and bounded by
-        # :data:`_EDGE_PREFIX_CACHE_MAX`.
-        self._edge_prefixes: Dict[DirectedEdge, bytes] = {}
-
-    def reseed(self, rng: RngLike) -> "FaultPlan":
-        """Rebind the plan's drop randomness (returns self).
-
-        This is the hook :class:`~repro.simulator.runner.SyncRunner`
-        uses to derive the plan's randomness from the shared run seed
-        when the plan was built without one (``rng`` stays ``None``, so
-        every runner construction re-derives — reusing one plan object
-        across identically-seeded runners stays reproducible).
-        """
-        self._bind_seed(rng)
+        known = network.index_map
+        unknown = {v for v in self.crash_rounds if v not in known}
+        unknown.update(
+            v for edge in self.drop_schedule for v in edge if v not in known
+        )
+        if unknown:
+            raise GraphValidationError(
+                "fault plan names nodes not in the network: "
+                f"{sorted(map(repr, unknown))}"
+            )
+        bad = self._unlinked(
+            network, transport or VCongestTransport(network), self.drop_schedule
+        )
+        if bad:
+            raise GraphValidationError(
+                f"drop schedule names non-edges of the network: {bad}"
+            )
         return self
 
     def is_crashed(self, node: Hashable, round_no: int) -> bool:
@@ -147,16 +252,7 @@ class FaultPlan:
     ) -> bool:
         """Whether the ``sender → receiver`` delivery of ``round_no`` is
         lost — scheduled drops first (deterministic), then the i.i.d.
-        coin.
-
-        The coin is a *pure function* of ``(seed, sender, receiver,
-        round)``: sha256 over the plan seed and the canonical directed
-        edge key (``repr`` of the endpoints, stable across processes and
-        hash seeds) yields a uniform 64-bit value thresholded against
-        ``drop_probability``. No shared stream is consumed, so the
-        decision does not depend on how many other deliveries were
-        decided first — engines and sweeps may evaluate
-        deliveries in any order and agree on every loss.
+        coin, thresholded against ``drop_probability``.
         """
         if self.drop_schedule:
             scheduled = self.drop_schedule.get((sender, receiver))
@@ -164,18 +260,7 @@ class FaultPlan:
                 return True
         if self.drop_probability <= 0.0:
             return False
-        edge = (sender, receiver)
-        prefix = self._edge_prefixes.get(edge)
-        if prefix is None:
-            prefix = f"{self._drop_seed}|{sender!r}->{receiver!r}|".encode(
-                "utf-8"
-            )
-            if len(self._edge_prefixes) >= _EDGE_PREFIX_CACHE_MAX:
-                self._edge_prefixes.clear()
-            self._edge_prefixes[edge] = prefix
-        coin = hashlib.sha256(prefix + str(round_no).encode("ascii"))
-        draw = int.from_bytes(coin.digest()[:8], "big") / 2.0**64
-        return draw < self.drop_probability
+        return self._coin(sender, receiver, round_no) < self.drop_probability
 
     def describe(self) -> Dict[str, Any]:
         """JSON-clean summary of the plan's configuration (the bound
@@ -198,7 +283,7 @@ class FaultPlan:
                 ),
                 key=repr,
             ),
-            "seed": self._drop_seed,
+            "seed": self._seed,
         }
 
 
@@ -211,6 +296,10 @@ class RetransmittingFloodProgram(NodeProgram):
     improved, so any individual message loss is repaired by the next
     round's retransmission. With drop probability ``p`` and horizon
     ``h ≥ D / (1 − p)`` plus slack, the flood completes w.h.p.
+
+    The coded floods of :mod:`repro.apps.coded` are this flood with a
+    different wire format (:meth:`_payload`) or commit rule
+    (:meth:`_ingest`).
     """
 
     def __init__(self, value: Any, horizon: int, minimize: bool = True) -> None:
@@ -229,16 +318,24 @@ class RetransmittingFloodProgram(NodeProgram):
             return candidate < self._best
         return candidate > self._best
 
+    def _payload(self) -> Any:
+        """What the node broadcasts each round: its current best."""
+        return self._best
+
+    def _ingest(self, payload: Any) -> None:
+        """Take one received payload into account."""
+        if self._better(payload):
+            self._best = payload
+
     def on_start(self, ctx: Context):
         ctx.output = self._best
-        return self._best
+        return self._payload()
 
     def on_round(self, ctx: Context, inbox: Dict[Hashable, Message]):
         for message in inbox.values():
-            if self._better(message.payload):
-                self._best = message.payload
+            self._ingest(message.payload)
         ctx.output = self._best
         if ctx.round >= self._horizon:
             ctx.halt(self._best)
             return None
-        return self._best
+        return self._payload()

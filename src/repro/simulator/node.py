@@ -97,9 +97,3 @@ class NodeProgram:
         that arrived this round (empty dict if none).
         """
         return None
-
-
-class QuiescentProgram(NodeProgram):
-    """Convenience base: halts automatically once the whole network is
-    silent (the runner handles this globally; subclasses only need the
-    message-driven logic)."""

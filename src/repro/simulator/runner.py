@@ -132,31 +132,18 @@ class SyncRunner:
         )
         self.bits_per_message = self.transport.bits_per_message
         self._rng = ensure_rng(rng)
-        # Optional repro.simulator.faults.FaultPlan; None = reliable run.
-        if fault_plan is not None:
-            _check_plan_nodes(fault_plan, network)
-            # A plan built without its own seed derives its drop
-            # generator from the run rng (one fresh_seed draw), so the
-            # whole faulty execution is reproducible from the run seed —
-            # previously a bare SyncRunner left such plans on OS entropy.
-            # plan.rng stays None, so every runner construction
-            # re-derives: reusing one plan object across two
-            # identically-seeded runners yields identical runs.
-            if getattr(fault_plan, "rng", 0) is None:
-                fault_plan.reseed(fresh_seed(self._rng))
+        # Optional FaultPlan (None = reliable run) and AdversaryPlan
+        # (None = honest channels). A plan built without its own seed
+        # takes one fresh_seed draw from the run rng, fault plan first,
+        # so one run seed reproduces the whole hostile execution; its
+        # rng stays None, so every runner construction re-derives.
+        # bind() then checks the plan against the transport's links.
+        for plan in (fault_plan, adversary_plan):
+            if plan is not None:
+                if plan.rng is None:
+                    plan.reseed(fresh_seed(self._rng))
+                plan.bind(network, self.transport)
         self.fault_plan = fault_plan
-        # Optional repro.simulator.adversary.AdversaryPlan; None = honest
-        # channels. Seed derivation mirrors the fault plan's, drawn
-        # *after* it — the fixed draw order every loop shares, so one
-        # run seed reproduces both plans.
-        if adversary_plan is not None:
-            if getattr(adversary_plan, "rng", 0) is None:
-                adversary_plan.reseed(fresh_seed(self._rng))
-            adversary_plan.bind(
-                network,
-                complete=getattr(self.transport, "name", "")
-                == "congested-clique",
-            )
         self.adversary_plan = adversary_plan
 
     def run(
@@ -178,20 +165,6 @@ class SyncRunner:
             # next.
             self.adversary_plan.begin_run()
         return _run_rounds(self, program_factory, max_rounds, quiescence_halts)
-
-
-def _check_plan_nodes(plan, network: Network) -> None:
-    """Reject fault plans naming nodes outside the network — a crash or
-    drop schedule for an unknown node would otherwise be a silent no-op
-    and the 'faulty' run would quietly be fault-free."""
-    known = network.index_map
-    unknown = [v for v in getattr(plan, "crash_rounds", {}) if v not in known]
-    for edge in getattr(plan, "drop_schedule", {}) or {}:
-        unknown.extend(v for v in edge if v not in known)
-    if unknown:
-        raise SimulationError(
-            f"fault plan names nodes not in the network: {sorted(map(repr, set(unknown)))}"
-        )
 
 
 def start_nodes(

@@ -31,7 +31,9 @@ transports (the plug point for later lossy/batched/async models).
 from __future__ import annotations
 
 import enum
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union,
+)
 
 from repro.errors import ModelViolationError
 from repro.simulator.message import Message, payload_bits
@@ -129,6 +131,16 @@ class Transport:
     def fanout(self, sender_index: int) -> Tuple[int, ...]:
         """Broadcast receiver indices for the node at ``sender_index``."""
         return self._fanout[sender_index]
+
+    def links(self, sender_index: int) -> FrozenSet[int]:
+        """Every receiver index the node at ``sender_index`` can reach:
+        its broadcast fan-out plus, where the model allows addressing,
+        every addressable receiver. The fault and adversary plans bind
+        to these links (``FaultPlan.bind``, ``AdversaryPlan.bind``)."""
+        reach = set(self._fanout[sender_index])
+        if self.allows_addressing:
+            reach.update(self._addressable[sender_index].values())
+        return frozenset(reach)
 
     def validate(self, node: Hashable, sender_index: int, raw: Any) -> Outbound:
         """Turn a program's return value into indexed outbound traffic,

@@ -20,7 +20,6 @@ from repro.apps.coded import (
 from repro.apps.resilience import (
     flood_corruption_sweep,
     gossip_corruption_sweep,
-    validate_schedule_edges,
 )
 from repro.errors import GraphValidationError, SimulationError
 from repro.graphs.generators import harary_graph
@@ -35,6 +34,7 @@ from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.message import Message, payload_bits
 from repro.simulator.network import Network
 from repro.simulator.runner import Model, SyncRunner
+from repro.simulator.transport import CliqueTransport
 
 
 
@@ -88,7 +88,7 @@ class TestPlanValidation:
         plan = AdversaryPlan(
             corruption_probability=1.0, targets={(0, 99)}
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(GraphValidationError):
             plan.bind(network)
 
     def test_bind_rejects_non_edge_targets(self):
@@ -96,10 +96,10 @@ class TestPlanValidation:
         plan = AdversaryPlan(
             corruption_probability=1.0, targets={(0, 3)}
         )
-        with pytest.raises(SimulationError):
+        with pytest.raises(GraphValidationError):
             plan.bind(network)
         # Under the complete (clique) universe the same pair is fine.
-        plan.bind(network, complete=True)
+        plan.bind(network, CliqueTransport(network))
 
     def test_budgeted_plan_requires_bind(self):
         plan = AdversaryPlan(corruption_probability=1.0, budget=3, rng=0)
@@ -444,12 +444,13 @@ class TestCorruptionPurityProperties:
 
 class TestPrefixCacheBound:
     def test_edge_prefix_cache_stays_bounded(self):
-        from repro.simulator import adversary as adversary_mod
+        # The bound is the shared coin's (EdgeCoins, in faults).
+        from repro.simulator import faults as faults_mod
 
         plan = AdversaryPlan(corruption_probability=0.5, rng=1)
-        cap = adversary_mod._EDGE_PREFIX_CACHE_MAX
-        old = adversary_mod._EDGE_PREFIX_CACHE_MAX
-        adversary_mod._EDGE_PREFIX_CACHE_MAX = 64
+        cap = faults_mod._EDGE_PREFIX_CACHE_MAX
+        old = faults_mod._EDGE_PREFIX_CACHE_MAX
+        faults_mod._EDGE_PREFIX_CACHE_MAX = 64
         try:
             # The module constant is read at call time, so shrinking it
             # makes the overflow cheap to exercise.
@@ -458,7 +459,7 @@ class TestPrefixCacheBound:
                     plan.corrupts(u, ("sink", v), 1)
             assert len(plan._edge_prefixes) <= 64
         finally:
-            adversary_mod._EDGE_PREFIX_CACHE_MAX = old
+            faults_mod._EDGE_PREFIX_CACHE_MAX = old
         assert cap == old
         # Decisions are unchanged by cache eviction.
         fresh = AdversaryPlan(corruption_probability=0.5, rng=1)
@@ -680,6 +681,35 @@ class TestCodedDefenses:
             result.output_of(v) == want for v in network.nodes
         )
 
+    @pytest.mark.parametrize("variant", TokenGossipProgram.VARIANTS)
+    def test_gossip_rotation_and_output_follow_repr_order(self, variant):
+        """Origins 9 and 10 sort one way by value and the other by
+        repr; the emit rotation and the committed output follow repr."""
+        from repro.simulator.node import Context
+
+        program = TokenGossipProgram(
+            origin=9, value=90, horizon=8, variant=variant, votes=1
+        )
+        ctx = Context(node=0, node_id=9, neighbors=(1,), n=2)
+        assert program.on_start(ctx)[:2] == (9, 90)
+        token = (10, 100)
+        payload = (
+            token + (token_checksum(token),)
+            if variant == "checksum"
+            else token
+        )
+        emitted = []
+        for round_no in (1, 2, 3):
+            ctx.round = round_no
+            inbox = {1: _msg(payload, sender=1)} if round_no == 1 else {}
+            emitted.append(program.on_round(ctx, inbox)[0])
+        # Round r emits origins[r % 2] of sorted([9, 10], key=repr).
+        assert sorted([9, 10], key=repr) == [10, 9]
+        assert emitted == [9, 10, 9]
+        assert ctx.output == tuple(
+            sorted([(9, 90), (10, 100)], key=repr)
+        ) == ((10, 100), (9, 90))
+
 
 class TestCorruptionSweeps:
     def test_flood_sweep_separates_coded_from_uncoded(self):
@@ -717,20 +747,23 @@ class TestCorruptionSweeps:
 
 class TestScheduleEdgeValidation:
     def test_schedule_on_non_edge_rejected(self):
-        graph = nx.path_graph(4)
+        network = Network(nx.path_graph(4), rng=1)
+        plan = FaultPlan(drop_schedule={(0, 3): {1}})
         with pytest.raises(GraphValidationError) as excinfo:
-            validate_schedule_edges(graph, {(0, 3): frozenset({1})})
+            plan.bind(network)
         assert "non-edges" in str(excinfo.value)
 
     def test_schedule_on_unknown_node_rejected(self):
-        graph = nx.path_graph(4)
+        network = Network(nx.path_graph(4), rng=1)
         with pytest.raises(GraphValidationError):
-            validate_schedule_edges(graph, {(0, 99): frozenset({1})})
+            FaultPlan(drop_schedule={(0, 99): {1}}).bind(network)
 
     def test_valid_schedule_passes_through(self):
-        graph = nx.path_graph(4)
+        network = Network(nx.path_graph(4), rng=1)
         schedule = {(0, 1): frozenset({1}), (2, 1): frozenset({3})}
-        assert validate_schedule_edges(graph, schedule) == schedule
+        plan = FaultPlan(drop_schedule=schedule)
+        assert plan.bind(network) is plan
+        assert plan.drop_schedule == schedule
 
     def test_empty_cut_schedule_rejected(self):
         from repro.apps.resilience import cut_drop_schedule

@@ -254,6 +254,28 @@ class TestBatchSweepBridge:
         assert dict(point)["graph"] == "harary:4,12"
         assert low <= mean <= high
 
+    def test_sweep_reads_a_jobs_file_once(self, tmp_path, monkeypatch):
+        """The rows and the jobs they are paired with come from one read
+        of the file."""
+        from repro.analysis.sweeps import batch_sweep
+        from repro.api import batch as api_batch
+
+        path = tmp_path / "jobs.json"
+        path.write_text(json.dumps(
+            {"graphs": ["harary:4,12"], "tasks": ["connectivity"],
+             "trials": 2}
+        ))
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return open(file, *args, **kwargs)
+
+        monkeypatch.setattr(api_batch, "open", counting_open, raising=False)
+        result = batch_sweep(str(path))
+        assert len(result.records) == 2
+        assert opened.count(str(path)) == 1
+
     def test_sweep_marks_errors(self):
         from repro.analysis.sweeps import batch_sweep
 

@@ -10,7 +10,8 @@ Pins the three promises of :mod:`repro.api.tasks`:
   batch row carrying the same plan JSON give the same canonical bytes,
   and feeding an envelope's ``params.faults`` / ``params.adversary``
   back reproduces it;
-* **one drop-schedule check** — keyed on the model the run uses.
+* **one plan check** — the runner binds each plan to the links of the
+  run's model, and a plan naming what the run lacks answers ``graph``.
 """
 
 from __future__ import annotations
@@ -154,6 +155,33 @@ def test_schedule_check_follows_the_run_model(tmp_path, capsys):
                           params={"program": "flood-min",
                                   "fault_plan": fields["fault_plan"]})])
     assert row.payload["error_type"] == "graph"
+
+
+#: Plans naming what the run does not have: a node, or a non-edge off
+#: the clique. Each is a GraphValidationError from the plan's bind.
+PLAN_MISTAKES = {
+    "crash-unknown-node": {
+        "program": "flood-min", "fault_plan": {"crash_rounds": {"99": 1}}},
+    "target-non-edge": {
+        "program": "flood-min",
+        "adversary_plan": {"corruption_probability": 0.5,
+                           "targets": [[0, 5]]}},
+    "target-unknown-node": {
+        "program": "flood-min",
+        "adversary_plan": {"corruption_probability": 0.5,
+                           "targets": [[0, 99]]}},
+    "clique-schedule-unknown-node": {
+        "program": "clique-min",
+        "fault_plan": {"drop_schedule": [[0, 99, [1]]]}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(PLAN_MISTAKES))
+def test_plan_mistakes_answer_graph(name):
+    reply = ServiceCore().handle(
+        {"op": "simulate", "graph": GRAPH, "seed": 3, **PLAN_MISTAKES[name]}
+    )
+    assert reply["payload"]["error_type"] == "graph"
 
 
 def test_decode_passes_only_given_fields():

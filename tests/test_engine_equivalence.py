@@ -542,7 +542,7 @@ class TestVectorizedFaultEquivalence:
 
     def test_drop_schedule(self, round_loop):
         def plan(net):
-            a, b, c = net.nodes[0], net.nodes[1], net.nodes[5]
+            a, b, c = net.nodes[0], net.nodes[1], net.nodes[2]
             return FaultPlan(
                 drop_schedule={(a, b): {1, 2, 3}, (c, a): {2}}
             )

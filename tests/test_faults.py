@@ -9,10 +9,38 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphValidationError
 from repro.graphs.generators import harary_graph
+from repro.simulator.adversary import AdversaryPlan
 from repro.simulator.algorithms.flooding import flood_extremum
 from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.network import Network
+from repro.simulator.node import NodeProgram
 from repro.simulator.runner import Model, SyncRunner, simulate
+from repro.simulator.transport import CliqueTransport, VCongestTransport
+
+
+class _ShiftTransport(VCongestTransport):
+    """A broadcast reaches only the node ``shift`` places ahead."""
+
+    def __init__(self, network, shift):
+        self.shift = shift
+        super().__init__(network)
+
+    def _build_fanout(self, network):
+        return [((i + self.shift) % network.n,) for i in range(network.n)]
+
+
+class _HearOnce(NodeProgram):
+    """Broadcasts its own label, then halts holding what it heard."""
+
+    def __init__(self, node):
+        self._node = node
+
+    def on_start(self, ctx):
+        return self._node
+
+    def on_round(self, ctx, inbox):
+        ctx.halt(output=sorted(m.payload for m in inbox.values()))
+        return None
 
 
 class TestFaultPlan:
@@ -91,23 +119,71 @@ class TestFaultPlan:
     def test_plan_naming_unknown_nodes_rejected(self):
         """A crash/drop entry for a node outside the network would be a
         silent no-op; the runner rejects it loudly instead."""
-        from repro.errors import SimulationError
-
         network = Network(nx.path_graph(4), rng=1)
-        with pytest.raises(SimulationError):
+        with pytest.raises(GraphValidationError):
             SyncRunner(
                 network,
                 fault_plan=FaultPlan(crash_rounds={99: 1}),
             ).run(
                 lambda v: RetransmittingFloodProgram(v, horizon=4),
             )
-        with pytest.raises(SimulationError):
+        with pytest.raises(GraphValidationError):
             SyncRunner(
                 network,
                 fault_plan=FaultPlan(drop_schedule={(0, 77): {1}}),
             ).run(
                 lambda v: RetransmittingFloodProgram(v, horizon=4),
             )
+
+    def test_bare_runner_rejects_non_edge_schedule(self):
+        """Off the clique a scheduled non-edge never carries traffic, so
+        the 'faulty' run would silently be fault-free."""
+        network = Network(nx.path_graph(4), rng=1)
+        plan = FaultPlan(drop_schedule={(0, 3): {1}})
+        with pytest.raises(GraphValidationError, match="non-edges"):
+            SyncRunner(network, fault_plan=plan)
+
+    def test_non_edge_schedule_binds_on_the_clique(self):
+        """The congested clique links every ordered pair."""
+        network = Network(nx.path_graph(4), rng=1)
+        plan = FaultPlan(drop_schedule={(0, 3): {1}})
+        assert plan.bind(network, CliqueTransport(network)) is plan
+        runner = SyncRunner(
+            network, model=Model.CONGESTED_CLIQUE, fault_plan=plan
+        )
+        assert runner.fault_plan is plan
+
+    def test_plans_bind_to_a_custom_transports_links(self):
+        """A plan is checked against the links the runner's transport
+        delivers along, not against the input graph's edges."""
+        network = Network(nx.cycle_graph(8), rng=1)
+        a, b, c = network.nodes[0], network.nodes[1], network.nodes[2]
+
+        def run(plan):
+            return SyncRunner(
+                network,
+                transport=_ShiftTransport(network, 2),
+                fault_plan=plan,
+                rng=2,
+            ).run(_HearOnce)
+
+        # (a, c) is no graph edge but the only link into c: dropping it
+        # in round 1 leaves c with an empty inbox.
+        assert run(FaultPlan()).outputs[c] == [a]
+        assert run(FaultPlan(drop_schedule={(a, c): {1}})).outputs[c] == []
+        # (a, b) is a graph edge the shift never delivers along.
+        with pytest.raises(GraphValidationError, match="non-edges"):
+            run(FaultPlan(drop_schedule={(a, b): {1}}))
+        with pytest.raises(GraphValidationError, match="non-edges"):
+            AdversaryPlan(corruption_probability=1.0, targets={(a, b)}).bind(
+                network, _ShiftTransport(network, 2)
+            )
+        # A budgeted adversary's slot universe is the shift's links.
+        plan = AdversaryPlan(corruption_probability=0.5, budget=3, rng=1)
+        plan.bind(network, _ShiftTransport(network, 2))
+        assert plan._universe == [
+            (network.nodes[i], network.nodes[(i + 2) % 8]) for i in range(8)
+        ]
 
     def test_reference_engine_rejects_drop_schedule(self, round_loop):
         """The legacy loop cannot honor per-edge schedules; it must fail
