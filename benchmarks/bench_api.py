@@ -22,14 +22,9 @@ every row (the acceptance criterion for the API-layer PR).
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import platform
-import time
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from benchmarks.conftest import best_of
 
 MESSAGES = 16
 
@@ -47,17 +42,6 @@ def _cases(quick: bool):
         ("regular(8,250)", lambda: random_regular_connected(8, 250, rng=3)),
         ("harary(8,400)", lambda: harary_graph(8, 400)),
     ]
-
-
-def _best_of(fn: Callable[[], object], repeats: int) -> tuple:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
 
 
 def _per_call_pipeline(graph, seed: int):
@@ -90,10 +74,10 @@ def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
     rows: List[Dict] = []
     for name, builder in _cases(quick):
         graph = builder()
-        per_call_s, per_call = _best_of(
+        per_call_s, per_call = best_of(
             lambda: _per_call_pipeline(graph, seed), repeats
         )
-        session_s, session_out = _best_of(
+        session_s, session_out = best_of(
             lambda: _session_pipeline(graph, seed), repeats
         )
         estimate, packing, outcome = per_call
@@ -137,10 +121,16 @@ def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
         "pipeline": "connectivity -> pack_cds -> broadcast",
         "repeats": repeats,
         "gate": "cached session beats per-call canonicalization on every row",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "results": rows,
     }
+
+
+def format_row(row: Dict) -> str:
+    return (
+        "{graph:>16}  n={n:<4} m={m:<5} per-call={per_call_s:.3f}s "
+        "session={session_s:.3f}s speedup={speedup}x "
+        "rounds={broadcast_rounds}"
+    ).format(**row)
 
 
 def smoke():
@@ -150,33 +140,3 @@ def smoke():
     for row in report["results"]:
         assert row["packing_size"] > 0
         assert row["session_s"] > 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="tiny graphs")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=9)
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=REPO_ROOT / "BENCH_api.json",
-        help="output JSON path (default: repo root)",
-    )
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    report = run(quick=args.quick, repeats=args.repeats, seed=args.seed)
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for row in report["results"]:
-        print(
-            "{graph:>16}  n={n:<4} m={m:<5} per-call={per_call_s:.3f}s "
-            "session={session_s:.3f}s speedup={speedup}x "
-            "rounds={broadcast_rounds}".format(**row)
-        )
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

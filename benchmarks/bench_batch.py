@@ -21,15 +21,9 @@ one core, so no speedup gate):
 
 from __future__ import annotations
 
-import argparse
 import io
-import json
-import pathlib
-import platform
 import time
 from typing import Dict, List
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 def _matrix(quick: bool) -> Dict:
@@ -105,10 +99,15 @@ def run(quick: bool = False, repeats: int = 3, seed: int = 0) -> Dict:
             "byte-identical JSONL across backends; single-graph matrix "
             "splits into >=2 chunks under the process plane"
         ),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "results": rows,
     }
+
+
+def format_row(row: Dict) -> str:
+    return (
+        "{backend:>8} x{workers}  jobs={jobs:<4} chunks={chunks:<3} "
+        "pids={distinct_worker_pids}  {seconds:.3f}s  {jobs_per_sec} jobs/s"
+    ).format(**row)
 
 
 def smoke():
@@ -118,33 +117,3 @@ def smoke():
     for row in report["results"]:
         assert row["identical_to_serial"]
         assert row["jobs_per_sec"] > 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="tiny matrix")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=REPO_ROOT / "BENCH_batch.json",
-        help="output JSON path (default: repo root)",
-    )
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    report = run(quick=args.quick, repeats=args.repeats, seed=args.seed)
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for row in report["results"]:
-        print(
-            "{backend:>8} x{workers}  jobs={jobs:<4} chunks={chunks:<3} "
-            "pids={distinct_worker_pids}  {seconds:.3f}s  "
-            "{jobs_per_sec} jobs/s".format(**row)
-        )
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

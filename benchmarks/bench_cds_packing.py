@@ -9,30 +9,20 @@ Paper claims:
 This module is also the **kernel speed gate** for the vertex-connectivity
 half of the decomposition: :func:`run` times the fastgraph-backed
 :func:`construct_cds_packing` against the preserved pre-kernel loop
-(:mod:`repro.core.cds_packing_reference`) with results asserted
+(``tests/oracles/cds_packing_reference.py``) with results asserted
 bit-identical, and writes ``BENCH_cds_packing.json``. Acceptance gate:
 ≥ 1.5× at n = 500. Run via::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py --suite cds_packing
-    PYTHONPATH=src python benchmarks/bench_cds_packing.py          # direct
 """
 
-import argparse
-import json
 import math
-import pathlib
-import platform
-import time
-from typing import Callable, Dict, List
+from typing import Dict, List
 
 import pytest
 
-try:
-    from benchmarks.conftest import print_table
-except ImportError:  # direct script execution from the benchmarks dir
-    from conftest import print_table
+from benchmarks.conftest import best_of, print_table
 from repro.core.cds_packing import PackingParameters, construct_cds_packing
-from repro.core.cds_packing_reference import construct_cds_packing_reference
 from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.generators import (
     clique_chain,
@@ -41,8 +31,7 @@ from repro.graphs.generators import (
     hypercube,
     random_regular_connected,
 )
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from tests.oracles.cds_packing_reference import construct_cds_packing_reference
 
 FAMILIES = [
     ("harary(4,32)", lambda: harary_graph(4, 32)),
@@ -187,7 +176,7 @@ def smoke():
 
 
 # ----------------------------------------------------------------------
-# Kernel-vs-reference timing driver (BENCH_cds_packing.json)
+# Kernel-vs-reference timing suite (BENCH_cds_packing.json)
 # ----------------------------------------------------------------------
 
 
@@ -203,17 +192,6 @@ def _speed_cases(quick: bool):
         ("harary(8,500)", lambda: harary_graph(8, 500), 8),
         ("regular(8,500)", lambda: random_regular_connected(8, 500, rng=3), 8),
     ]
-
-
-def _best_of(fn: Callable[[], object], repeats: int) -> tuple:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
 
 
 def _tree_canon(result):
@@ -235,10 +213,10 @@ def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
         graph = builder()
         # Same repeat count for both sides: best-of-N is monotone in N,
         # so an asymmetric N would bias the speedup that feeds the gate.
-        kernel_s, kernel_result = _best_of(
+        kernel_s, kernel_result = best_of(
             lambda: construct_cds_packing(graph, k, rng=seed), repeats
         )
-        reference_s, reference_result = _best_of(
+        reference_s, reference_result = best_of(
             lambda: construct_cds_packing_reference(graph, k, rng=seed),
             repeats,
         )
@@ -270,37 +248,13 @@ def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
         "unit": "seconds (best of repeats, wall clock)",
         "repeats": repeats,
         "gate": ">=1.5x at n=500, packings asserted bit-identical",
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "results": rows,
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="tiny graphs")
-    parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--seed", type=int, default=9)
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=REPO_ROOT / "BENCH_cds_packing.json",
-        help="output JSON path (default: repo root)",
-    )
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    report = run(quick=args.quick, repeats=args.repeats, seed=args.seed)
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for row in report["results"]:
-        print(
-            "{graph:>16}  n={n:<4} m={m:<5} ref={reference_s:.3f}s "
-            "kernel={kernel_s:.3f}s speedup={speedup}x "
-            "size={packing_size:.3f}".format(**row)
-        )
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())
+def format_row(row: Dict) -> str:
+    return (
+        "{graph:>16}  n={n:<4} m={m:<5} ref={reference_s:.3f}s "
+        "kernel={kernel_s:.3f}s speedup={speedup}x "
+        "size={packing_size:.3f}"
+    ).format(**row)

@@ -22,13 +22,7 @@ resilience``).
 
 from __future__ import annotations
 
-import argparse
-import json
-import pathlib
-import platform
 from typing import Dict, List
-
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 #: The corruption rate the gate is evaluated at: high enough that the
 #: uncoded flood is reliably poisoned on every benchmark graph, low
@@ -126,10 +120,15 @@ def run(quick: bool = False, seed: int = 0) -> Dict:
             f"vote hold coverage >= {GATE_COVERAGE:g} with wrong_rate 0"
         ),
         "adversary": {"kinds": ["flip"], "rates": _rates(quick)},
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "results": rows,
     }
+
+
+def format_row(row: Dict) -> str:
+    return (
+        "{graph:>14}  {variant:>8} p={corruption_rate:<5g} "
+        "coverage={coverage:<7} wrong={wrong_rate:<7} bits={bits}"
+    ).format(**row)
 
 
 def smoke():
@@ -139,30 +138,3 @@ def smoke():
     for row in report["results"]:
         assert 0.0 <= row["coverage"] <= 1.0
         assert 0.0 <= row["wrong_rate"] <= 1.0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="tiny graphs")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=REPO_ROOT / "BENCH_resilience.json",
-        help="output JSON path (default: repo root)",
-    )
-    args = parser.parse_args(argv)
-    report = run(quick=args.quick, seed=args.seed)
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for row in report["results"]:
-        print(
-            "{graph:>14}  {variant:>8} p={corruption_rate:<5g} "
-            "coverage={coverage:<7} wrong={wrong_rate:<7} "
-            "bits={bits}".format(**row)
-        )
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -9,7 +9,7 @@ Times the one round loop on workloads run straight on a
 * ``dict`` — the same loop with the column step off (its fan-out
   constant patched to infinity), so every round takes the dict plane;
 * ``reference`` — the preserved pre-engine loop
-  (:mod:`repro.simulator.runner_reference`), timed up to n = 1000 —
+  (``tests/oracles/runner_reference.py``), timed up to n = 1000 —
   past that it only slows the sweep down without informing it.
 
 Workloads:
@@ -35,24 +35,17 @@ this bench pins speed).
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py --suite simulator
-    PYTHONPATH=src python benchmarks/bench_simulator.py            # direct
 
 Results land in ``BENCH_simulator.json``.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import gc
-import json
-import os
-import pathlib
-import platform
 import time
 from typing import Dict, List
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+from tests.oracles.round_loops import round_loop
 
 #: The reference loop is a correctness oracle, not a contender; past
 #: this n it is dropped from the timing sweep.
@@ -68,28 +61,8 @@ DENSE_DEGREE = 128
 COLUMN_GATE_N = 5000
 COLUMN_GATE_SPEEDUP = 3.0
 
+#: The :func:`round_loop` names every row times.
 LOOPS = ("default", "dict", "reference")
-
-
-@contextlib.contextmanager
-def round_loop(name: str):
-    """Run the simulations inside on one of :data:`LOOPS`."""
-    from repro.simulator import runner
-    from repro.simulator.runner_reference import _run_reference
-
-    patches = {
-        "default": {},
-        "dict": {"COLUMN_MIN_FANOUT": float("inf")},
-        "reference": {"_run_rounds": _run_reference},
-    }[name]
-    saved = {attr: getattr(runner, attr) for attr in patches}
-    for attr, value in patches.items():
-        setattr(runner, attr, value)
-    try:
-        yield
-    finally:
-        for attr, value in saved.items():
-            setattr(runner, attr, value)
 
 
 def _flood_sizes(quick: bool):
@@ -227,67 +200,35 @@ def run(quick: bool = False, repeats: int = 10, seed: int = 3) -> Dict:
         )
         row.update(degree=SPARSE_DEGREE, seed=seed)
         rows.append(row)
-    from repro.api.backends import schedulable_cpus
-
     return {
         "benchmark": "simulator_round_loop",
         "unit": "rounds per wall-clock second (outputs asserted identical)",
         "loops": list(LOOPS),
         "flood_repeats": repeats,
-        # Both counts, deliberately: cpu_count is the host's logical
-        # CPUs, schedulable_cpus the affinity mask this process actually
-        # runs on.
-        "cpu_count": os.cpu_count(),
-        "schedulable_cpus": schedulable_cpus(),
-        "python": platform.python_version(),
-        "machine": platform.machine(),
         "results": rows,
     }
+
+
+def format_row(row: Dict) -> str:
+    cells = "  ".join(
+        f"{loop}={row[loop]['rounds_per_sec']:>9.1f} r/s"
+        for loop in LOOPS
+        if loop in row
+    )
+    extras = [f"default/dict={row['column_speedup']}x"]
+    if "speedup" in row:
+        extras.append(f"default/ref={row['speedup']}x")
+    return (
+        f"{row['program']:>10} n={row['n']:<5} d={row['degree']:<3} "
+        f"rounds={row['rounds']:<5} {cells}  {' '.join(extras)}"
+    )
 
 
 def smoke() -> None:
     """Tiny end-to-end run for the tier-1 bench_smoke marker."""
     report = run(quick=True, repeats=2)
     assert report["results"], "simulator bench produced no rows"
-    assert report["schedulable_cpus"] >= 1
     for row in report["results"]:
         assert row["rounds"] > 0
         for loop in LOOPS:
             assert row[loop]["rounds_per_sec"] > 0
-
-
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--quick", action="store_true", help="tiny graphs")
-    parser.add_argument("--repeats", type=int, default=10)
-    parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=REPO_ROOT / "BENCH_simulator.json",
-        help="output JSON path (default: repo root)",
-    )
-    args = parser.parse_args(argv)
-    if args.repeats < 1:
-        parser.error("--repeats must be >= 1")
-    report = run(quick=args.quick, repeats=args.repeats, seed=args.seed)
-    args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    for row in report["results"]:
-        cells = "  ".join(
-            f"{loop}={row[loop]['rounds_per_sec']:>9.1f} r/s"
-            for loop in LOOPS
-            if loop in row
-        )
-        extras = [f"default/dict={row['column_speedup']}x"]
-        if "speedup" in row:
-            extras.append(f"default/ref={row['speedup']}x")
-        print(
-            f"{row['program']:>10} n={row['n']:<5} d={row['degree']:<3} "
-            f"rounds={row['rounds']:<5} {cells}  {' '.join(extras)}"
-        )
-    print(f"wrote {args.out}")
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Benchmark helpers: compact table printing + shared fixtures.
+"""Benchmark helpers: compact table printing and best-of timing.
 
 Each benchmark regenerates one experiment of the index in DESIGN.md §5,
 printing the paper's claim next to the measured values (EXPERIMENTS.md
@@ -8,7 +8,8 @@ the printed tables carry the scientific content.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+import time
+from typing import Callable, Iterable, Sequence, Tuple
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -30,3 +31,15 @@ def _fmt(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.3f}"
     return str(cell)
+
+
+def best_of(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
+    """``(fastest wall seconds over repeats, the last result)``."""
+    best = float("inf")
+    result = None
+    for _ in range(repeats):
+        start = time.perf_counter()
+        result = fn()
+        elapsed = time.perf_counter() - start
+        best = min(best, elapsed)
+    return best, result

@@ -1,41 +1,34 @@
-"""Machine-readable benchmark driver for the repo's hot paths.
+"""The one driver of the JSON benchmark suites.
 
-Three suites, each timing a rewrite against its preserved reference
-implementation and writing a JSON file at the repo root (the perf
-trajectory: future PRs append runs and regressions become diffable
-numbers instead of anecdotes):
+Each suite is a bench module whose ``run(quick, repeats, seed)`` returns
+a report dict with its gates already asserted; the driver runs it,
+stamps the environment on it and writes one JSON file at the repo root
+(the perf trajectory: regressions become diffable numbers instead of
+anecdotes):
 
-* ``spanning`` — the kernel-backed
-  :func:`fractional_spanning_tree_packing` vs the pre-kernel
-  implementation (:mod:`repro.core.spanning_packing_reference`), with
-  packings asserted identical → ``BENCH_spanning_packing.json``.
-  Acceptance gate: ≥ 5× at n≈500.
-* ``simulator`` — the round loop vs the preserved reference loop
-  (:mod:`repro.simulator.runner_reference`) and vs itself with the
-  column step off, on flooding and shared-MST workloads, outputs
-  asserted identical → ``BENCH_simulator.json`` (see
-  :mod:`bench_simulator`). Acceptance gates: ≥ 2× rounds/sec over the
-  reference on flooding at n = 1000; ≥ 3× over the dict plane on
-  flooding at n = 5000, degree 128.
-* ``cds_packing`` — the kernel-backed CDS / dominating-tree packing vs
-  the pre-kernel loop (:mod:`repro.core.cds_packing_reference`),
-  packings asserted bit-identical → ``BENCH_cds_packing.json`` (see
-  :mod:`bench_cds_packing`). Acceptance gate: ≥ 1.5× at n = 500.
-* ``api`` — the session-cached estimate→pack→broadcast pipeline
-  (:class:`repro.api.GraphSession`) vs the per-call free-function path,
-  outputs asserted identical → ``BENCH_api.json`` (see
-  :mod:`bench_api`). Acceptance gate: cached beats per-call on every
-  full-size row.
-* ``resilience`` — corruption sweep of the uncoded flood vs the coded
-  defenses (:mod:`repro.apps.coded`) under the adversary layer →
-  ``BENCH_resilience.json`` (see :mod:`bench_resilience`). Acceptance
-  gate: at the reference corruption rate the uncoded flood measurably
-  fails while both coded variants hold ≥ 0.99 coverage with zero wrong
-  answers.
-* ``batch`` — batch scheduler jobs/sec across backend × worker plans on
-  a single-graph matrix → ``BENCH_batch.json`` (see :mod:`bench_batch`).
-  Acceptance gate: every backend byte-identical to serial; the
-  single-graph matrix splits into ≥ 2 chunks under the process plane.
+* ``spanning`` — the kernel MWU spanning packing vs its preserved
+  pre-kernel oracle → ``BENCH_spanning_packing.json``
+  (:mod:`bench_spanning_packing`; gate ≥ 5× at n ≈ 500).
+* ``simulator`` — the round loop vs the preserved reference loop and vs
+  itself with the column step off → ``BENCH_simulator.json``
+  (:mod:`bench_simulator`, E23/E28; gate ≥ 3× over the dict plane on
+  flooding at n = 5000, degree 128).
+* ``cds_packing`` — the kernel CDS packing vs its preserved pre-kernel
+  oracle → ``BENCH_cds_packing.json`` (:mod:`bench_cds_packing`, E24).
+* ``api`` — the session-cached pipeline vs per-call free functions →
+  ``BENCH_api.json`` (:mod:`bench_api`, E25; cached beats per-call on
+  every full-size row).
+* ``resilience`` — the corruption sweep of the uncoded flood vs the coded
+  defenses → ``BENCH_resilience.json`` (:mod:`bench_resilience`, E27).
+  It measures correctness fractions, not timings, so it takes no
+  ``--repeats``.
+* ``batch`` — batch jobs/sec across backend × worker plans →
+  ``BENCH_batch.json`` (:mod:`bench_batch`, E31).
+
+Every report carries an ``env`` block: ``git_sha``, ``python``,
+``machine``, ``numpy``, ``networkx``, ``cpu_count``,
+``schedulable_cpus`` and the 1-minute load average at the suite's start
+and end. A flag left unset takes the suite's own ``run`` default.
 
 Run from the repo root::
 
@@ -47,178 +40,79 @@ Run from the repo root::
 from __future__ import annotations
 
 import argparse
+import importlib
+import inspect
 import json
+import os
 import pathlib
 import platform
-import time
-from typing import Callable, Dict, List
+import subprocess
+import sys
+from typing import Any, Dict, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # `benchmarks` and `tests` resolve from the root
+    sys.path.insert(0, str(REPO_ROOT))
+
+#: suite → (bench module under ``benchmarks/``, report file at the root).
+SUITES = {
+    "spanning": ("bench_spanning_packing", "BENCH_spanning_packing.json"),
+    "simulator": ("bench_simulator", "BENCH_simulator.json"),
+    "cds_packing": ("bench_cds_packing", "BENCH_cds_packing.json"),
+    "api": ("bench_api", "BENCH_api.json"),
+    "resilience": ("bench_resilience", "BENCH_resilience.json"),
+    "batch": ("bench_batch", "BENCH_batch.json"),
+}
 
 
-def _cases(quick: bool):
-    # All cases must stay in the single-Karger-part regime (η = 1, i.e.
-    # λ well below 60·ln n/ε²): with η > 1 the kernel intentionally
-    # sizes parts from λ/η while the reference re-runs the connectivity
-    # oracle per part, so the exact-size equality gate below only holds
-    # for η = 1. The η > 1 path is covered by tests/test_fastgraph.py.
-    from repro.graphs.generators import harary_graph, random_regular_connected
-
-    if quick:
-        return [
-            ("harary(6,48)", lambda: harary_graph(6, 48), 6),
-            ("regular(8,100)", lambda: random_regular_connected(8, 100, rng=3), 8),
-        ]
-    return [
-        ("harary(6,120)", lambda: harary_graph(6, 120), 6),
-        ("regular(8,250)", lambda: random_regular_connected(8, 250, rng=3), 8),
-        ("regular(8,500)", lambda: random_regular_connected(8, 500, rng=3), 8),
-    ]
-
-
-def _best_of(fn: Callable[[], object], repeats: int) -> tuple:
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
-
-
-def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
-    from repro.core.spanning_packing import (
-        MwuParameters,
-        fractional_spanning_tree_packing,
-    )
-    from repro.core.spanning_packing_reference import (
-        fractional_spanning_tree_packing_reference,
-    )
-
-    params = MwuParameters(epsilon=0.15, beta_factor=1.0)
-    rows: List[Dict] = []
-    for name, builder, lam in _cases(quick):
-        graph = builder()
-        kernel_s, kernel_result = _best_of(
-            lambda: fractional_spanning_tree_packing(
-                graph, lam=lam, params=params, rng=seed
-            ),
-            repeats,
+def _git_sha() -> Optional[str]:
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True,
+            text=True, timeout=10,
         )
-        reference_s, reference_result = _best_of(
-            lambda: fractional_spanning_tree_packing_reference(
-                graph, lam=lam, params=params, rng=seed
-            ),
-            max(1, repeats - 1),
-        )
-        if kernel_result.size != reference_result.size:
-            raise AssertionError(
-                f"{name}: kernel size {kernel_result.size} != "
-                f"reference size {reference_result.size}"
-            )
-        rows.append(
-            {
-                "graph": name,
-                "n": graph.number_of_nodes(),
-                "m": graph.number_of_edges(),
-                "lam": lam,
-                "seed": seed,
-                "mwu_iterations": max(
-                    t.iterations for t in kernel_result.traces
-                ),
-                "packing_size": kernel_result.size,
-                "efficiency": kernel_result.efficiency,
-                "reference_s": round(reference_s, 6),
-                "kernel_s": round(kernel_s, 6),
-                "speedup": round(reference_s / kernel_s, 2),
-            }
-        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() or None if done.returncode == 0 else None
+
+
+def environment(loadavg_start: float) -> Dict[str, Any]:
+    """The ``env`` block: what ran the suite, and how loaded the host was."""
+    import networkx
+    import numpy
+
+    from repro.api.backends import schedulable_cpus
+
     return {
-        "benchmark": "spanning_packing",
-        "unit": "seconds (best of repeats, wall clock)",
-        "repeats": repeats,
-        "params": {"epsilon": 0.15, "beta_factor": 1.0},
+        "git_sha": _git_sha(),
         "python": platform.python_version(),
         "machine": platform.machine(),
-        "results": rows,
+        "numpy": numpy.__version__,
+        "networkx": networkx.__version__,
+        "cpu_count": os.cpu_count(),
+        "schedulable_cpus": schedulable_cpus(),
+        "loadavg_1m_start": loadavg_start,
+        "loadavg_1m_end": os.getloadavg()[0],
     }
 
 
-def _run_spanning(args) -> None:
-    repeats = args.repeats if args.repeats is not None else 3
-    seed = args.seed if args.seed is not None else 9
-    report = run(quick=args.quick, repeats=repeats, seed=seed)
-    out = args.out or REPO_ROOT / "BENCH_spanning_packing.json"
+def run_suite(suite: str, args: argparse.Namespace) -> None:
+    """Run one suite and write its report, ``env`` stamped on it."""
+    module_name, filename = SUITES[suite]
+    module = importlib.import_module(f"benchmarks.{module_name}")
+    accepted = inspect.signature(module.run).parameters
+    given = {"quick": args.quick, "repeats": args.repeats, "seed": args.seed}
+    loadavg_start = os.getloadavg()[0]
+    report = module.run(**{
+        name: value for name, value in given.items()
+        if value is not None and name in accepted
+    })
+    report["env"] = environment(loadavg_start)
+    out = args.out or REPO_ROOT / filename
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for row in report["results"]:
-        print(
-            "{graph:>16}  n={n:<4} m={m:<5} ref={reference_s:.3f}s "
-            "kernel={kernel_s:.3f}s speedup={speedup}x size={packing_size:.3f}".format(
-                **row
-            )
-        )
+        print(module.format_row(row))
     print(f"wrote {out}")
-
-
-def _forwarded_args(args, suite: str):
-    """CLI flags forwarded to a sub-benchmark's own ``main``; unset ones
-    fall back to that module's defaults (which differ per suite)."""
-    forwarded = ["--quick"] if args.quick else []
-    if args.repeats is not None:
-        forwarded += ["--repeats", str(args.repeats)]
-    if args.seed is not None:
-        forwarded += ["--seed", str(args.seed)]
-    if args.out is not None and args.suite == suite:
-        forwarded += ["--out", str(args.out)]
-    return forwarded
-
-
-def _run_simulator(args) -> None:
-    try:
-        import bench_simulator
-    except ImportError:  # running as a module from the repo root
-        from benchmarks import bench_simulator
-    bench_simulator.main(_forwarded_args(args, "simulator"))
-
-
-def _run_cds(args) -> None:
-    try:
-        import bench_cds_packing
-    except ImportError:  # running as a module from the repo root
-        from benchmarks import bench_cds_packing
-    bench_cds_packing.main(_forwarded_args(args, "cds_packing"))
-
-
-def _run_api(args) -> None:
-    try:
-        import bench_api
-    except ImportError:  # running as a module from the repo root
-        from benchmarks import bench_api
-    bench_api.main(_forwarded_args(args, "api"))
-
-
-def _run_resilience(args) -> None:
-    try:
-        import bench_resilience
-    except ImportError:  # running as a module from the repo root
-        from benchmarks import bench_resilience
-    # bench_resilience measures correctness fractions, not timings, so
-    # it takes no --repeats flag; forward only what it understands.
-    forwarded = ["--quick"] if args.quick else []
-    if args.seed is not None:
-        forwarded += ["--seed", str(args.seed)]
-    if args.out is not None and args.suite == "resilience":
-        forwarded += ["--out", str(args.out)]
-    bench_resilience.main(forwarded)
-
-
-def _run_batch(args) -> None:
-    try:
-        import bench_batch
-    except ImportError:  # running as a module from the repo root
-        from benchmarks import bench_batch
-    bench_batch.main(_forwarded_args(args, "batch"))
 
 
 def main(argv=None) -> int:
@@ -227,43 +121,28 @@ def main(argv=None) -> int:
         "--quick", action="store_true", help="small graphs (CI-sized run)"
     )
     parser.add_argument(
-        "--suite",
-        choices=[
-            "all", "spanning", "simulator", "cds_packing", "api",
-            "resilience", "batch",
-        ],
-        default="all",
+        "--suite", choices=["all", *SUITES], default="all",
         help="which benchmark suite(s) to run",
     )
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="timing repeats (default: 3 spanning/cds_packing / 10 simulator)",
+        help="timing repeats (default: the suite's own)",
     )
     parser.add_argument(
         "--seed", type=int, default=None,
-        help="seed (default: 9 spanning/cds_packing / 3 simulator)",
+        help="seed (default: the suite's own)",
     )
     parser.add_argument(
-        "--out",
-        type=pathlib.Path,
-        default=None,
-        help="output JSON path for a single suite (default: repo root)",
+        "--out", type=pathlib.Path, default=None,
+        help="output JSON path for a single --suite (default: repo root)",
     )
     args = parser.parse_args(argv)
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be >= 1")
-    if args.suite in ("all", "spanning"):
-        _run_spanning(args)
-    if args.suite in ("all", "simulator"):
-        _run_simulator(args)
-    if args.suite in ("all", "cds_packing"):
-        _run_cds(args)
-    if args.suite in ("all", "api"):
-        _run_api(args)
-    if args.suite in ("all", "resilience"):
-        _run_resilience(args)
-    if args.suite in ("all", "batch"):
-        _run_batch(args)
+    if args.out is not None and args.suite == "all":
+        parser.error("--out needs a single --suite")
+    for suite in SUITES if args.suite == "all" else [args.suite]:
+        run_suite(suite, args)
     return 0
 
 

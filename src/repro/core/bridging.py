@@ -33,7 +33,7 @@ RNG consumption sequence and every candidate-enumeration order are the
 reference implementation's exactly (node-iteration order = index order,
 class sets with identical insertion histories, closed neighborhoods in
 adjacency order), so assignments are bit-identical to
-:mod:`repro.core.cds_packing_reference` under a fixed seed — the
+``tests/oracles/cds_packing_reference.py`` under a fixed seed — the
 equivalence suite pins this.
 """
 

@@ -29,7 +29,7 @@ order barely moves between iterations), and the per-iteration
 The replay applies, per tree, exactly the multiplication sequence the
 eager loop would have, so results are bit-identical to the preserved
 pre-kernel implementation
-(:mod:`repro.core.spanning_packing_reference`) under fixed seeds —
+(``tests/oracles/spanning_packing_reference.py``) under fixed seeds —
 ``tests/test_fastgraph.py`` enforces this. Trees are ``frozenset``\\ s
 of edge indices internally and become :class:`networkx.Graph` trees
 only at the API boundary.

@@ -18,30 +18,24 @@ the Lemma 4.6 measurements.
 Since the kernel port, the graph is canonicalized **once** at pipeline
 entry into a :class:`CdsIndex` — integer node indices, flat adjacency in
 ``graph.neighbors()`` order (the order that pins nx-compatible traversal
-and therefore bit-identity with the preserved reference in
-:mod:`repro.core.cds_packing_reference`) — and every per-class structure
+and therefore bit-identity with the preserved pre-kernel pipeline in
+``tests/oracles/cds_packing_reference.py``) — and every per-class structure
 is an :class:`IndexedClassState`: multiplicities keyed by node index and
 an :class:`~repro.fastgraph.IntUnionFind` over indices instead of the
 label-dict :class:`~repro.graphs.union_find.UnionFind`. The label-level
 API (``active_reals``, ``component_of``, ``real_classes``) survives at
 the boundary; hot paths (:mod:`repro.core.bridging`,
 :mod:`repro.core.cds_packing`) use the index view.
-
-The pre-kernel :class:`ClassState` is kept verbatim below: it is the
-building block of the preserved reference implementation and remains a
-supported standalone container.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, NamedTuple, Optional, Set
 
 import networkx as nx
 
 from repro.errors import GraphValidationError
 from repro.fastgraph import IndexedGraph, IntUnionFind
-from repro.graphs.union_find import UnionFind
 from repro.utils.mathutil import ceil_log2
 
 
@@ -88,57 +82,6 @@ class CdsIndex:
         self.n = self.indexed.n
 
 
-@dataclass
-class ClassState:
-    """Per-class projection bookkeeping, label-keyed (pre-kernel form).
-
-    ``multiplicity[v]`` counts how many virtual nodes of real node ``v``
-    have joined the class so far; ``components`` is a union-find over the
-    active reals, mirroring the disjoint-set structures of Appendix C.
-    Kept verbatim for the preserved reference pipeline
-    (:mod:`repro.core.cds_packing_reference`) and standalone use; the
-    kernel-backed :class:`VirtualGraph` uses :class:`IndexedClassState`.
-    """
-
-    class_id: int
-    multiplicity: Dict[Hashable, int] = field(default_factory=dict)
-    components: UnionFind = field(default_factory=UnionFind)
-
-    @property
-    def active_reals(self) -> Set[Hashable]:
-        return set(self.multiplicity)
-
-    def is_active(self, real: Hashable) -> bool:
-        return real in self.multiplicity
-
-    def component_of(self, real: Hashable) -> Hashable:
-        """Representative of the component containing active real ``real``."""
-        return self.components.find(real)
-
-    def n_components(self) -> int:
-        return self.components.n_components
-
-    def excess_components(self) -> int:
-        """``max(0, N_i − 1)`` — this class's contribution to M_ℓ."""
-        return max(0, self.components.n_components - 1)
-
-    def virtual_count(self) -> int:
-        """Number of virtual nodes in the class (Lemma 4.6 measures this)."""
-        return sum(self.multiplicity.values())
-
-    def add_real(self, graph: nx.Graph, real: Hashable) -> None:
-        """Account one more virtual node of ``real`` joining the class,
-        merging components through every active neighbor."""
-        if real in self.multiplicity:
-            self.multiplicity[real] += 1
-            return
-        self.multiplicity[real] = 1
-        self.components.add(real)
-        for neighbor in graph.neighbors(real):
-            if neighbor in self.multiplicity:
-                self.components.union(real, neighbor)
-
-
 class IndexedClassState:
     """Per-class projection bookkeeping on integer node indices.
 
@@ -147,7 +90,8 @@ class IndexedClassState:
     component count is ``|active| − merges`` rather than the forest's
     global count. Exposes both the index-side hot-path API (``find``,
     ``is_active_index``, ``multiplicity_by_index``) and the label-level
-    accessors of the pre-kernel :class:`ClassState`.
+    accessors of the pre-kernel ``ClassState``, which lives on beside the
+    CDS oracle in ``tests/oracles/cds_packing_reference.py``.
     """
 
     __slots__ = ("class_id", "_index", "multiplicity_by_index", "_uf",

@@ -27,7 +27,7 @@ from repro.api import tasks
 from repro.api.envelope import Result
 from repro.api.session import GraphSession
 from repro.api.specs import coerce_node_id
-from repro.errors import GraphValidationError, ServiceError
+from repro.errors import BadRequestError, GraphValidationError, ServiceError
 from repro.service.protocol import SERVICE_GRAPH, error_envelope
 
 #: Default number of warm sessions the daemon keeps.
@@ -35,6 +35,16 @@ DEFAULT_SESSIONS = 8
 
 #: Request fields that route a task op rather than feed its task.
 _ROUTING_FIELDS = ("op", "id", "graph", "session", "kind")
+
+#: The fields a ``batch`` op takes besides ``op`` and ``id``.
+_BATCH_FIELDS = ("jobs", "base_seed")
+
+#: Spec → fingerprint memo entries kept per cached session before the
+#: memo is cleared wholesale (the policy of the payload-size memo in
+#: :mod:`repro.simulator.message`): a client sending endless spellings
+#: of one graph cannot grow it without bound, and a miss only costs one
+#: canonicalization.
+_SPEC_MEMO_PER_SESSION = 4
 
 
 class SessionCache:
@@ -78,6 +88,8 @@ class SessionCache:
             return self._sessions[memoized], memoized, False
         session = GraphSession(spec)
         fingerprint = session.fingerprint
+        if len(self._spec_memo) >= _SPEC_MEMO_PER_SESSION * self.capacity:
+            self._spec_memo.clear()
         self._spec_memo[spec] = fingerprint
         if fingerprint in self._sessions:
             self.stats["hits"] += 1
@@ -177,7 +189,9 @@ class ServiceCore:
         op = request.get("op")
         with self._lock:
             self._requests += 1
-            if isinstance(op, str):
+            # Only known ops get a counter: unknown names would grow the
+            # stats payload with every distinct string a client sends.
+            if isinstance(op, str) and op in self.OPS:
                 self._op_counts[op] = self._op_counts.get(op, 0) + 1
             try:
                 envelope = self._dispatch(request)
@@ -417,15 +431,24 @@ class ServiceCore:
     def _op_batch(self, request: Dict[str, Any]) -> Result:
         """Run an inline job list/matrix through the batch scheduler.
 
-        The same :func:`repro.api.batch.run` the CLI uses — one
-        scheduler for parameter sweeps and service load. Jobs must be
-        inline (a list or matrix mapping); a server-side file path is
+        The same :func:`repro.api.batch.run` the CLI uses, on its serial
+        plane: the request takes ``jobs`` and ``base_seed`` only, so a
+        client cannot size a process pool inside the daemon. Jobs must
+        be inline (a list or matrix mapping); a server-side file path is
         refused so a remote client cannot read the daemon's filesystem.
         Rows come back canonical (timing-free), so the payload is as
         deterministic as a ``repro batch`` JSONL file.
         """
         from repro.api import batch as api_batch
 
+        unknown = [
+            name for name in request if name not in ("op", "id", *_BATCH_FIELDS)
+        ]
+        if unknown:
+            raise BadRequestError(
+                f"unknown field(s) {unknown}; valid fields: "
+                + ", ".join(_BATCH_FIELDS)
+            )
         jobs = request.get("jobs")
         if jobs is None:
             raise ServiceError(
@@ -443,8 +466,6 @@ class ServiceCore:
             base_seed=tasks.optional_integer(
                 "base_seed", request.get("base_seed")
             ),
-            backend=request.get("backend", "serial"),
-            workers=tasks.optional_integer("workers", request.get("workers")),
             stats=stats,
         )
         rows = [result.to_dict(include_timings=False) for result in results]

@@ -26,11 +26,9 @@ from repro.simulator.message import Message
 class Context:
     """Per-node view of the network plus local control surface.
 
-    The per-node generator may be given directly (``rng``) or as a seed
-    (``rng_seed``); the seed form defers :class:`random.Random`
-    construction until a program first touches ``ctx.rng``, which most
-    deterministic protocols never do. Both forms produce the same stream
-    for the same seed, so engines may pick either.
+    The per-node generator comes as a seed (``rng_seed``):
+    :class:`random.Random` is built when a program first touches
+    ``ctx.rng``, which most deterministic protocols never do.
     """
 
     def __init__(
@@ -39,7 +37,6 @@ class Context:
         node_id: int,
         neighbors: Tuple[Hashable, ...],
         n: int,
-        rng=None,
         index: Optional[int] = None,
         rng_seed: Optional[int] = None,
     ) -> None:
@@ -47,7 +44,7 @@ class Context:
         self.node_id = node_id
         self.neighbors = neighbors
         self.n = n
-        self._rng = rng
+        self._rng: Optional[random.Random] = None
         self._rng_seed = rng_seed
         # Dense integer index of the node in Network.index_map (the
         # engine's canonical order); None under the reference engine.

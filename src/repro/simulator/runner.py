@@ -31,7 +31,7 @@ fan-out is the network adjacency itself, and it passes the measured
 rule of :data:`COLUMN_MIN_FANOUT` and :data:`COLUMN_MIN_EDGE_SHARE`.
 Both planes produce identical :class:`SimulationResult` values and
 identical :class:`~repro.simulator.tracing.Tracer` transcripts under a
-fixed seed; :mod:`repro.simulator.runner_reference` preserves the
+fixed seed; ``tests/oracles/runner_reference.py`` preserves the
 pre-engine loop as the independent oracle the equivalence tests
 compare against.
 

@@ -3,16 +3,19 @@ and the round-loop selector of the equivalence suites."""
 
 from __future__ import annotations
 
-import contextlib
+import pathlib
 import random
+import sys
 
-import networkx as nx
 import pytest
 
-from repro.simulator import runner
-from repro.simulator.runner_reference import _run_reference
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+if str(REPO_ROOT) not in sys.path:  # `tests.oracles` resolves from the root
+    sys.path.insert(0, str(REPO_ROOT))
 
-from repro.graphs.generators import (
+from tests.oracles.round_loops import round_loop as _round_loop  # noqa: E402
+
+from repro.graphs.generators import (  # noqa: E402
     clique_chain,
     fat_cycle,
     harary_graph,
@@ -84,32 +87,10 @@ def family_graph(request):
     return builders[request.param]()
 
 
-#: What each ``round_loop`` name patches in :mod:`repro.simulator.runner`.
-_ROUND_LOOPS = {
-    # The shipped loop with its measured rule.
-    "default": {},
-    # The column step on every round it can take: honest broadcast
-    # rounds over the network adjacency.
-    "column": {"COLUMN_MIN_FANOUT": 0, "COLUMN_MIN_EDGE_SHARE": 0},
-    # The dict plane only.
-    "dict": {"COLUMN_MIN_FANOUT": float("inf")},
-    # The preserved pre-engine loop, the independent oracle.
-    "reference": {"_run_rounds": _run_reference},
-}
-
-
-@contextlib.contextmanager
-def _use_round_loop(name):
-    with pytest.MonkeyPatch.context() as patch:
-        for attr, value in _ROUND_LOOPS[name].items():
-            patch.setattr(runner, attr, value)
-        yield
-
-
 @pytest.fixture(scope="session")
 def round_loop():
     """``with round_loop(name):`` runs simulations on one delivery path:
     ``"default"``, ``"column"`` (forced), ``"dict"`` or ``"reference"``.
     Session-scoped so hypothesis tests may use it; each ``with`` block
     undoes its own patches."""
-    return _use_round_loop
+    return _round_loop

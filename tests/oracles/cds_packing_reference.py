@@ -24,6 +24,7 @@ than re-declared.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 import networkx as nx
@@ -39,9 +40,61 @@ from repro.core.tree_packing import (
     WeightedTree,
     spanning_tree_of,
 )
-from repro.core.virtual_graph import ClassState, VirtualNode
+from repro.core.virtual_graph import VirtualNode
 from repro.graphs.connectivity import is_connected_dominating_set
+from repro.graphs.union_find import UnionFind
 from repro.utils.rng import RngLike, ensure_rng
+
+
+@dataclass
+class ClassState:
+    """Per-class projection bookkeeping, label-keyed (pre-kernel form).
+
+    ``multiplicity[v]`` counts how many virtual nodes of real node ``v``
+    have joined the class so far; ``components`` is a union-find over the
+    active reals, mirroring the disjoint-set structures of Appendix C.
+    Kept verbatim for this preserved pipeline; the kernel-backed
+    :class:`~repro.core.virtual_graph.VirtualGraph` uses
+    :class:`~repro.core.virtual_graph.IndexedClassState`.
+    """
+
+    class_id: int
+    multiplicity: Dict[Hashable, int] = field(default_factory=dict)
+    components: UnionFind = field(default_factory=UnionFind)
+
+    @property
+    def active_reals(self) -> Set[Hashable]:
+        return set(self.multiplicity)
+
+    def is_active(self, real: Hashable) -> bool:
+        return real in self.multiplicity
+
+    def component_of(self, real: Hashable) -> Hashable:
+        """Representative of the component containing active real ``real``."""
+        return self.components.find(real)
+
+    def n_components(self) -> int:
+        return self.components.n_components
+
+    def excess_components(self) -> int:
+        """``max(0, N_i − 1)`` — this class's contribution to M_ℓ."""
+        return max(0, self.components.n_components - 1)
+
+    def virtual_count(self) -> int:
+        """Number of virtual nodes in the class (Lemma 4.6 measures this)."""
+        return sum(self.multiplicity.values())
+
+    def add_real(self, graph: nx.Graph, real: Hashable) -> None:
+        """Account one more virtual node of ``real`` joining the class,
+        merging components through every active neighbor."""
+        if real in self.multiplicity:
+            self.multiplicity[real] += 1
+            return
+        self.multiplicity[real] = 1
+        self.components.add(real)
+        for neighbor in graph.neighbors(real):
+            if neighbor in self.multiplicity:
+                self.components.union(real, neighbor)
 
 
 class ReferenceVirtualGraph:

@@ -31,7 +31,6 @@ congested clique postdates this loop.
 
 from __future__ import annotations
 
-import random
 from typing import Any, Callable, Dict, Hashable
 
 from repro.errors import ModelViolationError, SimulationError
@@ -72,7 +71,7 @@ def _run_reference(
             node_id=net.node_id(node),
             neighbors=net.neighbors(node),
             n=net.n,
-            rng=random.Random(fresh_seed(runner._rng)),
+            rng_seed=fresh_seed(runner._rng),
         )
         programs[node] = program_factory(node)
 

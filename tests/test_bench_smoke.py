@@ -12,17 +12,21 @@ Deselect with ``-m "not bench_smoke"`` when iterating on unrelated code.
 from __future__ import annotations
 
 import importlib
+import json
 import pathlib
-import sys
 
 import pytest
+
+from benchmarks import run_benchmarks
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 BENCH_DIR = REPO_ROOT / "benchmarks"
 BENCH_MODULES = sorted(path.stem for path in BENCH_DIR.glob("bench_*.py"))
 
-if str(REPO_ROOT) not in sys.path:  # `benchmarks` is a namespace package
-    sys.path.insert(0, str(REPO_ROOT))
+ENV_KEYS = {
+    "git_sha", "python", "machine", "numpy", "networkx", "cpu_count",
+    "schedulable_cpus", "loadavg_1m_start", "loadavg_1m_end",
+}
 
 
 def test_benchmark_modules_discovered():
@@ -40,3 +44,26 @@ def test_bench_entry_point_runs_on_tiny_graph(name):
         "benchmark module must stay runnable on a tiny graph"
     )
     module.smoke()
+
+
+def test_every_driver_suite_has_a_run_and_a_row_format():
+    for module_name, filename in run_benchmarks.SUITES.values():
+        module = importlib.import_module(f"benchmarks.{module_name}")
+        assert callable(module.run) and callable(module.format_row)
+        assert not hasattr(module, "main"), (
+            f"benchmarks/{module_name}.py drives itself; "
+            "run_benchmarks.py is the one driver"
+        )
+        assert (REPO_ROOT / filename).exists(), filename
+
+
+@pytest.mark.bench_smoke
+def test_driver_stamps_env_on_the_report(tmp_path):
+    out = tmp_path / "resilience.json"
+    assert run_benchmarks.main(
+        ["--suite", "resilience", "--quick", "--out", str(out)]
+    ) == 0
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert set(report["env"]) == ENV_KEYS
+    assert report["env"]["schedulable_cpus"] >= 1
+    assert report["results"]

@@ -3,7 +3,7 @@
 The fastgraph port of :mod:`repro.core.cds_packing` (index-side
 recursion, union-find validity testing, index-side BFS tree extraction)
 must be **bit-identical** to the preserved pre-kernel implementation
-(:mod:`repro.core.cds_packing_reference`) under a fixed seed: same RNG
+(``tests/oracles/cds_packing_reference.py``) under a fixed seed: same RNG
 consumption, same valid classes, same trees edge-for-edge, same float
 weights, same per-virtual-node assignment. This suite pins that on
 fixed-seed random, clustered, and k-connected generator graphs —
@@ -19,10 +19,6 @@ from repro.core.cds_packing import (
     construct_cds_packing,
     fractional_cds_packing,
 )
-from repro.core.cds_packing_reference import (
-    construct_cds_packing_reference,
-    fractional_cds_packing_reference,
-)
 from repro.graphs.generators import (
     clique_chain,
     fat_cycle,
@@ -30,6 +26,10 @@ from repro.graphs.generators import (
     harary_graph,
     random_k_connected,
     random_regular_connected,
+)
+from tests.oracles.cds_packing_reference import (
+    construct_cds_packing_reference,
+    fractional_cds_packing_reference,
 )
 
 SEEDS = (0, 7, 41)

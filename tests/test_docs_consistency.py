@@ -2,11 +2,14 @@
 
 DESIGN.md promises a module map, the CLI promises an experiment index,
 and the README promises runnable examples; these tests fail whenever
-the repository drifts from its own documentation.
+the repository drifts from its own documentation. ROADMAP.md promises
+that oracles which exist only for tests live in ``tests/oracles/``, not
+in the shipped package.
 """
 
 from __future__ import annotations
 
+import ast
 import pathlib
 import re
 
@@ -38,7 +41,9 @@ class TestDesignInventory:
                     (REPO / "benchmarks").glob(name)
                 ) + list((REPO / "tests").glob(name))
             else:
-                hits = list((REPO / "src").rglob(name))
+                hits = list((REPO / "src").rglob(name)) + list(
+                    (REPO / "tests" / "oracles").glob(name)
+                )
             assert hits, f"DESIGN.md mentions {name} but it does not exist"
 
     def test_every_benchmark_is_in_the_index(self):
@@ -47,6 +52,27 @@ class TestDesignInventory:
             assert path.name in design, (
                 f"{path.name} missing from the DESIGN.md experiment index"
             )
+
+
+class TestShippedPackage:
+    def test_src_ships_no_test_oracle(self):
+        shipped = []
+        for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+            where = str(path.relative_to(REPO))
+            if path.name.endswith("_reference.py"):
+                shipped.append(f"{where}: a *_reference.py oracle")
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.ClassDef) and node.name == "ClassState":
+                    shipped.append(f"{where}: defines ClassState")
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name.split(".")[0] == "tests" for name in names):
+                    shipped.append(f"{where}: imports tests")
+        assert not shipped, f"test oracles in the shipped package: {shipped}"
 
 
 class TestCliIndex:

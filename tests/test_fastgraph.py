@@ -22,10 +22,6 @@ from repro.core.spanning_packing import (
     fractional_spanning_tree_packing,
     mwu_spanning_packing,
 )
-from repro.core.spanning_packing_reference import (
-    fractional_spanning_tree_packing_reference,
-    mwu_spanning_packing_reference,
-)
 from repro.fastgraph import (
     IndexedGraph,
     IntUnionFind,
@@ -40,6 +36,10 @@ from repro.graphs.generators import (
 )
 from repro.graphs.union_find import IntUnionFind as ReExportedIntUnionFind
 from repro.graphs.union_find import UnionFind
+from tests.oracles.spanning_packing_reference import (
+    fractional_spanning_tree_packing_reference,
+    mwu_spanning_packing_reference,
+)
 
 
 def _random_weighted_graph(n: int, p: float, seed: int) -> nx.Graph:

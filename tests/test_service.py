@@ -229,6 +229,18 @@ def test_core_stats_payload_shape():
     json.dumps(stats)
 
 
+def test_core_unknown_ops_add_no_stats_keys():
+    core = ServiceCore()
+    for i in range(1000):
+        reply = core.handle({"op": f"bogus-{i}"})
+        assert reply["payload"]["error_type"] == "service"
+    core.handle({"op": ["not", "a", "name"]})
+    stats = core.handle({"op": "stats"})["payload"]
+    assert stats["ops"] == {"stats": 1}
+    assert stats["requests"] == 1002
+    assert stats["errors"] == 1001
+
+
 # -- SessionCache ----------------------------------------------------------
 
 
@@ -259,6 +271,16 @@ def test_session_cache_same_graph_two_specs_is_one_session():
 def test_session_cache_capacity_validation():
     with pytest.raises(ServiceError):
         SessionCache(capacity=0)
+
+
+def test_session_cache_spec_memo_stays_bounded():
+    # 200 spellings of one graph: one session, and a memo that is
+    # cleared wholesale instead of keeping every spelling a client sent.
+    cache = SessionCache()
+    for zeros in range(200):
+        cache.open("hypercube:" + "0" * zeros + "3")
+    assert len(cache) == 1
+    assert len(cache._spec_memo) <= 4 * cache.capacity
 
 
 # -- the shell -------------------------------------------------------------
@@ -578,16 +600,14 @@ def test_core_batch_op_matches_library_rows():
 
     core = ServiceCore()
     matrix = {"graphs": ["harary:4,12"], "tasks": ["connectivity"], "trials": 3}
-    envelope = core.handle(
-        {"op": "batch", "jobs": matrix, "base_seed": 0, "backend": "process",
-         "workers": 2}
-    )
+    envelope = core.handle({"op": "batch", "jobs": matrix, "base_seed": 0})
     assert not is_error(envelope)
     payload = envelope["payload"]
     assert payload["jobs"] == 3
     assert payload["errors"] == 0
-    assert payload["backend"] == "process"
-    assert payload["workers"] == 2
+    assert payload["backend"] == "serial"
+    assert payload["workers"] == 1
+    assert envelope["params"] == {"backend": "serial", "workers": 1}
     direct = batch.run(matrix, base_seed=0)
     assert payload["rows"] == [r.to_dict(include_timings=False) for r in direct]
 
@@ -614,11 +634,27 @@ def test_core_batch_op_refuses_server_side_paths():
     assert "'jobs'" in missing["payload"]["error"]
 
 
-def test_core_batch_op_unknown_backend_is_graph_error():
+def test_core_batch_op_backend_field_is_bad_request():
     core = ServiceCore()
     envelope = core.handle(
         {"op": "batch", "jobs": [{"graph": "hypercube:3"}], "backend": "quantum"}
     )
     assert is_error(envelope)
-    assert envelope["payload"]["error_type"] == "graph"
-    assert "registered backends" in envelope["payload"]["error"]
+    assert envelope["payload"]["error_type"] == "bad-request"
+    assert "'backend'" in envelope["payload"]["error"]
+
+
+def test_core_batch_op_workers_field_starts_no_pool(monkeypatch):
+    from repro.api import backends
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the batch op started a process pool")
+
+    monkeypatch.setattr(backends, "ProcessPoolExecutor", no_pool)
+    core = ServiceCore()
+    envelope = core.handle(
+        {"op": "batch", "jobs": _JOBS * 5, "backend": "process", "workers": 64}
+    )
+    assert envelope["payload"]["error_type"] == "bad-request"
+    alone = core.handle({"op": "batch", "jobs": _JOBS, "workers": 64})
+    assert alone["payload"]["error_type"] == "bad-request"

@@ -5,11 +5,11 @@ import pytest
 
 from repro.errors import GraphValidationError
 from repro.core.virtual_graph import (
-    ClassState,
     VirtualGraph,
     VirtualNode,
     default_layer_count,
 )
+from tests.oracles.cds_packing_reference import ClassState
 
 
 @pytest.fixture
