@@ -4,7 +4,10 @@ Each suite is a bench module whose ``run(quick, repeats, seed)`` returns
 a report dict with its gates already asserted; the driver runs it,
 stamps the environment on it and writes one JSON file at the repo root
 (the perf trajectory: regressions become diffable numbers instead of
-anecdotes):
+anecdotes). A ``--quick`` run without ``--out`` writes its CI-sized
+reports under a fresh temporary directory instead, so it never
+overwrites the committed full-size ones; the driver prints every path
+it writes:
 
 * ``spanning`` — the kernel MWU spanning packing vs its preserved
   pre-kernel oracle → ``BENCH_spanning_packing.json``
@@ -25,15 +28,16 @@ anecdotes):
 * ``batch`` — batch jobs/sec across backend × worker plans →
   ``BENCH_batch.json`` (:mod:`bench_batch`, E31).
 
-Every report carries an ``env`` block: ``git_sha``, ``python``,
-``machine``, ``numpy``, ``networkx``, ``cpu_count``,
+Every report carries an ``env`` block: ``git_sha`` (``git describe
+--always --dirty``, so a report from an uncommitted tree says so),
+``python``, ``machine``, ``numpy``, ``networkx``, ``cpu_count``,
 ``schedulable_cpus`` and the 1-minute load average at the suite's start
 and end. A flag left unset takes the suite's own ``run`` default.
 
 Run from the repo root::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py                 # all
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --quick         # CI-sized
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --quick         # CI-sized, temp dir
     PYTHONPATH=src python benchmarks/run_benchmarks.py --suite cds_packing
 """
 
@@ -48,6 +52,7 @@ import pathlib
 import platform
 import subprocess
 import sys
+import tempfile
 from typing import Any, Dict, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -68,8 +73,8 @@ SUITES = {
 def _git_sha() -> Optional[str]:
     try:
         done = subprocess.run(
-            ["git", "rev-parse", "HEAD"], cwd=REPO_ROOT, capture_output=True,
-            text=True, timeout=10,
+            ["git", "describe", "--always", "--dirty"], cwd=REPO_ROOT,
+            capture_output=True, text=True, timeout=10,
         )
     except (OSError, subprocess.SubprocessError):
         return None
@@ -96,8 +101,11 @@ def environment(loadavg_start: float) -> Dict[str, Any]:
     }
 
 
-def run_suite(suite: str, args: argparse.Namespace) -> None:
-    """Run one suite and write its report, ``env`` stamped on it."""
+def run_suite(
+    suite: str, args: argparse.Namespace, out_dir: pathlib.Path
+) -> None:
+    """Run one suite and write its report, ``env`` stamped on it, to
+    ``--out`` or to its file under ``out_dir``."""
     module_name, filename = SUITES[suite]
     module = importlib.import_module(f"benchmarks.{module_name}")
     accepted = inspect.signature(module.run).parameters
@@ -108,7 +116,7 @@ def run_suite(suite: str, args: argparse.Namespace) -> None:
         if value is not None and name in accepted
     })
     report["env"] = environment(loadavg_start)
-    out = args.out or REPO_ROOT / filename
+    out = args.out or out_dir / filename
     out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     for row in report["results"]:
         print(module.format_row(row))
@@ -134,15 +142,19 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--out", type=pathlib.Path, default=None,
-        help="output JSON path for a single --suite (default: repo root)",
+        help="output JSON path for a single --suite (default: the repo "
+        "root; a fresh temporary directory with --quick)",
     )
     args = parser.parse_args(argv)
     if args.repeats is not None and args.repeats < 1:
         parser.error("--repeats must be >= 1")
     if args.out is not None and args.suite == "all":
         parser.error("--out needs a single --suite")
+    out_dir = REPO_ROOT
+    if args.quick and args.out is None:
+        out_dir = pathlib.Path(tempfile.mkdtemp(prefix="bench-quick-"))
     for suite in SUITES if args.suite == "all" else [args.suite]:
-        run_suite(suite, args)
+        run_suite(suite, args, out_dir)
     return 0
 
 

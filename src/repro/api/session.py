@@ -311,7 +311,6 @@ class GraphSession:
         self,
         seed: int = 0,
         params=None,
-        approximation_constant: float = 6.0,
         exact: bool = False,
     ) -> Result:
         """Corollary 1.7 vertex-connectivity estimate.
@@ -325,34 +324,24 @@ class GraphSession:
             from repro.core.vertex_connectivity import estimate_from_packing
 
             packing_result = self._cds_result(None, seed, params)
-            estimate = estimate_from_packing(
-                self._graph, packing_result, approximation_constant
-            )
+            estimate = estimate_from_packing(self._graph, packing_result)
             payload = {
                 "lower_bound": estimate.lower_bound,
                 "upper_bound": estimate.upper_bound,
                 "estimate": estimate.estimate,
                 "packing_size": estimate.packing_size,
                 "n_trees": estimate.n_trees,
-                "log_factor": estimate.log_factor,
             }
             if exact:
                 payload["exact_k"] = self.exact_vertex_connectivity()
                 payload["exact_lambda"] = self.exact_edge_connectivity()
             return self._envelope(
                 "connectivity", seed,
-                {
-                    "params": asdict(params) if params else None,
-                    "approximation_constant": approximation_constant,
-                    "exact": exact,
-                },
+                {"params": asdict(params) if params else None, "exact": exact},
                 payload, estimate,
             )
 
-        return self._cached(
-            ("connectivity", seed, params, approximation_constant, exact),
-            build,
-        )
+        return self._cached(("connectivity", seed, params, exact), build)
 
     def exact_vertex_connectivity(self) -> int:
         """Exact ``k`` from the production oracle

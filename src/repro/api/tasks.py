@@ -141,9 +141,7 @@ def _plan(module: str, cls: str, table: Mapping[str, Parser]) -> Parser:
 #: task → {JSON field → parser}. Only the fields a request gives are
 #: decoded, so defaults stay in the method signatures.
 TASKS: Dict[str, Dict[str, Parser]] = {
-    "connectivity": {
-        "seed": integer, "approximation_constant": _number, "exact": _flag,
-    },
+    "connectivity": {"seed": integer, "exact": _flag},
     "pack_cds": {"k": optional_integer, "seed": integer},
     "pack_spanning": {"lam": optional_integer, "seed": integer},
     "pack_integral": {

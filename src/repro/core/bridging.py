@@ -39,8 +39,10 @@ equivalence suite pins this.
 
 from __future__ import annotations
 
+import functools
+import random
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -226,24 +228,34 @@ def assign_layer(
     )
 
 
+#: ``step(vg, layer, rng)`` assigns the ``3n`` new virtual nodes of one
+#: layer and reports on it.
+LayerStep = Callable[[VirtualGraph, int, random.Random], LayerStats]
+
+
 def run_recursion(
     vg: VirtualGraph,
     rng: RngLike = None,
     use_deactivation: bool = True,
     require_type3_witness: bool = True,
+    step: Optional[LayerStep] = None,
 ) -> List[LayerStats]:
-    """Jump-start layers 1..L/2, then assign layers L/2+1..L recursively."""
+    """Jump-start layers 1..L/2, then assign layers L/2+1..L recursively.
+
+    ``step`` is the per-layer assignment: :func:`assign_layer` with the
+    two ablation flags by default, or the Appendix B protocol's layer
+    (:mod:`repro.core.cds_packing_distributed`), which shares everything
+    else — the jump-start and the RNG stream — with the centralized run.
+    """
     rand = ensure_rng(rng)
     jump_start(vg, rand)
-    history: List[LayerStats] = []
-    for layer in range(vg.layers // 2 + 1, vg.layers + 1):
-        history.append(
-            assign_layer(
-                vg,
-                layer,
-                rand,
-                use_deactivation=use_deactivation,
-                require_type3_witness=require_type3_witness,
-            )
+    if step is None:
+        step = functools.partial(
+            assign_layer,
+            use_deactivation=use_deactivation,
+            require_type3_witness=require_type3_witness,
         )
-    return history
+    return [
+        step(vg, layer, rand)
+        for layer in range(vg.layers // 2 + 1, vg.layers + 1)
+    ]

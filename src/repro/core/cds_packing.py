@@ -26,6 +26,12 @@ When ``k`` is unknown, :func:`fractional_cds_packing` runs the try-and-error
 guessing of Remark 3.1 over ``k ∈ {n/2, n/4, ...}``, accepting the first
 guess for which at least half the classes pass the test.
 
+Both loops — the guesses and the halving of ``t`` — live only here. The
+per-layer step is the one part that varies:
+:func:`~repro.core.bridging.assign_layer` by default, or the Appendix B
+protocol's layer, which :mod:`repro.core.cds_packing_distributed` binds
+to its network and passes as ``step``.
+
 Implementation: the whole pipeline runs on the :mod:`repro.fastgraph`
 kernel. The graph is canonicalized **once** at entry into a
 :class:`~repro.core.virtual_graph.CdsIndex` (and shared across the guess
@@ -56,7 +62,7 @@ from repro.errors import (
     PackingConstructionError,
     PackingValidationError,
 )
-from repro.core.bridging import LayerStats, run_recursion
+from repro.core.bridging import LayerStats, LayerStep, run_recursion
 from repro.core.tree_packing import (
     _TOLERANCE,
     DominatingTreePacking,
@@ -97,6 +103,9 @@ class CdsPackingResult:
     t_requested: int
     t_used: int
     attempts: int
+    #: True when Remark 3.1's guess loop accepted ``k_guess``: every
+    #: larger guess, the last about ``2·k_guess``, was rejected.
+    accepted: bool = False
 
     @property
     def size(self) -> float:
@@ -109,16 +118,18 @@ def build_cds_classes(
     n_layers: int,
     rng: RngLike = None,
     index: Optional[CdsIndex] = None,
+    step: Optional[LayerStep] = None,
 ) -> Tuple[VirtualGraph, List[LayerStats]]:
     """Run the full recursive class assignment; returns the raw classes.
 
     This is the algorithm of Section 3.1 without the testing/retry wrapper;
     exposed separately for the analysis experiments (E8, E9, E10) that need
     the un-filtered trajectory. ``index`` shares one canonicalization
-    across repeated constructions.
+    across repeated constructions; ``step`` replaces the per-layer
+    assignment (:func:`~repro.core.bridging.run_recursion`).
     """
     vg = VirtualGraph(graph, layers=n_layers, n_classes=n_classes, index=index)
-    history = run_recursion(vg, rng)
+    history = run_recursion(vg, rng, step=step)
     return vg, history
 
 
@@ -266,13 +277,15 @@ def construct_cds_packing(
     params: Optional[PackingParameters] = None,
     rng: RngLike = None,
     index: Optional[CdsIndex] = None,
+    step: Optional[LayerStep] = None,
 ) -> CdsPackingResult:
     """Build a packing for a known (2-approximate) connectivity guess.
 
     Retries with halved class counts when too few classes verify — the
     library-level guarantee is that the returned packing is always valid
     (the defining constraints are re-checked index-side during
-    construction). ``index`` shares a prebuilt canonicalization.
+    construction). ``index`` shares a prebuilt canonicalization;
+    ``step`` is the per-layer assignment (:func:`build_cds_classes`).
     """
     if graph.number_of_nodes() < 2:
         raise GraphValidationError("graph must have at least 2 nodes")
@@ -289,7 +302,9 @@ def construct_cds_packing(
     n_layers = params.n_layers(graph.number_of_nodes())
     t = t_requested
     for attempt in range(1, params.max_attempts + 1):
-        vg, history = build_cds_classes(graph, t, n_layers, rand, index=index)
+        vg, history = build_cds_classes(
+            graph, t, n_layers, rand, index=index, step=step
+        )
         valid = _valid_class_ids(graph, vg)
         if valid:
             packing = _packing_from_classes(graph, vg, valid)
@@ -318,28 +333,37 @@ def fractional_cds_packing(
     params: Optional[PackingParameters] = None,
     rng: RngLike = None,
     index: Optional[CdsIndex] = None,
+    step: Optional[LayerStep] = None,
 ) -> CdsPackingResult:
     """Fractional dominating tree packing (Theorems 1.1/1.2 object).
 
     ``k`` is an optional 2-approximation of the vertex connectivity; when
     omitted, the try-and-error guessing of Remark 3.1 finds a suitable
     scale: guesses ``n/2, n/4, …`` are tried until at least an
-    ``accept_fraction`` of the classes pass the CDS test. The graph is
-    canonicalized once and the :class:`CdsIndex` shared across guesses.
+    ``accept_fraction`` of the classes pass the CDS test and ``t`` was
+    never halved; the accepted result is marked ``accepted``. If no
+    guess is accepted, the largest packing any guess built is returned.
+    The graph is canonicalized once and the :class:`CdsIndex` shared
+    across guesses; ``step`` is the per-layer assignment
+    (:func:`build_cds_classes`).
     """
     params = params or PackingParameters()
     rand = ensure_rng(rng)
     if index is None:
         index = CdsIndex(graph)
     if k is not None:
-        return construct_cds_packing(graph, k, params, rand, index=index)
+        return construct_cds_packing(
+            graph, k, params, rand, index=index, step=step
+        )
 
     n = graph.number_of_nodes()
     guess = max(1, n // 2)
     best: Optional[CdsPackingResult] = None
     while True:
         try:
-            result = construct_cds_packing(graph, guess, params, rand, index=index)
+            result = construct_cds_packing(
+                graph, guess, params, rand, index=index, step=step
+            )
         except PackingConstructionError:
             result = None
         if result is not None:
@@ -351,6 +375,7 @@ def fractional_cds_packing(
                 and result.t_used == result.t_requested
             )
             if accepted:
+                result.accepted = True
                 return result
         if guess == 1:
             break

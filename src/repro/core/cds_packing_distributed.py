@@ -25,6 +25,13 @@ entries — i.e. one *meta-round* = ``3L`` real V-CONGEST rounds (Section
 estimate, plus the analytic Theorem B.2 bounds for the substituted
 component-identification subroutine (DESIGN.md Section 2/5).
 
+**One construction.** The jump-start, the halving of ``t`` on
+failure, the class test, the packing assembly and Remark 3.1's guess
+loop are :mod:`repro.core.cds_packing`'s; this module supplies only the
+per-layer step, :func:`_distributed_layer` bound to its network,
+metrics, model and tracer. So under a fixed seed both drivers consume
+the RNG in the same order around their layers.
+
 **Transports.** The protocol runs under ``Model.V_CONGEST`` (the paper's
 model) or ``Model.CONGESTED_CLIQUE`` (every broadcast reaches all n−1
 nodes). Protocol *decisions* consume only traffic from graph neighbors —
@@ -38,20 +45,17 @@ program (``repro simulate … --program cds_packing``), backed by
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.errors import GraphValidationError, PackingConstructionError
+from repro.errors import GraphValidationError
+from repro.core import cds_packing
 from repro.core.bridging import LayerStats
-from repro.core.cds_packing import (
-    CdsPackingResult,
-    PackingParameters,
-    _packing_from_classes,
-    _valid_class_ids,
-)
-from repro.core.virtual_graph import VirtualGraph, VirtualNode
+from repro.core.cds_packing import CdsPackingResult, PackingParameters
+from repro.core.virtual_graph import CdsIndex, VirtualGraph, VirtualNode
 from repro.simulator.algorithms.exchange import exchange_once
 from repro.simulator.algorithms.multikey_flood import multikey_flood
 from repro.simulator.metrics import (
@@ -295,16 +299,18 @@ def _matching_stages(
 
 
 def _distributed_layer(
-    network: Network,
     vg: VirtualGraph,
     new_layer: int,
-    metrics: SimulationMetrics,
     rand,
+    network: Network,
+    metrics: SimulationMetrics,
     model: Model,
     tracer=None,
     max_rounds: int = 100000,
 ) -> LayerStats:
-    """One full layer of the Appendix B protocol."""
+    """One full layer of the Appendix B protocol (a
+    :data:`~repro.core.bridging.LayerStep` once the network, metrics,
+    model and tracer are bound)."""
     graph = network.graph
     t = vg.n_classes
     excess_before = vg.excess_components()
@@ -465,7 +471,7 @@ def _distributed_layer(
 
 def distributed_cds_packing(
     graph: nx.Graph,
-    k_guess: int,
+    k_guess: Optional[int],
     params: Optional[PackingParameters] = None,
     rng: RngLike = None,
     model: Model = Model.V_CONGEST,
@@ -478,6 +484,10 @@ def distributed_cds_packing(
     Returns the packing plus a :class:`RoundReport` with measured
     meta-rounds, the derived real-round estimate (×3L multiplexing), and
     the analytic Theorem B.2 costs of the substituted subroutine.
+
+    ``k_guess=None`` runs Remark 3.1's guess loop
+    (:func:`~repro.core.cds_packing.fractional_cds_packing`) over the
+    protocol; the round report then covers every guess and attempt.
 
     ``model`` selects the transport (``V_CONGEST`` or
     ``CONGESTED_CLIQUE``; decisions are graph-local either way, so the
@@ -500,68 +510,29 @@ def distributed_cds_packing(
                 "(or the same graph object)"
             )
         graph = network.graph
-    if graph.number_of_nodes() < 2 or not nx.is_connected(graph):
-        raise GraphValidationError("graph must be connected with >= 2 nodes")
-    if k_guess < 1:
-        raise GraphValidationError("k_guess must be >= 1")
-    params = params or PackingParameters()
     rand = ensure_rng(rng)
     if network is None:
         network = Network(graph, rng=rand)
-    n = graph.number_of_nodes()
-    n_layers = params.n_layers(n)
-    t_requested = params.n_classes(k_guess)
-
-    t = t_requested
     metrics = SimulationMetrics()
-    for attempt in range(1, params.max_attempts + 1):
-        vg = VirtualGraph(graph, layers=n_layers, n_classes=t)
-        # Jump-start layers 1..L/2: purely local random choices.
-        for layer in range(1, n_layers // 2 + 1):
-            for v in graph.nodes():
-                for vtype in (1, 2, 3):
-                    vg.assign(VirtualNode(v, layer, vtype), rand.randrange(t))
-        history: List[LayerStats] = []
-        for layer in range(n_layers // 2 + 1, n_layers + 1):
-            history.append(
-                _distributed_layer(
-                    network, vg, layer, metrics, rand, model, tracer,
-                    max_rounds,
-                )
-            )
-        valid = _valid_class_ids(graph, vg)
-        if valid:
-            packing = _packing_from_classes(graph, vg, valid)
-            result = CdsPackingResult(
-                packing=packing,
-                virtual_graph=vg,
-                valid_classes=valid,
-                layer_history=history,
-                k_guess=k_guess,
-                t_requested=t_requested,
-                t_used=t,
-                attempts=attempt,
-            )
-            diameter = network.diameter()
-            analytic = [
-                AnalyticRoundCost.thurimella_components(
-                    n, diameter, d_prime=n
-                )
-            ]
-            report = RoundReport(measured=metrics, analytic=analytic)
-            multiplex = 3 * n_layers
-            return DistributedCdsResult(
-                result=result,
-                report=report,
-                meta_rounds=metrics.rounds,
-                real_round_estimate=metrics.rounds * multiplex,
-            )
-        if t == 1:
-            break
-        t = max(1, t // 2)
-    raise PackingConstructionError(
-        "distributed CDS packing produced no valid class; "
-        "graph too small or k_guess too large"
+    step = functools.partial(
+        _distributed_layer, network=network, metrics=metrics, model=model,
+        tracer=tracer, max_rounds=max_rounds,
+    )
+    result = cds_packing.fractional_cds_packing(
+        graph, k_guess, params, rand,
+        index=CdsIndex(graph, indexed=network.indexed), step=step,
+    )
+    n = network.n
+    analytic = [
+        AnalyticRoundCost.thurimella_components(
+            n, network.diameter(), d_prime=n
+        )
+    ]
+    return DistributedCdsResult(
+        result=result,
+        report=RoundReport(measured=metrics, analytic=analytic),
+        meta_rounds=metrics.rounds,
+        real_round_estimate=metrics.rounds * 3 * result.virtual_graph.layers,
     )
 
 

@@ -3,16 +3,24 @@
 The dominating tree packing works without knowing ``k`` and its size lands
 in ``[Ω(k / log n), k]``:
 
-* *upper direction*: any fractional dominating tree packing of size σ
+* *lower end*: any fractional dominating tree packing of size σ
   certifies ``k ≥ σ`` — every dominating tree is connected and dominates
   both sides of any vertex cut ``S``, so it must contain a node of ``S``;
-  summing weights, ``σ ≤ |S|`` for every cut.
-* *lower direction*: Theorem 1.1 guarantees σ = Ω(k / log n), so
-  ``k ≤ σ · O(log n)``.
+  summing weights, ``σ ≤ |S|`` for every cut. ``k`` is an integer, so
+  ``k ≥ ⌈σ⌉``; the ceiling forgives the float noise of the weight sum
+  (nine weights of 1/9 sum to ``1.0000000000000002``).
+* *upper end*: read off the run of Remark 3.1's guess loop. The loop
+  descends from ``n/2`` and any guess ``≤ k`` verifies w.h.p., so when it
+  accepts ``k′`` the rejected guess before it (about ``2k′``) exceeded
+  ``k``: ``k ≤ 2k′`` w.h.p. And ``k ≤ δ(G)`` always: removing the
+  neighbors of a minimum-degree node isolates it. When the caller fixed
+  ``k`` or no guess was accepted, ``δ(G)`` alone is the upper end.
 
-:func:`approximate_vertex_connectivity` therefore returns the certified
-interval ``[σ, σ · c·log n]`` together with a point estimate, achieving the
-``O(log n)`` approximation of Corollary 1.7 in ``Õ(m)`` centralized time.
+:func:`approximate_vertex_connectivity` therefore returns the interval
+``[⌈σ⌉, min(δ, 2k′)]`` together with a point estimate in ``Õ(m)``
+centralized time. Theorem 1.1's ``σ = Ω(k / log n)`` is what makes it
+``O(log n)`` wide; where σ stays near 1, as on dense graphs under the
+default :class:`PackingParameters` (EXPERIMENTS.md E7), the width is δ.
 """
 
 from __future__ import annotations
@@ -28,20 +36,20 @@ from repro.core.cds_packing import (
     PackingParameters,
     fractional_cds_packing,
 )
+from repro.core.tree_packing import _TOLERANCE
 from repro.core.virtual_graph import CdsIndex
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike
 
 
 @dataclass(frozen=True)
 class VertexConnectivityEstimate:
     """An O(log n)-approximation interval for vertex connectivity."""
 
-    lower_bound: float       # certified: k >= packing size
-    upper_bound: float       # w.h.p.: k <= size · O(log n)
+    lower_bound: float       # certified: k >= ⌈packing size⌉
+    upper_bound: float       # k <= δ; w.h.p. k <= 2 · accepted guess
     estimate: float          # geometric midpoint of the interval
     packing_size: float
     n_trees: int
-    log_factor: float
 
     def contains(self, k: int) -> bool:
         return self.lower_bound <= k <= self.upper_bound
@@ -51,28 +59,20 @@ def approximate_vertex_connectivity(
     graph: nx.Graph,
     params: Optional[PackingParameters] = None,
     rng: RngLike = None,
-    approximation_constant: float = 6.0,
     index: Optional[CdsIndex] = None,
 ) -> VertexConnectivityEstimate:
     """Corollary 1.7: an O(log n)-approximation of vertex connectivity.
 
     Runs the try-and-error packing of Remark 3.1 (no prior knowledge of
-    ``k``) and converts the achieved fractional packing size into a
-    certified lower bound and an ``O(log n)``-inflated upper bound.
-
-    ``approximation_constant`` is the concrete constant in the
-    ``O(log n)`` stretch — the measured ratio benchmark (E7) reports how
-    tight it is in practice. ``index`` shares a prebuilt canonicalization
-    (e.g. a :class:`repro.api.GraphSession`'s) across calls.
+    ``k``) and reads the interval off the run
+    (:func:`estimate_from_packing`). ``index`` shares a prebuilt
+    canonicalization (e.g. a :class:`repro.api.GraphSession`'s) across
+    calls.
     """
-    # Canonicalize once; the Remark 3.1 guess loop reuses the index for
-    # every construction attempt.
-    if index is None:
-        index = CdsIndex(graph)
     result = fractional_cds_packing(
         graph, k=None, params=params, rng=rng, index=index
     )
-    return estimate_from_packing(graph, result, approximation_constant)
+    return estimate_from_packing(graph, result)
 
 
 def approximate_vertex_connectivity_distributed(
@@ -80,7 +80,6 @@ def approximate_vertex_connectivity_distributed(
     k_guess: Optional[int] = None,
     params: Optional[PackingParameters] = None,
     rng: RngLike = None,
-    approximation_constant: float = 6.0,
 ):
     """Corollary 1.7, distributed: Õ(D + √n) rounds of V-CONGEST.
 
@@ -90,53 +89,30 @@ def approximate_vertex_connectivity_distributed(
     approximation interval and the round accounting.
     """
     from repro.core.cds_packing_distributed import distributed_cds_packing
-    from repro.errors import PackingConstructionError
 
-    rand = ensure_rng(rng)
-    n = graph.number_of_nodes()
-    guesses = [k_guess] if k_guess is not None else None
-    if guesses is None:
-        guesses = []
-        g = max(1, n // 2)
-        while True:
-            guesses.append(g)
-            if g == 1:
-                break
-            g //= 2
-    last_error: Optional[Exception] = None
-    for guess in guesses:
-        try:
-            dist = distributed_cds_packing(graph, guess, params, rand)
-        except PackingConstructionError as exc:
-            last_error = exc
-            continue
-        estimate = estimate_from_packing(
-            graph, dist.result, approximation_constant
-        )
-        return estimate, dist
-    raise last_error if last_error else RuntimeError("no guess attempted")
+    dist = distributed_cds_packing(graph, k_guess, params, rng)
+    return estimate_from_packing(graph, dist.result), dist
 
 
 def estimate_from_packing(
-    graph: nx.Graph,
-    result: CdsPackingResult,
-    approximation_constant: float = 6.0,
+    graph: nx.Graph, result: CdsPackingResult
 ) -> VertexConnectivityEstimate:
-    """Turn a packing construction into a connectivity estimate."""
-    n = graph.number_of_nodes()
+    """Turn a packing construction into a connectivity estimate.
+
+    The lower end is the packing size rounded up; the upper end is the
+    minimum degree, capped by twice the guess Remark 3.1's loop accepted
+    (when it accepted one).
+    """
     size = result.packing.size
-    log_factor = approximation_constant * math.log(max(n, 2))
-    lower = max(1.0, size)
-    upper = max(lower, size * log_factor)
-    # K_n has no cut; connectivity is n-1 and domination makes every class
-    # valid, so the bound still holds; clamp to the trivial maximum anyway.
-    upper = min(upper, float(n - 1))
-    estimate = math.sqrt(lower * max(lower, upper))
+    lower = float(max(1, math.ceil(size - _TOLERANCE)))
+    upper = float(min(degree for _, degree in graph.degree()))
+    if result.accepted:
+        upper = min(upper, 2.0 * result.k_guess)
+    upper = max(lower, upper)
     return VertexConnectivityEstimate(
         lower_bound=lower,
-        upper_bound=max(lower, upper),
-        estimate=estimate,
+        upper_bound=upper,
+        estimate=math.sqrt(lower * upper),
         packing_size=size,
         n_trees=len(result.packing),
-        log_factor=log_factor,
     )

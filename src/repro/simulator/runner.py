@@ -150,21 +150,20 @@ class SyncRunner:
         self,
         program_factory: Callable[[Hashable], NodeProgram],
         max_rounds: int = 100000,
-        quiescence_halts: bool = True,
     ) -> SimulationResult:
         """Run one program per node to completion.
 
         ``program_factory(node)`` builds the local algorithm for ``node``.
-        Terminates when all nodes halt, or (if ``quiescence_halts``) after
-        a fully silent round. Raises :class:`SimulationError` if
-        ``max_rounds`` is exceeded — runaway protocols are bugs.
+        Terminates when all nodes halt, or after a fully silent round.
+        Raises :class:`SimulationError` if ``max_rounds`` is exceeded —
+        runaway protocols are bugs.
         """
         if self.adversary_plan is not None:
             # Per-run state (the replay history) resets here, so a
             # reused plan object never leaks one run's traffic into the
             # next.
             self.adversary_plan.begin_run()
-        return _run_rounds(self, program_factory, max_rounds, quiescence_halts)
+        return _run_rounds(self, program_factory, max_rounds)
 
 
 def start_nodes(
@@ -309,7 +308,6 @@ def _run_rounds(
     runner: SyncRunner,
     program_factory: Callable[[Hashable], NodeProgram],
     max_rounds: int,
-    quiescence_halts: bool,
 ) -> SimulationResult:
     """The round loop over integer node indices.
 
@@ -416,7 +414,7 @@ def _run_rounds(
 
         if not live:
             return finish(nodes, contexts, metrics, True)
-        if quiescence_halts and not messages and not senders:
+        if not messages and not senders:
             return finish(nodes, contexts, metrics, False)
     raise SimulationError(
         f"simulation did not terminate within {max_rounds} rounds"

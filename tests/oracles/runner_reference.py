@@ -45,7 +45,6 @@ def _run_reference(
     runner,
     program_factory: Callable[[Hashable], NodeProgram],
     max_rounds: int,
-    quiescence_halts: bool,
 ) -> SimulationResult:
     """The legacy dict-per-round loop (pre-engine ``SyncRunner.run``)."""
     if runner.model not in (Model.V_CONGEST, Model.E_CONGEST):
@@ -139,10 +138,8 @@ def _run_reference(
                 metrics=metrics,
                 halted=True,
             )
-        if (
-            quiescence_halts
-            and not any_traffic
-            and not any(traffic for traffic in outbound.values())
+        if not any_traffic and not any(
+            traffic for traffic in outbound.values()
         ):
             return SimulationResult(
                 outputs={v: contexts[v].output for v in net.nodes},

@@ -66,6 +66,8 @@ HOSTILE = {
 #: Fields every surface must answer with ``bad-request``.
 BAD_FIELDS = [
     ("connectivity", {"bogus": 1}),
+    # No stretch field: the interval's upper end is read off the run.
+    ("connectivity", {"approximation_constant": 6.0}),
     ("simulate", {"model": "quantum"}),
     ("simulate", {"fault_plan": "x"}),
     ("simulate", {"fault_plan": {"drop_probability": "x"}}),

@@ -14,6 +14,7 @@ from __future__ import annotations
 import importlib
 import json
 import pathlib
+import tempfile
 
 import pytest
 
@@ -67,3 +68,19 @@ def test_driver_stamps_env_on_the_report(tmp_path):
     assert set(report["env"]) == ENV_KEYS
     assert report["env"]["schedulable_cpus"] >= 1
     assert report["results"]
+
+
+@pytest.mark.bench_smoke
+def test_quick_run_leaves_the_committed_report_alone(
+    tmp_path, monkeypatch, capsys
+):
+    # A quick run without --out writes under a fresh temporary directory;
+    # the committed full-size report keeps its bytes.
+    committed = REPO_ROOT / run_benchmarks.SUITES["resilience"][1]
+    before = committed.read_bytes()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert run_benchmarks.main(["--suite", "resilience", "--quick"]) == 0
+    assert committed.read_bytes() == before
+    (written,) = tmp_path.glob("bench-quick-*/BENCH_resilience.json")
+    assert f"wrote {written}" in capsys.readouterr().out
+    assert json.loads(written.read_text(encoding="utf-8"))["results"]

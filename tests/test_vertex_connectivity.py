@@ -4,7 +4,9 @@ import math
 
 import networkx as nx
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.api import GraphSession
 from repro.core.vertex_connectivity import (
     approximate_vertex_connectivity,
     estimate_from_packing,
@@ -71,3 +73,35 @@ class TestApproximation:
         g = nx.cycle_graph(16)
         est = approximate_vertex_connectivity(g, rng=86)
         assert est.contains(2)
+
+
+#: (spec, κ) with κ known by construction, n ≤ 64. Harary graphs have
+#: κ = δ; clique chains (κ = k, δ = 2k − 1) and fat cycles (κ = 2w,
+#: δ = 3w − 1) sit below δ, so the minimum degree alone cannot hold
+#: their upper end.
+HARARY = st.integers(4, 64).flatmap(
+    lambda n: st.integers(2, n - 2).map(lambda k: (f"harary:{k},{n}", k))
+)
+CLIQUE_CHAIN = st.integers(1, 21).flatmap(
+    lambda k: st.integers(3, 64 // k).map(
+        lambda length: (f"clique_chain:{k},{length}", k)
+    )
+)
+FAT_CYCLE = st.integers(1, 16).flatmap(
+    lambda w: st.integers(4, 64 // w).map(
+        lambda length: (f"fat_cycle:{w},{length}", 2 * w)
+    )
+)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.one_of(HARARY, CLIQUE_CHAIN, FAT_CYCLE))
+@example(("harary:24,32", 24))  # a fixed 6·ln n stretch read [1, 20.79]
+@example(("clique_chain:1,38", 1))  # nine weights of 1/9 sum past 1.0
+def test_interval_contains_kappa(case):
+    """Corollary 1.7's interval holds κ on seeds 0–9, no oracle needed."""
+    spec, kappa = case
+    session = GraphSession(spec)
+    for seed in range(10):
+        estimate = session.connectivity(seed=seed).raw
+        assert estimate.contains(kappa), (spec, seed, estimate)
