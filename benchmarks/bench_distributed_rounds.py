@@ -79,15 +79,13 @@ def test_e4_diameter_regimes(benchmark):
 def test_e4_spanning_rounds(benchmark):
     """Distributed spanning packing round accounting (Lemma 5.1 shape)."""
     rows = []
-    params = MwuParameters(epsilon=0.25, beta_factor=3.0)
+    params = MwuParameters(epsilon=0.25, beta_factor=3.0, max_iterations=12)
 
     def run_all():
         rows.clear()
         for n in (12, 18, 24):
             g = harary_graph(4, n)
-            result = distributed_spanning_packing(
-                g, params=params, rng=7, max_iterations=12
-            )
+            result = distributed_spanning_packing(g, params=params, rng=7)
             rows.append(
                 (
                     n,
@@ -111,6 +109,6 @@ def smoke():
     result = distributed_cds_packing(harary_graph(4, 12), 4, params=PARAMS, rng=6)
     assert result.meta_rounds > 0
     spanning = distributed_spanning_packing(
-        harary_graph(4, 10), 4, max_iterations=2, rng=1
+        harary_graph(4, 10), 4, params=MwuParameters(max_iterations=2), rng=1
     )
     assert spanning.packing.size > 0

@@ -78,10 +78,6 @@ class ResilienceReport:
     rounds: int
     messages: int
 
-    @property
-    def failed_nodes(self) -> float:
-        return 1.0 - self.coverage
-
 
 def cut_drop_schedule(
     graph: nx.Graph,

@@ -289,14 +289,14 @@ def construct_cds_packing(
     """
     if graph.number_of_nodes() < 2:
         raise GraphValidationError("graph must have at least 2 nodes")
-    if not nx.is_connected(graph):
+    if index is None:
+        index = CdsIndex(graph)
+    if not index.connected:
         raise GraphValidationError("graph must be connected")
     if k_guess < 1:
         raise GraphValidationError("k_guess must be >= 1")
     params = params or PackingParameters()
     rand = ensure_rng(rng)
-    if index is None:
-        index = CdsIndex(graph)
 
     t_requested = params.n_classes(k_guess)
     n_layers = params.n_layers(graph.number_of_nodes())

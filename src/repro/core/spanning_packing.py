@@ -19,6 +19,13 @@ stopping rule are invariant under dividing all costs by a constant, so we
 compute ``c_e = exp(α·(z_e − z_max))`` — exactly the paper's quantities,
 renormalized (footnote 6 makes the same point for message size).
 
+Both loops — the MWU iterations and the Karger parts — live only here.
+The per-iteration step (each MST and the stopping verdict) is the one
+part that varies: Kruskal with float sums by default, or Section 5.1's
+protocol (distributed MST, convergecast, verdict broadcast), which
+:mod:`repro.core.spanning_packing_distributed` binds to each part's
+network and passes as ``step``.
+
 Implementation: the inner loop runs on the :mod:`repro.fastgraph`
 kernel — the graph is canonicalized once into an
 :class:`~repro.fastgraph.IndexedGraph`, loads/costs live in flat lists
@@ -40,7 +47,9 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple,
+)
 
 import networkx as nx
 
@@ -119,41 +128,84 @@ class SpanningPackingResult:
         return self.size / max(1, self.target)
 
 
-def _mwu_indexed(
-    graph: IndexedGraph,
-    edge_ids: Sequence[int],
-    target: int,
-    params: MwuParameters,
-) -> Tuple[List[Tuple[FrozenSet[int], float]], MwuTrace]:
-    """Section 5.1's MWU loop over a (connected) edge subset, index-side.
+#: Section 5.1's per-iteration oracle on one part. Given the edge costs
+#: and loads by part position (``costs=None`` asks for the first tree,
+#: under unit costs), it returns the MST's positions and whether the
+#: stopping test ``Cost(MST) > (1−ε)·Σ c_e·x_e`` fired.
+MwuStep = Callable[
+    [Optional[List[float]], List[float]], Tuple[Sequence[int], bool]
+]
+#: Binds an :data:`MwuStep` to one part: ``(graph, part edge ids, params)``.
+MwuStepFactory = Callable[
+    [IndexedGraph, Sequence[int], MwuParameters], MwuStep
+]
 
-    ``edge_ids`` must already be in networkx node-major order (see
-    :meth:`IndexedGraph.nx_edge_order`) so that cost ties break exactly
-    as the pre-kernel implementation's ``nx.minimum_spanning_tree``
-    broke them. Returns ``(collection, trace)`` with trees as frozensets
-    of *parent* edge indices and normalized weights.
-    """
+
+def _kruskal_step(
+    graph: IndexedGraph, edge_ids: Sequence[int], params: MwuParameters
+) -> MwuStep:
+    """The centralized :data:`MwuStep`: Kruskal over a persistently
+    near-sorted edge order, and the stopping test on float sums."""
     n = graph.n
-    m = len(edge_ids)
     # Compact local endpoint arrays: position p in 0..m-1 is edge
     # edge_ids[p] of the parent graph.
     parent_u = graph.u
     parent_v = graph.v
     u = [parent_u[i] for i in edge_ids]
     v = [parent_v[i] for i in edge_ids]
+    uf = IntUnionFind(n)
+    edge_order = NearSortedEdgeOrder(len(u))
+    one_minus_eps = 1.0 - params.epsilon
 
+    def step(costs, loads):
+        if costs is None:
+            return kruskal_from_order(range(len(u)), u, v, n, uf), False
+        # Near-sorted persistent order: only the previous MST's edges
+        # moved, so this sort is adaptive. (cost, index) reproduces the
+        # stable tie-break of nx.minimum_spanning_tree exactly.
+        mst = kruskal_from_order(edge_order.resort(costs), u, v, n, uf)
+        # fractional_cost runs left-to-right over the same edge order as
+        # the reference's built-in sum() — identical floats. mst_cost
+        # sums the same terms in acceptance order (the reference
+        # iterates a frozenset); the stopping comparison has the (1−ε)
+        # duality gap of slack, and the fixed-seed bit-identity tests
+        # pin the outcome.
+        mst_cost = sum(map(costs.__getitem__, mst))
+        fractional_cost = sum(map(operator.mul, costs, loads))
+        return mst, mst_cost > one_minus_eps * fractional_cost
+
+    return step
+
+
+def _mwu_indexed(
+    graph: IndexedGraph,
+    edge_ids: Sequence[int],
+    target: int,
+    params: MwuParameters,
+    step: Optional[MwuStepFactory] = None,
+) -> Tuple[List[Tuple[FrozenSet[int], float]], MwuTrace]:
+    """Section 5.1's MWU loop over a (connected) edge subset, index-side.
+
+    ``edge_ids`` must already be in networkx node-major order (see
+    :meth:`IndexedGraph.nx_edge_order`) so that cost ties break exactly
+    as the pre-kernel implementation's ``nx.minimum_spanning_tree``
+    broke them. ``step`` binds each iteration's MST and stopping test to
+    the part (default: :func:`_kruskal_step`). Returns ``(collection,
+    trace)`` with trees as frozensets of *parent* edge indices and
+    normalized weights.
+    """
+    n = graph.n
+    m = len(edge_ids)
     alpha = params.alpha(n)
     beta = params.beta(n)
     decay = 1.0 - beta
     epsilon = params.epsilon
-    one_minus_eps = 1.0 - epsilon
-
-    uf = IntUnionFind(n)
-    first = kruskal_from_order(range(m), u, v, n, uf)
-    if len(first) != n - 1:
-        raise GraphValidationError("MWU packing requires a connected graph")
+    next_tree = (step or _kruskal_step)(graph, edge_ids, params)
 
     loads = [0.0] * m
+    first, _ = next_tree(None, loads)
+    if len(first) != n - 1:
+        raise GraphValidationError("MWU packing requires a connected graph")
     for p in first:
         loads[p] = 1.0
     # Lazy-decay collection: tree -> [value, blend_count_when_last_touched].
@@ -162,14 +214,10 @@ def _mwu_indexed(
     # order) only when the tree is touched again or at the end.
     collection: Dict[FrozenSet[int], List] = {frozenset(first): [1.0, 0]}
     blends = 0
-
-    edge_order = NearSortedEdgeOrder(m)
     exp = math.exp
-    mul = operator.mul
 
     trace = MwuTrace()
-    cap = params.iteration_cap(n)
-    for _ in range(cap):
+    for _ in range(params.iteration_cap(n)):
         trace.iterations += 1
         z = [x * target for x in loads]
         z_max = max(z)
@@ -186,21 +234,8 @@ def _mwu_indexed(
             cost_of[zp] = exp(alpha * (zp - z_max))
         costs = [cost_of[zp] for zp in z]
 
-        # Near-sorted persistent order: only the previous MST's edges
-        # moved, so this sort is adaptive. (cost, index) reproduces the
-        # stable tie-break of nx.minimum_spanning_tree exactly.
-        order = edge_order.resort(costs)
-        mst = kruskal_from_order(order, u, v, n, uf)
-        # fractional_cost runs left-to-right over the same edge order as
-        # the reference's built-in sum() — identical floats. mst_cost
-        # sums the same terms in acceptance order (the reference
-        # iterates a frozenset); the stopping comparison below has the
-        # (1−ε) duality gap of slack, and the fixed-seed bit-identity
-        # tests pin the outcome.
-        mst_cost = sum(map(costs.__getitem__, mst))
-        fractional_cost = sum(map(mul, costs, loads))
-
-        if mst_cost > one_minus_eps * fractional_cost:
+        mst, stop = next_tree(costs, loads)
+        if stop:
             trace.stopped_early = True
             break
         # Blend the MST in: old weights ×(1−β) (lazily), MST gains β.
@@ -265,21 +300,13 @@ def mwu_spanning_packing(
     return normalized, trace, target
 
 
-def _edges_to_tree(graph: nx.Graph, tree_edges: FrozenSet[Edge]) -> nx.Graph:
-    tree = nx.Graph()
-    tree.add_nodes_from(graph.nodes())
-    for e in tree_edges:
-        u, v = tuple(e)
-        tree.add_edge(u, v)
-    return tree
-
-
 def fractional_spanning_tree_packing(
     graph: nx.Graph,
     lam: Optional[int] = None,
     params: Optional[MwuParameters] = None,
     rng: RngLike = None,
     indexed: Optional[IndexedGraph] = None,
+    step: Optional[MwuStepFactory] = None,
 ) -> SpanningPackingResult:
     """Theorem 1.3: fractional spanning tree packing of size ≈ ⌈(λ−1)/2⌉(1−ε).
 
@@ -296,7 +323,8 @@ def fractional_spanning_tree_packing(
 
     ``indexed`` shares a prebuilt canonicalization (e.g. a
     :class:`repro.api.GraphSession`'s); the RNG stream is unaffected, so
-    results are bit-identical with or without it.
+    results are bit-identical with or without it. ``step`` is the
+    per-part :data:`MwuStepFactory` (default: Kruskal).
     """
     if graph.number_of_nodes() < 2:
         raise GraphValidationError("graph must have at least 2 nodes")
@@ -336,7 +364,9 @@ def fractional_spanning_tree_packing(
             continue
         part_lam = lam if eta <= 1 else max(1, lam // eta)
         part_target = max(1, ceil_div(max(0, part_lam - 1), 2))
-        normalized, trace = _mwu_indexed(indexed, part_edges, part_target, params)
+        normalized, trace = _mwu_indexed(
+            indexed, part_edges, part_target, params, step
+        )
         traces.append(trace)
         packed_parts += 1
         for tree_key, weight in normalized:

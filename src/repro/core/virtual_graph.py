@@ -58,7 +58,8 @@ class CdsIndex:
     adjacency-insertion order, not edge-array order).
     """
 
-    __slots__ = ("graph", "indexed", "nodes", "index_of", "adj", "n")
+    __slots__ = ("graph", "indexed", "nodes", "index_of", "adj", "n",
+                 "_connected")
 
     def __init__(
         self, graph: nx.Graph, indexed: Optional[IndexedGraph] = None
@@ -80,6 +81,14 @@ class CdsIndex:
             [index_of[u] for u in graph.neighbors(v)] for v in self.nodes
         ]
         self.n = self.indexed.n
+        self._connected: Optional[bool] = None
+
+    @property
+    def connected(self) -> bool:
+        """Whether the graph is connected (read once per index)."""
+        if self._connected is None:
+            self._connected = nx.is_connected(self.graph)
+        return self._connected
 
 
 class IndexedClassState:

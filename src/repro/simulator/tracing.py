@@ -48,11 +48,6 @@ class RoundTrace:
     def events_in_round(self, round_no: int) -> List[TraceEvent]:
         return [e for e in self.events if e.round_no == round_no]
 
-    def senders_in_round(self, round_no: int) -> List[Hashable]:
-        return [
-            e.node for e in self.events_in_round(round_no) if e.sent
-        ]
-
     def first_send_round(self, node: Hashable) -> Optional[int]:
         """The first round ``node`` transmitted, or None if silent."""
         sends = [e.round_no for e in self.events if e.node == node and e.sent]

@@ -194,10 +194,6 @@ class Transport:
             f"node {node!r} addressed non-neighbor {receiver!r}"
         )
 
-    def check_size(self, node: Hashable, message: Message) -> None:
-        if message.bits > self.bits_per_message:
-            self._reject_size(node, message)
-
     def _reject_size(self, node: Hashable, message: Message) -> None:
         raise ModelViolationError(
             f"node {node!r} sent a {message.bits}-bit message; budget is "

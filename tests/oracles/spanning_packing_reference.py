@@ -28,7 +28,6 @@ from repro.core.spanning_packing import (
     MwuParameters,
     MwuTrace,
     SpanningPackingResult,
-    _edges_to_tree,
 )
 from repro.core.tree_packing import SpanningTreePacking, WeightedTree
 from repro.graphs.connectivity import edge_connectivity
@@ -41,6 +40,15 @@ Edge = FrozenSet[Hashable]
 
 def _tree_edges(tree: nx.Graph) -> FrozenSet[Edge]:
     return frozenset(frozenset(e) for e in tree.edges())
+
+
+def _edges_to_tree(graph: nx.Graph, tree_edges: FrozenSet[Edge]) -> nx.Graph:
+    tree = nx.Graph()
+    tree.add_nodes_from(graph.nodes())
+    for e in tree_edges:
+        u, v = tuple(e)
+        tree.add_edge(u, v)
+    return tree
 
 
 def mwu_spanning_packing_reference(

@@ -59,6 +59,21 @@ class TestConstruction:
         with pytest.raises(GraphValidationError):
             construct_cds_packing(g, 1)
 
+    def test_connectivity_read_once_per_index(self, monkeypatch):
+        """Remark 3.1's guesses share one CdsIndex, so the graph's
+        connectivity is read once, not once per guess."""
+        calls = []
+        original = nx.is_connected
+
+        def counting(graph):
+            calls.append(graph)
+            return original(graph)
+
+        monkeypatch.setattr(nx, "is_connected", counting)
+        result = fractional_cds_packing(nx.cycle_graph(64), rng=31)
+        assert result.k_guess < 32  # the first guess, n/2, was rejected
+        assert len(calls) == 1
+
     def test_rejects_bad_k(self, harary_4_20):
         with pytest.raises(GraphValidationError):
             construct_cds_packing(harary_4_20, 0)

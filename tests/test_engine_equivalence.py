@@ -22,6 +22,7 @@ from __future__ import annotations
 import networkx as nx
 import pytest
 
+from repro.core.spanning_packing import MwuParameters
 from repro.graphs.generators import harary_graph
 from repro.graphs.sampling import karger_edge_partition
 from repro.simulator.algorithms.bfs import build_bfs_tree
@@ -391,7 +392,7 @@ class TestDriverEquivalence:
 
         def run():
             return distributed_spanning_packing(
-                graph, rng=8, max_iterations=4
+                graph, params=MwuParameters(max_iterations=4), rng=8
             )
 
         for a, b in _against_reference(round_loop, run):
@@ -617,7 +618,7 @@ class TestVectorizedCompositeEquivalence:
 
         def run():
             return distributed_spanning_packing(
-                graph, rng=8, max_iterations=4
+                graph, params=MwuParameters(max_iterations=4), rng=8
             )
 
         runs = self._on_planes(round_loop, run)
