@@ -7,6 +7,7 @@ verify independence exactly across multiple roots."""
 import pytest
 
 from benchmarks.conftest import print_table
+from repro.core.cds_packing import PackingParameters
 from repro.core.independent_trees import (
     independent_trees_from_packing,
     verify_vertex_independent,
@@ -14,6 +15,8 @@ from repro.core.independent_trees import (
 from repro.core.integral_packing import integral_cds_packing
 from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.generators import fat_cycle
+
+PARAMS = PackingParameters(class_factor=3.0)
 
 
 @pytest.mark.benchmark(group="E16-independent-trees")
@@ -25,7 +28,7 @@ def test_e16_independent_trees_any_root(benchmark):
         for width, length in ((6, 4), (8, 4)):
             g = fat_cycle(width, length)
             k = vertex_connectivity(g)
-            result = integral_cds_packing(g, class_factor=3.0, rng=17)
+            result = integral_cds_packing(g, params=PARAMS, rng=17)
             roots = list(g.nodes())[:4]
             all_ok = True
             for root in roots:
@@ -35,7 +38,7 @@ def test_e16_independent_trees_any_root(benchmark):
                 (
                     f"fat_cycle({width},{length})",
                     k,
-                    result.size,
+                    len(result.packing),
                     len(roots),
                     all_ok,
                 )
@@ -54,7 +57,7 @@ def test_e16_independent_trees_any_root(benchmark):
 def smoke():
     """Tiny E16-style run for the bench-smoke tier."""
     g = fat_cycle(6, 4)
-    result = integral_cds_packing(g, class_factor=3.0, rng=17)
+    result = integral_cds_packing(g, params=PARAMS, rng=17)
     root = next(iter(g.nodes()))
     trees = independent_trees_from_packing(result.packing, root)
     assert verify_vertex_independent(g, trees, root)

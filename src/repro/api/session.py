@@ -417,17 +417,20 @@ class GraphSession:
 
         def build():
             if kind == "cds":
+                from repro.core.cds_packing import PackingParameters
                 from repro.core.integral_packing import integral_cds_packing
 
                 result = integral_cds_packing(
-                    self._graph, k=k, class_factor=class_factor, rng=seed
+                    self._graph, k=k,
+                    params=PackingParameters(class_factor=class_factor),
+                    rng=seed, index=self.cds_index,
                 )
                 packing = result.packing
                 payload = {
                     "kind": kind,
                     "size": len(packing),
                     "t_requested": result.t_requested,
-                    "valid_classes": result.valid_classes,
+                    "valid_classes": len(result.valid_classes),
                     "vertex_disjoint": packing.is_vertex_disjoint(),
                 }
                 raw = result

@@ -1,7 +1,11 @@
 """The recursive class assignment of one layer (Section 3.1, steps 1–3).
 
 Given the state after layers ``1..ℓ`` (old nodes), this module assigns
-classes to the ``3n`` new virtual nodes of layer ``ℓ+1``:
+classes to the new virtual nodes of layer ``ℓ+1`` as
+:attr:`~repro.core.virtual_graph.VirtualGraph.hosts` lists them: three
+on every real node for Section 3.1, and under the integral packing's
+random layering (one virtual node per real node) those that landed in
+this layer:
 
 1. type-1 and type-3 new nodes join uniformly random classes;
 2. the *bridging graph* is formed between old components and type-2 new
@@ -17,7 +21,9 @@ classes to the ``3n`` new virtual nodes of layer ``ℓ+1``:
 Virtual adjacency includes *same-real* pairs (footnote 5), so every
 "neighbor" test below uses the **closed** real neighborhood ``N[v]``: a
 new virtual node on real ``v`` is adjacent to the old virtual nodes of
-``v`` itself.
+``v`` itself. A real node hosting no type-1 (type-3) node in the layer
+carries class ``-1`` for that type, which no condition (b)/(c) test
+matches.
 
 The greedy sweep in :func:`assign_layer` processes type-2 nodes in random
 order and matches each to the first available bridging-adjacent component;
@@ -42,9 +48,7 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.virtual_graph import VirtualGraph
 from repro.utils.rng import RngLike, ensure_rng
@@ -63,11 +67,6 @@ class LayerStats:
     random_type2: int
 
 
-def closed_neighborhood(graph: nx.Graph, node: Hashable) -> List[Hashable]:
-    """``N[node]`` — the node itself plus its graph neighbors."""
-    return [node, *graph.neighbors(node)]
-
-
 def jump_start(vg: VirtualGraph, rng: RngLike = None) -> None:
     """Assign every virtual node of layers ``1..L/2`` a random class.
 
@@ -75,12 +74,10 @@ def jump_start(vg: VirtualGraph, rng: RngLike = None) -> None:
     """
     rand = ensure_rng(rng)
     t = vg.n_classes
-    n = vg.index.n
     assign_at = vg.assign_at
     for layer in range(1, vg.layers // 2 + 1):
-        for i in range(n):
-            for vtype in (1, 2, 3):
-                assign_at(i, layer, vtype, rand.randrange(t))
+        for i, vtype in vg.hosts[layer]:
+            assign_at(i, layer, vtype, rand.randrange(t))
 
 
 def _adjacent_reps(
@@ -138,36 +135,42 @@ def assign_layer(
             rep[i] = find(i)
         reps_table.append(rep)
 
-    # Step 1: type-1 and type-3 new nodes pick random classes (one t1/t3
-    # draw pair per node, in node order — the reference's RNG sequence).
-    type1_class: List[int] = [0] * n
-    type3_class: List[int] = [0] * n
-    for i in range(n):
-        type1_class[i] = rand.randrange(t)
-        type3_class[i] = rand.randrange(t)
+    # Step 1: type-1 and type-3 new nodes pick random classes, in
+    # node-then-type order (the reference's RNG sequence). ``new_class``
+    # and ``hosts_of`` are indexed by type; -1 marks "not hosted".
+    hosts = vg.hosts[new_layer]
+    new_class: List[List[int]] = [[], [-1] * n, [-1] * n, [-1] * n]
+    hosts_of: List[List[int]] = [[], [], [], []]
+    for i, vtype in hosts:
+        hosts_of[vtype].append(i)
+        if vtype != 2:
+            new_class[vtype][i] = rand.randrange(t)
+    _, type1_class, type2_class, type3_class = new_class
 
     # Deactivation (condition (b)): a component already bridged to another
     # component of its class by some type-1 new node needs no type-2 spend.
     deactivated: Set[Tuple[int, int]] = set()
-    for i in range(n):
+    for i in hosts_of[1]:
         class_id = type1_class[i]
         reps = _adjacent_reps(adj, mults[class_id], reps_table[class_id], i)
         if len(reps) >= 2:
             deactivated.update((class_id, rep) for rep in reps)
 
-    # Suitable components of each type-3 new node (feeds condition (c)).
-    suitable3: List[Set[int]] = [
-        _adjacent_reps(adj, mults[type3_class[i]], reps_table[type3_class[i]], i)
-        for i in range(n)
-    ]
+    # Suitable components of each type-3 new node (feeds condition (c);
+    # read only where ``type3_class`` matches a class, i.e. at hosts).
+    suitable3: List[Optional[Set[int]]] = [None] * n
+    for i in hosts_of[3]:
+        class_id = type3_class[i]
+        suitable3[i] = _adjacent_reps(
+            adj, mults[class_id], reps_table[class_id], i
+        )
 
     # Steps 2–3: bridging adjacency + greedy maximal matching over type-2
     # new nodes in random order.
     matched: Set[Tuple[int, int]] = set()
-    type2_class: List[int] = [0] * n
     bridging_candidates = 0
     random_type2 = 0
-    order = list(range(n))
+    order = hosts_of[2]
     rand.shuffle(order)
     for i in order:
         neighborhood = [i, *adj[i]]
@@ -210,12 +213,10 @@ def assign_layer(
             random_type2 += 1
         type2_class[i] = assigned
 
-    # Apply all 3n assignments (projections update under the hood).
+    # Apply the layer's assignments (projections update under the hood).
     assign_at = vg.assign_at
-    for i in range(n):
-        assign_at(i, new_layer, 1, type1_class[i])
-        assign_at(i, new_layer, 2, type2_class[i])
-        assign_at(i, new_layer, 3, type3_class[i])
+    for i, vtype in hosts:
+        assign_at(i, new_layer, vtype, new_class[vtype][i])
 
     return LayerStats(
         layer=new_layer,
@@ -228,8 +229,8 @@ def assign_layer(
     )
 
 
-#: ``step(vg, layer, rng)`` assigns the ``3n`` new virtual nodes of one
-#: layer and reports on it.
+#: ``step(vg, layer, rng)`` assigns the new virtual nodes of one layer
+#: and reports on it.
 LayerStep = Callable[[VirtualGraph, int, random.Random], LayerStats]
 
 

@@ -26,8 +26,11 @@ When ``k`` is unknown, :func:`fractional_cds_packing` runs the try-and-error
 guessing of Remark 3.1 over ``k ∈ {n/2, n/4, ...}``, accepting the first
 guess for which at least half the classes pass the test.
 
-Both loops — the guesses and the halving of ``t`` — live only here. The
-per-layer step is the one part that varies:
+Both loops — the guesses and the halving of ``t`` — live only here, and
+serve both packings: ``PackingParameters(integral=True)`` is Section
+1.2's vertex-disjoint packing (:mod:`repro.core.integral_packing`), the
+same construction over a virtual graph with one virtual node per real
+node. The per-layer step is the one part that varies:
 :func:`~repro.core.bridging.assign_layer` by default, or the Appendix B
 protocol's layer, which :mod:`repro.core.cds_packing_distributed` binds
 to its network and passes as ``step``.
@@ -69,6 +72,7 @@ from repro.core.tree_packing import (
     WeightedTree,
 )
 from repro.core.virtual_graph import CdsIndex, VirtualGraph, default_layer_count
+from repro.utils.mathutil import ceil_log2
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -81,9 +85,14 @@ class PackingParameters:
     min_layers: int = 4
     max_attempts: int = 5      # halvings of t before giving up
     accept_fraction: float = 0.5  # guess accepted if ≥ this fraction valid
+    #: Section 1.2's integral packing: each real node hosts one virtual
+    #: node, at a random (layer, type), so the classes are vertex-disjoint
+    #: and t = class_factor · k / ⌈log₂ n⌉.
+    integral: bool = False
 
-    def n_classes(self, k_guess: int) -> int:
-        return max(1, round(self.class_factor * k_guess))
+    def n_classes(self, k_guess: int, n: int = 2) -> int:
+        divisor = ceil_log2(max(2, n)) if self.integral else 1
+        return max(1, round(self.class_factor * k_guess / divisor))
 
     def n_layers(self, n: int) -> int:
         return default_layer_count(
@@ -119,6 +128,7 @@ def build_cds_classes(
     rng: RngLike = None,
     index: Optional[CdsIndex] = None,
     step: Optional[LayerStep] = None,
+    integral: bool = False,
 ) -> Tuple[VirtualGraph, List[LayerStats]]:
     """Run the full recursive class assignment; returns the raw classes.
 
@@ -126,10 +136,16 @@ def build_cds_classes(
     exposed separately for the analysis experiments (E8, E9, E10) that need
     the un-filtered trajectory. ``index`` shares one canonicalization
     across repeated constructions; ``step`` replaces the per-layer
-    assignment (:func:`~repro.core.bridging.run_recursion`).
+    assignment (:func:`~repro.core.bridging.run_recursion`); ``integral``
+    first draws the random layering (one virtual node per real node)
+    from ``rng``.
     """
-    vg = VirtualGraph(graph, layers=n_layers, n_classes=n_classes, index=index)
-    history = run_recursion(vg, rng, step=step)
+    rand = ensure_rng(rng)
+    vg = VirtualGraph(
+        graph, layers=n_layers, n_classes=n_classes, index=index,
+        layering_rng=rand if integral else None,
+    )
+    history = run_recursion(vg, rand, step=step)
     return vg, history
 
 
@@ -298,12 +314,14 @@ def construct_cds_packing(
     params = params or PackingParameters()
     rand = ensure_rng(rng)
 
-    t_requested = params.n_classes(k_guess)
-    n_layers = params.n_layers(graph.number_of_nodes())
+    n = graph.number_of_nodes()
+    t_requested = params.n_classes(k_guess, n)
+    n_layers = params.n_layers(n)
     t = t_requested
     for attempt in range(1, params.max_attempts + 1):
         vg, history = build_cds_classes(
-            graph, t, n_layers, rand, index=index, step=step
+            graph, t, n_layers, rand, index=index, step=step,
+            integral=params.integral,
         )
         valid = _valid_class_ids(graph, vg)
         if valid:

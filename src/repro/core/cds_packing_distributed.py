@@ -30,7 +30,9 @@ failure, the class test, the packing assembly and Remark 3.1's guess
 loop are :mod:`repro.core.cds_packing`'s; this module supplies only the
 per-layer step, :func:`_distributed_layer` bound to its network,
 metrics, model and tracer. So under a fixed seed both drivers consume
-the RNG in the same order around their layers.
+the RNG in the same order around their layers. The step assigns all
+three virtual node types on every node, so integral parameters (one
+virtual node per real node) are refused.
 
 **Transports.** The protocol runs under ``Model.V_CONGEST`` (the paper's
 model) or ``Model.CONGESTED_CLIQUE`` (every broadcast reaches all n−1
@@ -110,9 +112,33 @@ def _from_neighbors(
     }
 
 
+#: Per node, each class it is active in → the graph neighbours active in
+#: that class (the edges a per-class flood may use).
+ClassLinks = Dict[Hashable, Dict[int, Set[Hashable]]]
+
+
+def _class_links(network: Network, vg: VirtualGraph) -> ClassLinks:
+    """The layer's :data:`ClassLinks`. Classes change only when a layer
+    is applied, so every flood of one layer shares this map."""
+    graph = network.graph
+    real_classes = vg.real_classes
+    return {
+        v: {
+            c: {u for u in graph.neighbors(v) if c in real_classes[u]}
+            for c in real_classes[v]
+        }
+        for v in network.nodes
+    }
+
+
+def _keys_bound(allowed: ClassLinks) -> int:
+    """The most classes any node is active in (the flood's key bound)."""
+    return max((len(links) for links in allowed.values()), default=1)
+
+
 def _identify_class_components(
     network: Network,
-    vg: VirtualGraph,
+    allowed: ClassLinks,
     metrics: SimulationMetrics,
     model: Model,
     tracer=None,
@@ -122,17 +148,10 @@ def _identify_class_components(
 
     Component id = smallest node id in the component (Appendix B.1).
     """
-    values: Dict[Hashable, Dict[int, int]] = {}
-    allowed: Dict[Hashable, Dict[int, Set[Hashable]]] = {}
-    graph = network.graph
-    for v in network.nodes:
-        classes = vg.real_classes[v]
-        values[v] = {c: network.node_id(v) for c in classes}
-        allowed[v] = {
-            c: {u for u in graph.neighbors(v) if c in vg.real_classes[u]}
-            for c in classes
-        }
-    keys_bound = max((len(vg.real_classes[v]) for v in network.nodes), default=1)
+    values = {
+        v: {c: network.node_id(v) for c in allowed[v]} for v in network.nodes
+    }
+    keys_bound = _keys_bound(allowed)
     result = multikey_flood(
         network, values, allowed, minimize=True, keys_bound=keys_bound,
         model=model, tracer=tracer, max_rounds=max_rounds,
@@ -144,7 +163,7 @@ def _identify_class_components(
 
 def _flood_deactivation(
     network: Network,
-    vg: VirtualGraph,
+    allowed: ClassLinks,
     deactivated_seed: Dict[Hashable, Set[int]],
     metrics: SimulationMetrics,
     model: Model,
@@ -152,19 +171,14 @@ def _flood_deactivation(
     max_rounds: int = 100000,
 ) -> Dict[Hashable, Set[int]]:
     """Spread per-class deactivation bits inside components (max-flood)."""
-    graph = network.graph
-    values: Dict[Hashable, Dict[int, int]] = {}
-    allowed: Dict[Hashable, Dict[int, Set[Hashable]]] = {}
-    for v in network.nodes:
-        classes = vg.real_classes[v]
-        values[v] = {
-            c: (1 if c in deactivated_seed.get(v, ()) else 0) for c in classes
+    values = {
+        v: {
+            c: (1 if c in deactivated_seed.get(v, ()) else 0)
+            for c in allowed[v]
         }
-        allowed[v] = {
-            c: {u for u in graph.neighbors(v) if c in vg.real_classes[u]}
-            for c in classes
-        }
-    keys_bound = max((len(vg.real_classes[v]) for v in network.nodes), default=1)
+        for v in network.nodes
+    }
+    keys_bound = _keys_bound(allowed)
     result = multikey_flood(
         network, values, allowed, minimize=False, keys_bound=keys_bound,
         model=model, tracer=tracer, max_rounds=max_rounds,
@@ -180,7 +194,7 @@ def _flood_deactivation(
 
 def _matching_stages(
     network: Network,
-    vg: VirtualGraph,
+    allowed: ClassLinks,
     comp_of: Dict[Hashable, Dict[int, int]],
     lists: Dict[Hashable, List[Tuple[int, int]]],
     metrics: SimulationMetrics,
@@ -191,8 +205,8 @@ def _matching_stages(
 ) -> Dict[Hashable, Optional[int]]:
     """Appendix B.3: staged proposal matching; returns type-2 class choices
     (None where the node stayed unmatched)."""
-    graph = network.graph
     n = network.n
+    keys_bound = _keys_bound(allowed)
     stages = 2 * whp_repeats(n)
     value_bits = 4 * max(8, n.bit_length())
     assigned: Dict[Hashable, Optional[int]] = {v: None for v in network.nodes}
@@ -235,19 +249,8 @@ def _matching_stages(
 
         # Flood the maximum proposal inside each component.
         values = {
-            v: {c: seed[v].get(c) for c in vg.real_classes[v]}
-            for v in network.nodes
+            v: {c: seed[v].get(c) for c in allowed[v]} for v in network.nodes
         }
-        allowed = {
-            v: {
-                c: {u for u in graph.neighbors(v) if c in vg.real_classes[u]}
-                for c in vg.real_classes[v]
-            }
-            for v in network.nodes
-        }
-        keys_bound = max(
-            (len(vg.real_classes[v]) for v in network.nodes), default=1
-        )
         flood = multikey_flood(
             network, values, allowed, minimize=False, keys_bound=keys_bound,
             model=model, tracer=tracer, max_rounds=max_rounds,
@@ -316,8 +319,9 @@ def _distributed_layer(
     excess_before = vg.excess_components()
 
     # B.1: identify components of old nodes.
+    allowed = _class_links(network, vg)
     comp_of = _identify_class_components(
-        network, vg, metrics, model, tracer, max_rounds
+        network, allowed, metrics, model, tracer, max_rounds
     )
 
     # Local random choices for type-1 / type-3 new nodes.
@@ -369,7 +373,7 @@ def _distributed_layer(
     _, res = exchange_once(network, connector_payloads, model=model, tracer=tracer)
     metrics.merge(res.metrics)
     deactivated_at = _flood_deactivation(
-        network, vg, deact_seed, metrics, model, tracer, max_rounds
+        network, allowed, deact_seed, metrics, model, tracer, max_rounds
     )
 
     # Activity + component announcement (members tell neighbors whether
@@ -441,7 +445,8 @@ def _distributed_layer(
 
     # B.3: staged maximal matching.
     type2_assigned = _matching_stages(
-        network, vg, comp_of, lists, metrics, rand, model, tracer, max_rounds
+        network, allowed, comp_of, lists, metrics, rand, model, tracer,
+        max_rounds,
     )
     matched = sum(1 for c in type2_assigned.values() if c is not None)
     random_type2 = 0
@@ -502,6 +507,11 @@ def distributed_cds_packing(
         raise GraphValidationError(
             f"distributed CDS packing runs on {[m.value for m in _SUPPORTED_MODELS]}; "
             f"got {model.value!r}"
+        )
+    if params is not None and params.integral:
+        raise GraphValidationError(
+            "the Appendix B protocol assigns all three virtual node types "
+            "on every node; the integral packing is centralized only"
         )
     if network is not None:
         if graph is not None and graph is not network.graph:

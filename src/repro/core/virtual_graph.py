@@ -3,7 +3,11 @@
 Each real node ``v`` simulates ``3L`` virtual nodes — one per
 (layer ∈ 1..L, type ∈ {1,2,3}) pair — and two virtual nodes are adjacent
 iff they live on the same real node or on adjacent real nodes
-(footnote 5: G is just Θ(log n) reused copies of G).
+(footnote 5: G is just Θ(log n) reused copies of G). The integral
+packing of Section 1.2 (the random layering of [12]) is the same graph
+with one virtual node per real node, at a random (layer, type):
+:attr:`VirtualGraph.hosts` records which virtual nodes each real node
+hosts per layer, and the recursion iterates exactly those.
 
 Key structural fact exploited everywhere: because same-real virtual nodes
 are adjacent, the connected components of the class-``i`` virtual subgraph
@@ -30,7 +34,8 @@ the boundary; hot paths (:mod:`repro.core.bridging`,
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, NamedTuple, Optional, Set
+import random
+from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -177,6 +182,9 @@ class VirtualGraph:
     ``index`` lets callers share one :class:`CdsIndex` canonicalization
     across repeated constructions (the Remark 3.1 guess loop builds a
     fresh ``VirtualGraph`` per attempt on the same graph).
+    ``layering_rng`` switches to the integral packing's random layering:
+    each real node then hosts a single virtual node, at a (layer, type)
+    drawn from it, instead of all ``3L``.
     """
 
     def __init__(
@@ -185,6 +193,7 @@ class VirtualGraph:
         layers: int,
         n_classes: int,
         index: Optional[CdsIndex] = None,
+        layering_rng: Optional[random.Random] = None,
     ) -> None:
         if layers < 2 or layers % 2 != 0:
             raise GraphValidationError("layers must be an even number >= 2")
@@ -207,6 +216,17 @@ class VirtualGraph:
         self.real_classes_at: List[Set[int]] = [
             self.real_classes[v] for v in self.index.nodes
         ]
+        # hosts[layer]: the (node index, type) pair of every virtual node
+        # of ``layer``, in node-then-type order (hosts[0] is unused).
+        n = self.index.n
+        if layering_rng is None:
+            every = [(i, vtype) for i in range(n) for vtype in (1, 2, 3)]
+            self.hosts: List[List[Tuple[int, int]]] = [every] * (layers + 1)
+        else:
+            self.hosts = [[] for _ in range(layers + 1)]
+            for i in range(n):
+                layer = layering_rng.randrange(1, layers + 1)
+                self.hosts[layer].append((i, layering_rng.randrange(1, 4)))
 
     def assign(self, vnode: VirtualNode, class_id: int) -> None:
         """Put ``vnode`` into class ``class_id`` and update the projection."""
@@ -240,7 +260,8 @@ class VirtualGraph:
         """Number of distinct classes each real node participates in.
 
         Bounded by 3·layers = O(log n) by construction — this is the
-        O(log n) tree-membership bound of Theorem 1.1.
+        O(log n) tree-membership bound of Theorem 1.1 (and by 1 under the
+        integral layering).
         """
         return {v: len(s) for v, s in self.real_classes.items()}
 

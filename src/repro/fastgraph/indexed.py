@@ -15,6 +15,7 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Sequence
 
 import networkx as nx
 
+from repro.fastgraph.kruskal import kruskal_from_order
 from repro.fastgraph.union_find import IntUnionFind
 
 Edge = FrozenSet[Hashable]
@@ -125,19 +126,14 @@ class IndexedGraph:
     def is_connected_via(
         self, edge_ids: Optional[Iterable[int]] = None, uf: Optional[IntUnionFind] = None
     ) -> bool:
-        """Whether the given edges (default: all) connect all ``n`` nodes."""
+        """Whether the given edges (default: all) connect all ``n`` nodes:
+        a Kruskal scan over them (which resets ``uf``) accepts ``n − 1``."""
         if self.n <= 1:
             return True
-        uf = IntUnionFind(self.n) if uf is None else uf.reset()
-        u = self.u
-        v = self.v
         if edge_ids is None:
             edge_ids = range(self.m)
-        for i in edge_ids:
-            uf.union(u[i], v[i])
-            if uf.n_components == 1:
-                return True
-        return uf.n_components == 1
+        tree = kruskal_from_order(edge_ids, self.u, self.v, self.n, uf)
+        return len(tree) == self.n - 1
 
     def bfs_tree_edges(self, edge_ids: Sequence[int], root: int = 0) -> List[int]:
         """Edge indices of a BFS spanning tree over the given edge subset.

@@ -17,7 +17,7 @@ import networkx as nx
 import pytest
 
 from repro.api import GraphSession, parse_graph_spec
-from repro.core.cds_packing import fractional_cds_packing
+from repro.core.cds_packing import PackingParameters, fractional_cds_packing
 from repro.core.integral_packing import (
     integral_cds_packing,
     integral_spanning_packing,
@@ -213,7 +213,8 @@ class TestShimEquivalence:
             kind="cds", class_factor=2.0, seed=17
         )
         reference = integral_cds_packing(
-            parse_graph_spec("fat_cycle:4,4"), class_factor=2.0, rng=17
+            parse_graph_spec("fat_cycle:4,4"),
+            params=PackingParameters(class_factor=2.0), rng=17,
         )
         assert _tree_edge_sets(envelope.raw.packing) == _tree_edge_sets(
             reference.packing

@@ -3,29 +3,16 @@
 
 import random
 
-import networkx as nx
 import pytest
 
 from repro.core.bridging import (
     assign_layer,
-    closed_neighborhood,
     jump_start,
     run_recursion,
 )
 from repro.core.virtual_graph import VirtualGraph, VirtualNode
 from repro.graphs.connectivity import is_dominating_set
 from repro.graphs.generators import harary_graph
-
-
-class TestClosedNeighborhood:
-    def test_includes_self(self):
-        g = nx.path_graph(3)
-        assert set(closed_neighborhood(g, 1)) == {0, 1, 2}
-
-    def test_isolated_in_subgraph(self):
-        g = nx.Graph()
-        g.add_node(0)
-        assert closed_neighborhood(g, 0) == [0]
 
 
 class TestJumpStart:

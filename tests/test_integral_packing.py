@@ -1,10 +1,17 @@
 """Integral tree packings (Section 1.2): vertex-disjoint CDSs and
 edge-disjoint spanning trees."""
 
+import hashlib
+
 import networkx as nx
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro.errors import GraphValidationError, PackingConstructionError
+from repro.api import GraphSession
+from repro.errors import GraphValidationError
+from repro.core.cds_packing import PackingParameters
+from repro.core.cds_packing_distributed import distributed_cds_packing
 from repro.core.integral_packing import (
     integral_cds_packing,
     integral_spanning_packing,
@@ -36,6 +43,83 @@ class TestIntegralCds:
         g = nx.cycle_graph(12)
         result = integral_cds_packing(g, rng=93)
         assert result.size >= 1
+
+
+#: (spec, κ) with κ known from the construction: harary:k,n has κ = k,
+#: fat_cycle:w,ℓ (ℓ ≥ 4) has κ = 2w; n ≤ 64.
+_HARARY = st.integers(4, 64).flatmap(
+    lambda n: st.integers(2, n - 1).map(lambda k: (f"harary:{k},{n}", k))
+)
+_FAT_CYCLE = st.integers(4, 16).flatmap(
+    lambda length: st.integers(1, 64 // length).map(
+        lambda width: (f"fat_cycle:{width},{length}", 2 * width)
+    )
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    graph=st.one_of(_HARARY, _FAT_CYCLE),
+    seed=st.integers(0, 9),
+    class_factor=st.sampled_from([0.25, 3.0]),
+)
+def test_session_packing_is_vertex_disjoint_and_at_most_kappa(
+    graph, seed, class_factor
+):
+    """Each vertex-disjoint CDS meets every minimum vertex cut, so at most
+    κ of them fit: the bound needs no connectivity oracle."""
+    spec, kappa = graph
+    envelope = GraphSession(spec).pack_integral(
+        kind="cds", seed=seed, class_factor=class_factor
+    )
+    packing = envelope.raw.packing
+    packing.verify()
+    assert packing.is_vertex_disjoint()
+    assert all(tree.weight == 1.0 for tree in packing)
+    assert 1 <= envelope.payload["size"] <= kappa
+
+
+def test_k_unset_calls_no_connectivity_oracle(monkeypatch):
+    """Remark 3.1's guess loop sizes the packing, not the κ oracle."""
+    import repro.graphs.connectivity as connectivity
+
+    def oracle(*args, **kwargs):
+        raise AssertionError("vertex connectivity oracle called")
+
+    monkeypatch.setattr(connectivity, "vertex_connectivity", oracle)
+    envelope = GraphSession("fat_cycle:4,5").pack_integral(kind="cds", seed=3)
+    assert envelope.payload["size"] >= 1
+
+
+def test_distributed_driver_refuses_integral_parameters():
+    with pytest.raises(GraphValidationError):
+        distributed_cds_packing(
+            harary_graph(4, 12), 4, params=PackingParameters(integral=True),
+            rng=1,
+        )
+
+
+#: (spec, class_factor, seed) → the first 16 hex digits of sha256 over
+#: ``canonical_json()`` of ``pack_integral(kind="cds")``; the same under
+#: any PYTHONHASHSEED.
+DIGESTS = {
+    ("fat_cycle:6,4", 3.0, 17): "2e88323dca83dfa9",
+    ("harary:16,64", 0.25, 1): "f312fa28752d4fc7",
+    ("regular:16,64,3", 3.0, 2): "7abf71acbe1b4427",
+}
+
+
+@pytest.mark.parametrize("spec, class_factor, seed", sorted(DIGESTS))
+def test_envelope_bytes_are_pinned(spec, class_factor, seed):
+    envelope = GraphSession(spec).pack_integral(
+        kind="cds", seed=seed, class_factor=class_factor
+    )
+    digest = hashlib.sha256(envelope.canonical_json().encode()).hexdigest()
+    assert digest[:16] == DIGESTS[(spec, class_factor, seed)]
 
 
 class TestIntegralSpanning:
