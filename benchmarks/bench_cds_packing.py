@@ -5,23 +5,13 @@ Paper claims:
 * each node in O(log n) trees;
 * tree diameters Õ(n / k);
 * (Lemma 4.6) each class holds O(n log n / k) virtual nodes.
-
-This module is also the **kernel speed gate** for the vertex-connectivity
-half of the decomposition: :func:`run` times the fastgraph-backed
-:func:`construct_cds_packing` against the preserved pre-kernel loop
-(``tests/oracles/cds_packing_reference.py``) with results asserted
-bit-identical, and writes ``BENCH_cds_packing.json``. Acceptance gate:
-≥ 1.5× at n = 500. Run via::
-
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --suite cds_packing
 """
 
 import math
-from typing import Dict, List
 
 import pytest
 
-from benchmarks.conftest import best_of, print_table
+from benchmarks.conftest import print_table
 from repro.core.cds_packing import PackingParameters, construct_cds_packing
 from repro.graphs.connectivity import vertex_connectivity
 from repro.graphs.generators import (
@@ -31,7 +21,6 @@ from repro.graphs.generators import (
     hypercube,
     random_regular_connected,
 )
-from tests.oracles.cds_packing_reference import construct_cds_packing_reference
 
 FAMILIES = [
     ("harary(4,32)", lambda: harary_graph(4, 32)),
@@ -165,96 +154,8 @@ def test_e10_lemma_4_6_class_sizes(benchmark):
     for r in rows:
         assert r["class_ratio"] <= 40.0
 
+
 def smoke():
-    """Tiny E1-style run + kernel-vs-reference gate for the bench-smoke tier."""
+    """Tiny E1-style run for the bench-smoke tier."""
     row = _run_family("harary(4,12)", lambda: harary_graph(4, 12))
     assert row["size"] > 0
-    report = run(quick=True, repeats=1)
-    assert report["results"], "cds_packing bench produced no rows"
-    for bench_row in report["results"]:
-        assert bench_row["packing_size"] > 0
-
-
-# ----------------------------------------------------------------------
-# Kernel-vs-reference timing suite (BENCH_cds_packing.json)
-# ----------------------------------------------------------------------
-
-
-def _speed_cases(quick: bool):
-    if quick:
-        return [
-            ("harary(4,48)", lambda: harary_graph(4, 48), 4),
-            ("regular(6,60)", lambda: random_regular_connected(6, 60, rng=3), 6),
-        ]
-    return [
-        ("harary(6,120)", lambda: harary_graph(6, 120), 6),
-        ("regular(8,250)", lambda: random_regular_connected(8, 250, rng=3), 8),
-        ("harary(8,500)", lambda: harary_graph(8, 500), 8),
-        ("regular(8,500)", lambda: random_regular_connected(8, 500, rng=3), 8),
-    ]
-
-
-def _tree_canon(result):
-    return [
-        (
-            wt.class_id,
-            wt.weight,
-            frozenset(wt.tree.nodes()),
-            frozenset(frozenset(e) for e in wt.tree.edges()),
-        )
-        for wt in result.packing.trees
-    ]
-
-
-def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
-    """Time the kernel against the reference; assert bit-identity per row."""
-    rows: List[Dict] = []
-    for name, builder, k in _speed_cases(quick):
-        graph = builder()
-        # Same repeat count for both sides: best-of-N is monotone in N,
-        # so an asymmetric N would bias the speedup that feeds the gate.
-        kernel_s, kernel_result = best_of(
-            lambda: construct_cds_packing(graph, k, rng=seed), repeats
-        )
-        reference_s, reference_result = best_of(
-            lambda: construct_cds_packing_reference(graph, k, rng=seed),
-            repeats,
-        )
-        if (
-            kernel_result.valid_classes != reference_result.valid_classes
-            or kernel_result.packing.size != reference_result.packing.size
-            or _tree_canon(kernel_result) != _tree_canon(reference_result)
-        ):
-            raise AssertionError(
-                f"{name}: kernel and reference CDS packings diverged"
-            )
-        rows.append(
-            {
-                "graph": name,
-                "n": graph.number_of_nodes(),
-                "m": graph.number_of_edges(),
-                "k_guess": k,
-                "seed": seed,
-                "valid_classes": len(kernel_result.valid_classes),
-                "attempts": kernel_result.attempts,
-                "packing_size": kernel_result.packing.size,
-                "reference_s": round(reference_s, 6),
-                "kernel_s": round(kernel_s, 6),
-                "speedup": round(reference_s / kernel_s, 2),
-            }
-        )
-    return {
-        "benchmark": "cds_packing",
-        "unit": "seconds (best of repeats, wall clock)",
-        "repeats": repeats,
-        "gate": ">=1.5x at n=500, packings asserted bit-identical",
-        "results": rows,
-    }
-
-
-def format_row(row: Dict) -> str:
-    return (
-        "{graph:>16}  n={n:<4} m={m:<5} ref={reference_s:.3f}s "
-        "kernel={kernel_s:.3f}s speedup={speedup}x "
-        "size={packing_size:.3f}"
-    ).format(**row)

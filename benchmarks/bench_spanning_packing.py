@@ -2,21 +2,13 @@
 
 Paper claims: total weight ⌈(λ−1)/2⌉(1−ε) with per-edge load ≤ 1, each
 edge in O(log³ n) trees, after O(log³ n) MWU iterations.
-
-This module is also the ``spanning`` suite of
-``benchmarks/run_benchmarks.py``: :func:`run` times the kernel-backed
-:func:`fractional_spanning_tree_packing` against the preserved pre-kernel
-implementation (``tests/oracles/spanning_packing_reference.py``) with
-packing sizes asserted equal → ``BENCH_spanning_packing.json``.
-Acceptance gate: ≥ 5× at n ≈ 500.
 """
 
 import math
-from typing import Dict, List
 
 import pytest
 
-from benchmarks.conftest import best_of, print_table
+from benchmarks.conftest import print_table
 from repro.core.spanning_packing import (
     MwuParameters,
     fractional_spanning_tree_packing,
@@ -27,9 +19,6 @@ from repro.graphs.generators import (
     harary_graph,
     hypercube,
     random_regular_connected,
-)
-from tests.oracles.spanning_packing_reference import (
-    fractional_spanning_tree_packing_reference,
 )
 
 FAMILIES = [
@@ -116,91 +105,7 @@ def test_e3_mwu_iteration_count_polylog(benchmark):
 
 
 def smoke():
-    """Tiny E3-style run + the quick kernel-vs-reference suite, for the
-    bench-smoke tier."""
+    """Tiny E3-style run for the bench-smoke tier."""
     result = fractional_spanning_tree_packing(harary_graph(4, 12), params=PARAMS, rng=9)
     result.packing.verify()
     assert result.size > 0
-    report = run(quick=True, repeats=1)
-    assert report["results"], "spanning bench produced no rows"
-    for row in report["results"]:
-        assert row["packing_size"] > 0
-
-
-# ----------------------------------------------------------------------
-# Kernel-vs-reference timing suite (BENCH_spanning_packing.json)
-# ----------------------------------------------------------------------
-
-
-def _cases(quick: bool):
-    # All cases must stay in the single-Karger-part regime (η = 1, i.e.
-    # λ well below 60·ln n/ε²): with η > 1 the kernel intentionally
-    # sizes parts from λ/η while the reference re-runs the connectivity
-    # oracle per part, so the exact-size equality gate below only holds
-    # for η = 1. The η > 1 path is covered by tests/test_fastgraph.py.
-    if quick:
-        return [
-            ("harary(6,48)", lambda: harary_graph(6, 48), 6),
-            ("regular(8,100)", lambda: random_regular_connected(8, 100, rng=3), 8),
-        ]
-    return [
-        ("harary(6,120)", lambda: harary_graph(6, 120), 6),
-        ("regular(8,250)", lambda: random_regular_connected(8, 250, rng=3), 8),
-        ("regular(8,500)", lambda: random_regular_connected(8, 500, rng=3), 8),
-    ]
-
-
-def run(quick: bool = False, repeats: int = 3, seed: int = 9) -> Dict:
-    """Time the kernel against the reference; assert equal sizes per row."""
-    params = MwuParameters(epsilon=0.15, beta_factor=1.0)
-    rows: List[Dict] = []
-    for name, builder, lam in _cases(quick):
-        graph = builder()
-        kernel_s, kernel_result = best_of(
-            lambda: fractional_spanning_tree_packing(
-                graph, lam=lam, params=params, rng=seed
-            ),
-            repeats,
-        )
-        reference_s, reference_result = best_of(
-            lambda: fractional_spanning_tree_packing_reference(
-                graph, lam=lam, params=params, rng=seed
-            ),
-            max(1, repeats - 1),
-        )
-        if kernel_result.size != reference_result.size:
-            raise AssertionError(
-                f"{name}: kernel size {kernel_result.size} != "
-                f"reference size {reference_result.size}"
-            )
-        rows.append(
-            {
-                "graph": name,
-                "n": graph.number_of_nodes(),
-                "m": graph.number_of_edges(),
-                "lam": lam,
-                "seed": seed,
-                "mwu_iterations": max(
-                    t.iterations for t in kernel_result.traces
-                ),
-                "packing_size": kernel_result.size,
-                "efficiency": kernel_result.efficiency,
-                "reference_s": round(reference_s, 6),
-                "kernel_s": round(kernel_s, 6),
-                "speedup": round(reference_s / kernel_s, 2),
-            }
-        )
-    return {
-        "benchmark": "spanning_packing",
-        "unit": "seconds (best of repeats, wall clock)",
-        "repeats": repeats,
-        "params": {"epsilon": 0.15, "beta_factor": 1.0},
-        "results": rows,
-    }
-
-
-def format_row(row: Dict) -> str:
-    return (
-        "{graph:>16}  n={n:<4} m={m:<5} ref={reference_s:.3f}s "
-        "kernel={kernel_s:.3f}s speedup={speedup}x size={packing_size:.3f}"
-    ).format(**row)

@@ -1,15 +1,21 @@
-"""Benchmark helpers: compact table printing and best-of timing.
+"""Benchmark helpers: compact table printing and the one timing rule.
 
 Each benchmark regenerates one experiment of the index in DESIGN.md §5,
 printing the paper's claim next to the measured values (EXPERIMENTS.md
 records a snapshot of these tables). Timings come from pytest-benchmark;
-the printed tables carry the scientific content.
+the printed tables carry the scientific content. The JSON suites that
+compare two ways to run one workload time them with :func:`alternating`.
 """
 
 from __future__ import annotations
 
+import gc
+import statistics
 import time
-from typing import Callable, Iterable, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Mapping, Sequence, Tuple
+
+#: The fewest timed rounds :func:`alternating` accepts.
+MIN_ROUNDS = 5
 
 
 def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -33,13 +39,35 @@ def _fmt(cell) -> str:
     return str(cell)
 
 
-def best_of(fn: Callable[[], object], repeats: int) -> Tuple[float, object]:
-    """``(fastest wall seconds over repeats, the last result)``."""
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-    return best, result
+def alternating(
+    sides: Mapping[str, Callable[[], object]], rounds: int = MIN_ROUNDS
+) -> Tuple[Dict[str, Dict], Dict[str, object]]:
+    """Time every side of a comparison by one rule.
+
+    Each side runs once untimed, to warm imports and caches. Then come
+    ``rounds`` timed rounds, each running every side once; round ``r``
+    starts at side ``r`` (mod the number of sides), so with two sides
+    the one that goes first alternates and drift in the host's load
+    falls on both alike. Returns ``({side: {"median_s", "iqr_s"}},
+    {side: its last result})``.
+    """
+    if rounds < MIN_ROUNDS:
+        raise ValueError(f"alternating timing needs >= {MIN_ROUNDS} rounds")
+    names = list(sides)
+    last = {name: sides[name]() for name in names}
+    samples: Dict[str, list] = {name: [] for name in names}
+    for r in range(rounds):
+        shift = r % len(names)
+        for name in names[shift:] + names[:shift]:
+            gc.collect()  # no earlier run's garbage in this sample
+            start = time.perf_counter()
+            last[name] = sides[name]()
+            samples[name].append(time.perf_counter() - start)
+    timings = {}
+    for name, seconds in samples.items():
+        q1, _, q3 = statistics.quantiles(seconds, n=4, method="inclusive")
+        timings[name] = {
+            "median_s": round(statistics.median(seconds), 6),
+            "iqr_s": round(q3 - q1, 6),
+        }
+    return timings, last

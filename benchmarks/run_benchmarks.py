@@ -9,24 +9,20 @@ reports under a fresh temporary directory instead, so it never
 overwrites the committed full-size ones; the driver prints every path
 it writes:
 
-* ``spanning`` — the kernel MWU spanning packing vs its preserved
-  pre-kernel oracle → ``BENCH_spanning_packing.json``
-  (:mod:`bench_spanning_packing`; gate ≥ 5× at n ≈ 500).
-* ``simulator`` — the round loop vs the preserved reference loop and vs
-  itself with the column step off → ``BENCH_simulator.json``
-  (:mod:`bench_simulator`, E23/E28; gate ≥ 3× over the dict plane on
-  flooding at n = 5000, degree 128).
-* ``cds_packing`` — the kernel CDS packing vs its preserved pre-kernel
-  oracle → ``BENCH_cds_packing.json`` (:mod:`bench_cds_packing`, E24).
-* ``api`` — the session-cached pipeline vs per-call free functions →
-  ``BENCH_api.json`` (:mod:`bench_api`, E25; cached beats per-call on
-  every full-size row).
+* ``simulator`` — the round loop vs itself with the column step off →
+  ``BENCH_simulator.json`` (:mod:`bench_simulator`, E28; gate ≥ 3× over
+  the dict plane on flooding at n = 5000, degree 128).
 * ``resilience`` — the corruption sweep of the uncoded flood vs the coded
   defenses → ``BENCH_resilience.json`` (:mod:`bench_resilience`, E27).
   It measures correctness fractions, not timings, so it takes no
   ``--repeats``.
-* ``batch`` — batch jobs/sec across backend × worker plans →
+* ``batch`` — batch jobs/sec, serial vs two processes →
   ``BENCH_batch.json`` (:mod:`bench_batch`, E31).
+
+The two timed suites take their numbers by one rule,
+:func:`benchmarks.conftest.alternating`: a warm-up run per side, then
+``--repeats`` (at least five) rounds alternating which side goes first,
+reported as each side's median and interquartile range.
 
 Every report carries an ``env`` block: ``git_sha`` (``git describe
 --always --dirty``, so a report from an uncommitted tree says so),
@@ -38,7 +34,7 @@ Run from the repo root::
 
     PYTHONPATH=src python benchmarks/run_benchmarks.py                 # all
     PYTHONPATH=src python benchmarks/run_benchmarks.py --quick         # CI-sized, temp dir
-    PYTHONPATH=src python benchmarks/run_benchmarks.py --suite cds_packing
+    PYTHONPATH=src python benchmarks/run_benchmarks.py --suite batch
 """
 
 from __future__ import annotations
@@ -61,10 +57,7 @@ if str(REPO_ROOT) not in sys.path:  # `benchmarks` and `tests` resolve from the 
 
 #: suite → (bench module under ``benchmarks/``, report file at the root).
 SUITES = {
-    "spanning": ("bench_spanning_packing", "BENCH_spanning_packing.json"),
     "simulator": ("bench_simulator", "BENCH_simulator.json"),
-    "cds_packing": ("bench_cds_packing", "BENCH_cds_packing.json"),
-    "api": ("bench_api", "BENCH_api.json"),
     "resilience": ("bench_resilience", "BENCH_resilience.json"),
     "batch": ("bench_batch", "BENCH_batch.json"),
 }

@@ -1,8 +1,10 @@
-"""Experiment plumbing: parameter sweeps, trial aggregation, scaling fits.
+"""Experiment plumbing: the claim-vs-measured report, workload shapes
+and figure renderings.
 
 The benchmark harness (``benchmarks/``) prints claim-vs-measured tables;
 this subpackage holds the reusable pieces behind them, so downstream
-users can run their own sweeps against the library.
+users can measure their own graphs against the library. Sweeps over
+jobs run through :func:`repro.api.batch.run`.
 """
 
 from repro.analysis.report import full_report, render_markdown_table
@@ -12,13 +14,6 @@ from repro.analysis.workloads import (
     skewed_workload,
     uniform_workload,
 )
-from repro.analysis.sweeps import (
-    SweepResult,
-    TrialRecord,
-    aggregate,
-    loglog_slope,
-    sweep,
-)
 
 __all__ = [
     "full_report",
@@ -27,9 +22,4 @@ __all__ = [
     "balanced_workload",
     "skewed_workload",
     "single_source_workload",
-    "TrialRecord",
-    "SweepResult",
-    "sweep",
-    "aggregate",
-    "loglog_slope",
 ]

@@ -23,7 +23,7 @@ from typing import Iterable, List, Sequence, Tuple
 
 import networkx as nx
 
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, ensure_rng, fresh_seed
 
 
 def render_markdown_table(
@@ -63,37 +63,30 @@ class GraphReportRow:
 def measure_graph(
     graph: nx.Graph, name: str = "graph", rng: RngLike = None
 ) -> GraphReportRow:
-    """Run the four headline measurements on one graph."""
-    from repro.apps.broadcast import vertex_broadcast
-    from repro.core.cds_packing import fractional_cds_packing
-    from repro.core.spanning_packing import fractional_spanning_tree_packing
-    from repro.core.vertex_connectivity import approximate_vertex_connectivity
-    from repro.graphs.connectivity import edge_connectivity, vertex_connectivity
+    """Run the four headline measurements on one graph: one
+    :class:`~repro.api.GraphSession`, one seed drawn from ``rng``, and
+    the estimate and the broadcast on one CDS packing."""
+    from repro.api import GraphSession
 
-    rand = ensure_rng(rng)
-    n = graph.number_of_nodes()
-    k = vertex_connectivity(graph)
-    lam = edge_connectivity(graph)
-
-    cds_result = fractional_cds_packing(graph, rng=rand)
-    spanning = fractional_spanning_tree_packing(graph, rng=rand).packing
-    estimate = approximate_vertex_connectivity(graph, rng=rand)
-
-    nodes = sorted(graph.nodes(), key=str)
-    sources = {i: nodes[i % len(nodes)] for i in range(2 * n)}
-    outcome = vertex_broadcast(cds_result.packing, sources, rng=rand)
+    seed = fresh_seed(ensure_rng(rng))
+    session = GraphSession(graph, label=name)
+    n = session.n
+    estimate = session.connectivity(seed=seed, exact=True).payload
+    k, lam = estimate["exact_k"], estimate["exact_lambda"]
+    spanning = session.pack_spanning(seed=seed, lam=lam).payload
+    outcome = session.broadcast(messages=2 * n, seed=seed).payload
 
     return GraphReportRow(
         name=name,
         n=n,
         k=k,
         lam=lam,
-        cds_size=cds_result.packing.size,
+        cds_size=estimate["packing_size"],
         cds_bound=k / math.log(max(n, 2)),
-        spanning_size=spanning.size,
-        tutte_bound=max(1, math.ceil((lam - 1) / 2)),
-        estimate_interval=(estimate.lower_bound, estimate.upper_bound),
-        broadcast_throughput=outcome.throughput,
+        spanning_size=spanning["size"],
+        tutte_bound=spanning["target"],
+        estimate_interval=(estimate["lower_bound"], estimate["upper_bound"]),
+        broadcast_throughput=outcome["throughput"],
     )
 
 

@@ -362,12 +362,9 @@ _EXPERIMENTS = [
     ("E20", "bench_workloads", "Cor A.1 workload shapes"),
     ("E21", "bench_shared_mst", "Lemma 5.1 simultaneous MSTs"),
     ("E22", "bench_point_to_point", "§1.3.1 point-to-point √n barrier"),
-    ("E23", "bench_simulator", "engine rounds/sec (indexed vs reference)"),
-    ("E24", "bench_cds_packing", "CDS kernel speed (indexed vs reference)"),
-    ("E25", "bench_api", "session-cached pipeline vs per-call canonicalization"),
     ("E27", "bench_resilience", "adversarial channels: coded vs uncoded flood"),
     ("E28", "bench_simulator", "column step vs the dict plane (dense regime)"),
-    ("E31", "bench_batch", "batch scheduler jobs/sec vs backend × workers"),
+    ("E31", "bench_batch", "batch scheduler jobs/sec, serial vs two processes"),
     ("F1-F3", "bench_figures", "paper figures (text renderings)"),
     ("A1-A5", "bench_ablation", "design-choice ablations"),
 ]

@@ -47,9 +47,8 @@ and the per-class BFS dominating trees are extracted index-side,
 replicating ``nx.bfs_tree``'s traversal order, before becoming
 :class:`networkx.Graph` objects at the API boundary. Results are
 bit-identical to the preserved pre-kernel implementation
-(``tests/oracles/cds_packing_reference.py``) under fixed seeds —
-``tests/test_cds_equivalence.py`` enforces this and
-``BENCH_cds_packing.json`` records the speedup.
+(``tests/oracles/cds_packing_reference.py``) under fixed seeds;
+``tests/test_cds_equivalence.py`` enforces this.
 """
 
 from __future__ import annotations

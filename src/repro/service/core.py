@@ -34,7 +34,7 @@ from repro.service.protocol import SERVICE_GRAPH, error_envelope
 DEFAULT_SESSIONS = 8
 
 #: Request fields that route a task op rather than feed its task.
-_ROUTING_FIELDS = ("op", "id", "graph", "session", "kind")
+ROUTING_FIELDS = ("op", "id", "graph", "session", "kind")
 
 #: The fields a ``batch`` op takes besides ``op`` and ``id``.
 _BATCH_FIELDS = ("jobs", "base_seed")
@@ -332,7 +332,7 @@ class ServiceCore:
         op = request["op"]
         fields = {
             name: value for name, value in request.items()
-            if name not in _ROUTING_FIELDS
+            if name not in ROUTING_FIELDS
         }
         if op == "estimate":
             task = "connectivity"

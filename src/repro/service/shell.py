@@ -32,7 +32,7 @@ import sys
 from typing import Any, Dict, Iterable, Optional, TextIO
 
 from repro.errors import ServiceError
-from repro.service.core import ServiceCore
+from repro.service.core import ROUTING_FIELDS, ServiceCore
 from repro.service.protocol import is_error, read_frame, write_frame
 
 HELP_TEXT = """\
@@ -45,14 +45,29 @@ commands
   node p <src> <dst>           shortest path
   edge new <a> <b>             add an edge
   edge rmv <a> <b>             remove an edge
-  estimate [k]                 Corollary 1.7 vertex-connectivity estimate
-  pack [cds|spanning]          fractional tree packing (default: cds)
-  simulate [program]           run a scenario program (default: flooding)
+  estimate [k] [name=value…]   Corollary 1.7 vertex-connectivity estimate
+  pack [cds|spanning] [name=value…]
+                               fractional tree packing (default: cds)
+  simulate [program] [name=value…]
+                               run a scenario program (default: flooding)
   stats                        service/session cache statistics
   seed <n>                     set the seed used by estimate/pack/simulate
   ping                         liveness check
   help                         this text
-  quit | exit                  leave the shell"""
+  quit | exit                  leave the shell
+
+task fields: estimate, pack and simulate take trailing name=value
+tokens, sent with the request and checked by the service. A value is
+JSON when it parses, else the text itself; seed=<n> overrides the
+shell's seed. For example:
+  simulate flood-checksum fault_plan='{"drop_probability": 0.2}'"""
+
+#: The leading words each task command takes, for its usage line.
+_TASK_USAGE = {
+    "estimate": "estimate [k]",
+    "pack": "pack [cds|spanning]",
+    "simulate": "simulate [program]",
+}
 
 
 class LocalBackend:
@@ -244,28 +259,54 @@ class ReproShell:
             self._fail("usage: edge new <a> <b> | edge rmv <a> <b>")
 
     def _cmd_estimate(self, args) -> None:
-        if args and args != ["k"]:
-            self._fail("usage: estimate [k]")
-            return
-        self._session_request({"op": "estimate", "seed": self.seed})
+        words, fields = self._task_args("estimate", args)
+        if words not in ([], ["k"]):
+            raise self._usage("estimate")
+        self._session_request({"op": "estimate", "seed": self.seed, **fields})
 
     def _cmd_pack(self, args) -> None:
-        kind = args[0] if args else "cds"
-        if len(args) > 1 or kind not in ("cds", "spanning"):
-            self._fail("usage: pack [cds|spanning]")
-            return
+        words, fields = self._task_args("pack", args)
+        kind = words[0] if words else "cds"
+        if len(words) > 1 or kind not in ("cds", "spanning"):
+            raise self._usage("pack")
         self._session_request(
-            {"op": "pack", "kind": kind, "seed": self.seed}
+            {"op": "pack", "kind": kind, "seed": self.seed, **fields}
         )
 
     def _cmd_simulate(self, args) -> None:
-        if len(args) > 1:
-            self._fail("usage: simulate [program]")
-            return
-        program = args[0] if args else "flooding"
+        words, fields = self._task_args("simulate", args)
+        if len(words) > 1:
+            raise self._usage("simulate")
+        program = words[0] if words else "flooding"
         self._session_request(
-            {"op": "simulate", "program": program, "seed": self.seed}
+            {"op": "simulate", "program": program, "seed": self.seed,
+             **fields}
         )
+
+    @staticmethod
+    def _usage(command: str) -> ServiceError:
+        return ServiceError(
+            f"usage: {_TASK_USAGE[command]} [name=value ...]"
+        )
+
+    def _task_args(self, command: str, args) -> tuple:
+        """A task command's tokens → (its leading words, the trailing
+        ``name=value`` fields). A value is JSON when it parses, else the
+        text; the service's request table decodes it. A word after a
+        field, or a field the shell routes itself, is a usage error."""
+        split = next(
+            (i for i, token in enumerate(args) if "=" in token), len(args)
+        )
+        fields = {}
+        for token in args[split:]:
+            name, sep, text = token.partition("=")
+            if not sep or name in ROUTING_FIELDS:
+                raise self._usage(command)
+            try:
+                fields[name] = json.loads(text)
+            except ValueError:
+                fields[name] = text
+        return args[:split], fields
 
     # -- request plumbing ----------------------------------------------
 

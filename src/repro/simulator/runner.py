@@ -132,6 +132,9 @@ class SyncRunner:
         )
         self.bits_per_message = self.transport.bits_per_message
         self._rng = ensure_rng(rng)
+        # An unseeded run draws no node seeds: each Context seeds from OS
+        # entropy on its first ctx.rng, which most programs never touch.
+        self._seeded = rng is not None
         # Optional FaultPlan (None = reliable run) and AdversaryPlan
         # (None = honest channels). A plan built without its own seed
         # takes one fresh_seed draw from the run rng, fault plan first,
@@ -174,11 +177,13 @@ def start_nodes(
 
     Context RNG seeds are drawn from the run RNG in canonical node order
     — the draw order the reference loop shares, so one run seed pins
-    every node's randomness whichever loop executes it.
+    every node's randomness whichever loop executes it. An unseeded run
+    draws none.
     """
     net = runner.network
     n = net.n
     runner_rng = runner._rng
+    seeded = runner._seeded
     contexts: List[Context] = []
     programs: List[NodeProgram] = []
     for index, node in enumerate(net.nodes):
@@ -188,7 +193,7 @@ def start_nodes(
                 node_id=net.node_id(node),
                 neighbors=net.neighbors(node),
                 n=n,
-                rng_seed=fresh_seed(runner_rng),
+                rng_seed=fresh_seed(runner_rng) if seeded else None,
                 index=index,
             )
         )

@@ -6,13 +6,10 @@ packing pipeline exactly as it existed before the
 dict bookkeeping, the generic label-keyed
 :class:`~repro.graphs.union_find.UnionFind`, and ``networkx``-based
 validity testing and tree extraction. It is the bit-exactness oracle of
-the indexed rewrite:
-
-* ``tests/test_cds_equivalence.py`` pins the kernel-backed
-  :func:`repro.core.cds_packing.construct_cds_packing` to this module
-  under fixed seeds — same valid classes, same trees, same weights;
-* ``benchmarks/bench_cds_packing.py`` times the kernel against this
-  loop and writes ``BENCH_cds_packing.json``.
+the indexed rewrite: ``tests/test_cds_equivalence.py`` pins the
+kernel-backed :func:`repro.core.cds_packing.construct_cds_packing` to
+this module under fixed seeds — same valid classes, same trees, same
+weights.
 
 Do not modify the algorithmic content here: any behaviour change breaks
 the equivalence gate by construction. The only deltas from the

@@ -3,14 +3,9 @@
 This module is the original ``networkx``-object implementation of
 Section 5's fractional spanning tree packing, exactly as it ran before
 the :mod:`repro.fastgraph` rewrite of :mod:`repro.core.spanning_packing`.
-It is kept for two jobs:
-
-* **oracle** — the property tests assert that the kernel
-  implementation returns bit-identical tree collections and weights
-  under fixed seeds (``tests/test_fastgraph.py``);
-* **baseline** — ``benchmarks/run_benchmarks`` times it against the
-  kernel implementation and records the speedup in
-  ``BENCH_spanning_packing.json``.
+It is kept as the **oracle**: the property tests assert that the kernel
+implementation returns bit-identical tree collections and weights under
+fixed seeds (``tests/test_fastgraph.py``).
 
 Do not optimize this module; its value is that it stays the slow,
 obviously-faithful transliteration of the paper.

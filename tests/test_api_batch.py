@@ -239,25 +239,11 @@ class TestExecution:
 
 
 class TestBatchSweepBridge:
-    def test_sweep_rows_from_envelopes(self):
-        from repro.analysis.sweeps import aggregate, batch_sweep
-
-        result = batch_sweep(
-            {
-                "graphs": ["harary:4,12"],
-                "tasks": ["connectivity"],
-                "trials": 2,
-            }
-        )
-        assert len(result.records) == 2
-        (point, mean, low, high), = aggregate(result, "lower_bound")
-        assert dict(point)["graph"] == "harary:4,12"
-        assert low <= mean <= high
+    """A sweep's jobs file handed to ``batch.run`` by path."""
 
     def test_sweep_reads_a_jobs_file_once(self, tmp_path, monkeypatch):
         """The rows and the jobs they are paired with come from one read
         of the file."""
-        from repro.analysis.sweeps import batch_sweep
         from repro.api import batch as api_batch
 
         path = tmp_path / "jobs.json"
@@ -272,12 +258,6 @@ class TestBatchSweepBridge:
             return open(file, *args, **kwargs)
 
         monkeypatch.setattr(api_batch, "open", counting_open, raising=False)
-        result = batch_sweep(str(path))
-        assert len(result.records) == 2
+        rows = api_batch.run(str(path))
+        assert len(rows) == 2
         assert opened.count(str(path)) == 1
-
-    def test_sweep_marks_errors(self):
-        from repro.analysis.sweeps import batch_sweep
-
-        result = batch_sweep([{"graph": "mystery:1"}])
-        assert result.records[0].value("error") == 1.0

@@ -242,6 +242,31 @@ class TestShimEquivalence:
         assert envelope.raw.tree_assignment == reference.tree_assignment
         assert envelope.raw.node_transmissions == reference.node_transmissions
 
+    def test_pipeline_matches_per_call_at_n_120(self):
+        """connectivity → pack_cds → broadcast through one session equals
+        the three free calls, each with its own canonicalization and
+        construction."""
+        from repro.apps.broadcast import vertex_broadcast
+
+        session = GraphSession("harary:6,120")
+        estimate = session.connectivity(seed=9).payload
+        packing = session.pack_cds(seed=9).raw.packing
+        outcome = session.broadcast(messages=16, seed=9).raw
+        graph = parse_graph_spec("harary:6,120")
+        reference = approximate_vertex_connectivity(graph, rng=9)
+        reference_packing = fractional_cds_packing(graph, rng=9).packing
+        nodes = sorted(graph.nodes(), key=str)
+        reference_outcome = vertex_broadcast(
+            reference_packing,
+            {i: nodes[i % len(nodes)] for i in range(16)},
+            rng=9,
+        )
+        assert estimate["lower_bound"] == reference.lower_bound
+        assert estimate["upper_bound"] == reference.upper_bound
+        assert packing.size == reference_packing.size
+        assert outcome.rounds == reference_outcome.rounds
+        assert outcome.tree_assignment == reference_outcome.tree_assignment
+
     def test_gossip_matches_manual_pipeline(self):
         from repro.apps.gossip import gossip
 

@@ -46,6 +46,8 @@ FAMILIES = [
     # k-connected generator graphs
     ("harary(5,24)", lambda: harary_graph(5, 24), 5),
     ("random_k_connected(24,4)", lambda: random_k_connected(24, 4, rng=11), 4),
+    # one graph the size of the pipeline's real inputs
+    ("harary(6,120)", lambda: harary_graph(6, 120), 6),
 ]
 
 

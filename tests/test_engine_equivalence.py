@@ -23,7 +23,7 @@ import networkx as nx
 import pytest
 
 from repro.core.spanning_packing import MwuParameters
-from repro.graphs.generators import harary_graph
+from repro.graphs.generators import harary_graph, random_regular_connected
 from repro.graphs.sampling import karger_edge_partition
 from repro.simulator.algorithms.bfs import build_bfs_tree
 from repro.simulator.algorithms.boruvka import distributed_mst
@@ -131,6 +131,20 @@ class TestPrimitiveEquivalence:
                 lambda v: ExtremumFloodProgram((net.node_id(v) * 7) % 31)
             ),
         )
+
+    def test_extremum_flood_on_a_thousand_nodes(self, round_loop):
+        """One flood the size of the simulator's sparse scale rows."""
+        network = _network(random_regular_connected(8, 1000, rng=1), seed=3)
+
+        def run():
+            return simulate(
+                network,
+                lambda v: ExtremumFloodProgram(network.node_id(v)),
+                rng=3,
+            )
+
+        for a, b in _against_reference(round_loop, run):
+            _assert_same_result(a, b)
 
     def test_bfs_wave(self, round_loop):
         from repro.simulator.algorithms.bfs import BfsProgram

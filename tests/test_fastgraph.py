@@ -239,14 +239,8 @@ class TestMwuBitIdentity:
             assert [key for key, _ in new] == [key for key, _ in ref]
             assert [w for _, w in new] == [w for _, w in ref]
 
-    @pytest.mark.parametrize("rng", [9, 61, 2024])
-    def test_fractional_packing_bit_identical(self, rng):
-        graph = harary_graph(6, 26)
-        params = MwuParameters(epsilon=0.15, beta_factor=1.0)
-        new = fractional_spanning_tree_packing(graph, params=params, rng=rng)
-        ref = fractional_spanning_tree_packing_reference(
-            graph, params=params, rng=rng
-        )
+    @staticmethod
+    def _assert_same_packing(new, ref):
         assert new.size == ref.size
         assert new.target == ref.target
         assert new.parts == ref.parts
@@ -256,6 +250,30 @@ class TestMwuBitIdentity:
             assert wt_new.class_id == wt_ref.class_id
             assert wt_new.edges == wt_ref.edges
         new.packing.verify()
+
+    @pytest.mark.parametrize("rng", [9, 61, 2024])
+    def test_fractional_packing_bit_identical(self, rng):
+        graph = harary_graph(6, 26)
+        params = MwuParameters(epsilon=0.15, beta_factor=1.0)
+        self._assert_same_packing(
+            fractional_spanning_tree_packing(graph, params=params, rng=rng),
+            fractional_spanning_tree_packing_reference(
+                graph, params=params, rng=rng
+            ),
+        )
+
+    def test_fractional_packing_bit_identical_at_n_120(self):
+        """One run the size of the MWU's real inputs, λ given."""
+        graph = harary_graph(6, 120)
+        params = MwuParameters(epsilon=0.15, beta_factor=1.0)
+        self._assert_same_packing(
+            fractional_spanning_tree_packing(
+                graph, lam=6, params=params, rng=9
+            ),
+            fractional_spanning_tree_packing_reference(
+                graph, lam=6, params=params, rng=9
+            ),
+        )
 
     def test_rejects_disconnected(self):
         from repro.errors import GraphValidationError

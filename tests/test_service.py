@@ -482,6 +482,65 @@ def test_shell_bad_seed_is_a_usage_error():
     assert "pong" in output
 
 
+HOSTILE_SHELL_LINE = (
+    "simulate flood-checksum "
+    """fault_plan='{"drop_probability": 0.2, "crash_rounds": {"0": 2}}' """
+    """adversary_plan='{"corruption_probability": 0.1, "seed": 7}'"""
+)
+
+
+def test_shell_task_fields_give_the_cli_hostile_run(capsys):
+    """A hostile run typed at the shell as name=value fields is the run
+    ``repro simulate`` builds from its fault and adversary flags."""
+    from repro.cli import main
+
+    out = io.StringIO()
+    code = run_shell(
+        LocalBackend(), source=[HOSTILE_SHELL_LINE], graph="harary:4,10",
+        json_mode=True, seed=3, out=out,
+    )
+    assert code == 0
+    served = Result.from_dict(json.loads(out.getvalue().splitlines()[1]))
+    assert main([
+        "simulate", "harary:4,10", "--program", "flood-checksum",
+        "--seed", "3", "--drop", "0.2", "--crash", "0:2",
+        "--corrupt-rate", "0.1", "--corrupt-seed", "7", "--json",
+    ]) == 0
+    direct = Result.from_json(capsys.readouterr().out)
+    assert served.canonical_json() == direct.canonical_json()
+
+
+def test_shell_bad_task_field_is_one_bad_request(capsys, monkeypatch):
+    from repro.cli import main
+
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO("simulate flood-min bogus=1\n")
+    )
+    code = main(["shell", "--graph", "harary:4,10", "--json"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code != 0
+    assert sum('"bad-request"' in line for line in lines) == 1
+
+
+def test_shell_task_fields_route_nothing_and_seed_overrides():
+    output, errors, _ = run_script(
+        ["graph open harary:4,12", "pack kind=spanning",
+         "simulate flood-min session=x", "estimate exact=true k"],
+    )
+    assert errors == 3
+    assert output.count("usage: ") == 3
+    output, errors, _ = run_script(
+        ["graph open harary:4,12", "seed 1", "simulate flood-min seed=5"],
+        json_mode=True,
+    )
+    assert errors == 0
+    served = Result.from_dict(json.loads(output.splitlines()[-1]))
+    direct = GraphSession("harary:4,12").simulate(
+        program="flood-min", seed=5, show_outputs=5
+    )
+    assert served.canonical_json() == direct.canonical_json()
+
+
 def test_remote_backend_connect_failure_message():
     with pytest.raises(ServiceError) as excinfo:
         RemoteBackend("127.0.0.1", 1)  # reserved port, nothing there

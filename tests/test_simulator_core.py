@@ -23,6 +23,7 @@ from repro.simulator.metrics import (
 from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
 from repro.simulator.runner import Model, SyncRunner, default_message_budget, simulate
+from repro.utils.rng import fresh_seed
 
 
 class TestPayloadBits:
@@ -203,6 +204,26 @@ class TestRunner:
         assert result.metrics.rounds >= 1
         assert result.metrics.messages == 12  # each node broadcasts once
         assert result.metrics.bits > 0
+
+    def test_unseeded_run_draws_no_node_seeds(self, monkeypatch):
+        """An unseeded inner run of a composite program (``rng=None``)
+        leaves every Context to seed itself on first use; a seeded run
+        still draws one seed per node from the run RNG."""
+        from repro.simulator import runner
+        from repro.simulator.algorithms.exchange import exchange_once
+
+        draws = []
+
+        def counting_fresh_seed(rng):
+            draws.append(rng)
+            return fresh_seed(rng)
+
+        monkeypatch.setattr(runner, "fresh_seed", counting_fresh_seed)
+        net = Network(harary_graph(6, 80), rng=1)
+        exchange_once(net, {v: 1 for v in net.nodes})
+        assert draws == []
+        simulate(net, lambda v: _EchoOnce(), rng=5)
+        assert len(draws) == 80
 
     def test_addressing_non_neighbor_rejected(self):
         class Bad(NodeProgram):
