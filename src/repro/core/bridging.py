@@ -41,6 +41,30 @@ class sets with identical insertion histories, closed neighborhoods in
 adjacency order), so assignments are bit-identical to
 ``tests/oracles/cds_packing_reference.py`` under a fixed seed — the
 equivalence suite pins this.
+
+The reference shuffles each type-2 node's candidate list and takes the
+first eligible candidate. The sweep decides eligibility first, on int
+component keys ``class*n + rep``, and keeps the RNG stream for two
+reasons:
+
+* ``random.shuffle`` of ``m`` items draws ``_randbelow(m), …,
+  _randbelow(2)`` whatever the items are, so its draws depend only on
+  the candidate count;
+* the first eligible candidate depends on the order only when two or
+  more are eligible.
+
+So only those nodes build and shuffle the ordered list. The others
+advance the RNG by the same draws with
+:func:`~repro.utils.rng.skip_shuffle` and take their one eligible
+candidate, or a random class. On the perfbench ``pipeline`` graphs that
+is 97% of type-2 nodes. Condition (c) reads a per-class summary of the
+type-3 new neighbors: the one component they see, or several. A *whole*
+class, one component that dominates the graph, is one candidate of
+every type-2 node and can neither deactivate nor witness, so it is
+counted but never enumerated. Each layer's assignments are applied in
+one :meth:`~repro.core.virtual_graph.VirtualGraph.assign_many` call, in
+:attr:`~repro.core.virtual_graph.VirtualGraph.hosts` order, like the
+jump-start's and the Appendix B layer's.
 """
 
 from __future__ import annotations
@@ -48,10 +72,14 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.core.virtual_graph import VirtualGraph
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, ensure_rng, skip_shuffle
+
+#: Condition (c)'s summary of type-3 witnesses that see two or more
+#: components of their class (no component key is negative).
+_MANY = -1
 
 
 @dataclass(frozen=True)
@@ -73,28 +101,40 @@ def jump_start(vg: VirtualGraph, rng: RngLike = None) -> None:
     Lemma 4.1 (Domination): after this step each class dominates w.h.p.
     """
     rand = ensure_rng(rng)
+    randrange = rand.randrange
     t = vg.n_classes
-    assign_at = vg.assign_at
     for layer in range(1, vg.layers // 2 + 1):
-        for i, vtype in vg.hosts[layer]:
-            assign_at(i, layer, vtype, rand.randrange(t))
+        hosts = vg.hosts[layer]
+        vg.assign_many(layer, hosts, [randrange(t) for _ in hosts])
 
 
 def _adjacent_reps(
-    adj: List[List[int]], mult: Dict[int, int], rep: List[int], i: int
+    adj: List[List[int]], rep: Dict[int, int], i: int
 ) -> Set[int]:
     """Old components of one class adjacent to a new node on index ``i``
-    (component representative indices, via the closed neighborhood).
-    ``mult``/``rep`` are the class's active-index dict and its
-    representative table for this layer, unbundled by the caller to keep
-    the sweep monomorphic."""
-    reps: Set[int] = set()
-    if i in mult:
+    (representatives of the class's active indices in the closed
+    neighborhood; ``rep`` is the class's table for this layer)."""
+    reps = {rep[j] for j in adj[i] if j in rep}
+    if i in rep:
         reps.add(rep[i])
-    for j in adj[i]:
-        if j in mult:
-            reps.add(rep[j])
     return reps
+
+
+def _ordered_candidates(
+    vg: VirtualGraph,
+    i: int,
+    reps: List[Dict[int, int]],
+    whole_key: List[int],
+) -> List[int]:
+    """The reference's candidate list of a type-2 node on index ``i``:
+    distinct component keys in closed-neighborhood, then class-set order."""
+    n = vg.index.n
+    real_classes_at = vg.real_classes_at
+    return list(dict.fromkeys([
+        whole_key[c] if whole_key[c] >= 0 else c * n + reps[c][w]
+        for w in (i, *vg.index.adj[i])
+        for c in real_classes_at[w]
+    ]))
 
 
 def assign_layer(
@@ -118,113 +158,127 @@ def assign_layer(
     adj = index.adj
     n = index.n
     t = vg.n_classes
-    classes = vg.classes
-    real_classes_at = vg.real_classes_at
     excess_before = vg.excess_components()
-    # Per-class hot-path views. No class gains members until the final
-    # apply loop, so each class's component representatives are constant
-    # throughout the sweep: resolve them once per (class, active node)
-    # here instead of once per neighborhood visit. ``reps[c][i]`` is only
-    # meaningful where ``i`` is active in class ``c``.
-    mults: List[Dict[int, int]] = [s.multiplicity_by_index for s in classes]
-    reps_table: List[List[int]] = []
-    for s in classes:
-        rep = [0] * n
-        find = s._uf.find
-        for i in s.multiplicity_by_index:
-            rep[i] = find(i)
-        reps_table.append(rep)
+    # The old components. No class gains members until the batched apply
+    # at the end, so they are constant throughout the sweep; a component
+    # is the int key ``class*n + rep``. A *whole* class — one component
+    # that dominates the graph — is one candidate of every type-2 node,
+    # and it neither deactivates nor witnesses: conditions (b) and (c)
+    # need two components of a class. ``whole_key[c]`` is its key (-1 for
+    # the other classes). ``keys_at[w]`` lists the keys of the other
+    # classes ``w`` is active in: a type-2 node's candidates are its
+    # closed neighborhood's keys plus every whole class.
+    whole_key = [-1] * t
+    reps: List[Dict[int, int]] = [{} for _ in range(t)]
+    keys_at: List[List[int]] = [[] for _ in range(n)]
+    for c, state in enumerate(vg.classes):
+        if state.n_components() == 1 and state.dominates():
+            root = state.find(next(iter(state.multiplicity_by_index)))
+            whole_key[c] = c * n + root
+            continue
+        reps[c] = state.representatives()
+        base = c * n
+        for w, r in reps[c].items():
+            keys_at[w].append(base + r)
+    whole = {key for key in whole_key if key >= 0}
 
     # Step 1: type-1 and type-3 new nodes pick random classes, in
     # node-then-type order (the reference's RNG sequence). ``new_class``
-    # and ``hosts_of`` are indexed by type; -1 marks "not hosted".
+    # is indexed by type; -1 marks "not hosted".
     hosts = vg.hosts[new_layer]
     new_class: List[List[int]] = [[], [-1] * n, [-1] * n, [-1] * n]
-    hosts_of: List[List[int]] = [[], [], [], []]
+    order: List[int] = []
     for i, vtype in hosts:
-        hosts_of[vtype].append(i)
-        if vtype != 2:
+        if vtype == 2:
+            order.append(i)
+        else:
             new_class[vtype][i] = rand.randrange(t)
-    _, type1_class, type2_class, type3_class = new_class
+    type2_class = new_class[2]
 
     # Deactivation (condition (b)): a component already bridged to another
     # component of its class by some type-1 new node needs no type-2 spend.
-    deactivated: Set[Tuple[int, int]] = set()
-    for i in hosts_of[1]:
-        class_id = type1_class[i]
-        reps = _adjacent_reps(adj, mults[class_id], reps_table[class_id], i)
-        if len(reps) >= 2:
-            deactivated.update((class_id, rep) for rep in reps)
-
-    # Suitable components of each type-3 new node (feeds condition (c);
-    # read only where ``type3_class`` matches a class, i.e. at hosts).
-    suitable3: List[Optional[Set[int]]] = [None] * n
-    for i in hosts_of[3]:
-        class_id = type3_class[i]
-        suitable3[i] = _adjacent_reps(
-            adj, mults[class_id], reps_table[class_id], i
-        )
+    # Type-3 witnesses (condition (c)): ``witness_key[u]`` is the key of
+    # the one component type-3 node ``u`` sees, or ``_MANY`` when it sees
+    # several; ``witness_class[u]`` is -1 when it sees none. Only a class
+    # with two or more components can do either.
+    deactivated: Set[int] = set()
+    witness_class = [-1] * n
+    witness_key = [0] * n
+    split = [state.n_components() >= 2 for state in vg.classes]
+    for i, vtype in hosts:
+        if vtype == 2:
+            continue
+        c = new_class[vtype][i]
+        if not split[c]:
+            continue
+        adjacent = _adjacent_reps(adj, reps[c], i)
+        if vtype == 1:
+            if len(adjacent) >= 2:
+                deactivated.update(c * n + r for r in adjacent)
+        elif adjacent:
+            witness_class[i] = c
+            witness_key[i] = (
+                c * n + adjacent.pop() if len(adjacent) == 1 else _MANY
+            )
 
     # Steps 2–3: bridging adjacency + greedy maximal matching over type-2
-    # new nodes in random order.
-    matched: Set[Tuple[int, int]] = set()
-    bridging_candidates = 0
+    # new nodes in random order. Each node's candidates are the distinct
+    # keys of its closed neighborhood, which the reference shuffles before
+    # taking the first eligible one. Eligibility does not depend on that
+    # order, and the shuffle's draws depend only on the candidate count,
+    # so the order is built and shuffled only when two or more candidates
+    # are eligible; otherwise the draws are skipped over.
+    taken = set(deactivated) if use_deactivation else set()
+    free_whole = whole - taken
+    matched = 0
     random_type2 = 0
-    order = hosts_of[2]
     rand.shuffle(order)
     for i in order:
-        neighborhood = [i, *adj[i]]
-        # Candidate (class, component) pairs satisfying condition (a).
-        candidates: List[Tuple[int, int]] = []
-        seen: Set[Tuple[int, int]] = set()
-        for w in neighborhood:
-            for class_id in real_classes_at[w]:
-                key = (class_id, reps_table[class_id][w])
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(key)
-        rand.shuffle(candidates)
-
-        assigned: Optional[int] = None
-        for class_id, rep in candidates:
-            key = (class_id, rep)
-            if use_deactivation and key in deactivated:
-                continue
-            if key in matched:
-                continue
-            # Condition (c): a type-3 new neighbor of the same class that
-            # sees a *different* component of that class.
-            if require_type3_witness:
-                bridged = False
-                for u in neighborhood:
-                    if type3_class[u] != class_id:
-                        continue
-                    if any(other != rep for other in suitable3[u]):
-                        bridged = True
-                        break
-                if not bridged:
-                    continue
-            bridging_candidates += 1
-            matched.add(key)
-            assigned = class_id
-            break
-        if assigned is None:
-            assigned = rand.randrange(t)
+        candidates = set(keys_at[i]).union(*[keys_at[w] for w in adj[i]])
+        if require_type3_witness:
+            # Condition (c) as a per-class summary of the type-3 new
+            # neighbors: the components they see, together, include one
+            # other than the candidate.
+            witnessed: Dict[int, int] = {}
+            for u in (i, *adj[i]):
+                c = witness_class[u]
+                if c >= 0:
+                    key = witness_key[u]
+                    if witnessed.setdefault(c, key) != key:
+                        witnessed[c] = _MANY
+            eligible = {
+                key for key in candidates
+                if witnessed.get(key // n, key) != key and key not in taken
+            } if witnessed else set()
+        else:
+            eligible = (candidates - taken) | free_whole
+        if len(eligible) >= 2:
+            ordered = _ordered_candidates(vg, i, reps, whole_key)
+            rand.shuffle(ordered)
+            chosen = next(key for key in ordered if key in eligible)
+        else:
+            skip_shuffle(rand, len(whole) + len(candidates))
+            chosen = eligible.pop() if eligible else None
+        if chosen is None:
+            type2_class[i] = rand.randrange(t)
             random_type2 += 1
-        type2_class[i] = assigned
+        else:
+            taken.add(chosen)
+            free_whole.discard(chosen)
+            matched += 1
+            type2_class[i] = chosen // n
 
-    # Apply the layer's assignments (projections update under the hood).
-    assign_at = vg.assign_at
-    for i, vtype in hosts:
-        assign_at(i, new_layer, vtype, new_class[vtype][i])
+    vg.assign_many(
+        new_layer, hosts, [new_class[vtype][i] for i, vtype in hosts]
+    )
 
     return LayerStats(
         layer=new_layer,
         excess_before=excess_before,
         excess_after=vg.excess_components(),
         deactivated_components=len(deactivated),
-        bridging_candidates=bridging_candidates,
-        matched=len(matched),
+        bridging_candidates=matched,
+        matched=matched,
         random_type2=random_type2,
     )
 

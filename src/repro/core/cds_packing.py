@@ -153,34 +153,13 @@ def _valid_class_ids(graph: nx.Graph, vg: VirtualGraph) -> List[int]:
 
     Index-side: induced connectivity is one component-count read off the
     class union-find (the projection's components are exactly what it
-    tracks); domination is a single adjacency scan over non-members.
+    tracks); domination is the class's own check, which the bridging
+    sweep has usually made and kept already.
     """
-    index = vg.index
-    adj = index.adj
-    n = index.n
-    member = bytearray(n)
-    valid = []
-    for state in vg.classes:
-        mult = state.multiplicity_by_index
-        if not mult or state.n_components() != 1:
-            continue
-        for i in mult:
-            member[i] = 1
-        dominated = True
-        for j in range(n):
-            if member[j]:
-                continue
-            for u in adj[j]:
-                if member[u]:
-                    break
-            else:
-                dominated = False
-                break
-        for i in mult:
-            member[i] = 0
-        if dominated:
-            valid.append(state.class_id)
-    return valid
+    return [
+        s.class_id for s in vg.classes
+        if s.n_components() == 1 and s.dominates()
+    ]
 
 
 def _bfs_tree_indices(

@@ -57,7 +57,7 @@ from repro.errors import GraphValidationError
 from repro.core import cds_packing
 from repro.core.bridging import LayerStats
 from repro.core.cds_packing import CdsPackingResult, PackingParameters
-from repro.core.virtual_graph import CdsIndex, VirtualGraph, VirtualNode
+from repro.core.virtual_graph import CdsIndex, VirtualGraph
 from repro.simulator.algorithms.exchange import exchange_once
 from repro.simulator.algorithms.multikey_flood import multikey_flood
 from repro.simulator.metrics import (
@@ -458,10 +458,12 @@ def _distributed_layer(
             type2_class[v] = rand.randrange(t)
             random_type2 += 1
 
-    for v in network.nodes:
-        vg.assign(VirtualNode(v, new_layer, 1), type1_class[v])
-        vg.assign(VirtualNode(v, new_layer, 2), type2_class[v])
-        vg.assign(VirtualNode(v, new_layer, 3), type3_class[v])
+    by_type = (None, type1_class, type2_class, type3_class)
+    nodes = vg.index.nodes
+    hosts = vg.hosts[new_layer]
+    vg.assign_many(
+        new_layer, hosts, [by_type[vtype][nodes[i]] for i, vtype in hosts]
+    )
 
     return LayerStats(
         layer=new_layer,

@@ -35,7 +35,10 @@ the boundary; hot paths (:mod:`repro.core.bridging`,
 from __future__ import annotations
 
 import random
-from typing import Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
+from typing import (
+    Dict, Hashable, Iterable, List, NamedTuple, Optional, Sequence, Set,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -109,7 +112,7 @@ class IndexedClassState:
     """
 
     __slots__ = ("class_id", "_index", "multiplicity_by_index", "_uf",
-                 "_active", "_merges")
+                 "_active", "_merges", "_dominates")
 
     def __init__(self, class_id: int, index: CdsIndex) -> None:
         self.class_id = class_id
@@ -120,22 +123,24 @@ class IndexedClassState:
         self._uf = IntUnionFind(index.n)
         self._active = 0
         self._merges = 0
+        self._dominates = False
 
     # -- index-side hot-path API --------------------------------------
 
-    def add_index(self, i: int) -> None:
-        """One more virtual node of index ``i`` joins; merge through
-        every active neighbor (in adjacency order)."""
+    def add_indices(self, indices: Iterable[int]) -> None:
+        """One more virtual node of each index in ``indices`` joins, in
+        order; a newly active index merges through every active neighbor
+        (in adjacency order)."""
         mult = self.multiplicity_by_index
-        if i in mult:
-            mult[i] += 1
-            return
-        mult[i] = 1
-        self._active += 1
+        adj = self._index.adj
         uf = self._uf
-        for j in self._index.adj[i]:
-            if j in mult and uf.union(i, j):
-                self._merges += 1
+        for i in indices:
+            if i in mult:
+                mult[i] += 1
+                continue
+            mult[i] = 1
+            self._active += 1
+            self._merges += sum(uf.union(i, j) for j in adj[i] if j in mult)
 
     def is_active_index(self, i: int) -> bool:
         return i in self.multiplicity_by_index
@@ -143,6 +148,23 @@ class IndexedClassState:
     def find(self, i: int) -> int:
         """Component representative (index) of active index ``i``."""
         return self._uf.find(i)
+
+    def dominates(self) -> bool:
+        """Whether every node is active or adjacent to an active node.
+        Classes only grow, so once true the answer is kept."""
+        if not self._dominates:
+            mult = self.multiplicity_by_index
+            adj = self._index.adj
+            covered = set(mult)
+            for i in mult:
+                covered.update(adj[i])
+            self._dominates = len(covered) == self._index.n
+        return self._dominates
+
+    def representatives(self) -> Dict[int, int]:
+        """Active index → its component representative (index)."""
+        find = self._uf.find
+        return {i: find(i) for i in self.multiplicity_by_index}
 
     # -- label-level API (pre-kernel compatible) -----------------------
 
@@ -230,20 +252,52 @@ class VirtualGraph:
 
     def assign(self, vnode: VirtualNode, class_id: int) -> None:
         """Put ``vnode`` into class ``class_id`` and update the projection."""
-        self.assign_at(
-            self.index.index_of[vnode.real], vnode.layer, vnode.vtype, class_id
+        self.assign_many(
+            vnode.layer,
+            [(self.index.index_of[vnode.real], vnode.vtype)],
+            [class_id],
         )
 
-    def assign_at(self, i: int, layer: int, vtype: int, class_id: int) -> None:
-        """Index-side :meth:`assign` (hot path of the recursion)."""
-        vnode = VirtualNode(self.index.nodes[i], layer, vtype)
-        if vnode in self.assignment:
-            raise GraphValidationError(f"virtual node {vnode} already assigned")
-        if not 0 <= class_id < self.n_classes:
-            raise GraphValidationError(f"class id {class_id} out of range")
-        self.assignment[vnode] = class_id
-        self.classes[class_id].add_index(i)
-        self.real_classes_at[i].add(class_id)
+    def assign_many(
+        self,
+        layer: int,
+        hosts: Sequence[Tuple[int, int]],
+        class_ids: Sequence[int],
+    ) -> None:
+        """Put the virtual node ``(hosts[k], layer)`` into class
+        ``class_ids[k]`` for every ``k``, in order, and update the
+        projections (the one apply path of the recursion).
+
+        ``hosts`` holds ``(node index, type)`` pairs, usually
+        ``self.hosts[layer]``. Every node is checked — once in the batch,
+        not yet assigned, class id in range — before any is applied.
+        """
+        nodes = self.index.nodes
+        assignment = self.assignment
+        t = self.n_classes
+        make = VirtualNode._make
+        vnodes = [make((nodes[i], layer, vtype)) for i, vtype in hosts]
+        batch = dict(zip(vnodes, class_ids, strict=True))
+        if len(batch) != len(vnodes):
+            raise GraphValidationError("a virtual node is repeated in the batch")
+        for vnode, class_id in batch.items():
+            if vnode in assignment:
+                raise GraphValidationError(
+                    f"virtual node {vnode} already assigned"
+                )
+            if not 0 <= class_id < t:
+                raise GraphValidationError(f"class id {class_id} out of range")
+        assignment.update(batch)
+        # Classes are independent, so each takes its joins in one call,
+        # in the batch's order.
+        joins: Dict[int, List[int]] = {}
+        real_classes_at = self.real_classes_at
+        for (i, _), class_id in zip(hosts, class_ids):
+            joins.setdefault(class_id, []).append(i)
+            real_classes_at[i].add(class_id)
+        classes = self.classes
+        for class_id, indices in joins.items():
+            classes[class_id].add_indices(indices)
 
     def class_of(self, vnode: VirtualNode) -> Optional[int]:
         return self.assignment.get(vnode)

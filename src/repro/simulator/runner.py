@@ -53,6 +53,7 @@ protocol that needs bigger messages is *not* a CONGEST protocol.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
@@ -131,10 +132,14 @@ class SyncRunner:
             else build_transport(model, network, bits_per_message)
         )
         self.bits_per_message = self.transport.bits_per_message
-        self._rng = ensure_rng(rng)
         # An unseeded run draws no node seeds: each Context seeds from OS
         # entropy on its first ctx.rng, which most programs never touch.
+        # Nor does it build its own OS-entropy run rng until something
+        # draws from it (see ``_rng``).
         self._seeded = rng is not None
+        self._run_rng: Optional[random.Random] = (
+            ensure_rng(rng) if self._seeded else None
+        )
         # Optional FaultPlan (None = reliable run) and AdversaryPlan
         # (None = honest channels). A plan built without its own seed
         # takes one fresh_seed draw from the run rng, fault plan first,
@@ -148,6 +153,13 @@ class SyncRunner:
                 plan.bind(network, self.transport)
         self.fault_plan = fault_plan
         self.adversary_plan = adversary_plan
+
+    @property
+    def _rng(self) -> random.Random:
+        """The run rng, built on first draw when the run is unseeded."""
+        if self._run_rng is None:
+            self._run_rng = ensure_rng(None)
+        return self._run_rng
 
     def run(
         self,
@@ -182,8 +194,8 @@ def start_nodes(
     """
     net = runner.network
     n = net.n
-    runner_rng = runner._rng
     seeded = runner._seeded
+    runner_rng = runner._rng if seeded else None
     contexts: List[Context] = []
     programs: List[NodeProgram] = []
     for index, node in enumerate(net.nodes):

@@ -26,6 +26,7 @@ from repro.graphs.generators import (
     harary_graph,
     random_k_connected,
     random_regular_connected,
+    torus_grid,
 )
 from tests.oracles.cds_packing_reference import (
     construct_cds_packing_reference,
@@ -48,6 +49,16 @@ FAMILIES = [
     ("random_k_connected(24,4)", lambda: random_k_connected(24, 4, rng=11), 4),
     # one graph the size of the pipeline's real inputs
     ("harary(6,120)", lambda: harary_graph(6, 120), 6),
+]
+
+
+# Every layer of every FAMILIES case matches no type-2 node (all fall
+# through to random classes). A k_guess far above κ gives many classes,
+# each too sparse to be connected after the jump-start, so these cases
+# match type-2 nodes and pin the matching branch too.
+MATCHING = [
+    ("torus(12,12)", lambda: torus_grid(12, 12), 72),
+    ("harary(6,80)", lambda: harary_graph(6, 80), 40),
 ]
 
 
@@ -110,6 +121,27 @@ class TestConstructEquivalence:
         kernel = construct_cds_packing(graph, 12, rng=3)
         reference = construct_cds_packing_reference(graph, 12, rng=3)
         assert _canonical(kernel) == _canonical(reference)
+
+
+class TestMatchingEquivalence:
+    @pytest.mark.parametrize("name,builder,k", MATCHING, ids=[f[0] for f in MATCHING])
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_bit_identical_construction(self, name, builder, k, seed):
+        graph = builder()
+        kernel = construct_cds_packing(graph, k, rng=seed)
+        reference = construct_cds_packing_reference(graph, k, rng=seed)
+        assert _canonical(kernel) == _canonical(reference)
+
+    @pytest.mark.parametrize("name,builder,k", MATCHING, ids=[f[0] for f in MATCHING])
+    def test_cases_match_type2_nodes(self, name, builder, k):
+        """The matching branch stays covered: these constructions match
+        type-2 nodes (the reference agrees on every count above)."""
+        graph = builder()
+        histories = [
+            construct_cds_packing(graph, k, rng=seed).layer_history
+            for seed in SEEDS
+        ]
+        assert sum(s.matched for history in histories for s in history) > 0
 
 
 class TestGuessLoopEquivalence:

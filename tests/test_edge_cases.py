@@ -8,7 +8,7 @@ from repro.errors import (
     ModelViolationError,
     PackingConstructionError,
 )
-from repro.core.bridging import assign_layer, jump_start
+from repro.core.bridging import assign_layer, jump_start, run_recursion
 from repro.core.cds_packing import construct_cds_packing
 from repro.core.spanning_packing import (
     MwuParameters,
@@ -18,9 +18,13 @@ from repro.core.vertex_connectivity import (
     approximate_vertex_connectivity_distributed,
 )
 from repro.core.virtual_graph import VirtualGraph
-from repro.graphs.generators import harary_graph
+from repro.graphs.generators import harary_graph, torus_grid
 from repro.simulator.algorithms.multikey_flood import multikey_flood
 from repro.simulator.network import Network
+from tests.oracles.cds_packing_reference import (
+    ReferenceVirtualGraph,
+    run_recursion_reference,
+)
 
 
 class TestTinyGraphs:
@@ -65,6 +69,25 @@ class TestAblationFlags:
                     require_type3_witness=use_c,
                 )
                 assert stats.matched + stats.random_type2 == 14
+
+    @pytest.mark.parametrize("use_b", (True, False))
+    @pytest.mark.parametrize("use_c", (True, False))
+    def test_flags_match_the_reference(self, use_b, use_c):
+        """Every ablation branch of the sweep (bench_ablation's A2 rows)
+        is bit-identical to the preserved reference, on a recursion that
+        matches type-2 nodes."""
+        g = torus_grid(12, 12)
+        vg = VirtualGraph(g, layers=8, n_classes=36)
+        history = run_recursion(
+            vg, 5, use_deactivation=use_b, require_type3_witness=use_c
+        )
+        reference = ReferenceVirtualGraph(g, layers=8, n_classes=36)
+        reference_history = run_recursion_reference(
+            reference, 5, use_deactivation=use_b, require_type3_witness=use_c
+        )
+        assert history == reference_history
+        assert vg.assignment == reference.assignment
+        assert sum(stats.matched for stats in history) > 0
 
     def test_disabling_witness_increases_matches(self):
         """Without condition (c), far more (useless) matches happen —

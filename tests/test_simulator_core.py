@@ -23,7 +23,7 @@ from repro.simulator.metrics import (
 from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
 from repro.simulator.runner import Model, SyncRunner, default_message_budget, simulate
-from repro.utils.rng import fresh_seed
+from repro.utils.rng import ensure_rng, fresh_seed
 
 
 class TestPayloadBits:
@@ -224,6 +224,26 @@ class TestRunner:
         assert draws == []
         simulate(net, lambda v: _EchoOnce(), rng=5)
         assert len(draws) == 80
+
+    def test_unseeded_runner_builds_its_rng_on_first_draw(self, monkeypatch):
+        """An unseeded runner builds no OS-entropy run RNG until something
+        draws from it — here a fault plan without its own seed."""
+        from repro.simulator import runner
+        from repro.simulator.algorithms.exchange import exchange_once
+        from repro.simulator.faults import FaultPlan
+
+        built = []
+
+        def counting_ensure_rng(rng=None):
+            built.append(rng)
+            return ensure_rng(rng)
+
+        monkeypatch.setattr(runner, "ensure_rng", counting_ensure_rng)
+        net = Network(harary_graph(6, 80), rng=1)
+        exchange_once(net, {v: 1 for v in net.nodes})
+        assert built == []
+        SyncRunner(net, fault_plan=FaultPlan(drop_probability=0.1))
+        assert built == [None]
 
     def test_addressing_non_neighbor_rejected(self):
         class Bad(NodeProgram):

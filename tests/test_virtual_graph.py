@@ -68,6 +68,29 @@ class TestVirtualGraph:
         vg.assign(VirtualNode(1, 1, 1), 1)
         assert vg.excess_components() == 1
 
+    def test_assign_many_checks_every_node_before_applying(self, vg):
+        vg.assign_many(1, [(0, 1), (1, 2)], [0, 1])
+        assert vg.class_of(VirtualNode(1, 1, 2)) == 1
+        with pytest.raises(GraphValidationError):
+            vg.assign_many(2, [(2, 1), (3, 1)], [0, 2])
+        with pytest.raises(GraphValidationError):
+            vg.assign_many(1, [(2, 1), (0, 1)], [0, 0])
+        with pytest.raises(GraphValidationError):
+            vg.assign_many(2, [(2, 1), (3, 1), (2, 1)], [0, 1, 1])
+        assert len(vg.assignment) == 2
+        assert vg.real_classes[2] == set()
+        assert vg.classes[0].virtual_count() == 1
+        with pytest.raises(ValueError):
+            vg.assign_many(2, [(2, 1), (3, 1)], [0])
+
+    def test_domination_is_read_off_the_class(self, vg):
+        state = vg.classes[0]
+        vg.assign(VirtualNode(0, 1, 1), 0)
+        assert not state.dominates()  # cycle_graph(6): 0 covers 5, 0, 1
+        vg.assign(VirtualNode(3, 1, 1), 0)
+        assert state.dominates()  # 3 covers 2, 3, 4
+        assert state.n_components() == 2
+
     def test_classes_per_real_bounded(self):
         g = nx.cycle_graph(4)
         vg = VirtualGraph(g, layers=4, n_classes=3)
