@@ -344,21 +344,21 @@ class GraphSession:
         return self._cached(("connectivity", seed, params, exact), build)
 
     def exact_vertex_connectivity(self) -> int:
-        """Exact ``k`` from the production oracle
-        (:func:`repro.graphs.connectivity.vertex_connectivity`; cached)."""
-        from repro.graphs.connectivity import vertex_connectivity
+        """Exact ``k`` from the kernel oracle on :attr:`indexed`
+        (:func:`repro.fastgraph.flow.vertex_connectivity`; cached)."""
+        from repro.fastgraph.flow import vertex_connectivity
 
         return self._memo(
-            ("_exact_k",), lambda: vertex_connectivity(self._graph)
+            ("_exact_k",), lambda: vertex_connectivity(self.indexed)[0]
         )
 
     def exact_edge_connectivity(self) -> int:
-        """Exact ``λ`` from the production oracle
-        (:func:`repro.graphs.connectivity.edge_connectivity`; cached)."""
-        from repro.graphs.connectivity import edge_connectivity
+        """Exact ``λ`` from the kernel oracle on :attr:`indexed`
+        (:func:`repro.fastgraph.flow.edge_connectivity`; cached)."""
+        from repro.fastgraph.flow import edge_connectivity
 
         return self._memo(
-            ("_exact_lam",), lambda: edge_connectivity(self._graph)
+            ("_exact_lam",), lambda: edge_connectivity(self.indexed)[0]
         )
 
     def pack_spanning(

@@ -34,7 +34,7 @@ from repro.core.cds_packing import (
 from repro.core.tree_packing import SpanningTreePacking, WeightedTree
 from repro.core.virtual_graph import CdsIndex
 from repro.fastgraph import IndexedGraph, IntUnionFind
-from repro.graphs.connectivity import edge_connectivity
+from repro.fastgraph.flow import edge_connectivity
 from repro.graphs.sampling import karger_edge_index_partition
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -83,12 +83,12 @@ def integral_spanning_packing(
     if graph.number_of_nodes() < 2 or not nx.is_connected(graph):
         raise GraphValidationError("graph must be connected with >= 2 nodes")
     rand = ensure_rng(rng)
-    if lam is None:
-        lam = edge_connectivity(graph)
-    n = graph.number_of_nodes()
-    parts = max(1, int(parts_factor * lam / math.log(max(n, 2))))
     if indexed is None:
         indexed = IndexedGraph.from_networkx(graph)
+    if lam is None:
+        lam, _ = edge_connectivity(indexed)
+    n = graph.number_of_nodes()
+    parts = max(1, int(parts_factor * lam / math.log(max(n, 2))))
     assignment = karger_edge_index_partition(indexed.m, parts, rand)
     buckets: List[List[int]] = [[] for _ in range(parts)]
     for i, part_id in enumerate(assignment):

@@ -28,7 +28,8 @@ import networkx as nx
 
 from repro.core.tree_packing import SpanningTreePacking, WeightedTree
 from repro.errors import GraphValidationError, PackingConstructionError
-from repro.graphs.connectivity import edge_connectivity
+from repro.fastgraph import IndexedGraph
+from repro.fastgraph.flow import edge_connectivity
 from repro.graphs.sampling import karger_edge_partition
 from repro.simulator.algorithms.shared_mst import (
     SharedMstResult,
@@ -78,13 +79,14 @@ def distributed_integral_spanning_packing(
     if parts_factor <= 0:
         raise GraphValidationError("parts_factor must be positive")
     rand = ensure_rng(rng)
+    indexed = IndexedGraph.from_networkx(graph)
     if lam is None:
-        lam = edge_connectivity(graph)
+        lam, _ = edge_connectivity(indexed)
     n = graph.number_of_nodes()
     parts = max(1, int(parts_factor * lam / math.log(max(n, 2))))
     subgraphs = karger_edge_partition(graph, parts, rand)
 
-    network = Network(graph, rng=rand)
+    network = Network(graph, rng=rand, indexed=indexed)
     mst_result = simultaneous_msts(
         network, subgraphs, local_phases=local_phases
     )

@@ -69,7 +69,7 @@ from repro.fastgraph import (
     NearSortedEdgeOrder,
     kruskal_from_order,
 )
-from repro.graphs.connectivity import edge_connectivity
+from repro.fastgraph.flow import edge_connectivity
 from repro.graphs.sampling import choose_karger_parts, karger_edge_index_partition
 from repro.utils.mathutil import ceil_div
 from repro.utils.rng import RngLike, ensure_rng
@@ -287,12 +287,11 @@ def mwu_spanning_packing(
     if not nx.is_connected(graph):
         raise GraphValidationError("MWU packing requires a connected graph")
     params = params or MwuParameters()
-    n = graph.number_of_nodes()
+    indexed = IndexedGraph.from_networkx(graph)
     if lam is None:
-        lam = edge_connectivity(graph)
+        lam, _ = edge_connectivity(indexed)
     target = max(1, ceil_div(max(0, lam - 1), 2))
 
-    indexed = IndexedGraph.from_networkx(graph)
     raw, trace = _mwu_indexed(indexed, range(indexed.m), target, params)
     normalized = [
         (indexed.edges_to_node_sets(key), weight) for key, weight in raw
@@ -316,8 +315,9 @@ def fractional_spanning_tree_packing(
     and parts are edge-disjoint, so the union is a valid packing with size
     the sum of the parts' sizes — at least ``λ(1−ε)/2`` up to sampling loss.
 
-    The connectivity oracle runs **once**, on ``graph`` (and only when
-    ``lam`` is not supplied): each part's connectivity is ``λ/η`` up to
+    The λ oracle (:func:`repro.fastgraph.flow.edge_connectivity`) runs
+    **once**, on the index of ``graph`` (and only when ``lam`` is not
+    supplied): each part's connectivity is ``λ/η`` up to
     ``1 ± ε`` by Karger's theorem, so parts are sized with
     ``max(1, λ // η)`` instead of re-running the oracle per part.
 
@@ -333,11 +333,10 @@ def fractional_spanning_tree_packing(
     params = params or MwuParameters()
     rand = ensure_rng(rng)
     n = graph.number_of_nodes()
-    if lam is None:
-        lam = edge_connectivity(graph)
-
     if indexed is None:
         indexed = IndexedGraph.from_networkx(graph)
+    if lam is None:
+        lam, _ = edge_connectivity(indexed)
     eta = choose_karger_parts(lam, n, params.epsilon)
     if eta <= 1:
         part_edge_lists: List[List[int]] = [list(range(indexed.m))]

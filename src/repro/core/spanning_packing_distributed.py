@@ -168,14 +168,17 @@ def distributed_spanning_packing(
         params = dataclasses.replace(params, max_iterations=30)
     rand = ensure_rng(rng)
     part_metrics: List[SimulationMetrics] = []
+    # One index: the full-graph part's network shares it, so its MSTs'
+    # Kutten–Peleg bounds and this report read one cached diameter.
+    indexed = IndexedGraph.from_networkx(graph)
     result = spanning_packing.fractional_spanning_tree_packing(
-        graph, lam, params, rand,
+        graph, lam, params, rand, indexed=indexed,
         step=functools.partial(_protocol_step, graph, rand, part_metrics),
     )
     iterations = [trace.iterations for trace in result.traces]
     n = graph.number_of_nodes()
     eta = choose_karger_parts(result.lam, n, params.epsilon)
-    diameter = nx.diameter(graph)
+    diameter = indexed.diameter()
     # Parallel composition over edge-disjoint parts: measured rounds =
     # max over parts, plus the pipelined decision upcast O(D + η) per
     # iteration (Lemma 5.1).

@@ -22,7 +22,13 @@ scan:
   edge *order*, plus :class:`~repro.fastgraph.kruskal.NearSortedEdgeOrder`
   which keeps the MWU's cost-sorted order alive across iterations
   (costs are a monotone transform of the slowly-changing loads, so each
-  re-sort is adaptive instead of from-scratch).
+  re-sort is adaptive instead of from-scratch);
+* :mod:`~repro.fastgraph.flow` — exact edge and vertex connectivity
+  (λ and κ), each with a certifying minimum cut, by one unit-augmenting
+  max-flow routine over flat arc arrays.
+
+The index caches what depends on the graph alone: its int adjacency
+and, through :meth:`IndexedGraph.diameter`, its diameter.
 
 Trees and edge subsets are plain ``list``/``frozenset`` of edge
 indices; :meth:`IndexedGraph.tree_graph` rebuilds a labeled

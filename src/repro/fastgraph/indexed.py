@@ -31,10 +31,12 @@ class IndexedGraph:
         n, m: node and edge counts.
 
     An index is immutable once built: a caller whose graph changes
-    re-canonicalizes with :meth:`from_networkx`.
+    re-canonicalizes with :meth:`from_networkx`. So what is computed
+    from it alone (:meth:`neighbors`, :meth:`diameter`) is cached on it.
     """
 
-    __slots__ = ("nodes", "index_of", "u", "v", "n", "m", "_neighbors")
+    __slots__ = ("nodes", "index_of", "u", "v", "n", "m", "_neighbors",
+                 "_diameter")
 
     def __init__(
         self,
@@ -55,6 +57,7 @@ class IndexedGraph:
             self.v.append(b)
         self.m = len(self.u)
         self._neighbors: Optional[List[List[int]]] = None
+        self._diameter: Optional[int] = None
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "IndexedGraph":
@@ -82,6 +85,44 @@ class IndexedGraph:
                     adj[b].append(a)
             self._neighbors = adj
         return self._neighbors
+
+    def diameter(self) -> int:
+        """Exact diameter (cached): a BFS from every node over
+        :meth:`neighbors`, each stopping as soon as it has seen every node.
+
+        A disconnected graph raises :class:`networkx.NetworkXError`, as
+        :func:`networkx.diameter` does.
+        """
+        if self._diameter is None:
+            adj = self.neighbors()
+            seen = [-1] * self.n
+
+            def eccentricity(source: int) -> int:
+                seen[source] = source
+                unseen = self.n - 1
+                frontier = [source]
+                depth = 0
+                while unseen:
+                    if not frontier:
+                        raise nx.NetworkXError(
+                            "Found infinite path length because the graph "
+                            "is not connected"
+                        )
+                    depth += 1
+                    grown = []
+                    for a in frontier:
+                        for b in adj[a]:
+                            if seen[b] != source:
+                                seen[b] = source
+                                unseen -= 1
+                                if not unseen:
+                                    return depth
+                                grown.append(b)
+                    frontier = grown
+                return depth
+
+            self._diameter = max(map(eccentricity, range(self.n)), default=0)
+        return self._diameter
 
     def edges_to_node_sets(self, edge_ids: Iterable[int]) -> FrozenSet[Edge]:
         """Edge-index set → the legacy ``frozenset``-of-``frozenset`` form."""

@@ -1,13 +1,21 @@
-"""Exact connectivity oracles and Menger path extraction.
+"""Exact connectivity oracles, Menger path extraction and domination
+predicates.
 
-These are the *ground truth* oracles the experiments compare against:
-exact vertex/edge connectivity (via max-flow, through networkx), minimum
-vertex cuts, the disjoint path systems promised by Menger's theorem
-([10, Chapter 9] in the paper), and domination/CDS predicates (Section 2).
+* Exact vertex and edge connectivity, and a minimum vertex cut, for a
+  labeled graph: each canonicalizes it and asks the kernel
+  (:mod:`repro.fastgraph.flow`). A caller that already holds an
+  :class:`~repro.fastgraph.IndexedGraph` asks the kernel directly.
+* The disjoint path systems promised by Menger's theorem ([10, Chapter
+  9] in the paper) and local vertex connectivity, through networkx.
+* Domination, CDS, dominating-tree and spanning-tree predicates
+  (Section 2).
 
-The decomposition algorithms themselves never need these oracles (that is
-the point of the paper); the test suite and benchmark harness use them to
-measure achieved packing sizes against true connectivity.
+Theorem 1.3 sizes every spanning packing from λ, so the spanning
+packings (fractional, integral, and their distributed drivers) call the
+λ oracle whenever ``lam`` is unset. ``estimate exact=true`` adds κ and λ
+to Corollary 1.7's interval. The CDS packings never call an oracle:
+Remark 3.1's guess loop sizes them. The tests and benchmarks use these
+oracles to measure achieved packing sizes against true connectivity.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import Hashable, Iterable, List, Set
 import networkx as nx
 
 from repro.errors import GraphValidationError
+from repro.fastgraph import IndexedGraph, flow
 
 
 def _require_graph(graph: nx.Graph) -> None:
@@ -30,38 +39,28 @@ def vertex_connectivity(graph: nx.Graph) -> int:
     By convention, the complete graph K_n has connectivity ``n - 1`` and a
     disconnected graph has connectivity 0.
     """
-    _require_graph(graph)
-    n = graph.number_of_nodes()
-    if n == 1:
-        return 0
-    if not nx.is_connected(graph):
-        return 0
-    if graph.number_of_edges() == n * (n - 1) // 2:
-        return n - 1
-    return nx.node_connectivity(graph)
+    return flow.vertex_connectivity(IndexedGraph.from_networkx(graph))[0]
 
 
 def edge_connectivity(graph: nx.Graph) -> int:
     """Exact edge connectivity ``λ`` of ``graph`` (0 if disconnected)."""
-    _require_graph(graph)
-    if graph.number_of_nodes() == 1:
-        return 0
-    if not nx.is_connected(graph):
-        return 0
-    return nx.edge_connectivity(graph)
+    return flow.edge_connectivity(IndexedGraph.from_networkx(graph))[0]
 
 
 def min_vertex_cut(graph: nx.Graph) -> Set[Hashable]:
-    """A minimum vertex cut of ``graph``.
+    """A minimum vertex cut of ``graph``: the kernel's certifying cut.
 
-    Raises :class:`GraphValidationError` for complete graphs, which have
-    no vertex cut.
+    Where several minimum cuts exist, this is the one the kernel's last
+    bound-lowering flow found. Raises :class:`GraphValidationError` for
+    complete graphs, which have no vertex cut.
     """
     _require_graph(graph)
     n = graph.number_of_nodes()
     if graph.number_of_edges() == n * (n - 1) // 2:
         raise GraphValidationError("complete graphs have no vertex cut")
-    return set(nx.minimum_node_cut(graph))
+    indexed = IndexedGraph.from_networkx(graph)
+    _, cut = flow.vertex_connectivity(indexed)
+    return {indexed.nodes[x] for x in cut}
 
 
 def menger_vertex_paths(

@@ -172,7 +172,6 @@ class Network:
         return self._neighbor_indices
 
     def diameter(self) -> int:
-        """Exact diameter (cached)."""
-        if not hasattr(self, "_diameter"):
-            self._diameter = nx.diameter(self._graph)
-        return self._diameter
+        """Exact diameter, cached on the shared :attr:`indexed` (so every
+        network a session builds reuses one computation)."""
+        return self._indexed.diameter()

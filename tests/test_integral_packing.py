@@ -84,13 +84,16 @@ def test_session_packing_is_vertex_disjoint_and_at_most_kappa(
 
 
 def test_k_unset_calls_no_connectivity_oracle(monkeypatch):
-    """Remark 3.1's guess loop sizes the packing, not the κ oracle."""
+    """Remark 3.1's guess loop sizes the packing, not the κ oracle (the
+    labeled front door or the kernel routine behind it)."""
+    import repro.fastgraph.flow as flow
     import repro.graphs.connectivity as connectivity
 
     def oracle(*args, **kwargs):
         raise AssertionError("vertex connectivity oracle called")
 
     monkeypatch.setattr(connectivity, "vertex_connectivity", oracle)
+    monkeypatch.setattr(flow, "vertex_connectivity", oracle)
     envelope = GraphSession("fat_cycle:4,5").pack_integral(kind="cds", seed=3)
     assert envelope.payload["size"] >= 1
 
