@@ -286,9 +286,10 @@ class GraphSession:
         def build():
             result = self._cds_result(k, seed, params)
             packing = result.packing
-            # No max_diameter here: all-pairs BFS per tree costs more
-            # than the construction itself; callers that want it read
-            # ``raw.packing.max_diameter()`` (the CLI does).
+            # No max_diameter here: a new field would re-pin the
+            # payload's bytes. Callers that want it read
+            # ``raw.packing.max_diameter()`` (two BFS sweeps per tree),
+            # as the CLI does.
             payload = {
                 "size": packing.size,
                 "n_trees": len(packing),

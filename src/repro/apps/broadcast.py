@@ -20,6 +20,19 @@ fixes the routes, so only the queueing is left, and a token-level model
 measures throughput/congestion orders of magnitude faster while enforcing
 the identical per-round capacity constraints.
 
+Both run on node indices: they read the trees' index forms on the
+packing's :class:`~repro.fastgraph.IndexedGraph` (no labelled tree is
+built), keep each node's received and queued messages as bitmasks, build
+tree adjacency only for the trees some message uses, and count the
+unfinished nodes instead of rescanning them. A message's tree fixes its
+token, so a token is its message id. Nodes are served in index order —
+``graph.nodes()`` order — the one order the schedule depends on; the
+order of a node's neighbours or of a token's targets changes no queue.
+Under V-CONGEST every transmission crosses all the sender's edges, so
+an edge's count is the sum of its endpoints' transmissions. The
+outcome is keyed by labels, and equals the label-level schedulers kept
+in ``tests/oracles/broadcast_reference.py``.
+
 Every entry point's ``rng`` defaults to seed 0 (not OS entropy): a
 workload that omits the argument is still exactly reproducible, and
 passing one seed pins the whole run — tree assignment included.
@@ -28,10 +41,8 @@ passing one seed pins the whole run — tree assignment included.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Sequence, Set, Tuple
-
-import networkx as nx
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
 
 from repro.errors import GraphValidationError
 from repro.core.tree_packing import (
@@ -94,6 +105,36 @@ def assign_messages_to_trees(
     return assignment
 
 
+def _draw(
+    packing, sources: Dict[int, Hashable], rng: RngLike
+) -> Tuple[Dict[int, int], List[int], List[WeightedTree]]:
+    """The oblivious tree draw, each message's origin index, and the
+    trees in index form (messages are re-keyed to 0..N-1 in the
+    iteration order of ``sources``)."""
+    assignment = assign_messages_to_trees(
+        packing.trees, len(sources), ensure_rng(rng)
+    )
+    index_of = packing.indexed.index_of
+    origins = [index_of[source] for source in sources.values()]
+    return assignment, origins, packing._index_forms()
+
+
+def _outcome(
+    packing,
+    rounds: int,
+    assignment: Dict[int, int],
+    node_tx: List[int],
+    edge_tx: Dict[FrozenSet[Hashable], int],
+) -> BroadcastOutcome:
+    return BroadcastOutcome(
+        rounds=rounds,
+        n_messages=len(assignment),
+        tree_assignment=assignment,
+        node_transmissions=dict(zip(packing.indexed.nodes, node_tx)),
+        edge_transmissions=edge_tx,
+    )
+
+
 def vertex_broadcast(
     packing: DominatingTreePacking,
     sources: Dict[int, Hashable],
@@ -104,90 +145,86 @@ def vertex_broadcast(
     of a dominating tree packing, under V-CONGEST token capacities.
 
     Per round each node sends at most one token (fair round-robin over
-    its pending (tree, message) queue); a token transmission is a local
-    broadcast: same-tree neighbors extend the flood, every neighbor
-    records receipt. Terminates when all nodes received all messages.
+    its pending queue); a token transmission is a local broadcast:
+    same-tree neighbors extend the flood, every neighbor records
+    receipt. A source outside its message's tree hands the token to its
+    neighbors inside the tree. Terminates when all nodes received all
+    messages.
     """
-    graph = packing.graph
-    rand = ensure_rng(rng)
-    trees = packing.trees
-    assignment = assign_messages_to_trees(trees, len(sources), rand)
-    # message ids are re-keyed to 0..N-1 in iteration order of `sources`.
-    messages = list(sources.items())
+    assignment, origins, trees = _draw(packing, sources, rng)
+    indexed = packing.indexed
+    n = indexed.n
+    nbrs = indexed.neighbors()
+    # Tree adjacency (keyed by the tree's nodes), for the used trees.
+    adjacency = {t: trees[t]._adjacency() for t in set(assignment.values())}
+    routes = [adjacency[assignment[msg]] for msg in range(len(origins))]
 
-    tree_nodes: List[Set[Hashable]] = [set(t.tree.nodes()) for t in trees]
-    tree_adj: List[Dict[Hashable, Set[Hashable]]] = [
-        {v: set(t.tree.neighbors(v)) for v in t.tree.nodes()} for t in trees
-    ]
+    full = (1 << len(origins)) - 1
+    received = [0] * n
+    queued = [0] * n
+    queues = [deque() for _ in range(n)]
+    for msg, source in enumerate(origins):
+        bit = 1 << msg
+        received[source] |= bit
+        if not queued[source] & bit:
+            queued[source] |= bit
+            queues[source].append(msg)
+    unfinished = sum(1 for got in received if got != full)
 
-    received: Dict[Hashable, Set[int]] = {v: set() for v in graph.nodes()}
-    queues: Dict[Hashable, deque] = {v: deque() for v in graph.nodes()}
-    queued: Dict[Hashable, Set[Tuple[int, int]]] = {
-        v: set() for v in graph.nodes()
-    }
-    node_tx: Dict[Hashable, int] = {v: 0 for v in graph.nodes()}
-    edge_tx: Dict[FrozenSet[Hashable], int] = {}
-
-    def enqueue(v: Hashable, tree_index: int, msg: int) -> None:
-        token = (tree_index, msg)
-        if token not in queued[v]:
-            queued[v].add(token)
-            queues[v].append(token)
-
-    n_messages = len(messages)
-    # Message injection: the source holds the token; if the source is not
-    # in the tree, its first transmission hands the token to dominating
-    # tree neighbors (a legal V-CONGEST broadcast).
-    for index, (msg_id, source) in enumerate(messages):
-        tree_index = assignment[index]
-        received[source].add(index)
-        enqueue(source, tree_index, index)
-
-    target = n_messages
+    node_tx = [0] * n
+    first_tx: List[int] = []  # nodes in the order they first transmit
     rounds = 0
-    while any(len(received[v]) < target for v in graph.nodes()):
+    while unfinished:
         rounds += 1
         if rounds > max_rounds:
             raise GraphValidationError(
                 "broadcast did not complete; is the packing dominating?"
             )
-        transmissions = []
-        for v in graph.nodes():
-            if queues[v]:
-                transmissions.append((v, queues[v].popleft()))
+        transmissions = [
+            (v, queue.popleft()) for v, queue in enumerate(queues) if queue
+        ]
         if not transmissions:
             raise GraphValidationError(
                 "broadcast stalled with undelivered messages"
             )
-        for v, (tree_index, msg) in transmissions:
+        for v, msg in transmissions:
+            if not node_tx[v]:
+                first_tx.append(v)
             node_tx[v] += 1
-            in_tree = v in tree_nodes[tree_index]
-            for u in graph.neighbors(v):
-                edge = frozenset((v, u))
-                edge_tx[edge] = edge_tx.get(edge, 0) + 1
-                if msg not in received[u]:
-                    received[u].add(msg)
-                # Flood continuation: only along tree edges.
-                if (
-                    in_tree
-                    and u in tree_adj[tree_index].get(v, ())
-                    and (tree_index, msg) not in queued[u]
-                ):
-                    enqueue(u, tree_index, msg)
-            if not in_tree:
-                # Source outside the tree: hand the token to every
-                # dominating neighbor inside the tree.
-                for u in graph.neighbors(v):
-                    if u in tree_nodes[tree_index]:
-                        enqueue(u, tree_index, msg)
+            bit = 1 << msg
+            for u in nbrs[v]:
+                got = received[u]
+                if not got & bit:
+                    got |= bit
+                    received[u] = got
+                    if got == full:
+                        unfinished -= 1
+            adj = routes[msg]
+            # Flood continuation runs along tree edges; a source outside
+            # the tree hands the token to every neighbor inside it.
+            onward = adj[v] if v in adj else [u for u in nbrs[v] if u in adj]
+            for u in onward:
+                if not queued[u] & bit:
+                    queued[u] |= bit
+                    queues[u].append(msg)
 
-    return BroadcastOutcome(
-        rounds=rounds,
-        n_messages=n_messages,
-        tree_assignment=assignment,
-        node_transmissions=node_tx,
-        edge_transmissions=edge_tx,
-    )
+    # Edges keyed in the order they were first crossed: by first
+    # transmission of an endpoint, then that endpoint's neighbor order.
+    labels = indexed.nodes
+    index_of = indexed.index_of
+    neighbors = packing.graph.neighbors
+    edge_tx: Dict[FrozenSet[Hashable], int] = {}
+    keyed = bytearray(n)
+    for a in first_tx:
+        label = labels[a]
+        for other in neighbors(label):
+            b = index_of[other]
+            if not keyed[b]:
+                edge_tx[frozenset((label, other))] = (
+                    node_tx[a] + node_tx[b] if b != a else node_tx[a]
+                )
+        keyed[a] = 1
+    return _outcome(packing, rounds, assignment, node_tx, edge_tx)
 
 
 def edge_broadcast(
@@ -197,79 +234,97 @@ def edge_broadcast(
     max_rounds: int = 1_000_000,
 ) -> BroadcastOutcome:
     """Broadcast via random trees of a spanning tree packing under
-    E-CONGEST capacities (one token per directed edge per round)."""
-    graph = packing.graph
-    rand = ensure_rng(rng)
-    trees = packing.trees
-    assignment = assign_messages_to_trees(trees, len(sources), rand)
-    messages = list(sources.items())
-    tree_adj: List[Dict[Hashable, Set[Hashable]]] = [
-        {v: set(t.tree.neighbors(v)) for v in t.tree.nodes()} for t in trees
-    ]
+    E-CONGEST capacities (one token per directed edge per round).
 
-    received: Dict[Hashable, Set[int]] = {v: set() for v in graph.nodes()}
-    # pending[v] = deque of (tree, msg, next-neighbors-to-serve)
-    queues: Dict[Hashable, deque] = {v: deque() for v in graph.nodes()}
-    queued: Dict[Hashable, Set[Tuple[int, int]]] = {
-        v: set() for v in graph.nodes()
-    }
-    node_tx: Dict[Hashable, int] = {v: 0 for v in graph.nodes()}
-    edge_tx: Dict[FrozenSet[Hashable], int] = {}
+    A node serves its queue in order each round, each token sending on
+    every tree edge (but the one it came by) that no earlier token used
+    this round; the rest wait. A token forwarded to a node served later
+    in the same round moves on in that round.
+    """
+    assignment, origins, trees = _draw(packing, sources, rng)
+    indexed = packing.indexed
+    n = indexed.n
+    # Each tree node's (tree neighbor, edge id) hops, for the used trees.
+    hops_of = {}
+    for t in set(assignment.values()):
+        hops = {i: [] for i in trees[t]._nodes}
+        for (a, b), edge in zip(trees[t]._pairs(), trees[t]._edge_ids()):
+            hops[a].append((b, edge))
+            hops[b].append((a, edge))
+        hops_of[t] = hops
+    routes = [hops_of[assignment[msg]] for msg in range(len(origins))]
 
-    def enqueue(v: Hashable, tree_index: int, msg: int, origin) -> None:
-        token = (tree_index, msg)
-        if token in queued[v]:
-            return
-        queued[v].add(token)
-        targets = [u for u in tree_adj[tree_index].get(v, ()) if u != origin]
-        if targets:
-            queues[v].append((tree_index, msg, deque(targets)))
+    # A queue entry is (message, hops, the node it came from): a token
+    # is queued only if it has a hop other than back to that node.
+    full = (1 << len(origins)) - 1
+    received = [0] * n
+    queued = [0] * n
+    queues: List[list] = [[] for _ in range(n)]
+    for msg, source in enumerate(origins):
+        bit = 1 << msg
+        received[source] |= bit
+        if not queued[source] & bit:
+            queued[source] |= bit
+            hops = routes[msg].get(source)
+            if hops:
+                queues[source].append((msg, hops, -1))
+    unfinished = sum(1 for got in received if got != full)
 
-    n_messages = len(messages)
-    for index, (msg_id, source) in enumerate(messages):
-        tree_index = assignment[index]
-        received[source].add(index)
-        enqueue(source, tree_index, index, origin=None)
-
+    node_tx = [0] * n
+    crossings: Dict[int, int] = {}  # edge id -> transmissions
+    used = [0] * n  # stamp of the last (round, sender) that used edge v–u
+    stamp = 0
     rounds = 0
-    while any(len(received[v]) < n_messages for v in graph.nodes()):
+    while unfinished:
         rounds += 1
         if rounds > max_rounds:
             raise GraphValidationError(
                 "broadcast did not complete; is the packing spanning?"
             )
         progressed = False
-        for v in graph.nodes():
-            # E-CONGEST: each incident edge carries at most one token this
-            # round; a node may serve all its edges simultaneously.
-            used_edges: Set[Hashable] = set()
-            pending = list(queues[v])
-            queues[v].clear()
-            for tree_index, msg, targets in pending:
-                blocked: deque = deque()
-                while targets:
-                    u = targets.popleft()
-                    if u in used_edges:
-                        blocked.append(u)
+        for v in range(n):
+            pending = queues[v]
+            if not pending:
+                continue
+            # The first target of the first token is always free.
+            progressed = True
+            queues[v] = kept = []
+            stamp += 1
+            sent = 0
+            for msg, hops, came_from in pending:
+                bit = 1 << msg
+                blocked = []
+                for hop in hops:
+                    u, edge = hop
+                    if u == came_from:
                         continue
-                    used_edges.add(u)
-                    progressed = True
-                    node_tx[v] += 1
-                    edge = frozenset((v, u))
-                    edge_tx[edge] = edge_tx.get(edge, 0) + 1
-                    received[u].add(msg)
-                    enqueue(u, tree_index, msg, origin=v)
+                    if used[u] == stamp:
+                        blocked.append(hop)
+                        continue
+                    used[u] = stamp
+                    sent += 1
+                    crossings[edge] = crossings.get(edge, 0) + 1
+                    got = received[u]
+                    if not got & bit:
+                        got |= bit
+                        received[u] = got
+                        if got == full:
+                            unfinished -= 1
+                    if not queued[u] & bit:
+                        queued[u] |= bit
+                        onward = routes[msg].get(u)
+                        if onward and (len(onward) > 1 or onward[0][0] != v):
+                            queues[u].append((msg, onward, v))
                 if blocked:
-                    queues[v].append((tree_index, msg, blocked))
+                    kept.append((msg, blocked, -1))
+            node_tx[v] += sent
         if not progressed:
             raise GraphValidationError(
                 "broadcast stalled with undelivered messages"
             )
 
-    return BroadcastOutcome(
-        rounds=rounds,
-        n_messages=n_messages,
-        tree_assignment=assignment,
-        node_transmissions=node_tx,
-        edge_transmissions=edge_tx,
-    )
+    edge_tx = {
+        frozenset(indexed.endpoints(edge)): count
+        for edge, count in crossings.items()
+    }
+    return _outcome(packing, rounds, assignment, node_tx, edge_tx)

@@ -44,8 +44,9 @@ loop's repeated constructions); the recursion maintains per-class
 connectivity — is decided on flat index arrays (connectivity is a single
 component-count read off the union-find, domination one adjacency scan);
 and the per-class BFS dominating trees are extracted index-side,
-replicating ``nx.bfs_tree``'s traversal order, before becoming
-:class:`networkx.Graph` objects at the API boundary. Results are
+replicating ``nx.bfs_tree``'s traversal order, and handed to the packing
+in index form: a tree becomes a :class:`networkx.Graph` only when a
+caller reads :attr:`~repro.core.tree_packing.WeightedTree.tree`. Results are
 bit-identical to the preserved pre-kernel implementation
 (``tests/oracles/cds_packing_reference.py``) under fixed seeds;
 ``tests/test_cds_equivalence.py`` enforces this.
@@ -190,22 +191,6 @@ def _bfs_tree_indices(
     return edges
 
 
-def _members_tree_graph(
-    index: CdsIndex, members: Sequence[int], edges: List[Tuple[int, int]]
-) -> nx.Graph:
-    """A labeled tree graph on exactly ``members`` (ascending index order
-    = graph node order, the order the reference's subgraph view reports).
-
-    Materialization runs once per *valid class*, not in the per-layer
-    sweep, so the supported networkx API is fast enough here.
-    """
-    tree = nx.Graph()
-    nodes = index.nodes
-    tree.add_nodes_from(nodes[i] for i in members)
-    tree.add_edges_from((nodes[a], nodes[b]) for a, b in edges)
-    return tree
-
-
 def _packing_from_classes(
     graph: nx.Graph, vg: VirtualGraph, class_ids: Sequence[int]
 ) -> DominatingTreePacking:
@@ -251,10 +236,8 @@ def _packing_from_classes(
         for i in members:
             vertex_load[i] += weight
         weighted.append(
-            WeightedTree(
-                tree=_members_tree_graph(index, members, edges),
-                weight=weight,
-                class_id=class_id,
+            WeightedTree.from_index(
+                index.indexed, members, edges, weight, class_id
             )
         )
     max_load = max(vertex_load, default=0.0)
@@ -262,7 +245,7 @@ def _packing_from_classes(
         raise PackingValidationError(
             f"vertex capacity violated: max node load {max_load} > 1"
         )
-    return DominatingTreePacking(graph, weighted)
+    return DominatingTreePacking(graph, weighted, indexed=index.indexed)
 
 
 def construct_cds_packing(

@@ -78,7 +78,8 @@ def integral_spanning_packing(
     connectivity is one :class:`IntUnionFind` sweep per part, and the
     BFS spanning trees mirror the traversal
     :func:`~repro.core.tree_packing.spanning_tree_of` performs, so the
-    resulting trees are identical to the pre-kernel construction.
+    resulting trees are identical to the pre-kernel construction. They
+    reach the packing in index form (edge ids).
     """
     if graph.number_of_nodes() < 2 or not nx.is_connected(graph):
         raise GraphValidationError("graph must be connected with >= 2 nodes")
@@ -98,18 +99,19 @@ def integral_spanning_packing(
     for index, bucket in enumerate(buckets):
         if bucket and indexed.is_connected_via(bucket, uf):
             trees.append(
-                WeightedTree(
-                    tree=indexed.tree_graph(indexed.bfs_tree_edges(bucket)),
-                    weight=1.0,
-                    class_id=index,
+                WeightedTree.from_index(
+                    indexed, range(indexed.n), indexed.bfs_tree_edges(bucket),
+                    1.0, index,
                 )
             )
     if not trees:
         raise PackingConstructionError(
             "no connected part; λ too small for the requested split"
         )
-    packing = SpanningTreePacking(graph, trees)
-    packing.verify()
+    # Each tree spans (a BFS over a connected part) and weighs 1, so
+    # edge-disjointness is the one constraint left: it caps every edge
+    # load at 1.
+    packing = SpanningTreePacking(graph, trees, indexed=indexed)
     if not packing.is_edge_disjoint():
         raise PackingConstructionError(
             "internal error: edge partition produced overlapping trees"

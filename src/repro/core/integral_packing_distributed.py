@@ -105,7 +105,7 @@ def distributed_integral_spanning_packing(
         raise PackingConstructionError(
             "no part stayed connected; λ too small for the requested split"
         )
-    packing = SpanningTreePacking(graph, trees)
+    packing = SpanningTreePacking(graph, trees, indexed=indexed)
     packing.verify()
     if not packing.is_edge_disjoint():
         raise PackingConstructionError(

@@ -38,8 +38,9 @@ eager loop would have, so results are bit-identical to the preserved
 pre-kernel implementation
 (``tests/oracles/spanning_packing_reference.py``) under fixed seeds —
 ``tests/test_fastgraph.py`` enforces this. Trees are ``frozenset``\\ s
-of edge indices internally and become :class:`networkx.Graph` trees
-only at the API boundary.
+of edge indices internally and reach the packing in index form (edge
+ids); a tree becomes a :class:`networkx.Graph` only when a caller reads
+:attr:`~repro.core.tree_packing.WeightedTree.tree`.
 """
 
 from __future__ import annotations
@@ -372,7 +373,7 @@ def fractional_spanning_tree_packing(
             # Index-side verification — the same constraints
             # SpanningTreePacking.verify() checks on the nx objects
             # (spanning tree per class, per-edge capacity below), done
-            # on edge indices before the boundary conversion.
+            # on edge indices.
             if len(tree_key) != spanning_size or not indexed.is_connected_via(
                 tree_key, uf
             ):
@@ -381,13 +382,12 @@ def fractional_spanning_tree_packing(
                     "the graph"
                 )
             weight = min(1.0, weight)
-            for i in tree_key:
+            edges = tuple(tree_key)
+            for i in edges:
                 edge_load[i] += weight
             trees.append(
-                WeightedTree(
-                    tree=indexed.tree_graph(tree_key),
-                    weight=weight,
-                    class_id=class_id,
+                WeightedTree.from_index(
+                    indexed, range(indexed.n), edges, weight, class_id
                 )
             )
             class_id += 1
@@ -400,7 +400,7 @@ def fractional_spanning_tree_packing(
         raise PackingValidationError(
             f"edge capacity violated: max edge load {max_edge_load} > 1"
         )
-    packing = SpanningTreePacking(graph, trees)
+    packing = SpanningTreePacking(graph, trees, indexed=indexed)
     return SpanningPackingResult(
         packing=packing,
         lam=lam,

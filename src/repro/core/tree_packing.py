@@ -10,51 +10,217 @@ compute sizes/loads, and :meth:`verify` every defining constraint, raising
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Tuple
+from typing import (
+    Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union,
+)
 
 import networkx as nx
 
 from repro.errors import PackingValidationError
+from repro.fastgraph import IndexedGraph
 from repro.graphs.connectivity import is_dominating_tree, is_spanning_tree
 
 _TOLERANCE = 1e-9
 
+#: A tree edge in index form: an edge id, or an ``(a, b)`` index pair.
+TreeEdge = Union[int, Tuple[int, int]]
 
-@dataclass
+
 class WeightedTree:
-    """One tree of a packing: the tree, its weight, and its class id."""
+    """One tree of a packing: the tree, its weight, and its class id.
 
-    tree: nx.Graph
-    weight: float
-    class_id: int
+    The constructions hand a tree over in *index form*
+    (:meth:`from_index`): the :class:`~repro.fastgraph.IndexedGraph` it
+    was built on, its node indices, and its edges — edge ids where the
+    construction has them, else ``(a, b)`` index pairs. The labelled
+    :attr:`tree` is built on first read and cached. A tree given as a
+    graph (``WeightedTree(tree=graph, weight=…, class_id=…)``) keeps that
+    graph and gets its index form once: against the graph of the packing
+    that reads it, or, read on its own, against itself. The index form is
+    taken once, so a later edit of :attr:`tree` is not seen by loads,
+    broadcasts or :meth:`diameter`.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.weight <= 1.0 + _TOLERANCE:
+    __slots__ = ("weight", "class_id", "_tree", "_indexed", "_nodes",
+                 "_edges")
+
+    def __init__(self, tree: nx.Graph, weight: float, class_id: int) -> None:
+        if not 0.0 <= weight <= 1.0 + _TOLERANCE:
             raise PackingValidationError(
-                f"tree weight {self.weight} outside [0, 1]"
+                f"tree weight {weight} outside [0, 1]"
             )
+        self.weight = weight
+        self.class_id = class_id
+        self._tree: Optional[nx.Graph] = tree
+        self._indexed: Optional[IndexedGraph] = None
+        self._nodes: Sequence[int] = ()
+        self._edges: Sequence[TreeEdge] = ()
+
+    @classmethod
+    def from_index(
+        cls,
+        indexed: IndexedGraph,
+        nodes: Sequence[int],
+        edges: Sequence[TreeEdge],
+        weight: float,
+        class_id: int,
+    ) -> "WeightedTree":
+        """A tree in index form; ``edges`` are all edge ids or all index
+        pairs, and ``nodes`` and ``edges`` keep the order :attr:`tree`
+        reports them in."""
+        tree = cls(None, weight, class_id)
+        tree._indexed = indexed
+        tree._nodes = nodes
+        tree._edges = edges
+        return tree
+
+    @property
+    def tree(self) -> nx.Graph:
+        """The labelled tree (built from the index form on first read)."""
+        if self._tree is None:
+            self._tree = self._indexed.tree_graph(self._edges, self._nodes)
+        return self._tree
+
+    def _on(self, indexed: IndexedGraph) -> "WeightedTree":
+        """This tree with its index form on ``indexed``, derived once from
+        the labelled tree when it was given as a graph or built on
+        another index."""
+        if self._indexed is indexed:
+            return self
+        tree = self.tree
+        index_of = indexed.index_of
+        try:
+            nodes = [index_of[x] for x in tree]
+        except KeyError as exc:
+            raise PackingValidationError(
+                f"tree (class {self.class_id}) has node {exc.args[0]!r}, "
+                "which the graph lacks"
+            ) from None
+        edge_index = indexed.edge_index()
+        try:
+            edges = [
+                edge_index[index_of[a], index_of[b]] for a, b in tree.edges()
+            ]
+        except KeyError:
+            raise PackingValidationError(
+                f"tree (class {self.class_id}) has an edge the graph lacks"
+            ) from None
+        self._indexed = indexed
+        self._nodes = nodes
+        self._edges = edges
+        return self
+
+    def _form(self) -> "WeightedTree":
+        """This tree with an index form, its own graph's if it has none."""
+        if self._indexed is None:
+            self._on(IndexedGraph.from_networkx(self._tree))
+        return self
+
+    def _pairs(self) -> Sequence[Tuple[int, int]]:
+        """The edges as ``(a, b)`` index pairs, in order."""
+        edges = self._edges
+        if edges and type(edges[0]) is not tuple:
+            u = self._indexed.u
+            v = self._indexed.v
+            return [(u[i], v[i]) for i in edges]
+        return edges
+
+    def _edge_ids(self) -> Sequence[int]:
+        """The edges as edge ids, in order."""
+        edges = self._edges
+        if edges and type(edges[0]) is tuple:
+            edge_index = self._indexed.edge_index()
+            return [edge_index[e] for e in edges]
+        return edges
+
+    def _adjacency(self) -> Dict[int, List[int]]:
+        """Each tree node's tree neighbors, by index."""
+        adj: Dict[int, List[int]] = {i: [] for i in self._nodes}
+        for a, b in self._pairs():
+            adj[a].append(b)
+            adj[b].append(a)
+        return adj
 
     @property
     def nodes(self) -> FrozenSet[Hashable]:
-        return frozenset(self.tree.nodes())
+        labels = self._form()._indexed.nodes
+        return frozenset(labels[i] for i in self._nodes)
 
     @property
     def edges(self) -> FrozenSet[FrozenSet[Hashable]]:
-        return frozenset(frozenset(e) for e in self.tree.edges())
+        labels = self._form()._indexed.nodes
+        return frozenset(
+            frozenset((labels[a], labels[b])) for a, b in self._pairs()
+        )
 
     def diameter(self) -> int:
-        if self.tree.number_of_nodes() <= 1:
+        """The tree's diameter, by two BFS sweeps over the index form.
+
+        On a tree the node farthest from any start ends a longest path,
+        so the second sweep's depth is exact (``nx.diameter`` runs a BFS
+        from every node). A disconnected graph raises
+        :class:`networkx.NetworkXError`, as ``nx.diameter`` does.
+        """
+        nodes = self._form()._nodes
+        if len(nodes) <= 1:
             return 0
-        return nx.diameter(self.tree)
+        adj = self._adjacency()
+
+        def sweep(source: int) -> Tuple[int, int]:
+            seen = {source}
+            frontier = [source]
+            far, depth = source, -1
+            while frontier:
+                depth += 1
+                far = frontier[0]
+                grown = []
+                for a in frontier:
+                    for b in adj[a]:
+                        if b not in seen:
+                            seen.add(b)
+                            grown.append(b)
+                frontier = grown
+            if len(seen) != len(adj):
+                raise nx.NetworkXError(
+                    "Found infinite path length because the graph is not "
+                    "connected"
+                )
+            return far, depth
+
+        far, _ = sweep(nodes[0])
+        return sweep(far)[1]
 
 
 class _BasePacking:
-    """Shared machinery for both packing kinds."""
+    """Shared machinery for both packing kinds.
 
-    def __init__(self, graph: nx.Graph, trees: List[WeightedTree]) -> None:
+    Loads, counts and disjointness read the trees' index forms on
+    :attr:`indexed`; :meth:`verify` reads the labelled trees, as the
+    independent check.
+    """
+
+    def __init__(
+        self,
+        graph: nx.Graph,
+        trees: List[WeightedTree],
+        indexed: Optional[IndexedGraph] = None,
+    ) -> None:
         self.graph = graph
         self.trees = list(trees)
+        self._indexed = indexed
+
+    @property
+    def indexed(self) -> IndexedGraph:
+        """The index of :attr:`graph` the trees are read on (the one the
+        construction built them on, else canonicalized on first use)."""
+        if self._indexed is None:
+            self._indexed = IndexedGraph.from_networkx(self.graph)
+        return self._indexed
+
+    def _index_forms(self) -> List[WeightedTree]:
+        """The trees, each with its index form on :attr:`indexed`."""
+        indexed = self.indexed
+        return [wt._on(indexed) for wt in self.trees]
 
     @property
     def size(self) -> float:
@@ -82,25 +248,26 @@ class DominatingTreePacking(_BasePacking):
     * every vertex carries total weight ≤ 1.
     """
 
+    def _node_sums(self, weighted: bool) -> list:
+        """Per node index: the trees' weights (summed in tree order, so
+        every float is fixed) or their count."""
+        sums = [0.0 if weighted else 0] * self.indexed.n
+        for wt in self._index_forms():
+            add = wt.weight if weighted else 1
+            for i in wt._nodes:
+                sums[i] += add
+        return sums
+
     def node_loads(self) -> Dict[Hashable, float]:
         """Total tree weight carried by each vertex."""
-        loads: Dict[Hashable, float] = {v: 0.0 for v in self.graph.nodes()}
-        for wt in self.trees:
-            for v in wt.tree.nodes():
-                loads[v] += wt.weight
-        return loads
+        return dict(zip(self.indexed.nodes, self._node_sums(True)))
 
     def trees_per_node(self) -> Dict[Hashable, int]:
         """How many trees contain each vertex (Theorem 1.1: O(log n))."""
-        counts: Dict[Hashable, int] = {v: 0 for v in self.graph.nodes()}
-        for wt in self.trees:
-            for v in wt.tree.nodes():
-                counts[v] += 1
-        return counts
+        return dict(zip(self.indexed.nodes, self._node_sums(False)))
 
     def max_node_load(self) -> float:
-        loads = self.node_loads()
-        return max(loads.values()) if loads else 0.0
+        return max(self._node_sums(True), default=0.0)
 
     def verify(self) -> None:
         """Raise :class:`PackingValidationError` unless all constraints hold."""
@@ -118,12 +285,12 @@ class DominatingTreePacking(_BasePacking):
 
     def is_vertex_disjoint(self) -> bool:
         """Whether the trees are pairwise vertex-disjoint (integral packing)."""
-        seen: set = set()
-        for wt in self.trees:
-            nodes = set(wt.tree.nodes())
-            if seen & nodes:
-                return False
-            seen |= nodes
+        seen = bytearray(self.indexed.n)
+        for wt in self._index_forms():
+            for i in wt._nodes:
+                if seen[i]:
+                    return False
+                seen[i] = 1
         return True
 
 
@@ -137,28 +304,33 @@ class SpanningTreePacking(_BasePacking):
     * every edge carries total weight ≤ 1.
     """
 
-    def edge_loads(self) -> Dict[FrozenSet[Hashable], float]:
-        loads: Dict[FrozenSet[Hashable], float] = {
-            frozenset(e): 0.0 for e in self.graph.edges()
+    def _edge_sums(self, weighted: bool) -> list:
+        """Per edge id: the trees' weights (summed in tree order) or
+        their count."""
+        sums = [0.0 if weighted else 0] * self.indexed.m
+        for wt in self._index_forms():
+            add = wt.weight if weighted else 1
+            for i in wt._edge_ids():
+                sums[i] += add
+        return sums
+
+    def _by_edge(self, sums: list) -> Dict[FrozenSet[Hashable], float]:
+        """``sums`` keyed by edge label set, in ``graph.edges()`` order."""
+        indexed = self.indexed
+        return {
+            frozenset(indexed.endpoints(i)): value
+            for i, value in enumerate(sums)
         }
-        for wt in self.trees:
-            for e in wt.tree.edges():
-                loads[frozenset(e)] += wt.weight
-        return loads
+
+    def edge_loads(self) -> Dict[FrozenSet[Hashable], float]:
+        return self._by_edge(self._edge_sums(True))
 
     def trees_per_edge(self) -> Dict[FrozenSet[Hashable], int]:
         """How many trees use each edge (Theorem 1.3: O(log³ n))."""
-        counts: Dict[FrozenSet[Hashable], int] = {
-            frozenset(e): 0 for e in self.graph.edges()
-        }
-        for wt in self.trees:
-            for e in wt.tree.edges():
-                counts[frozenset(e)] += 1
-        return counts
+        return self._by_edge(self._edge_sums(False))
 
     def max_edge_load(self) -> float:
-        loads = self.edge_loads()
-        return max(loads.values()) if loads else 0.0
+        return max(self._edge_sums(True), default=0.0)
 
     def verify(self) -> None:
         """Raise :class:`PackingValidationError` unless all constraints hold."""
@@ -176,12 +348,12 @@ class SpanningTreePacking(_BasePacking):
 
     def is_edge_disjoint(self) -> bool:
         """Whether the trees are pairwise edge-disjoint (integral packing)."""
-        seen: set = set()
-        for wt in self.trees:
-            edges = {frozenset(e) for e in wt.tree.edges()}
-            if seen & edges:
-                return False
-            seen |= edges
+        seen = bytearray(self.indexed.m)
+        for wt in self._index_forms():
+            for i in wt._edge_ids():
+                if seen[i]:
+                    return False
+                seen[i] = 1
         return True
 
 

@@ -31,8 +31,10 @@ The index caches what depends on the graph alone: its int adjacency
 and, through :meth:`IndexedGraph.diameter`, its diameter.
 
 Trees and edge subsets are plain ``list``/``frozenset`` of edge
-indices; :meth:`IndexedGraph.tree_graph` rebuilds a labeled
-:class:`networkx.Graph` when a packing result crosses the public API.
+indices (or index pairs); packings keep their trees in that form, and
+:meth:`IndexedGraph.tree_graph` builds a labeled :class:`networkx.Graph`
+only when a caller reads a tree
+(:attr:`repro.core.tree_packing.WeightedTree.tree`).
 """
 
 from repro.fastgraph.indexed import IndexedGraph

@@ -32,11 +32,12 @@ class IndexedGraph:
 
     An index is immutable once built: a caller whose graph changes
     re-canonicalizes with :meth:`from_networkx`. So what is computed
-    from it alone (:meth:`neighbors`, :meth:`diameter`) is cached on it.
+    from it alone (:meth:`neighbors`, :meth:`diameter`,
+    :meth:`edge_index`) is cached on it.
     """
 
     __slots__ = ("nodes", "index_of", "u", "v", "n", "m", "_neighbors",
-                 "_diameter")
+                 "_diameter", "_edge_index")
 
     def __init__(
         self,
@@ -58,6 +59,7 @@ class IndexedGraph:
         self.m = len(self.u)
         self._neighbors: Optional[List[List[int]]] = None
         self._diameter: Optional[int] = None
+        self._edge_index: Optional[Dict[Tuple[int, int], int]] = None
 
     @classmethod
     def from_networkx(cls, graph: nx.Graph) -> "IndexedGraph":
@@ -85,6 +87,15 @@ class IndexedGraph:
                     adj[b].append(a)
             self._neighbors = adj
         return self._neighbors
+
+    def edge_index(self) -> Dict[Tuple[int, int], int]:
+        """Edge id of each index pair, both orientations (cached)."""
+        if self._edge_index is None:
+            index: Dict[Tuple[int, int], int] = {}
+            for i, (a, b) in enumerate(zip(self.u, self.v)):
+                index[a, b] = index[b, a] = i
+            self._edge_index = index
+        return self._edge_index
 
     def diameter(self) -> int:
         """Exact diameter (cached): a BFS from every node over
@@ -212,34 +223,46 @@ class IndexedGraph:
     # API boundary: back to networkx
     # ------------------------------------------------------------------
 
-    def tree_graph(self, edge_ids: Iterable[int]) -> nx.Graph:
-        """A labeled :class:`networkx.Graph` with all nodes + these edges.
+    def tree_graph(
+        self,
+        edges: Iterable,
+        nodes: Optional[Iterable[int]] = None,
+    ) -> nx.Graph:
+        """A labeled :class:`networkx.Graph` on ``nodes`` (default: all)
+        with these edges, each an edge id or an ``(a, b)`` index pair.
 
-        Packings materialize one graph per tree, so this writes the
-        adjacency structure directly when the networkx internals look
-        like plain dicts (they have since 2.0) and falls back to the
-        public API otherwise. Both paths produce byte-equivalent graphs
-        (no node/edge data, default factories).
+        Nodes and then edges go in in the order given, so the graph
+        reports ``nodes()`` and ``edges()`` as one built by the public
+        API in that order would. Packings materialize one graph per tree
+        on first read, so this writes the adjacency structure directly
+        when the networkx internals look like plain dicts (they have
+        since 2.0) and falls back to the public API otherwise. Both
+        paths produce byte-equivalent graphs (no node/edge data, default
+        factories).
         """
         graph = nx.Graph()
-        nodes = self.nodes
+        labels = self.nodes
         u = self.u
         v = self.v
+        members = labels if nodes is None else [labels[i] for i in nodes]
+        pairs = (
+            (labels[e[0]], labels[e[1]]) if type(e) is tuple
+            else (labels[u[e]], labels[v[e]])
+            for e in edges
+        )
         node_attrs = getattr(graph, "_node", None)
         adjacency = getattr(graph, "_adj", None)
         if type(node_attrs) is dict and type(adjacency) is dict:
-            for label in nodes:
+            for label in members:
                 node_attrs[label] = {}
                 adjacency[label] = {}
-            for i in edge_ids:
-                a = nodes[u[i]]
-                b = nodes[v[i]]
+            for a, b in pairs:
                 data: Dict = {}
                 adjacency[a][b] = data
                 adjacency[b][a] = data
         else:  # pragma: no cover - exotic networkx configuration
-            graph.add_nodes_from(nodes)
-            graph.add_edges_from((nodes[u[i]], nodes[v[i]]) for i in edge_ids)
+            graph.add_nodes_from(members)
+            graph.add_edges_from(pairs)
         return graph
 
     def to_networkx(self) -> nx.Graph:
