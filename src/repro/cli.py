@@ -75,7 +75,6 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.simulator", "V-CONGEST / E-CONGEST round simulator"),
         ("repro.graphs", "generators, oracles, sampling, certificates"),
         ("repro.apps", "broadcast, gossip, oblivious routing, RLNC"),
-        ("repro.baselines", "Dinic, Even–Tarjan, Stoer–Wagner, Roskind–Tarjan"),
         ("repro.lowerbounds", "Appendix G construction + 2-party simulation"),
     ]:
         print(f"  {name:<20} {what}")
@@ -357,7 +356,7 @@ _EXPERIMENTS = [
     ("E15", "bench_integral", "integral packings"),
     ("E16", "bench_independent_trees", "§1.4.1 independent trees"),
     ("E17", "bench_network_coding", "§1 network coding comparison"),
-    ("E18", "bench_baselines", "exact baselines cross-checks"),
+    ("E18", "bench_baselines", "Roskind–Tarjan packing, greedy CDS comparator"),
     ("E19", "bench_pipelined_upcast", "Lemma 5.1 pipelined upcast"),
     ("E20", "bench_workloads", "Cor A.1 workload shapes"),
     ("E21", "bench_shared_mst", "Lemma 5.1 simultaneous MSTs"),

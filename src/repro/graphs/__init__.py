@@ -2,8 +2,8 @@
 
 This subpackage provides everything the decomposition algorithms assume about
 graphs: the disjoint-set forests of Appendix C, the graph families used by
-the experiments, exact connectivity oracles (for ground truth), Menger path
-extraction, Karger's random edge partition (Section 5.2), and
+the experiments, exact connectivity oracles and minimum vertex cuts (for
+ground truth), Karger's random edge partition (Section 5.2), and
 Thurimella-style sparse connectivity certificates.
 """
 
@@ -22,8 +22,6 @@ from repro.graphs.connectivity import (
     edge_connectivity,
     is_connected_dominating_set,
     is_dominating_set,
-    menger_edge_paths,
-    menger_vertex_paths,
     min_vertex_cut,
     vertex_connectivity,
 )
@@ -43,8 +41,6 @@ __all__ = [
     "edge_connectivity",
     "is_connected_dominating_set",
     "is_dominating_set",
-    "menger_edge_paths",
-    "menger_vertex_paths",
     "min_vertex_cut",
     "vertex_connectivity",
     "karger_edge_partition",

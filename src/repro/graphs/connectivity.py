@@ -1,12 +1,9 @@
-"""Exact connectivity oracles, Menger path extraction and domination
-predicates.
+"""Exact connectivity oracles and domination predicates.
 
 * Exact vertex and edge connectivity, and a minimum vertex cut, for a
   labeled graph: each canonicalizes it and asks the kernel
   (:mod:`repro.fastgraph.flow`). A caller that already holds an
   :class:`~repro.fastgraph.IndexedGraph` asks the kernel directly.
-* The disjoint path systems promised by Menger's theorem ([10, Chapter
-  9] in the paper) and local vertex connectivity, through networkx.
 * Domination, CDS, dominating-tree and spanning-tree predicates
   (Section 2).
 
@@ -20,17 +17,12 @@ oracles to measure achieved packing sizes against true connectivity.
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable, List, Set
+from typing import Hashable, Iterable, Set
 
 import networkx as nx
 
 from repro.errors import GraphValidationError
 from repro.fastgraph import IndexedGraph, flow
-
-
-def _require_graph(graph: nx.Graph) -> None:
-    if graph.number_of_nodes() == 0:
-        raise GraphValidationError("graph must be non-empty")
 
 
 def vertex_connectivity(graph: nx.Graph) -> int:
@@ -52,40 +44,14 @@ def min_vertex_cut(graph: nx.Graph) -> Set[Hashable]:
 
     Where several minimum cuts exist, this is the one the kernel's last
     bound-lowering flow found. Raises :class:`GraphValidationError` for
-    complete graphs, which have no vertex cut.
+    complete graphs, which have no vertex cut. Completeness is read off
+    κ = n − 1, so self-loops, which the kernel ignores, do not count.
     """
-    _require_graph(graph)
-    n = graph.number_of_nodes()
-    if graph.number_of_edges() == n * (n - 1) // 2:
-        raise GraphValidationError("complete graphs have no vertex cut")
     indexed = IndexedGraph.from_networkx(graph)
-    _, cut = flow.vertex_connectivity(indexed)
+    kappa, cut = flow.vertex_connectivity(indexed)
+    if kappa == graph.number_of_nodes() - 1:
+        raise GraphValidationError("complete graphs have no vertex cut")
     return {indexed.nodes[x] for x in cut}
-
-
-def menger_vertex_paths(
-    graph: nx.Graph, source: Hashable, target: Hashable
-) -> List[List[Hashable]]:
-    """A maximum system of internally vertex-disjoint source-target paths.
-
-    Menger's theorem guarantees at least ``k`` such paths between any
-    non-adjacent pair in a k-vertex-connected graph. Used by the tests of
-    Lemma 4.3 (Connector Abundance).
-    """
-    _require_graph(graph)
-    if source == target:
-        raise GraphValidationError("source and target must differ")
-    return [list(p) for p in nx.node_disjoint_paths(graph, source, target)]
-
-
-def menger_edge_paths(
-    graph: nx.Graph, source: Hashable, target: Hashable
-) -> List[List[Hashable]]:
-    """A maximum system of edge-disjoint source-target paths."""
-    _require_graph(graph)
-    if source == target:
-        raise GraphValidationError("source and target must differ")
-    return [list(p) for p in nx.edge_disjoint_paths(graph, source, target)]
 
 
 def is_dominating_set(graph: nx.Graph, candidate: Iterable[Hashable]) -> bool:
@@ -147,11 +113,3 @@ def is_spanning_tree(graph: nx.Graph, tree: nx.Graph) -> bool:
         if not graph.has_edge(u, v):
             return False
     return nx.is_tree(tree)
-
-
-def local_vertex_connectivity(
-    graph: nx.Graph, source: Hashable, target: Hashable
-) -> int:
-    """Maximum number of internally vertex-disjoint source-target paths."""
-    _require_graph(graph)
-    return nx.connectivity.local_node_connectivity(graph, source, target)

@@ -13,7 +13,7 @@ tagged with the id of the computation it belongs to); per round, each
 node forwards exactly one pending item to its BFS parent (E-CONGEST: one
 message per tree edge per round). The root accumulates everything. The
 measured round count is checked against the ``depth + total_items``
-pipeline bound by the tests and the E18 bench.
+pipeline bound by the tests and the E19 bench.
 """
 
 from __future__ import annotations

@@ -7,10 +7,6 @@ import random
 import networkx as nx
 import pytest
 
-from repro.baselines.greedy_cds import (
-    greedy_cds_partition,
-    greedy_connected_dominating_set,
-)
 from repro.errors import GraphValidationError
 from repro.graphs.connectivity import is_connected_dominating_set
 from repro.graphs.generators import (
@@ -19,6 +15,10 @@ from repro.graphs.generators import (
     harary_graph,
     hypercube,
     torus_grid,
+)
+from tests.oracles.greedy_cds import (
+    greedy_cds_partition,
+    greedy_connected_dominating_set,
 )
 
 

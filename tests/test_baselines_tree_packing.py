@@ -10,13 +10,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.tree_packing_exact import (
+from repro.errors import GraphValidationError
+from repro.graphs.generators import fat_cycle, harary_graph, hypercube
+from tests.oracles.tree_packing_exact import (
     edge_disjoint_spanning_forests,
     max_spanning_tree_packing,
     spanning_tree_packing_number,
 )
-from repro.errors import GraphValidationError
-from repro.graphs.generators import fat_cycle, harary_graph, hypercube
 
 
 def _assert_edge_disjoint(forests):

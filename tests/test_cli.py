@@ -73,7 +73,7 @@ class TestCommands:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "PODC 2014" in out
-        assert "repro.baselines" in out
+        assert "repro.graphs" in out
 
     def test_connectivity(self, capsys):
         assert main(["connectivity", "harary:4,12"]) == 0

@@ -1,4 +1,5 @@
-"""Connectivity oracles, Menger paths, domination predicates (Section 2)."""
+"""Connectivity oracles, minimum vertex cuts, domination predicates
+(Section 2)."""
 
 import networkx as nx
 import pytest
@@ -10,9 +11,6 @@ from repro.graphs.connectivity import (
     is_dominating_set,
     is_dominating_tree,
     is_spanning_tree,
-    local_vertex_connectivity,
-    menger_edge_paths,
-    menger_vertex_paths,
     min_vertex_cut,
     vertex_connectivity,
 )
@@ -61,44 +59,6 @@ class TestCutsAndMenger:
     def test_min_cut_of_complete_rejected(self):
         with pytest.raises(GraphValidationError):
             min_vertex_cut(nx.complete_graph(5))
-
-    def test_menger_vertex_paths_count(self):
-        g = harary_graph(4, 16)
-        # pick a non-adjacent pair
-        pairs = [
-            (u, v)
-            for u in g.nodes()
-            for v in g.nodes()
-            if u < v and not g.has_edge(u, v)
-        ]
-        u, v = pairs[0]
-        paths = menger_vertex_paths(g, u, v)
-        assert len(paths) >= 4
-        # internal disjointness
-        internals = [set(p[1:-1]) for p in paths]
-        for i in range(len(internals)):
-            for j in range(i + 1, len(internals)):
-                assert not internals[i] & internals[j]
-
-    def test_menger_edge_paths_disjoint(self):
-        g = harary_graph(4, 12)
-        paths = menger_edge_paths(g, 0, 6)
-        assert len(paths) >= 4
-        used = set()
-        for p in paths:
-            for a, b in zip(p, p[1:]):
-                e = frozenset((a, b))
-                assert e not in used
-                used.add(e)
-
-    def test_menger_same_node_rejected(self):
-        g = nx.cycle_graph(5)
-        with pytest.raises(GraphValidationError):
-            menger_vertex_paths(g, 0, 0)
-
-    def test_local_connectivity(self):
-        g = nx.cycle_graph(6)
-        assert local_vertex_connectivity(g, 0, 3) == 2
 
 
 class TestDominationPredicates:

@@ -1,28 +1,23 @@
 """Cross-module hypothesis property tests.
 
-These tie independent implementations to each other: the from-scratch
-baselines against the networkx oracles, the sparse certificates against
-exact connectivity, the exact tree packing against Tutte/Nash-Williams,
-and the decomposition outputs against the baselines. Any divergence
-between two code paths that claim the same mathematics fails here.
+These tie independent implementations to each other: the kernel's λ
+and κ against networkx and the session's exact oracles, the sparse
+certificates against exact connectivity, the exact Roskind–Tarjan
+packing (``tests/oracles/tree_packing_exact.py``) against
+Tutte/Nash-Williams, and the decomposition outputs against exact
+connectivity. Any divergence between two code paths that claim the
+same mathematics fails here.
 """
 
 from __future__ import annotations
 
 import math
-import random
 
 import networkx as nx
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import GraphSession
-from repro.baselines.mincut import edge_connectivity_exact
-from repro.baselines.tree_packing_exact import spanning_tree_packing_number
-from repro.baselines.vertex_connectivity_exact import (
-    even_tarjan_vertex_connectivity,
-)
 from repro.graphs.connectivity import (
     edge_connectivity,
     vertex_connectivity,
@@ -30,6 +25,7 @@ from repro.graphs.connectivity import (
 from repro.graphs.generators import harary_graph
 from repro.graphs.sampling import karger_edge_partition
 from repro.graphs.sparse_certificates import sparse_connectivity_certificate
+from tests.oracles.tree_packing_exact import spanning_tree_packing_number
 
 _slow = settings(
     max_examples=15,
@@ -48,26 +44,27 @@ def _random_connected(seed: int, n: int, p: float = 0.45):
 @_slow
 @given(seed=st.integers(0, 10_000), n=st.integers(4, 12))
 def test_three_edge_connectivity_implementations_agree(seed, n):
-    """Stoer–Wagner (ours) == networkx flow-based == the λ oracle ==
-    the session's exact λ."""
+    """networkx flow-based == the kernel's λ oracle == the session's
+    exact λ on its cached index."""
     graph = _random_connected(seed, n)
     if graph is None:
         return
-    ours = edge_connectivity_exact(graph)
-    assert ours == nx.edge_connectivity(graph)
-    assert ours == edge_connectivity(graph)
-    assert ours == GraphSession(graph).exact_edge_connectivity()
+    expected = nx.edge_connectivity(graph)
+    assert edge_connectivity(graph) == expected
+    assert GraphSession(graph).exact_edge_connectivity() == expected
 
 
 @_slow
 @given(seed=st.integers(0, 10_000), n=st.integers(4, 11))
 def test_two_vertex_connectivity_implementations_agree(seed, n):
+    """networkx == the kernel's κ oracle, through the labelled call and
+    through the session."""
     graph = _random_connected(seed, n)
     if graph is None:
         return
-    ours, _ = even_tarjan_vertex_connectivity(graph)
-    assert ours == vertex_connectivity(graph)
-    assert ours == GraphSession(graph).exact_vertex_connectivity()
+    expected = nx.node_connectivity(graph)
+    assert vertex_connectivity(graph) == expected
+    assert GraphSession(graph).exact_vertex_connectivity() == expected
 
 
 @_slow
@@ -171,8 +168,7 @@ class TestWhitneyTightness:
         k = vertex_connectivity(graph)
         lam = edge_connectivity(graph)
         assert k == lam == 2  # both cuts are the two bridges/endpoints
-        ours, _ = even_tarjan_vertex_connectivity(graph)
-        assert ours == k
+        assert k == nx.node_connectivity(graph)
 
     def test_lambda_strictly_below_min_degree(self):
         """Two K_6s joined by one edge: δ = 5 but λ = 1."""
@@ -184,5 +180,5 @@ class TestWhitneyTightness:
         graph.update(left)
         graph.update(right)
         graph.add_edge(0, 6)
-        assert edge_connectivity_exact(graph) == 1
+        assert edge_connectivity(graph) == nx.edge_connectivity(graph) == 1
         assert min(d for _, d in graph.degree()) >= 5

@@ -2,31 +2,28 @@
 
 The original edge-case suite covers the core packing functions; this
 file pushes the same degenerate inputs (singletons, two-node graphs,
-complete graphs, stars) through the baselines, the coding app, the
-upcast primitive, and the workload generators, pinning the intended
-behavior — a helpful error, not a wrong answer.
+complete graphs, stars) through the exact test oracles (Roskind–Tarjan
+packing, greedy CDS), the coding app, the upcast primitive, and the
+workload generators, pinning the intended behavior — a helpful error,
+not a wrong answer. The kernel's λ and κ on the same inputs are
+checked in ``tests/test_flow.py``; the star's cut vertex is pinned here
+too.
 """
 
 from __future__ import annotations
 
 import networkx as nx
-import pytest
 
 from repro.analysis.workloads import balanced_workload, uniform_workload
 from repro.apps.network_coding import rlnc_gossip
-from repro.baselines.greedy_cds import greedy_connected_dominating_set
-from repro.baselines.maxflow import FlowNetwork
-from repro.baselines.mincut import edge_connectivity_exact, stoer_wagner_min_cut
-from repro.baselines.tree_packing_exact import (
+from repro.graphs import connectivity
+from repro.simulator.algorithms.pipelined_upcast import pipelined_upcast
+from repro.simulator.network import Network
+from tests.oracles.greedy_cds import greedy_connected_dominating_set
+from tests.oracles.tree_packing_exact import (
     edge_disjoint_spanning_forests,
     spanning_tree_packing_number,
 )
-from repro.baselines.vertex_connectivity_exact import (
-    even_tarjan_vertex_connectivity,
-)
-from repro.errors import GraphValidationError
-from repro.simulator.algorithms.pipelined_upcast import pipelined_upcast
-from repro.simulator.network import Network
 
 
 def _singleton():
@@ -40,16 +37,6 @@ def _two_nodes():
 
 
 class TestSingletonGraph:
-    def test_vertex_connectivity_zero(self):
-        assert even_tarjan_vertex_connectivity(_singleton()) == (0, None)
-
-    def test_edge_connectivity_zero(self):
-        assert edge_connectivity_exact(_singleton()) == 0
-
-    def test_stoer_wagner_rejects(self):
-        with pytest.raises(GraphValidationError):
-            stoer_wagner_min_cut(_singleton())
-
     def test_packing_number_zero(self):
         assert spanning_tree_packing_number(_singleton()) == 0
 
@@ -78,16 +65,6 @@ class TestSingletonGraph:
 
 
 class TestTwoNodeGraph:
-    def test_connectivities_are_one(self):
-        graph = _two_nodes()
-        assert even_tarjan_vertex_connectivity(graph)[0] == 1
-        assert edge_connectivity_exact(graph) == 1
-
-    def test_stoer_wagner(self):
-        value, side = stoer_wagner_min_cut(_two_nodes())
-        assert value == 1.0
-        assert len(side) == 1
-
     def test_packing_number_one(self):
         assert spanning_tree_packing_number(_two_nodes()) == 1
 
@@ -102,13 +79,6 @@ class TestTwoNodeGraph:
 
 
 class TestCompleteGraph:
-    def test_even_tarjan_shortcut(self):
-        value, cut = even_tarjan_vertex_connectivity(
-            nx.complete_graph(8), with_cut=True
-        )
-        assert value == 7
-        assert cut is None
-
     def test_packing_number_floor_n_over_2(self):
         # K_n packs exactly ⌊n/2⌋ edge-disjoint spanning trees.
         assert spanning_tree_packing_number(nx.complete_graph(8)) == 4
@@ -124,11 +94,9 @@ class TestStarGraph:
     """The star is the extreme 1-connected case: one cut vertex."""
 
     def test_connectivity_one_and_center_cut(self):
-        value, cut = even_tarjan_vertex_connectivity(
-            nx.star_graph(6), with_cut=True
-        )
-        assert value == 1
-        assert cut == {0}
+        graph = nx.star_graph(6)
+        assert connectivity.vertex_connectivity(graph) == 1
+        assert connectivity.min_vertex_cut(graph) == {0}
 
     def test_single_spanning_tree(self):
         assert spanning_tree_packing_number(nx.star_graph(6)) == 1
@@ -145,12 +113,6 @@ class TestStarGraph:
 
 
 class TestModelViolationSurfaces:
-    def test_flow_network_rejects_unknown_sink(self):
-        net = FlowNetwork()
-        net.add_edge("a", "b", 1)
-        with pytest.raises(GraphValidationError):
-            net.max_flow("a", "zzz")
-
     def test_upcast_pipeline_bound_nonnegative(self):
         network = Network(nx.path_graph(3), rng=1)
         result = pipelined_upcast(network, {})

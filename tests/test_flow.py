@@ -3,7 +3,8 @@
 networkx is called directly here, as the independent cross-check: every
 value must equal ``nx.edge_connectivity``, ``nx.node_connectivity`` or
 ``nx.diameter``, and every returned cut must disconnect the graph with
-exactly as many edges or vertices as the value says.
+exactly as many edges or vertices as the value says. On families whose
+κ and λ are known by construction, the values must also equal those.
 """
 
 from __future__ import annotations
@@ -90,8 +91,8 @@ def _check(graph: nx.Graph) -> None:
     cut_graph.remove_edges_from(indexed.endpoints(e) for e in edge_cut)
     assert not nx.is_connected(cut_graph)
     assert len(set(vertex_cut)) == len(vertex_cut) == kappa
-    if graph.number_of_edges() == n * (n - 1) // 2:
-        # K_n: κ = n − 1, and no vertex cut.
+    if kappa == n - 1:
+        # K_n, self-loops aside: no vertex cut.
         with pytest.raises(GraphValidationError):
             connectivity.min_vertex_cut(graph)
         return
@@ -152,12 +153,55 @@ def test_cut_through_the_min_degree_vertex():
         # the cut read off the reach misses a vertex.
         nx.Graph([(0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 4), (2, 6),
                   (3, 5), (3, 6), (4, 6), (5, 6)]),
+        # Self-loops change no cut: with its loop this graph has
+        # n(n − 1)/2 edges but κ = 2 and cut {2, 3}, and K5 with a loop
+        # is still complete.
+        nx.Graph([(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 3)]),
+        nx.Graph(list(itertools.combinations(range(5), 2)) + [(0, 0)]),
     ],
     ids=["one-node", "two-nodes", "one-edge", "disconnected", "tree",
-         "K2", "K7", "K3,4", "edge-arc-in-reach"],
+         "K2", "K7", "K3,4", "edge-arc-in-reach", "loop-counts-as-edge",
+         "K5+loop"],
 )
 def test_small_and_degenerate_graphs(graph):
     _check(graph)
+
+
+# (builder, κ, λ), each known by construction: the Petersen graph, a
+# Harary graph H(k, n), the hypercube Q_d and the 4-regular torus are
+# 3-, k-, d- and 4-connected with δ equal to that; K_{a,b} has
+# κ = λ = min(a, b); a fat cycle of width w loses two super-nodes to a
+# vertex cut and has δ = 3w − 1; a clique chain of k-cliques loses one
+# clique and has δ = 2k − 1 at its ends; a cycle, a path and a star are
+# 2-, 1- and 1-connected. On the star, ``_check`` pins the cut to the
+# centre: no other single vertex disconnects it.
+CLOSED_FORM = {
+    "petersen": (nx.petersen_graph, 3, 3),
+    "K3,7": (lambda: nx.complete_bipartite_graph(3, 7), 3, 3),
+    "fat_cycle:3,5": (lambda: fat_cycle(3, 5), 6, 8),
+    "clique_chain:4,4": (lambda: clique_chain(4, 4), 4, 7),
+    "hypercube:4": (lambda: hypercube(4), 4, 4),
+    "harary:5,17": (lambda: harary_graph(5, 17), 5, 5),
+    "torus:4,5": (lambda: torus_grid(4, 5), 4, 4),
+    "C9": (lambda: nx.cycle_graph(9), 2, 2),
+    "P7": (lambda: nx.path_graph(7), 1, 1),
+    "star:5": (lambda: nx.star_graph(5), 1, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+def test_closed_form_vertex_connectivity(name):
+    builder, kappa, _ = CLOSED_FORM[name]
+    graph = builder()
+    assert vertex_connectivity(IndexedGraph.from_networkx(graph))[0] == kappa
+    _check(graph)
+
+
+@pytest.mark.parametrize("name", sorted(CLOSED_FORM))
+def test_closed_form_edge_connectivity(name):
+    builder, _, lam = CLOSED_FORM[name]
+    assert edge_connectivity(IndexedGraph.from_networkx(builder()))[0] == lam
+
 
 
 def test_empty_graph_rejected():
