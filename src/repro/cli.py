@@ -76,6 +76,10 @@ def _cmd_info(args: argparse.Namespace) -> int:
         ("repro.graphs", "generators, oracles, sampling, certificates"),
         ("repro.apps", "broadcast, gossip, oblivious routing, RLNC"),
         ("repro.lowerbounds", "Appendix G construction + 2-party simulation"),
+        ("repro.fastgraph", "indexed graph kernel: union-find, Kruskal, λ/κ"),
+        ("repro.service", "repro serve daemon and repro shell"),
+        ("repro.analysis", "claim-vs-measured report, workloads, figures"),
+        ("repro.utils", "seed plumbing and math helpers"),
     ]:
         print(f"  {name:<20} {what}")
     print()

@@ -47,7 +47,7 @@ and the per-class BFS dominating trees are extracted index-side,
 replicating ``nx.bfs_tree``'s traversal order, and handed to the packing
 in index form: a tree becomes a :class:`networkx.Graph` only when a
 caller reads :attr:`~repro.core.tree_packing.WeightedTree.tree`. Results are
-bit-identical to the preserved pre-kernel implementation
+bit-identical to the label-level implementation
 (``tests/oracles/cds_packing_reference.py``) under fixed seeds;
 ``tests/test_cds_equivalence.py`` enforces this.
 """
@@ -73,7 +73,7 @@ from repro.core.tree_packing import (
 )
 from repro.core.virtual_graph import CdsIndex, VirtualGraph, default_layer_count
 from repro.utils.mathutil import ceil_log2
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, child_rng, ensure_rng, fresh_seed
 
 
 @dataclass(frozen=True)
@@ -137,15 +137,17 @@ def build_cds_classes(
     the un-filtered trajectory. ``index`` shares one canonicalization
     across repeated constructions; ``step`` replaces the per-layer
     assignment (:func:`~repro.core.bridging.run_recursion`); ``integral``
-    first draws the random layering (one virtual node per real node)
-    from ``rng``.
+    first draws the random layering (one virtual node per real node).
+    ``rng`` gives one draw, the root of the construction's seed tree:
+    the layering draws from its child 0, and layer ``ℓ`` from its
+    child ``ℓ``.
     """
-    rand = ensure_rng(rng)
+    seed = fresh_seed(ensure_rng(rng))
     vg = VirtualGraph(
         graph, layers=n_layers, n_classes=n_classes, index=index,
-        layering_rng=rand if integral else None,
+        layering_rng=child_rng(seed, 0) if integral else None,
     )
-    history = run_recursion(vg, rand, step=step)
+    history = run_recursion(vg, seed, step=step)
     return vg, history
 
 

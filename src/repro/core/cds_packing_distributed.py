@@ -29,10 +29,11 @@ component-identification subroutine (DESIGN.md Section 2/5).
 failure, the class test, the packing assembly and Remark 3.1's guess
 loop are :mod:`repro.core.cds_packing`'s; this module supplies only the
 per-layer step, :func:`_distributed_layer` bound to its network,
-metrics, model and tracer. So under a fixed seed both drivers consume
-the RNG in the same order around their layers. The step assigns all
-three virtual node types on every node, so integral parameters (one
-virtual node per real node) are refused.
+metrics, model and tracer. So both drivers draw alike: one root per
+construction, and the jump-start's layers and each layer's step on
+their own children of it. The step assigns all three virtual node types
+on every node, so integral parameters (one virtual node per real node)
+are refused.
 
 **Transports.** The protocol runs under ``Model.V_CONGEST`` (the paper's
 model) or ``Model.CONGESTED_CLIQUE`` (every broadcast reaches all n−1

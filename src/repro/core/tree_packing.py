@@ -10,6 +10,7 @@ compute sizes/loads, and :meth:`verify` every defining constraint, raising
 
 from __future__ import annotations
 
+import math
 from typing import (
     Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple, Union,
 )
@@ -224,8 +225,9 @@ class _BasePacking:
 
     @property
     def size(self) -> float:
-        """Total weight — the packing size κ of Section 2."""
-        return sum(t.weight for t in self.trees)
+        """Total weight — the packing size κ of Section 2, summed exactly
+        (``math.fsum``), so nine trees of weight 1/9 make 1.0."""
+        return math.fsum(t.weight for t in self.trees)
 
     def __len__(self) -> int:
         return len(self.trees)

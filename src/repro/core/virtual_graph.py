@@ -17,18 +17,19 @@ tracks, per class, the *real* projection (with per-real virtual
 multiplicities) plus a union-find over real nodes — the Appendix C data
 structure — while :class:`VirtualGraph` records the full per-virtual-node
 assignment needed by the distributed output requirements (Section 2) and
-the Lemma 4.6 measurements.
+the Lemma 4.6 measurements, on indices: per layer, one class per virtual
+node of :attr:`VirtualGraph.hosts`.
 
 Since the kernel port, the graph is canonicalized **once** at pipeline
 entry into a :class:`CdsIndex` — integer node indices, flat adjacency in
 ``graph.neighbors()`` order (the order that pins nx-compatible traversal
-and therefore bit-identity with the preserved pre-kernel pipeline in
+and therefore bit-identity with the label-level pipeline in
 ``tests/oracles/cds_packing_reference.py``) — and every per-class structure
 is an :class:`IndexedClassState`: multiplicities keyed by node index and
 an :class:`~repro.fastgraph.IntUnionFind` over indices instead of the
-label-dict :class:`~repro.graphs.union_find.UnionFind`. The label-level
-API (``active_reals``, ``component_of``, ``real_classes``) survives at
-the boundary; hot paths (:mod:`repro.core.bridging`,
+label-dict :class:`~repro.graphs.union_find.UnionFind`. Label-keyed
+views (``active_reals``, ``assignment``, ``real_classes``) are built
+when read; hot paths (:mod:`repro.core.bridging`,
 :mod:`repro.core.cds_packing`) use the index view.
 """
 
@@ -62,7 +63,7 @@ class CdsIndex:
     loop); bundles the :class:`~repro.fastgraph.IndexedGraph`
     canonicalization with adjacency lists in ``graph.neighbors()`` order
     — the order every traversal below must follow to stay bit-identical
-    to the pre-kernel implementation (nx subgraph/BFS iteration order is
+    to the label-level implementation (nx subgraph/BFS iteration order is
     adjacency-insertion order, not edge-array order).
     """
 
@@ -105,10 +106,8 @@ class IndexedClassState:
     The union-find is an :class:`~repro.fastgraph.IntUnionFind` over all
     ``n`` indices; since inactive indices stay singletons, the class's
     component count is ``|active| − merges`` rather than the forest's
-    global count. Exposes both the index-side hot-path API (``find``,
-    ``is_active_index``, ``multiplicity_by_index``) and the label-level
-    accessors of the pre-kernel ``ClassState``, which lives on beside the
-    CDS oracle in ``tests/oracles/cds_packing_reference.py``.
+    global count. The label-level ``ClassState`` it replaced lives on in
+    the CDS oracle, ``tests/oracles/cds_packing_reference.py``.
     """
 
     __slots__ = ("class_id", "_index", "multiplicity_by_index", "_uf",
@@ -125,8 +124,6 @@ class IndexedClassState:
         self._merges = 0
         self._dominates = False
 
-    # -- index-side hot-path API --------------------------------------
-
     def add_indices(self, indices: Iterable[int]) -> None:
         """One more virtual node of each index in ``indices`` joins, in
         order; a newly active index merges through every active neighbor
@@ -141,13 +138,6 @@ class IndexedClassState:
             mult[i] = 1
             self._active += 1
             self._merges += sum(uf.union(i, j) for j in adj[i] if j in mult)
-
-    def is_active_index(self, i: int) -> bool:
-        return i in self.multiplicity_by_index
-
-    def find(self, i: int) -> int:
-        """Component representative (index) of active index ``i``."""
-        return self._uf.find(i)
 
     def dominates(self) -> bool:
         """Whether every node is active or adjacent to an active node.
@@ -166,25 +156,10 @@ class IndexedClassState:
         find = self._uf.find
         return {i: find(i) for i in self.multiplicity_by_index}
 
-    # -- label-level API (pre-kernel compatible) -----------------------
-
-    @property
-    def multiplicity(self) -> Dict[Hashable, int]:
-        """Label-keyed multiplicities (materialized view)."""
-        nodes = self._index.nodes
-        return {nodes[i]: c for i, c in self.multiplicity_by_index.items()}
-
     @property
     def active_reals(self) -> Set[Hashable]:
         nodes = self._index.nodes
         return {nodes[i] for i in self.multiplicity_by_index}
-
-    def is_active(self, real: Hashable) -> bool:
-        return self._index.index_of[real] in self.multiplicity_by_index
-
-    def component_of(self, real: Hashable) -> Hashable:
-        """Representative *label* of the component containing ``real``."""
-        return self._index.nodes[self._uf.find(self._index.index_of[real])]
 
     def n_components(self) -> int:
         return self._active - self._merges
@@ -206,7 +181,12 @@ class VirtualGraph:
     fresh ``VirtualGraph`` per attempt on the same graph).
     ``layering_rng`` switches to the integral packing's random layering:
     each real node then hosts a single virtual node, at a (layer, type)
-    drawn from it, instead of all ``3L``.
+    drawn from it in one ``choices`` call, instead of all ``3L``.
+
+    The record is on indices: per layer, the class of each virtual node
+    of :attr:`hosts` (aligned with it) and whether it is assigned yet.
+    The label-keyed views, :attr:`assignment` and :attr:`real_classes`,
+    are built when read.
     """
 
     def __init__(
@@ -225,30 +205,52 @@ class VirtualGraph:
         self.index = index if index is not None else CdsIndex(graph)
         self.layers = layers
         self.n_classes = n_classes
-        self.assignment: Dict[VirtualNode, int] = {}
         self.classes: List[IndexedClassState] = [
             IndexedClassState(i, self.index) for i in range(n_classes)
         ]
-        # real node -> set of classes it is active in (inverse projection,
-        # needed to enumerate a new node's candidate components quickly);
-        # real_classes_at is the same sets by node index (shared objects).
-        self.real_classes: Dict[Hashable, Set[int]] = {
-            v: set() for v in self.index.nodes
-        }
-        self.real_classes_at: List[Set[int]] = [
-            self.real_classes[v] for v in self.index.nodes
-        ]
         # hosts[layer]: the (node index, type) pair of every virtual node
-        # of ``layer``, in node-then-type order (hosts[0] is unused).
+        # of ``layer``, in node-then-type order, hence sorted (hosts[0] is
+        # empty).
         n = self.index.n
         if layering_rng is None:
             every = [(i, vtype) for i in range(n) for vtype in (1, 2, 3)]
-            self.hosts: List[List[Tuple[int, int]]] = [every] * (layers + 1)
+            self.hosts: List[List[Tuple[int, int]]] = (
+                [[]] + [every] * layers
+            )
         else:
             self.hosts = [[] for _ in range(layers + 1)]
-            for i in range(n):
-                layer = layering_rng.randrange(1, layers + 1)
-                self.hosts[layer].append((i, layering_rng.randrange(1, 4)))
+            cells = layering_rng.choices(range(3 * layers), k=n)
+            for i, cell in enumerate(cells):
+                self.hosts[cell // 3 + 1].append((i, cell % 3 + 1))
+        self._layer_classes: List[List[int]] = [
+            [0] * len(hosts) for hosts in self.hosts
+        ]
+        self._assigned = [bytearray(len(hosts)) for hosts in self.hosts]
+
+    @property
+    def assignment(self) -> Dict[VirtualNode, int]:
+        """Every assigned virtual node's class, layer by layer in
+        :attr:`hosts` order (a fresh dict on each read)."""
+        nodes = self.index.nodes
+        return {
+            VirtualNode(nodes[i], layer, vtype): class_id
+            for layer in range(1, self.layers + 1)
+            for (i, vtype), class_id, assigned in zip(
+                self.hosts[layer], self._layer_classes[layer],
+                self._assigned[layer],
+            )
+            if assigned
+        }
+
+    @property
+    def real_classes(self) -> Dict[Hashable, Set[int]]:
+        """Real node → the classes it is active in (the inverse
+        projection; a fresh dict on each read)."""
+        sets: Dict[Hashable, Set[int]] = {v: set() for v in self.index.nodes}
+        for state in self.classes:
+            for v in state.active_reals:
+                sets[v].add(state.class_id)
+        return sets
 
     def assign(self, vnode: VirtualNode, class_id: int) -> None:
         """Put ``vnode`` into class ``class_id`` and update the projection."""
@@ -272,29 +274,54 @@ class VirtualGraph:
         ``self.hosts[layer]``. Every node is checked — once in the batch,
         not yet assigned, class id in range — before any is applied.
         """
-        nodes = self.index.nodes
-        assignment = self.assignment
-        t = self.n_classes
-        make = VirtualNode._make
-        vnodes = [make((nodes[i], layer, vtype)) for i, vtype in hosts]
-        batch = dict(zip(vnodes, class_ids, strict=True))
-        if len(batch) != len(vnodes):
-            raise GraphValidationError("a virtual node is repeated in the batch")
-        for vnode, class_id in batch.items():
-            if vnode in assignment:
-                raise GraphValidationError(
-                    f"virtual node {vnode} already assigned"
-                )
-            if not 0 <= class_id < t:
-                raise GraphValidationError(f"class id {class_id} out of range")
-        assignment.update(batch)
+        if not 1 <= layer <= self.layers:
+            raise GraphValidationError(f"layer {layer} out of range")
+        layer_hosts = self.hosts[layer]
+        whole = hosts is layer_hosts
+        try:
+            positions = (
+                range(len(hosts)) if whole
+                else [layer_hosts.index(host) for host in hosts]
+            )
+        except ValueError:
+            raise GraphValidationError(
+                f"a virtual node is not in layer {layer}"
+            ) from None
+        if len(class_ids) != len(positions):
+            raise ValueError("hosts and class_ids differ in length")
+        if not whole and len(set(positions)) != len(positions):
+            raise GraphValidationError(
+                "a virtual node is repeated in the batch"
+            )
+        assigned = self._assigned[layer]
+        clash = (
+            assigned.find(1) if whole
+            else next((k for k in positions if assigned[k]), -1)
+        )
+        if clash >= 0:
+            i, vtype = layer_hosts[clash]
+            vnode = VirtualNode(self.index.nodes[i], layer, vtype)
+            raise GraphValidationError(
+                f"virtual node {vnode} already assigned"
+            )
+        if class_ids and not (
+            0 <= min(class_ids) and max(class_ids) < self.n_classes
+        ):
+            bad = next(c for c in class_ids if not 0 <= c < self.n_classes)
+            raise GraphValidationError(f"class id {bad} out of range")
+        if whole:
+            self._layer_classes[layer] = list(class_ids)
+            assigned[:] = b"\x01" * len(hosts)
+        else:
+            record = self._layer_classes[layer]
+            for k, class_id in zip(positions, class_ids):
+                record[k] = class_id
+                assigned[k] = 1
         # Classes are independent, so each takes its joins in one call,
         # in the batch's order.
         joins: Dict[int, List[int]] = {}
-        real_classes_at = self.real_classes_at
         for (i, _), class_id in zip(hosts, class_ids):
             joins.setdefault(class_id, []).append(i)
-            real_classes_at[i].add(class_id)
         classes = self.classes
         for class_id, indices in joins.items():
             classes[class_id].add_indices(indices)

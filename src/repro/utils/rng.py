@@ -8,6 +8,7 @@ coercion so every algorithm is reproducible under an explicit seed.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from typing import List, Optional, Union
 
@@ -32,29 +33,20 @@ def ensure_rng(rng: RngLike = None) -> random.Random:
     return random.Random(rng)
 
 
-def skip_shuffle(rng: random.Random, m: int) -> None:
-    """Advance ``rng`` exactly as ``rng.shuffle`` of an ``m``-element list
-    would, without building the list or the permutation.
+def child_rng(seed: int, *path: int) -> random.Random:
+    """The generator at ``path`` in the seed tree rooted at ``seed``.
 
-    :meth:`random.Random.shuffle` draws ``_randbelow(i)`` for
-    ``i = m, m−1, …, 2`` and nothing else, so its draws depend only on
-    the list's length. When ``_randbelow`` is the stock
-    ``getrandbits`` rejection loop, that loop runs inline: at m = 42 it
-    takes 5.2 µs, against 11.0 µs for a ``_randbelow`` loop and 16.9 µs
-    for ``shuffle`` (2-core x86 box, Python 3.11). Any other
-    ``_randbelow`` (a subclass overriding only ``random()``, say) is
-    called as ``shuffle`` would call it.
+    Its seed is the first 8 bytes of ``sha256("seed|p1|p2|…")``, the
+    derivation batch job seeds and the hostile channels' coins use: a
+    pure function of the root and the path, so one consumer's draws
+    never depend on which other consumers exist or in what order they
+    run, and any node of the tree can be rebuilt alone. Short derived
+    seeds suffice for the randomized constructions here (the small-seed
+    derandomization of "Distributed derandomization revisited").
     """
-    if type(rng)._randbelow is random.Random._randbelow_with_getrandbits:
-        getrandbits = rng.getrandbits
-        for i in range(m, 1, -1):
-            k = i.bit_length()
-            while getrandbits(k) >= i:
-                pass
-    else:
-        randbelow = rng._randbelow
-        for i in range(m, 1, -1):
-            randbelow(i)
+    key = "|".join(map(str, (seed, *path))).encode("ascii")
+    digest = hashlib.sha256(key).digest()
+    return random.Random(int.from_bytes(digest[:8], "big"))
 
 
 def fresh_seed(rng: random.Random) -> int:

@@ -1,22 +1,24 @@
-"""Pre-kernel CDS packing — the preserved reference implementation.
+"""Label-level CDS packing — the reference the kernel pipeline follows.
 
-This module freezes the centralized fractional CDS / dominating tree
-packing pipeline exactly as it existed before the
-:mod:`repro.fastgraph` port of :mod:`repro.core.cds_packing`: per-node
-dict bookkeeping, the generic label-keyed
-:class:`~repro.graphs.union_find.UnionFind`, and ``networkx``-based
-validity testing and tree extraction. It is the bit-exactness oracle of
-the indexed rewrite: ``tests/test_cds_equivalence.py`` pins the
-kernel-backed :func:`repro.core.cds_packing.construct_cds_packing` to
-this module under fixed seeds — same valid classes, same trees, same
-weights.
+This module keeps the centralized fractional CDS / dominating tree
+packing pipeline in its pre-kernel form: per-node dict bookkeeping, the
+generic label-keyed :class:`~repro.graphs.union_find.UnionFind`, and
+``networkx``-based validity testing and tree extraction. It is the
+bit-exactness oracle of the indexed pipeline:
+``tests/test_cds_equivalence.py`` pins the kernel-backed
+:func:`repro.core.cds_packing.construct_cds_packing` to this module
+under fixed seeds — same valid classes, same trees, same weights.
 
-Do not modify the algorithmic content here: any behaviour change breaks
-the equivalence gate by construction. The only deltas from the
-pre-kernel modules are the ``_reference`` name suffixes and that the
-shared result containers (:class:`PackingParameters`,
-:class:`CdsPackingResult`, :class:`LayerStats`) are imported rather
-than re-declared.
+Its recursion states the sweep's rule at label level, with the same
+draws as :mod:`repro.core.bridging`: one root per construction, each
+layer on its child :func:`~repro.utils.rng.child_rng`, one ``choices``
+call per layer for every class pick (node then type), the shuffle of
+the type-2 order, and for each type-2 node one ``randrange`` over its
+eligible components when there are two or more — listed by class id,
+then by first sight in the closed neighborhood. Any change of rule
+must land here and in the kernel together. The shared result
+containers (:class:`PackingParameters`, :class:`CdsPackingResult`,
+:class:`LayerStats`) are imported rather than re-declared.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from repro.core.tree_packing import (
 from repro.core.virtual_graph import VirtualNode
 from repro.graphs.connectivity import is_connected_dominating_set
 from repro.graphs.union_find import UnionFind
-from repro.utils.rng import RngLike, ensure_rng
+from repro.utils.rng import RngLike, child_rng, ensure_rng, fresh_seed
 
 
 @dataclass
@@ -136,16 +138,25 @@ def _closed_neighborhood(graph: nx.Graph, node: Hashable) -> List[Hashable]:
     return [node, *graph.neighbors(node)]
 
 
+def _root_seed(rng: RngLike) -> int:
+    """The seed tree's root: an int is its own root, else one draw."""
+    if isinstance(rng, int) and not isinstance(rng, bool):
+        return rng
+    return fresh_seed(ensure_rng(rng))
+
+
 def jump_start_reference(
     vg: ReferenceVirtualGraph, rng: RngLike = None
 ) -> None:
-    """Pre-kernel :func:`repro.core.bridging.jump_start`."""
-    rand = ensure_rng(rng)
+    """Label-level :func:`repro.core.bridging.jump_start`."""
+    seed = _root_seed(rng)
     t = vg.n_classes
+    n = vg.graph.number_of_nodes()
     for layer in range(1, vg.layers // 2 + 1):
+        picks = iter(child_rng(seed, layer).choices(range(t), k=3 * n))
         for real in vg.graph.nodes():
             for vtype in (1, 2, 3):
-                vg.assign(VirtualNode(real, layer, vtype), rand.randrange(t))
+                vg.assign(VirtualNode(real, layer, vtype), next(picks))
 
 
 def _adjacent_components(
@@ -166,18 +177,22 @@ def assign_layer_reference(
     use_deactivation: bool = True,
     require_type3_witness: bool = True,
 ) -> LayerStats:
-    """Pre-kernel :func:`repro.core.bridging.assign_layer`, verbatim."""
+    """Label-level :func:`repro.core.bridging.assign_layer`."""
     rand = ensure_rng(rng)
     graph = vg.graph
     t = vg.n_classes
     excess_before = vg.excess_components()
 
-    # Step 1: type-1 and type-3 new nodes pick random classes.
+    # Step 1: every class pick of the layer in one draw, node then type;
+    # a type-2 node keeps its pick only if it stays unmatched.
+    picks = iter(rand.choices(range(t), k=3 * graph.number_of_nodes()))
     type1_class: Dict[Hashable, int] = {}
+    type2_pick: Dict[Hashable, int] = {}
     type3_class: Dict[Hashable, int] = {}
     for real in graph.nodes():
-        type1_class[real] = rand.randrange(t)
-        type3_class[real] = rand.randrange(t)
+        type1_class[real] = next(picks)
+        type2_pick[real] = next(picks)
+        type3_class[real] = next(picks)
 
     # Deactivation (condition (b)).
     deactivated: Set[Tuple[int, Hashable]] = set()
@@ -192,7 +207,8 @@ def assign_layer_reference(
         for real, class_id in type3_class.items()
     }
 
-    # Steps 2-3: bridging adjacency + greedy maximal matching.
+    # Steps 2-3: bridging adjacency + greedy maximal matching; a type-2
+    # node joins a uniformly random eligible component.
     matched: Set[Tuple[int, Hashable]] = set()
     type2_class: Dict[Hashable, int] = {}
     bridging_candidates = 0
@@ -201,18 +217,24 @@ def assign_layer_reference(
     rand.shuffle(order)
     for real in order:
         neighborhood = _closed_neighborhood(graph, real)
+        if require_type3_witness:
+            # Condition (c) needs a type-3 new neighbor of the class that
+            # sees one of its components.
+            classes = {
+                type3_class[u] for u in neighborhood if suitable3[u]
+            }
+        else:
+            classes = {c for w in neighborhood for c in vg.real_classes[w]}
         candidates: List[Tuple[int, Hashable]] = []
-        seen: Set[Tuple[int, Hashable]] = set()
-        for w in neighborhood:
-            for class_id in vg.real_classes[w]:
-                rep = vg.classes[class_id].component_of(w)
-                key = (class_id, rep)
-                if key not in seen:
-                    seen.add(key)
-                    candidates.append(key)
-        rand.shuffle(candidates)
+        for class_id in sorted(classes):
+            state = vg.classes[class_id]
+            for w in neighborhood:
+                if state.is_active(w):
+                    key = (class_id, state.component_of(w))
+                    if key not in candidates:
+                        candidates.append(key)
 
-        assigned: Optional[int] = None
+        eligible: List[Tuple[int, Hashable]] = []
         for class_id, rep in candidates:
             key = (class_id, rep)
             if use_deactivation and key in deactivated:
@@ -229,14 +251,16 @@ def assign_layer_reference(
                         break
                 if not bridged:
                     continue
+            eligible.append(key)
+
+        if eligible:
+            pick = rand.randrange(len(eligible)) if len(eligible) >= 2 else 0
             bridging_candidates += 1
-            matched.add(key)
-            assigned = class_id
-            break
-        if assigned is None:
-            assigned = rand.randrange(t)
+            matched.add(eligible[pick])
+            type2_class[real] = eligible[pick][0]
+        else:
+            type2_class[real] = type2_pick[real]
             random_type2 += 1
-        type2_class[real] = assigned
 
     for real in graph.nodes():
         vg.assign(VirtualNode(real, new_layer, 1), type1_class[real])
@@ -260,16 +284,16 @@ def run_recursion_reference(
     use_deactivation: bool = True,
     require_type3_witness: bool = True,
 ) -> List[LayerStats]:
-    """Pre-kernel :func:`repro.core.bridging.run_recursion`."""
-    rand = ensure_rng(rng)
-    jump_start_reference(vg, rand)
+    """Label-level :func:`repro.core.bridging.run_recursion`."""
+    seed = _root_seed(rng)
+    jump_start_reference(vg, seed)
     history: List[LayerStats] = []
     for layer in range(vg.layers // 2 + 1, vg.layers + 1):
         history.append(
             assign_layer_reference(
                 vg,
                 layer,
-                rand,
+                child_rng(seed, layer),
                 use_deactivation=use_deactivation,
                 require_type3_witness=require_type3_witness,
             )
@@ -283,9 +307,10 @@ def build_cds_classes_reference(
     n_layers: int,
     rng: RngLike = None,
 ) -> Tuple[ReferenceVirtualGraph, List[LayerStats]]:
-    """Pre-kernel :func:`repro.core.cds_packing.build_cds_classes`."""
+    """Label-level :func:`repro.core.cds_packing.build_cds_classes`: one
+    draw from ``rng`` roots the seed tree."""
     vg = ReferenceVirtualGraph(graph, layers=n_layers, n_classes=n_classes)
-    history = run_recursion_reference(vg, rng)
+    history = run_recursion_reference(vg, fresh_seed(ensure_rng(rng)))
     return vg, history
 
 
@@ -332,7 +357,7 @@ def construct_cds_packing_reference(
     params: Optional[PackingParameters] = None,
     rng: RngLike = None,
 ) -> CdsPackingResult:
-    """Pre-kernel :func:`repro.core.cds_packing.construct_cds_packing`."""
+    """Label-level :func:`repro.core.cds_packing.construct_cds_packing`."""
     if graph.number_of_nodes() < 2:
         raise GraphValidationError("graph must have at least 2 nodes")
     if not nx.is_connected(graph):
@@ -376,7 +401,7 @@ def fractional_cds_packing_reference(
     params: Optional[PackingParameters] = None,
     rng: RngLike = None,
 ) -> CdsPackingResult:
-    """Pre-kernel :func:`repro.core.cds_packing.fractional_cds_packing`."""
+    """Label-level :func:`repro.core.cds_packing.fractional_cds_packing`."""
     params = params or PackingParameters()
     rand = ensure_rng(rng)
     if k is not None:

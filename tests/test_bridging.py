@@ -1,6 +1,7 @@
 """The recursive class assignment: jump-start, bridging, matching
 (Section 3.1 steps 1-3; Lemmas 4.1 and 4.4 observable behaviour)."""
 
+import copy
 import random
 
 import pytest
@@ -10,9 +11,11 @@ from repro.core.bridging import (
     jump_start,
     run_recursion,
 )
+from repro.core.cds_packing import build_cds_classes
 from repro.core.virtual_graph import VirtualGraph, VirtualNode
 from repro.graphs.connectivity import is_dominating_set
 from repro.graphs.generators import harary_graph
+from repro.utils.rng import child_rng, fresh_seed
 
 
 class TestJumpStart:
@@ -95,3 +98,31 @@ class TestRecursion:
         run_recursion(vg1, rng=11)
         run_recursion(vg2, rng=11)
         assert vg1.assignment == vg2.assignment
+
+    def test_a_layer_replays_alone(self):
+        """Layer ℓ draws only from its child of the construction's seed
+        tree: rerun from a copy of the state before it, with that child,
+        it assigns what the full run assigned."""
+        g = harary_graph(6, 40)
+        before = {}
+
+        def step(vg, layer, rng):
+            before[layer] = copy.deepcopy(vg)
+            return assign_layer(vg, layer, rng)
+
+        vg, history = build_cds_classes(g, 30, 12, rng=5, step=step)
+        assert sorted(before) == list(range(7, 13))
+        assert sum(stats.matched for stats in history) > 0
+        root = fresh_seed(random.Random(5))
+
+        def layer_of(state, layer):
+            return {
+                vnode: class_id
+                for vnode, class_id in state.assignment.items()
+                if vnode.layer == layer
+            }
+
+        for layer, state in before.items():
+            stats = assign_layer(state, layer, child_rng(root, layer))
+            assert stats == history[layer - 7]
+            assert layer_of(state, layer) == layer_of(vg, layer)

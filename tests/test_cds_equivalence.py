@@ -2,7 +2,7 @@
 
 The fastgraph port of :mod:`repro.core.cds_packing` (index-side
 recursion, union-find validity testing, index-side BFS tree extraction)
-must be **bit-identical** to the preserved pre-kernel implementation
+must be **bit-identical** to the label-level implementation
 (``tests/oracles/cds_packing_reference.py``) under a fixed seed: same RNG
 consumption, same valid classes, same trees edge-for-edge, same float
 weights, same per-virtual-node assignment. This suite pins that on
@@ -12,6 +12,7 @@ mirroring the pinned-seed discipline of ``test_engine_equivalence.py``.
 
 from __future__ import annotations
 
+import networkx as nx
 import pytest
 
 from repro.core.cds_packing import (
@@ -59,6 +60,14 @@ FAMILIES = [
 MATCHING = [
     ("torus(12,12)", lambda: torus_grid(12, 12), 72),
     ("harary(6,80)", lambda: harary_graph(6, 80), 40),
+    # str labels: the candidate order depends on no set or hash order
+    (
+        "harary(6,40) str",
+        lambda: nx.relabel_nodes(
+            harary_graph(6, 40), {i: f"v{i}" for i in range(40)}
+        ),
+        60,
+    ),
 ]
 
 

@@ -74,14 +74,14 @@ class TestDistributedConstruction:
 #: (spec, seed, k) → the first 16 hex digits of sha256 over
 #: ``canonical_json()`` of ``pack_cds_distributed(k)``, of
 #: ``simulate(program="cds_packing")`` and of the same on the congested
-#: clique. Recorded while the Appendix B driver still kept its own
-#: jump-start and halving loop; the same under any PYTHONHASHSEED.
+#: clique. Recorded once each layer drew from its own child of the
+#: construction's seed tree; the same under any PYTHONHASHSEED.
 DIGESTS = {
     ("harary:5,24", 41, 5): (
-        "31924efb7cca6bab", "5db66ccf669415e5", "08f37ad982324714",
+        "65f4bf1d0ab04919", "14dac74be09050c0", "112ca078ff938917",
     ),
     ("clique_chain:3,4", 44, 3): (
-        "6e561f2e76928ca0", "f409e55ea4a39b47", "986f6fcd12fcb2b7",
+        "b8804874abceeb97", "67939de600084595", "9079e062f06aef54",
     ),
 }
 

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import networkx as nx
 import pytest
 
+import repro
 from repro.cli import build_parser, main, parse_graph_spec
 from repro.errors import GraphValidationError
 
@@ -74,6 +77,13 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PODC 2014" in out
         assert "repro.graphs" in out
+        packages = sorted(
+            path.parent.name
+            for path in Path(repro.__file__).parent.glob("*/__init__.py")
+        )
+        assert len(packages) >= 10
+        for name in packages:
+            assert f"repro.{name} " in out
 
     def test_connectivity(self, capsys):
         assert main(["connectivity", "harary:4,12"]) == 0

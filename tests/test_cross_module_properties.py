@@ -158,17 +158,23 @@ class TestWhitneyTightness:
         assert min(d for _, d in graph.degree()) == 6
 
     def test_k_strictly_below_lambda(self):
-        """Two K_5s sharing a single vertex-pair bridge structure."""
+        """Two K_6s joined by two edges that share the endpoint 0: node 0
+        alone separates (κ = 1), but two edges must go (λ = 2 < δ = 5)."""
         graph = nx.Graph()
-        left = nx.complete_graph(5)
-        right = nx.relabel_nodes(nx.complete_graph(5), {i: i + 5 for i in range(5)})
+        left = nx.complete_graph(6)
+        right = nx.relabel_nodes(
+            nx.complete_graph(6), {i: i + 6 for i in range(6)}
+        )
         graph.update(left)
         graph.update(right)
-        graph.add_edges_from([(0, 5), (1, 6)])
+        graph.add_edges_from([(0, 6), (0, 7)])
         k = vertex_connectivity(graph)
         lam = edge_connectivity(graph)
-        assert k == lam == 2  # both cuts are the two bridges/endpoints
+        delta = min(d for _, d in graph.degree())
+        assert (k, lam, delta) == (1, 2, 5)
         assert k == nx.node_connectivity(graph)
+        assert lam == nx.edge_connectivity(graph)
+        assert k < lam <= delta
 
     def test_lambda_strictly_below_min_degree(self):
         """Two K_6s joined by one edge: δ = 5 but λ = 1."""

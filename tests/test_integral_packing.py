@@ -107,12 +107,13 @@ def test_distributed_driver_refuses_integral_parameters():
 
 
 #: (spec, class_factor, seed) → the first 16 hex digits of sha256 over
-#: ``canonical_json()`` of ``pack_integral(kind="cds")``; the same under
-#: any PYTHONHASHSEED.
+#: ``canonical_json()`` of ``pack_integral(kind="cds")``, recorded once
+#: the random layering and each layer drew from their own children of
+#: the construction's seed tree; the same under any PYTHONHASHSEED.
 DIGESTS = {
-    ("fat_cycle:6,4", 3.0, 17): "2e88323dca83dfa9",
+    ("fat_cycle:6,4", 3.0, 17): "f5aca26094b04dab",
     ("harary:16,64", 0.25, 1): "f312fa28752d4fc7",
-    ("regular:16,64,3", 3.0, 2): "7abf71acbe1b4427",
+    ("regular:16,64,3", 3.0, 2): "9ddd5d96df1377c0",
 }
 
 

@@ -49,6 +49,18 @@ class TestDominatingPacking:
         packing.verify()
         assert packing.size == 1.0
 
+    def test_size_is_summed_exactly(self):
+        """Nine trees of weight 1/9 make size 1.0; a left-to-right float
+        sum reads 1.0000000000000002, above κ = 1 of a star."""
+        g = nx.star_graph(9)
+        trees = [
+            WeightedTree(tree=_path_tree([0]), weight=1 / 9, class_id=c)
+            for c in range(9)
+        ]
+        packing = DominatingTreePacking(g, trees)
+        packing.verify()
+        assert packing.size == 1.0
+
     def test_verify_rejects_overload(self):
         g = nx.cycle_graph(6)
         trees = [

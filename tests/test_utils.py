@@ -17,7 +17,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.utils.mathutil import ceil_div, ceil_log2, ilog2, int_log, whp_repeats
-from repro.utils.rng import ensure_rng, fresh_seed, skip_shuffle, spawn_rngs
+from repro.utils.rng import child_rng, ensure_rng, fresh_seed, spawn_rngs
 
 
 class TestRngPlumbing:
@@ -51,33 +51,16 @@ class TestRngPlumbing:
         seed = fresh_seed(random.Random(2))
         assert 0 <= seed < 2**63
 
-
-class _FloatOnlyRandom(random.Random):
-    """Overrides only ``random()``, so its ``_randbelow`` draws floats
-    instead of calling ``getrandbits``."""
-
-    def random(self):
-        return super().random()
-
-
-@settings(max_examples=80, deadline=None)
-@given(
-    seed=st.integers(0, 2**64),
-    m=st.integers(0, 500),
-    cls=st.sampled_from([random.Random, _FloatOnlyRandom]),
-)
-def test_skip_shuffle_draws_what_shuffle_draws(seed, m, cls):
-    shuffled, skipped = cls(seed), cls(seed)
-    shuffled.shuffle(list(range(m)))
-    skip_shuffle(skipped, m)
-    assert skipped.getstate() == shuffled.getstate()
-
-
-def test_float_only_random_takes_the_other_draw_path():
-    assert (
-        _FloatOnlyRandom._randbelow
-        is random.Random._randbelow_without_getrandbits
-    )
+    def test_child_rng_is_a_pure_function_of_root_and_path(self):
+        assert child_rng(5, 3).random() == child_rng(5, 3).random()
+        firsts = {
+            child_rng(seed, *path).random()
+            for seed, path in [
+                (5, (3,)), (5, (4,)), (5, (3, 4)), (5, (34,)), (6, (3,)),
+                (5, ()),
+            ]
+        }
+        assert len(firsts) == 6
 
 
 class TestMathHelpers:
