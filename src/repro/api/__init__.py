@@ -14,8 +14,8 @@
   deterministic per-job seeds, streaming JSONL rows, and
   sha256-manifest checkpoint/resume.
 * :mod:`repro.api.tasks` — the one request table: each task's JSON
-  fields and their parsers, shared by the daemon, batch jobs and
-  ``repro simulate`` (:data:`SESSION_TASKS` names its tasks).
+  fields and their parsers, shared by the CLI, the daemon, the shell
+  and batch jobs (:data:`SESSION_TASKS` names its tasks).
 * :func:`parse_graph_spec` — the hardened graph-family spec parser
   (previously CLI-only).
 """

@@ -16,10 +16,12 @@ Three contracts both planes honor:
   final JSONL is byte-identical no matter the backend, worker count, or
   finish order.
 * **rows, never exceptions, for job failures** — per-job errors are
-  error-row envelopes produced inside the chunk runner
-  (:func:`repro.api.batch._execute_items`); a backend only raises for
-  *infrastructure* failures (a killed worker breaking the pool), and
-  then as a :class:`~repro.errors.BatchExecutionError` naming the chunk.
+  error-row envelopes, made by the scheduler for a job that fails to
+  decode (it enters no chunk) and inside the chunk runner
+  (:func:`repro.api.batch._execute_items`) otherwise; a backend only
+  raises for *infrastructure* failures (a killed worker breaking the
+  pool), and then as a :class:`~repro.errors.BatchExecutionError`
+  naming the chunk.
 * **canonical rows are computed where the job ran** — each row carries
   its precomputed :meth:`~repro.api.envelope.Result.canonical_json`
   string, so serialization happens exactly once, identically, on every
@@ -44,9 +46,9 @@ from typing import Any, Dict, Iterator, List, Tuple
 from repro.api.envelope import Result
 from repro.errors import BatchExecutionError, GraphValidationError
 
-#: One planned unit of backend work: same-graph ``(job index, JobSpec
-#: dict, seed)`` triples, executed in order through one GraphSession.
-Chunk = List[Tuple[int, Dict[str, Any], int]]
+#: One planned unit of backend work: same-graph ``(job index, JobSpec,
+#: decoded kwargs)`` triples, executed in order through one GraphSession.
+Chunk = List[Tuple[int, Any, Dict[str, Any]]]
 
 #: One executed row: ``(job index, envelope, canonical JSONL line)``.
 ChunkRows = List[Tuple[int, Result, str]]
@@ -125,7 +127,7 @@ def _run_chunk(chunk: Chunk) -> Tuple[int, List[Tuple[int, Dict[str, Any], str]]
 
 def _chunk_span(chunk: Chunk) -> str:
     """Human-readable chunk identity for error messages."""
-    graph = chunk[0][1].get("graph", "?") if chunk else "?"
+    graph = chunk[0][1].graph if chunk else "?"
     indexes = [index for index, _, _ in chunk]
     return f"graph {graph!r}, jobs {min(indexes)}..{max(indexes)}"
 

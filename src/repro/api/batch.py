@@ -34,6 +34,7 @@ service's ``batch`` op routes through the same scheduler.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import (
@@ -43,7 +44,9 @@ from typing import (
 from repro.api.backends import default_workers, get_backend, make_chunks
 from repro.api.envelope import Result
 from repro.api.session import GraphSession
-from repro.api.tasks import SESSION_TASKS, decode, error_type
+from repro.api.tasks import (
+    SESSION_TASKS, decode, error_type, integer, json_list, json_object,
+)
 from repro.errors import BadRequestError, GraphValidationError
 
 _SEED_SPACE = 2**63
@@ -107,6 +110,7 @@ class JobSpec:
 
     @classmethod
     def from_dict(cls, body: Mapping[str, Any]) -> "JobSpec":
+        body = _checked(json_object, "job", body)
         unknown = set(body) - {
             "graph", "task", "seed", "transport", "params", "label"
         }
@@ -122,9 +126,21 @@ class JobSpec:
             task=body.get("task", "connectivity"),
             seed=body.get("seed"),
             transport=body.get("transport"),
-            params=dict(body.get("params", {})),
+            params=dict(
+                _checked(json_object, "params", body.get("params", {}))
+            ),
             label=body.get("label"),
         )
+
+
+def _checked(parser, name: str, value: Any) -> Any:
+    """A job file's field through a :mod:`repro.api.tasks` parser,
+    rejected with the :class:`GraphValidationError` of the file's other
+    checks."""
+    try:
+        return parser(name, value)
+    except BadRequestError as exc:
+        raise GraphValidationError(f"job file: {exc}") from None
 
 
 def derive_seed(base_seed: int, index: int, job: JobSpec) -> int:
@@ -157,12 +173,14 @@ def expand_matrix(matrix: Mapping[str, Any]) -> List[JobSpec]:
     with ``seeds``), ``transports`` (default ``[None]``), ``params`` (a
     mapping *task name → kwargs* applied to that task's jobs), and
     ``base_seed`` (consumed by :func:`run` as its seed-derivation base
-    when the caller does not pass one explicitly).
+    when the caller does not pass one explicitly). The lists, the
+    integers and the objects go through :mod:`repro.api.tasks`'s
+    parsers; a malformed one is a :class:`GraphValidationError`.
 
     Expansion order is graphs ▸ tasks ▸ transports ▸ seeds — the JSONL
     row order of the resulting batch.
     """
-    if "graphs" not in matrix or not matrix["graphs"]:
+    if not matrix.get("graphs"):
         raise GraphValidationError("job matrix requires a non-empty 'graphs'")
     unknown = set(matrix) - {
         "graphs", "tasks", "seeds", "trials", "transports", "params",
@@ -178,9 +196,19 @@ def expand_matrix(matrix: Mapping[str, Any]) -> List[JobSpec]:
             "job matrix takes 'seeds' (explicit) or 'trials' (derived), "
             "not both"
         )
-    tasks = list(matrix.get("tasks", ["connectivity"]))
-    transports = list(matrix.get("transports", [None]))
-    params_by_task = dict(matrix.get("params", {}))
+    graphs = _checked(json_list, "graphs", matrix["graphs"])
+    tasks = _checked(
+        json_list, "tasks", matrix.get("tasks", ["connectivity"])
+    )
+    transports = _checked(
+        json_list, "transports", matrix.get("transports", [None])
+    )
+    params_by_task = {
+        task: _checked(json_object, f"params.{task}", params)
+        for task, params in _checked(
+            json_object, "params", matrix.get("params", {})
+        ).items()
+    }
     unknown_param_tasks = set(params_by_task) - set(SESSION_TASKS)
     if unknown_param_tasks:
         raise GraphValidationError(
@@ -189,9 +217,11 @@ def expand_matrix(matrix: Mapping[str, Any]) -> List[JobSpec]:
             + ", ".join(SESSION_TASKS)
         )
     if "seeds" in matrix:
-        seeds: Sequence[Optional[int]] = list(matrix["seeds"])
+        seeds: Sequence[Optional[int]] = _checked(
+            json_list, "seeds", matrix["seeds"]
+        )
     else:
-        trials = int(matrix.get("trials", 1))
+        trials = _checked(integer, "trials", matrix.get("trials", 1))
         if trials < 1:
             raise GraphValidationError("'trials' must be >= 1")
         # Repeated trials stay label-free: the executor's per-job seed
@@ -199,7 +229,7 @@ def expand_matrix(matrix: Mapping[str, Any]) -> List[JobSpec]:
         # and identical labels keep them one sweep point downstream.
         seeds = [None] * trials
     jobs: List[JobSpec] = []
-    for graph in matrix["graphs"]:
+    for graph in graphs:
         for task in tasks:
             for transport in transports:
                 for seed in seeds:
@@ -293,13 +323,13 @@ def is_error_row(result: Result) -> bool:
 
 
 def _execute_items(
-    items: List[Tuple[int, Dict[str, Any], int]]
+    items: List[Tuple[int, JobSpec, Dict[str, Any]]]
 ) -> List[Tuple[int, Result]]:
-    """Run one chunk's jobs through a shared session.
+    """Run one chunk's decoded jobs through a shared session.
 
     The one job-execution loop — every backend's chunk runner goes
-    through it. A job is decoded before its session is built, and *any*
-    per-job failure (a malformed field is ``bad-request``) becomes an
+    through it. Each item is ``(job index, job, decoded kwargs)``, the
+    kwargs carrying the job's seed. *Any* per-job failure becomes an
     error-row envelope: one broken job must not abort the batch. Chunks
     are same-graph by construction, but the session is rebuilt
     defensively if a mixed chunk ever appears.
@@ -307,16 +337,14 @@ def _execute_items(
     rows: List[Tuple[int, Result]] = []
     session: Optional[GraphSession] = None
     session_graph: Optional[str] = None
-    for index, job_body, seed in items:
-        job = JobSpec.from_dict(job_body)
+    for index, job, kwargs in items:
         try:
-            kwargs = decode(job.task, _job_fields(job, seed))
             if session is None or session_graph != job.graph:
                 session = GraphSession(job.graph)
                 session_graph = job.graph
             result = getattr(session, job.task)(**kwargs)
         except Exception as error:  # noqa: BLE001 — error row, keep going
-            result = _error_result(job, seed, error)
+            result = _error_result(job, kwargs["seed"], error)
         rows.append((index, result))
     return rows
 
@@ -492,7 +520,9 @@ def run(
     source = read_source(jobs)
     if base_seed is None:
         if isinstance(source, Mapping):
-            base_seed = int(source.get("base_seed", 0))
+            base_seed = _checked(
+                integer, "base_seed", source.get("base_seed", 0)
+            )
         else:
             base_seed = 0
     job_list = load_jobs(source)
@@ -523,14 +553,22 @@ def run(
         ordered[index] = Result.from_dict(json.loads(row))
         rows[index] = row
 
-    # Group the *pending* jobs by graph spec (one GraphSession per
-    # chunk), then split oversized groups so even a one-graph sweep
-    # fans out across every worker.
-    groups: Dict[str, List[Tuple[int, Dict[str, Any], int]]] = {}
+    # Plan: decode every pending job once. A job that fails to decode
+    # is its error row now and enters no chunk; the rest are grouped by
+    # graph spec (one GraphSession per chunk), and oversized groups
+    # split so even a one-graph sweep fans out across every worker.
+    failed: List[Tuple[int, Result, str]] = []
+    groups: Dict[str, List[Tuple[int, JobSpec, Dict[str, Any]]]] = {}
     for index, (job, seed) in enumerate(zip(job_list, seeds)):
         if index in completed:
             continue
-        groups.setdefault(job.graph, []).append((index, job.to_dict(), seed))
+        try:
+            kwargs = decode(job.task, _job_fields(job, seed))
+        except Exception as error:  # noqa: BLE001 — error row, keep going
+            result = _error_result(job, seed, error)
+            failed.append((index, result, result.canonical_json()))
+            continue
+        groups.setdefault(job.graph, []).append((index, job, kwargs))
     chunks = make_chunks(groups, worker_count)
 
     run_stats: Dict[str, Any] = {
@@ -577,24 +615,25 @@ def run(
                 )
             manifest.flush()
         _drain()
-        if chunks:
-            for chunk_rows in plane.execute(
-                chunks, worker_count, run_stats
-            ):
-                for index, result, canonical in chunk_rows:
-                    ordered[index] = result
-                    rows[index] = canonical
-                # Write-ahead: the manifest is durable before the sink
-                # sees the rows, so a crash between the two replays
-                # cleanly on resume.
-                if manifest is not None:
-                    for index, _, canonical in chunk_rows:
-                        manifest.write(
-                            _manifest_line(index, digests[index], canonical)
-                            + "\n"
-                        )
-                    manifest.flush()
-                _drain()
+        # The rows that failed to decode land first, as one more chunk.
+        executed = (
+            plane.execute(chunks, worker_count, run_stats) if chunks else ()
+        )
+        for chunk_rows in itertools.chain([failed], executed):
+            for index, result, canonical in chunk_rows:
+                ordered[index] = result
+                rows[index] = canonical
+            # Write-ahead: the manifest is durable before the sink sees
+            # the rows, so a crash between the two replays cleanly on
+            # resume.
+            if manifest is not None:
+                for index, _, canonical in chunk_rows:
+                    manifest.write(
+                        _manifest_line(index, digests[index], canonical)
+                        + "\n"
+                    )
+                manifest.flush()
+            _drain()
     finally:
         if manifest is not None:
             manifest.close()

@@ -1,19 +1,22 @@
 """One request table for every front door.
 
-The daemon's ``estimate``, ``pack`` and ``simulate`` ops, every batch
-job and the fault and adversary flags of ``repro simulate`` decode their
-task fields here. :data:`TASKS` maps each :class:`~repro.api.GraphSession`
-task to the JSON-clean keywords of its method and one parser per field;
-the Python-only ``params=`` dataclasses and broadcast ``sources`` stay
-off it. ``fault_plan`` and ``adversary_plan`` take the shape the plans'
-``describe()`` writes into an envelope's ``params.faults`` and
-``params.adversary``, so those params, fed back, reproduce the run.
+:data:`TASKS` maps each :class:`~repro.api.GraphSession` task to the
+JSON-clean keywords of its method and one parser per field; the
+Python-only ``params=`` dataclasses and broadcast ``sources`` stay off
+it. A task's name is its ``repro`` subcommand, its daemon op and its
+shell command, and a batch job names it in ``task``; every door hands
+the task's fields to :func:`decode`. The CLI and the shell read fields
+as ``name=value`` tokens through :func:`parse_fields`. ``fault_plan``
+and ``adversary_plan`` take the shape the plans' ``describe()`` writes
+into an envelope's ``params.faults`` and ``params.adversary``, so those
+params, fed back, reproduce the run.
 """
 
 from __future__ import annotations
 
 import importlib
-from typing import Any, Callable, Dict, Mapping
+import json
+from typing import Any, Callable, Dict, Iterable, Mapping
 
 from repro.api.specs import coerce_node_id
 from repro.errors import (
@@ -59,16 +62,13 @@ def _instance(expected: str, *types: type) -> Parser:
     return parse
 
 
+_bool = _instance("a boolean", bool)
 _number = _instance("a number", int, float)
 _text = _instance("a string", str)
-_list = _instance("a list", list)
-_object = _instance("an object", dict)
+json_list = _instance("a list", list)
+json_object = _instance("an object", dict)
 _scalar = _instance("a JSON scalar", type(None), bool, int, float, str)
 _int_node = _instance("a node label (an integer or a string)", int)
-
-
-def _flag(name: str, value: Any) -> bool:
-    return bool(value)
 
 
 def _model(name: str, value: Any) -> str:
@@ -95,18 +95,18 @@ def _pair(name: str, row: Any) -> tuple:
 
 def _crash_rounds(name: str, value: Any) -> Dict[Any, int]:
     return {_node(name, node): integer(name, rounds)
-            for node, rounds in _object(name, value).items()}
+            for node, rounds in json_object(name, value).items()}
 
 
 def _drop_schedule(name: str, value: Any) -> Dict[tuple, frozenset]:
     """``[sender, receiver, [round, …]]`` rows; rows naming one directed
     pair merge."""
     schedule: Dict[tuple, frozenset] = {}
-    for row in _list(name, value):
+    for row in json_list(name, value):
         if not isinstance(row, list) or len(row) != 3:
             raise _reject(name, row, "a [sender, receiver, [rounds…]] row")
         key = _pair(name, row[:2])
-        rounds = frozenset(integer(name, r) for r in _list(name, row[2]))
+        rounds = frozenset(integer(name, r) for r in json_list(name, row[2]))
         schedule[key] = rounds | schedule.get(key, frozenset())
     return schedule
 
@@ -127,7 +127,7 @@ def _plan(module: str, cls: str, table: Mapping[str, Parser]) -> Parser:
     ``rng``. The simulator is imported only when a plan is given."""
 
     def parse(name: str, value: Any) -> Any:
-        kwargs = _fields(table, _object(name, value), prefix=f"{name}.")
+        kwargs = _fields(table, json_object(name, value), prefix=f"{name}.")
         if "seed" in kwargs:
             kwargs["rng"] = kwargs.pop("seed")
         try:
@@ -141,7 +141,7 @@ def _plan(module: str, cls: str, table: Mapping[str, Parser]) -> Parser:
 #: task → {JSON field → parser}. Only the fields a request gives are
 #: decoded, so defaults stay in the method signatures.
 TASKS: Dict[str, Dict[str, Parser]] = {
-    "connectivity": {"seed": integer, "exact": _flag},
+    "connectivity": {"seed": integer, "exact": _bool},
     "pack_cds": {"k": optional_integer, "seed": integer},
     "pack_spanning": {"lam": optional_integer, "seed": integer},
     "pack_integral": {
@@ -171,10 +171,10 @@ TASKS: Dict[str, Dict[str, Parser]] = {
         "adversary_plan": _plan("repro.simulator.adversary", "AdversaryPlan", {
             "corruption_probability": _number,
             "kinds": lambda name, value: tuple(
-                _text(name, kind) for kind in _list(name, value)
+                _text(name, kind) for kind in json_list(name, value)
             ),
             "targets": _nullable(lambda name, value: frozenset(
-                _pair(name, row) for row in _list(name, value)
+                _pair(name, row) for row in json_list(name, value)
             )),
             "budget": optional_integer,
             "round_budget": optional_integer,
@@ -182,7 +182,7 @@ TASKS: Dict[str, Dict[str, Parser]] = {
             "seed": optional_integer,
         }),
         "max_rounds": integer,
-        "trace": _flag,
+        "trace": _bool,
         "show_outputs": optional_integer,
     },
 }
@@ -200,6 +200,24 @@ def decode(task: str, fields: Mapping[str, Any]) -> Dict[str, Any]:
             f"unknown task {task!r}; valid tasks: " + ", ".join(SESSION_TASKS)
         )
     return _fields(TASKS[task], fields)
+
+
+def parse_fields(tokens: Iterable[str]) -> Dict[str, Any]:
+    """``name=value`` tokens → request fields, the one reading the CLI
+    and the shell share: a value is JSON when it parses, else the text
+    itself. :func:`decode` then checks each field."""
+    fields: Dict[str, Any] = {}
+    for token in tokens:
+        name, sep, text = token.partition("=")
+        if not sep:
+            raise BadRequestError(
+                f"expected a name=value field (e.g. seed=3), got {token!r}"
+            )
+        try:
+            fields[name] = json.loads(text)
+        except ValueError:
+            fields[name] = text
+    return fields
 
 
 def error_type(exc: BaseException) -> str:

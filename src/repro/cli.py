@@ -1,26 +1,33 @@
 """Command-line interface: run the decompositions from a shell.
 
-Installed as the ``repro`` console script. Every subcommand routes
-through the :mod:`repro.api` session layer — one
-:class:`~repro.api.GraphSession` per invocation, typed
-:class:`~repro.api.Result` envelopes underneath — so the CLI, the
-library, and the batch executor all compute through the same front
-door. ``--json`` on a task subcommand prints the envelope instead of
-the human rendering::
+Installed as the ``repro`` console script. Each task of
+:data:`repro.api.tasks.TASKS` is a subcommand of the same name: ``repro
+<task> GRAPH [name=value …] [--json]``. The trailing fields are the
+task's request fields, in the grammar of the daemon's ops, the shell's
+commands and batch job ``params``: a value is JSON when it parses, else
+the text (:func:`repro.api.tasks.parse_fields`), and
+:func:`repro.api.tasks.decode` checks it. One
+:class:`~repro.api.GraphSession` runs the task; ``--json`` prints its
+:class:`~repro.api.Result` envelope instead of the human rendering::
 
-    repro connectivity harary:6,24
-    repro pack-cds harary:6,24 --seed 3
-    repro pack-spanning hypercube:4 --seed 5 --json
-    repro broadcast harary:6,24 --messages 24 --seed 7
-    repro simulate harary:6,24 --program flood-min --seed 3 --trace
-    repro simulate harary:4,16 --program cds_packing --model congested-clique
+    repro connectivity harary:6,24 exact=true
+    repro pack_cds harary:6,24 seed=3 --verbose
+    repro pack_spanning hypercube:4 seed=5 --json
+    repro pack_integral harary:6,24 kind=spanning
+    repro broadcast harary:6,24 messages=24 seed=7 transport=edge
+    repro gossip harary:6,24 n_messages=8
+    repro simulate harary:6,24 program=bfs trace=true --trace-limit 10
+    repro simulate harary:6,24 program=retransmit-flood seed=3 \
+        fault_plan='{"drop_probability": 0.2, "crash_rounds": {"0": 2}}'
     repro batch jobs.json --out results.jsonl --backend process --workers 4
     repro batch jobs.json --out results.jsonl --checkpoint ck.jsonl --resume
     repro serve --port 7714
     repro shell --graph harary:6,24
+    repro info
     repro experiments
 
-Graph specifications are ``family:arg1,arg2,…``:
+``repro info`` lists every task's fields and the registered scenario
+programs. Graph specifications are ``family:arg1,arg2,…``:
 
 ========================  =============================================
 ``harary:k,n``            Harary graph, vertex connectivity exactly k
@@ -46,24 +53,16 @@ from typing import Optional, Sequence
 from repro import __version__
 from repro.api import GraphSession, parse_graph_spec  # noqa: F401  (re-export)
 from repro.api.envelope import Result
-from repro.api.tasks import decode
-from repro.errors import GraphValidationError, ReproError
+from repro.api.tasks import TASKS, decode, parse_fields
+from repro.errors import ReproError
 
 # ``parse_graph_spec`` stays importable from here for backward
 # compatibility; it now lives in (and is re-exported from) repro.api.
 
 
-def _emit(args: argparse.Namespace, envelope: Result) -> bool:
-    """Print the envelope when ``--json`` was passed; returns True if
-    the human rendering should be skipped."""
-    if getattr(args, "json", False):
-        print(envelope.to_json(indent=2))
-        return True
-    return False
-
-
 def _cmd_info(args: argparse.Namespace) -> int:
     from repro.api import family_signatures
+    from repro.simulator.scenario import available_programs
 
     print(f"repro {__version__} — Distributed Connectivity Decomposition")
     print("Censor-Hillel, Ghaffari, Kuhn (PODC 2014; arXiv:1311.5317)")
@@ -86,32 +85,34 @@ def _cmd_info(args: argparse.Namespace) -> int:
     print("graph families:")
     for signature, description in family_signatures():
         print(f"  {signature:<22} {description}")
+    print()
+    print("tasks (repro <task> GRAPH [name=value …] [--json]) and fields:")
+    for task, fields in TASKS.items():
+        print(f"  {task:<14} {', '.join(fields)}")
+    print()
+    print("scenario programs (repro simulate GRAPH program=<name>):")
+    for program in available_programs():
+        print(
+            f"  {program.name:<18} [{program.model.value}] "
+            f"{program.description}"
+        )
     return 0
 
 
-def _cmd_connectivity(args: argparse.Namespace) -> int:
-    session = GraphSession(args.graph)
-    envelope = session.connectivity(seed=args.seed, exact=True)
-    if _emit(args, envelope):
-        return 0
+def _print_connectivity(args: argparse.Namespace, envelope: Result) -> None:
     payload = envelope.payload
-    k, lam = payload["exact_k"], payload["exact_lambda"]
+    low, high = payload["lower_bound"], payload["upper_bound"]
     print(f"graph: {args.graph}  n={envelope.n}  m={envelope.m}")
-    print(f"vertex connectivity k = {k}   (exact)")
-    print(f"edge connectivity   λ = {lam}   (exact)")
-    contains = payload["lower_bound"] <= k <= payload["upper_bound"]
-    print(
-        f"Corollary 1.7 estimate: k ∈ [{payload['lower_bound']:.2f}, "
-        f"{payload['upper_bound']:.2f}]  (contains k: {contains})"
-    )
-    return 0
+    interval = f"Corollary 1.7 estimate: k ∈ [{low:.2f}, {high:.2f}]"
+    k = payload.get("exact_k")
+    if k is not None:
+        print(f"vertex connectivity k = {k}   (exact)")
+        print(f"edge connectivity   λ = {payload['exact_lambda']}   (exact)")
+        interval += f"  (contains k: {low <= k <= high})"
+    print(interval)
 
 
-def _cmd_pack_cds(args: argparse.Namespace) -> int:
-    session = GraphSession(args.graph)
-    envelope = session.pack_cds(seed=args.seed)
-    if _emit(args, envelope):
-        return 0
+def _print_pack_cds(args: argparse.Namespace, envelope: Result) -> None:
     payload = envelope.payload
     packing = envelope.raw.packing
     print(f"graph: {args.graph}  n={envelope.n}")
@@ -129,14 +130,9 @@ def _cmd_pack_cds(args: argparse.Namespace) -> int:
             )
     packing.verify()
     print("verification: OK (domination, trees, loads)")
-    return 0
 
 
-def _cmd_pack_spanning(args: argparse.Namespace) -> int:
-    session = GraphSession(args.graph)
-    envelope = session.pack_spanning(seed=args.seed)
-    if _emit(args, envelope):
-        return 0
+def _print_pack_spanning(args: argparse.Namespace, envelope: Result) -> None:
     payload = envelope.payload
     packing = envelope.raw.packing
     print(f"graph: {args.graph}  λ={payload['lam']}  "
@@ -147,161 +143,48 @@ def _cmd_pack_spanning(args: argparse.Namespace) -> int:
     print(f"distinct trees: {payload['n_trees']}")
     packing.verify()
     print("verification: OK (spanning, trees, loads)")
-    return 0
 
 
-def _cmd_broadcast(args: argparse.Namespace) -> int:
-    session = GraphSession(args.graph)
-    envelope = session.broadcast(
-        messages=args.messages, seed=args.seed, transport=args.transport
-    )
-    if _emit(args, envelope):
-        return 0
+def _print_broadcast(args: argparse.Namespace, envelope: Result) -> None:
     payload = envelope.payload
-    print(f"graph: {args.graph}  messages={args.messages}")
+    print(f"graph: {args.graph}  messages={payload['n_messages']}")
     print(f"rounds:            {payload['rounds']}")
     print(f"throughput:        {payload['throughput']:.3f} msgs/round")
     print(f"max vertex congestion: {payload['max_vertex_congestion']}")
     print(f"max edge congestion:   {payload['max_edge_congestion']}")
-    return 0
 
 
-def _read_rows(path: str, what: str):
-    """The JSON rows of a ``--drop-schedule`` / ``--corrupt-targets``
-    file."""
-    import json
-
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise GraphValidationError(
-            f"cannot read {what} {path!r}: {exc}"
-        ) from exc
-
-
-def _plan_fields(args: argparse.Namespace) -> dict:
-    """The fault and adversary flags → the ``fault_plan`` and
-    ``adversary_plan`` fields of :mod:`repro.api.tasks`.
-
-    A drop-schedule file holds ``[sender, receiver, [round, …]]`` rows
-    (directed: a row silences only ``sender → receiver``); a targets
-    file holds ``[sender, receiver]`` pairs.
-    """
-    fields = {}
-    schedule = (
-        _read_rows(args.drop_schedule, "drop schedule")
-        if args.drop_schedule is not None
-        else []
-    )
-    if args.drop > 0.0 or args.crash or schedule:
-        crash_rounds = {}
-        for spec in args.crash:
-            node, sep, round_no = spec.partition(":")
-            if not sep:
-                raise GraphValidationError(
-                    f"crash spec {spec!r} must look like NODE:ROUND"
-                )
-            crash_rounds[node] = round_no
-        fields["fault_plan"] = {
-            "drop_probability": args.drop,
-            "crash_rounds": crash_rounds,
-            "drop_schedule": schedule,
-        }
-    if (
-        args.corrupt_rate > 0.0
-        or args.corrupt_kind
-        or args.corrupt_budget is not None
-        or args.corrupt_round_budget is not None
-        or args.corrupt_targets is not None
-        or args.corrupt_seed is not None
-    ):
-        if args.corrupt_rate <= 0.0:
-            raise GraphValidationError(
-                "--corrupt-* flags need --corrupt-rate > 0 to take effect"
-            )
-        fields["adversary_plan"] = {
-            "corruption_probability": args.corrupt_rate,
-            "kinds": args.corrupt_kind or ["flip"],
-            "targets": (
-                _read_rows(args.corrupt_targets, "corruption targets")
-                if args.corrupt_targets is not None
-                else None
-            ),
-            "budget": args.corrupt_budget,
-            "round_budget": args.corrupt_round_budget,
-            "seed": args.corrupt_seed,
-        }
-    return fields
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    from repro.simulator.scenario import available_programs
-
-    if args.list_programs:
-        print("registered scenario programs:")
-        for program in available_programs():
-            print(
-                f"  {program.name:<18} [{program.model.value}] "
-                f"{program.description}"
-            )
-        return 0
-    if args.graph is None:
-        raise GraphValidationError(
-            "a graph spec is required (or pass --list-programs)"
-        )
-    kwargs = decode("simulate", {
-        "program": args.program,
-        "model": args.model,
-        "seed": args.seed,
-        "max_rounds": args.max_rounds,
-        "trace": args.trace,
-        "show_outputs": args.show_outputs,
-        **_plan_fields(args),
-    })
-    plan = kwargs.get("fault_plan")
-    adversary = kwargs.get("adversary_plan")
-    envelope = GraphSession(args.graph).simulate(**kwargs)
-    if _emit(args, envelope):
-        return 0
-    payload = envelope.payload
+def _print_simulate(args: argparse.Namespace, envelope: Result) -> None:
+    payload, params = envelope.payload, envelope.params
     run = envelope.raw
     print(f"graph: {args.graph}  n={envelope.n}  m={envelope.m}")
     print(f"program: {payload['program']} — {payload['description']}")
     print(f"model:   {payload['model']}")
-    if plan is not None:
+    faults, adversary = params["faults"], params["adversary"]
+    if faults is not None:
         print(
-            f"faults:  drop={plan.drop_probability:g} "
-            f"crashes={len(plan.crash_rounds)} "
-            f"scheduled_edges={len(plan.drop_schedule)}"
+            f"faults:  drop={faults['drop_probability']:g} "
+            f"crashes={len(faults['crash_rounds'])} "
+            f"scheduled_edges={len(faults['drop_schedule'])}"
         )
     if adversary is not None:
-        print(
-            f"adversary: rate={adversary.corruption_probability:g} "
-            f"kinds={','.join(adversary.kinds)}"
-            + (
-                f" budget={adversary.budget}"
-                if adversary.budget is not None
-                else ""
-            )
-            + (
-                f" round_budget={adversary.round_budget}"
-                if adversary.round_budget is not None
-                else ""
-            )
-            + (
-                f" targets={len(adversary.targets)}"
-                if adversary.targets is not None
-                else ""
-            )
+        line = (
+            f"adversary: rate={adversary['corruption_probability']:g} "
+            f"kinds={','.join(adversary['kinds'])}"
         )
+        for name in ("budget", "round_budget"):
+            if adversary[name] is not None:
+                line += f" {name}={adversary[name]}"
+        if adversary["targets"] is not None:
+            line += f" targets={len(adversary['targets'])}"
+        print(line)
     print(f"rounds:   {payload['rounds']}  (halted: {payload['halted']})")
     print(f"messages: {payload['messages']}   bits: {payload['bits']}")
     print(f"max message: {payload['max_message_bits']} bits")
     print(f"wall: {run.wall_seconds:.4f}s   "
           f"rounds/sec: {run.rounds_per_sec:.1f}")
-    outputs = run.result.outputs
-    shown = list(outputs.items())[: args.show_outputs]
+    # The payload holds every output unless a show_outputs field capped it.
+    shown = list(run.result.outputs.items())[: len(payload["outputs"])]
     if shown:
         print("outputs (first {}):".format(len(shown)))
         for node, output in shown:
@@ -309,6 +192,31 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if run.trace is not None:
         print()
         print(run.trace.render(limit=args.trace_limit))
+
+
+def _print_payload(args: argparse.Namespace, envelope: Result) -> None:
+    print(f"graph: {args.graph}  n={envelope.n}  m={envelope.m}")
+    for name, value in envelope.payload.items():
+        print(f"  {name + ':':<20} {value}")
+
+
+#: task → its human rendering; a task without one prints its payload.
+_PRINTERS = {
+    "connectivity": _print_connectivity,
+    "pack_cds": _print_pack_cds,
+    "pack_spanning": _print_pack_spanning,
+    "broadcast": _print_broadcast,
+    "simulate": _print_simulate,
+}
+
+
+def _cmd_task(args: argparse.Namespace) -> int:
+    kwargs = decode(args.task, parse_fields(args.fields))
+    envelope = getattr(GraphSession(args.graph), args.task)(**kwargs)
+    if args.json:
+        print(envelope.to_json(indent=2))
+    else:
+        _PRINTERS.get(args.task, _print_payload)(args, envelope)
     return 0
 
 
@@ -419,6 +327,18 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
+#: One line of help per task subcommand.
+_TASK_HELP = {
+    "connectivity": "Cor 1.7 connectivity estimate (exact=true adds k, λ)",
+    "pack_cds": "fractional dominating tree packing (Thm 1.1/1.2)",
+    "pack_spanning": "fractional spanning tree packing (Thm 1.3)",
+    "pack_integral": "vertex- or edge-disjoint tree packing (§1.2)",
+    "broadcast": "tree-routed broadcast throughput (Cor 1.4/1.5)",
+    "gossip": "k-token dissemination on the CDS packing (Cor A.1)",
+    "simulate": "run a registered program on the round simulator",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -432,137 +352,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    def add_json_flag(subparser) -> None:
+    commands.add_parser(
+        "info", help="library overview, task fields and scenario programs"
+    ).set_defaults(handler=_cmd_info)
+
+    for task, fields in TASKS.items():
+        subparser = commands.add_parser(task, help=_TASK_HELP[task])
+        subparser.add_argument("graph", help="graph spec, e.g. harary:6,24")
+        subparser.add_argument(
+            "fields", nargs="*", metavar="name=value",
+            help="task fields, a value JSON when it parses, else text: "
+            + ", ".join(fields),
+        )
         subparser.add_argument(
             "--json", action="store_true",
             help="print the typed result envelope as JSON",
         )
-
-    commands.add_parser("info", help="library overview").set_defaults(
-        handler=_cmd_info
-    )
-
-    connectivity = commands.add_parser(
-        "connectivity", help="exact + approximate connectivity of a graph"
-    )
-    connectivity.add_argument("graph", help="graph spec, e.g. harary:6,24")
-    connectivity.add_argument("--seed", type=int, default=0)
-    add_json_flag(connectivity)
-    connectivity.set_defaults(handler=_cmd_connectivity)
-
-    pack_cds = commands.add_parser(
-        "pack-cds", help="fractional dominating tree packing (Thm 1.1/1.2)"
-    )
-    pack_cds.add_argument("graph")
-    pack_cds.add_argument("--seed", type=int, default=0)
-    pack_cds.add_argument("--verbose", action="store_true")
-    add_json_flag(pack_cds)
-    pack_cds.set_defaults(handler=_cmd_pack_cds)
-
-    pack_spanning = commands.add_parser(
-        "pack-spanning", help="fractional spanning tree packing (Thm 1.3)"
-    )
-    pack_spanning.add_argument("graph")
-    pack_spanning.add_argument("--seed", type=int, default=0)
-    add_json_flag(pack_spanning)
-    pack_spanning.set_defaults(handler=_cmd_pack_spanning)
-
-    broadcast = commands.add_parser(
-        "broadcast", help="tree-routed broadcast throughput (Cor 1.4)"
-    )
-    broadcast.add_argument("graph")
-    broadcast.add_argument("--messages", type=int, default=16)
-    broadcast.add_argument("--seed", type=int, default=0)
-    broadcast.add_argument(
-        "--transport", default="vertex", choices=["vertex", "edge"],
-        help="vertex: CDS packing / V-CONGEST; edge: spanning / E-CONGEST",
-    )
-    add_json_flag(broadcast)
-    broadcast.set_defaults(handler=_cmd_broadcast)
-
-    simulate = commands.add_parser(
-        "simulate",
-        help="run a registered program on the round simulator",
-        description=(
-            "Run a registered node program on a graph family through "
-            "GraphSession.simulate; prints rounds/messages/bits and "
-            "optionally the round-by-round trace."
-        ),
-    )
-    simulate.add_argument(
-        "graph", nargs="?", default=None, help="graph spec, e.g. harary:6,24"
-    )
-    simulate.add_argument(
-        "--program", default="flood-min",
-        help="registry name (see --list-programs)",
-    )
-    simulate.add_argument(
-        "--model", default=None,
-        choices=["v-congest", "e-congest", "congested-clique"],
-        help="override the program's communication model",
-    )
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--drop", type=float, default=0.0,
-        help="i.i.d. message drop probability",
-    )
-    simulate.add_argument(
-        "--crash", action="append", default=[], metavar="NODE:ROUND",
-        help="crash-stop a node at a round (repeatable)",
-    )
-    simulate.add_argument(
-        "--drop-schedule", default=None, metavar="FILE",
-        help=(
-            "JSON file of [sender, receiver, [rounds…]] rows: destroy "
-            "those directed deliveries deterministically (edges are "
-            "validated against the graph)"
-        ),
-    )
-    simulate.add_argument(
-        "--corrupt-rate", type=float, default=0.0, metavar="P",
-        help=(
-            "per-delivery corruption probability (adversarial channel; "
-            "pure function of seed × edge × round)"
-        ),
-    )
-    simulate.add_argument(
-        "--corrupt-kind", action="append", default=[],
-        choices=["flip", "forge", "replay"],
-        help="corruption kind(s) the adversary draws from (repeatable; "
-             "default: flip)",
-    )
-    simulate.add_argument(
-        "--corrupt-budget", type=int, default=None, metavar="N",
-        help="cap corrupted edge-round slots over the whole run",
-    )
-    simulate.add_argument(
-        "--corrupt-round-budget", type=int, default=None, metavar="N",
-        help="cap corrupted edge-slots per round",
-    )
-    simulate.add_argument(
-        "--corrupt-targets", default=None, metavar="FILE",
-        help="JSON list of [sender, receiver] pairs the adversary "
-             "controls (others stay honest)",
-    )
-    simulate.add_argument(
-        "--corrupt-seed", type=int, default=None,
-        help="explicit adversary seed (default: derived from --seed)",
-    )
-    simulate.add_argument("--max-rounds", type=int, default=100000)
-    simulate.add_argument(
-        "--trace", action="store_true", help="record and print the schedule"
-    )
-    simulate.add_argument("--trace-limit", type=int, default=30)
-    simulate.add_argument(
-        "--show-outputs", type=int, default=5,
-        help="how many node outputs to print",
-    )
-    simulate.add_argument(
-        "--list-programs", action="store_true",
-        help="list registered scenario programs and exit",
-    )
-    add_json_flag(simulate)
-    simulate.set_defaults(handler=_cmd_simulate)
+        subparser.set_defaults(handler=_cmd_task, task=task)
+        if task == "pack_cds":
+            subparser.add_argument(
+                "--verbose", action="store_true", help="list the trees"
+            )
+        if task == "simulate":
+            subparser.add_argument(
+                "--trace-limit", type=int, default=30,
+                help="events of a trace=true schedule to print",
+            )
 
     batch = commands.add_parser(
         "batch",
@@ -646,8 +461,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="interactive graph shell (in-process or against a daemon)",
         description=(
             "A GCLI-style shell over the service surface: graph open, "
-            "node list/nbr/p, edge new/rmv, estimate, pack, simulate, "
-            "stats. Runs in-process by default; --connect HOST:PORT "
+            "node list/nbr/p, edge new/rmv, stats, and every task by "
+            "name (plus estimate and pack) with trailing name=value "
+            "fields. Runs in-process by default; --connect HOST:PORT "
             "drives a running 'repro serve' daemon. Reads commands from "
             "stdin, so it scripts cleanly: "
             "echo 'estimate k' | repro shell --graph harary:6,24"
@@ -662,7 +478,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="drive a running repro-serve daemon instead of in-process",
     )
     shell.add_argument("--seed", type=int, default=0)
-    add_json_flag(shell)
+    shell.add_argument(
+        "--json", action="store_true",
+        help="print the typed result envelope as JSON",
+    )
     shell.set_defaults(handler=_cmd_shell)
 
     commands.add_parser(
@@ -681,7 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    # parse_known_args: a nargs="*" positional stops at the first
+    # option, so fields after --json come back here.
+    args, extra = parser.parse_known_args(argv)
+    if extra:
+        if args.handler is not _cmd_task:
+            parser.error("unrecognized arguments: " + " ".join(extra))
+        args.fields += extra
     try:
         return args.handler(args)
     except ReproError as error:

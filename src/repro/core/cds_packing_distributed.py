@@ -42,7 +42,7 @@ every heard map is filtered through :func:`_from_neighbors`, in
 deterministic ``graph.neighbors()`` order — so under a fixed seed both
 transports produce the **same packing**; only the message/bit accounting
 differs. The program registry exposes this as the ``cds_packing``
-program (``repro simulate … --program cds_packing``), backed by
+program (``repro simulate … program=cds_packing``), backed by
 :func:`run_cds_packing_scenario`.
 """
 

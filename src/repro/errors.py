@@ -77,7 +77,7 @@ class BadRequestError(ServiceError):
 
     Raised by :func:`repro.api.tasks.decode` on every front door: the
     daemon answers ``bad-request`` before opening a session, a batch job
-    becomes a ``bad-request`` row, and ``repro simulate`` exits 2.
+    becomes a ``bad-request`` row, and a ``repro <task>`` command exits 2.
     """
 
 

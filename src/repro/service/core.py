@@ -33,8 +33,14 @@ from repro.service.protocol import SERVICE_GRAPH, error_envelope
 #: Default number of warm sessions the daemon keeps.
 DEFAULT_SESSIONS = 8
 
-#: Request fields that route a task op rather than feed its task.
-ROUTING_FIELDS = ("op", "id", "graph", "session", "kind")
+#: Request fields that route a task op rather than feed its task
+#: (``pack`` also routes on ``kind``).
+ROUTING_FIELDS = ("op", "id", "graph", "session")
+
+#: The task ops: every :data:`repro.api.tasks.TASKS` task by name, and
+#: two wire names older than those that existing clients send:
+#: ``estimate`` runs ``connectivity``, and ``pack`` runs ``pack_<kind>``.
+TASK_OPS = ("estimate", "pack", *tasks.SESSION_TASKS)
 
 #: The fields a ``batch`` op takes besides ``op`` and ``id``.
 _BATCH_FIELDS = ("jobs", "base_seed")
@@ -153,9 +159,7 @@ class ServiceCore:
     OPS = {
         "ping": "_op_ping",
         "open": "_op_open",
-        "estimate": "_op_task",
-        "pack": "_op_task",
-        "simulate": "_op_task",
+        **dict.fromkeys(TASK_OPS, "_op_task"),
         "node_list": "_op_node_list",
         "node_nbr": "_op_node_nbr",
         "node_path": "_op_node_path",
@@ -326,29 +330,24 @@ class ServiceCore:
         )
 
     def _op_task(self, request: Dict[str, Any]) -> Result:
-        """``estimate`` → ``connectivity``, ``pack`` → ``pack_<kind>``,
-        ``simulate`` → ``simulate``: every other field is the task's,
-        decoded through :mod:`repro.api.tasks`."""
-        op = request["op"]
+        """One of :data:`TASK_OPS`: every field but the routing ones is
+        the task's, decoded through :mod:`repro.api.tasks`. ``pack``
+        takes ``kind`` (``cds`` by default) as its routing field."""
+        task = request["op"]
         fields = {
             name: value for name, value in request.items()
             if name not in ROUTING_FIELDS
         }
-        if op == "estimate":
+        if task == "estimate":
             task = "connectivity"
-        elif op == "pack":
-            kind = request.get("kind", "cds")
+        elif task == "pack":
+            kind = fields.pop("kind", "cds")
             if kind not in ("cds", "spanning"):
                 raise ServiceError(
                     f"unknown packing kind {kind!r}; valid kinds: "
                     "cds, spanning"
                 )
             task = f"pack_{kind}"
-        else:
-            task = "simulate"
-            fields.setdefault("show_outputs", 5)
-            if fields.get("program") == "flooding":  # the shell's name
-                fields["program"] = "flood-min"
         kwargs = tasks.decode(task, fields)
         session, _, _ = self._resolve_session(request)
         return getattr(session, task)(**kwargs)

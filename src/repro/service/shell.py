@@ -2,7 +2,10 @@
 
 A small GCLI-style grammar (``node list``, ``edge new``, ``graph
 open``, …) over the same request/response surface the daemon serves.
-Two backends:
+Every daemon task op is a shell command of the same name taking the
+task's ``name=value`` fields (:func:`repro.api.tasks.parse_fields`);
+``estimate k``, ``pack <kind>`` and ``simulate <program>`` keep their
+leading word. Two backends:
 
 * :class:`LocalBackend` — an in-process :class:`ServiceCore`; no
   daemon, no sockets, same envelopes.
@@ -31,8 +34,9 @@ import socket
 import sys
 from typing import Any, Dict, Iterable, Optional, TextIO
 
+from repro.api import tasks
 from repro.errors import ServiceError
-from repro.service.core import ROUTING_FIELDS, ServiceCore
+from repro.service.core import ROUTING_FIELDS, TASK_OPS, ServiceCore
 from repro.service.protocol import is_error, read_frame, write_frame
 
 HELP_TEXT = """\
@@ -49,25 +53,26 @@ commands
   pack [cds|spanning] [name=value…]
                                fractional tree packing (default: cds)
   simulate [program] [name=value…]
-                               run a scenario program (default: flooding)
+                               run a scenario program (default: flood-min)
+  connectivity | pack_cds | pack_spanning | pack_integral | broadcast |
+  gossip [name=value…]         the other tasks, by their names
   stats                        service/session cache statistics
-  seed <n>                     set the seed used by estimate/pack/simulate
+  seed <n>                     set the seed every task command sends
   ping                         liveness check
   help                         this text
   quit | exit                  leave the shell
 
-task fields: estimate, pack and simulate take trailing name=value
-tokens, sent with the request and checked by the service. A value is
-JSON when it parses, else the text itself; seed=<n> overrides the
-shell's seed. For example:
-  simulate flood-checksum fault_plan='{"drop_probability": 0.2}'"""
+task fields: every task command takes trailing name=value tokens,
+sent with the request and checked by the service, the fields of
+'repro <task>' and of batch job params ('repro info' lists them). A
+value is JSON when it parses, else the text itself; seed=<n>
+overrides the shell's seed. For example:
+  simulate flood-checksum fault_plan='{"drop_probability": 0.2}'
+  pack_integral kind=spanning"""
 
-#: The leading words each task command takes, for its usage line.
-_TASK_USAGE = {
-    "estimate": "estimate [k]",
-    "pack": "pack [cds|spanning]",
-    "simulate": "simulate [program]",
-}
+#: The leading word a task command takes: the field it fills, or
+#: ``None`` for ``estimate k``, whose ``k`` fills none.
+_WORDS = {"estimate": None, "pack": "kind", "simulate": "program"}
 
 
 class LocalBackend:
@@ -178,6 +183,9 @@ class ReproShell:
             return
         command, args = tokens[0].lower(), tokens[1:]
         try:
+            if command in TASK_OPS:
+                self._task(command, args)
+                return
             handler = getattr(self, f"_cmd_{command}", None)
             if handler is None:
                 self._fail(
@@ -258,55 +266,28 @@ class ReproShell:
         else:
             self._fail("usage: edge new <a> <b> | edge rmv <a> <b>")
 
-    def _cmd_estimate(self, args) -> None:
-        words, fields = self._task_args("estimate", args)
-        if words not in ([], ["k"]):
-            raise self._usage("estimate")
-        self._session_request({"op": "estimate", "seed": self.seed, **fields})
-
-    def _cmd_pack(self, args) -> None:
-        words, fields = self._task_args("pack", args)
-        kind = words[0] if words else "cds"
-        if len(words) > 1 or kind not in ("cds", "spanning"):
-            raise self._usage("pack")
-        self._session_request(
-            {"op": "pack", "kind": kind, "seed": self.seed, **fields}
-        )
-
-    def _cmd_simulate(self, args) -> None:
-        words, fields = self._task_args("simulate", args)
-        if len(words) > 1:
-            raise self._usage("simulate")
-        program = words[0] if words else "flooding"
-        self._session_request(
-            {"op": "simulate", "program": program, "seed": self.seed,
-             **fields}
-        )
-
-    @staticmethod
-    def _usage(command: str) -> ServiceError:
-        return ServiceError(
-            f"usage: {_TASK_USAGE[command]} [name=value ...]"
-        )
-
-    def _task_args(self, command: str, args) -> tuple:
-        """A task command's tokens → (its leading words, the trailing
-        ``name=value`` fields). A value is JSON when it parses, else the
-        text; the service's request table decodes it. A word after a
-        field, or a field the shell routes itself, is a usage error."""
+    def _task(self, op: str, args) -> None:
+        """``op [word] [name=value …]`` → the daemon's task op, sent
+        with the shell's seed unless a ``seed=`` field overrides it. A
+        word after a field, a routing field or a field the word already
+        gave is a usage error."""
         split = next(
             (i for i, token in enumerate(args) if "=" in token), len(args)
         )
-        fields = {}
-        for token in args[split:]:
-            name, sep, text = token.partition("=")
-            if not sep or name in ROUTING_FIELDS:
-                raise self._usage(command)
-            try:
-                fields[name] = json.loads(text)
-            except ValueError:
-                fields[name] = text
-        return args[:split], fields
+        words, tail = args[:split], args[split:]
+        slot = _WORDS.get(op)
+        usable = len(words) <= (op in _WORDS) and all("=" in t for t in tail)
+        fields = tasks.parse_fields(tail) if usable else {}
+        if (
+            not usable
+            or any(name in ROUTING_FIELDS for name in fields)
+            or words and (slot in fields if slot else words != ["k"])
+        ):
+            word = f" [{slot or 'k'}]" if op in _WORDS else ""
+            raise ServiceError(f"usage: {op}{word} [name=value ...]")
+        if words and slot:
+            fields[slot] = words[0]
+        self._session_request({"op": op, "seed": self.seed, **fields})
 
     # -- request plumbing ----------------------------------------------
 
@@ -467,8 +448,9 @@ class ReproShell:
                 )
         elif task == "shutdown":
             print("daemon stopping", file=out)
-        else:  # unknown task: still show something useful
-            print(json.dumps(response, sort_keys=True), file=out)
+        else:  # any other task: its payload on one line
+            fields = (f"{name}={value}" for name, value in payload.items())
+            print(f"{task}: " + " ".join(fields), file=out)
 
 
 def run_shell(

@@ -1,5 +1,6 @@
 """Batch executor: deterministic seeds, byte-identical JSONL, session
-reuse, process fan-out equivalence."""
+reuse, process fan-out equivalence, plan-time decoding, and typed
+errors for malformed job files."""
 
 from __future__ import annotations
 
@@ -10,13 +11,16 @@ import pytest
 
 from repro.api import (
     JobSpec,
+    backends,
     derive_seed,
     expand_matrix,
     load_jobs,
     run,
     run_to_jsonl,
 )
+from repro.cli import main
 from repro.errors import GraphValidationError
+from repro.service import ServiceCore
 from repro.fastgraph import IndexedGraph
 
 MATRIX = {
@@ -261,3 +265,88 @@ class TestBatchSweepBridge:
         rows = api_batch.run(str(path))
         assert len(rows) == 2
         assert opened.count(str(path)) == 1
+
+
+#: Five jobs, the third malformed, and the error row the scheduler
+#: writes for it.
+PLANNED = [
+    JobSpec(graph="harary:4,12", task="connectivity", seed=1),
+    JobSpec(graph="hypercube:3", task="pack_cds", seed=2),
+    JobSpec(graph="harary:4,12", task="simulate", seed=3,
+            params={"max_rounds": "lots"}),
+    JobSpec(graph="hypercube:3", task="broadcast", seed=4,
+            params={"messages": 4}),
+    JobSpec(graph="harary:4,12", task="pack_spanning", seed=5),
+]
+PLANNED_ERROR_ROW = (
+    '{"fingerprint":"","graph":"harary:4,12","m":0,"n":0,"params":'
+    '{"max_rounds":"lots","transport":null},"payload":{"error":'
+    '"field \'max_rounds\' must be an integer, got \'lots\'",'
+    '"error_name":"BadRequestError","error_type":"bad-request",'
+    '"status":"error"},"seed":3,"task":"simulate","version":1}'
+)
+
+
+class TestPlanning:
+    """Every job is decoded once, while the batch plans: a malformed job
+    is its error row before any chunk runs, and enters none."""
+
+    @pytest.fixture()
+    def planned(self, monkeypatch):
+        indexes = []
+        execute = backends.ProcessBackend.execute
+
+        def spy(self, chunks, workers, stats):
+            indexes.extend(index for chunk in chunks for index, _, _ in chunk)
+            return execute(self, chunks, workers, stats)
+
+        monkeypatch.setattr(backends.ProcessBackend, "execute", spy)
+        return indexes
+
+    def test_malformed_job_is_its_row_and_in_no_chunk(self, planned):
+        lines = _jsonl(PLANNED, backend="process", workers=2).splitlines()
+        assert sorted(planned) == [0, 1, 3, 4]
+        assert lines[2] == PLANNED_ERROR_ROW
+        good = [job for index, job in enumerate(PLANNED) if index != 2]
+        assert lines[:2] + lines[3:] == _jsonl(good).splitlines()
+
+    def test_only_malformed_jobs_start_no_pool(self, planned, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a batch of malformed jobs started a pool")
+
+        monkeypatch.setattr(backends, "ProcessPoolExecutor", no_pool)
+        stats = {}
+        rows = run([PLANNED[2]] * 3, backend="process", workers=2,
+                   stats=stats)
+        assert stats["chunks"] == 0 and planned == []
+        assert [row.canonical_json() for row in rows] == [
+            PLANNED_ERROR_ROW
+        ] * 3
+
+
+GRAPH = "harary:4,12"
+
+#: Job files whose fields the table's parsers reject.
+MALFORMED_FILES = {
+    "trials-text": {"graphs": [GRAPH], "trials": "x"},
+    "base_seed-text": {"graphs": [GRAPH], "base_seed": "x"},
+    "seeds-int": {"graphs": [GRAPH], "seeds": 5},
+    "job-params-text": [{"graph": GRAPH, "params": "x"}],
+    "matrix-params-text": {"graphs": [GRAPH], "params": "x"},
+    "graphs-text": {"graphs": GRAPH},
+    "params-list": {"graphs": [GRAPH], "params": ["ed"]},
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_FILES))
+def test_malformed_job_file_is_one_typed_error(name, tmp_path, capsys):
+    body = MALFORMED_FILES[name]
+    path = tmp_path / "jobs.json"
+    path.write_text(json.dumps(body))
+    assert main(["batch", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: job file: field ")
+    reply = ServiceCore().handle({"op": "batch", "jobs": body})
+    assert reply["payload"]["error_type"] == "graph", reply

@@ -22,14 +22,15 @@ TINY = "harary:4,10"
     [
         ["info"],
         ["connectivity", TINY],
-        ["pack-cds", TINY, "--seed", "3"],
-        ["pack-spanning", "hypercube:3", "--seed", "5"],
-        ["broadcast", TINY, "--messages", "4", "--seed", "7"],
-        ["broadcast", "hypercube:3", "--messages", "4", "--transport", "edge"],
-        ["simulate", TINY, "--program", "flood-min", "--seed", "3"],
-        ["simulate", "--list-programs"],
+        ["pack_cds", TINY, "seed=3"],
+        ["pack_spanning", "hypercube:3", "seed=5"],
+        ["broadcast", TINY, "messages=4", "seed=7"],
+        ["broadcast", "hypercube:3", "messages=4", "transport=edge"],
+        ["simulate", TINY, "program=flood-min", "seed=3"],
+        ["pack_integral", TINY, "kind=spanning"],
         ["experiments"],
         ["report", TINY, "--seed", "5"],
+        ["gossip", TINY, "n_messages=4"],
     ],
 )
 def test_subcommand_exits_zero(argv, capsys):
@@ -41,10 +42,12 @@ def test_subcommand_exits_zero(argv, capsys):
     "argv",
     [
         ["connectivity", TINY, "--json"],
-        ["pack-cds", TINY, "--seed", "3", "--json"],
-        ["pack-spanning", "hypercube:3", "--seed", "5", "--json"],
-        ["broadcast", TINY, "--messages", "4", "--json"],
-        ["simulate", TINY, "--program", "flood-min", "--json"],
+        ["pack_cds", TINY, "seed=3", "--json"],
+        ["pack_spanning", "hypercube:3", "seed=5", "--json"],
+        ["broadcast", TINY, "messages=4", "--json"],
+        ["simulate", TINY, "program=flood-min", "--json"],
+        ["pack_integral", TINY, "kind=cds", "--json"],
+        ["gossip", TINY, "--json", "n_messages=4"],
     ],
 )
 def test_json_mode_emits_a_valid_envelope(argv, capsys):

@@ -1,22 +1,27 @@
-"""The request table: one decoder behind the daemon, batch and the CLI.
+"""The request table: one grammar behind every front door.
 
-Pins the three promises of :mod:`repro.api.tasks`:
+Pins the promises of :mod:`repro.api.tasks`:
 
+* **one grammar** — each of the seven tasks, given the same fields as
+  ``repro <task> GRAPH name=value …``, a ``ServiceCore`` op, a shell
+  command and a batch row, gives one canonical envelope;
 * **one answer per bad field** — a malformed field is ``bad-request``
   on the daemon and as a batch row (every backend), and no JSON value
   makes :func:`decode` raise anything else (a hypothesis property);
 * **one hostile run per request** — ``repro simulate --json`` with
-  fault/adversary flags, a ``ServiceCore`` ``simulate`` request and a
-  batch row carrying the same plan JSON give the same canonical bytes,
-  and feeding an envelope's ``params.faults`` / ``params.adversary``
-  back reproduces it;
+  fault/adversary plan fields, a ``ServiceCore`` ``simulate`` request
+  and a batch row carrying the same plan JSON give the same canonical
+  bytes, and feeding an envelope's ``params.faults`` /
+  ``params.adversary`` back reproduces it;
 * **one plan check** — the runner binds each plan to the links of the
   run's model, and a plan naming what the run lacks answers ``graph``.
 """
 
 from __future__ import annotations
 
+import io
 import json
+import shlex
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -24,38 +29,39 @@ from hypothesis import example, given, settings, strategies as st
 from repro.api import JobSpec, Result, run, tasks
 from repro.cli import main
 from repro.errors import BadRequestError
-from repro.service import ServiceCore
+from repro.service import LocalBackend, ServiceCore
+from repro.service.shell import run_shell
 
 GRAPH = "harary:4,10"
 SCHEDULE = [[0, 1, [1, 2]], [1, 0, [2]]]
 TARGETS = [[0, 1], [1, 2], [2, 0]]
 
-#: name → (flags, the request fields those flags build). ``@schedule``
-#: and ``@targets`` stand for JSON files holding SCHEDULE and TARGETS.
+#: name → (the ``repro simulate`` fields as typed, the request fields
+#: they spell).
 HOSTILE = {
     "drop-crash": (
-        ["--program", "retransmit-flood", "--seed", "5",
-         "--drop", "0.2", "--crash", "0:2"],
+        ["program=retransmit-flood", "seed=5",
+         'fault_plan={"drop_probability": 0.2, "crash_rounds": {"0": 2}}'],
         {"program": "retransmit-flood", "seed": 5,
          "fault_plan": {"drop_probability": 0.2, "crash_rounds": {"0": 2}}},
     ),
     "drop-schedule": (
-        ["--program", "retransmit-flood", "--seed", "3",
-         "--drop-schedule", "@schedule"],
+        ["program=retransmit-flood", "seed=3",
+         'fault_plan={"drop_schedule": [[0, 1, [1, 2]], [1, 0, [2]]]}'],
         {"program": "retransmit-flood", "seed": 3,
          "fault_plan": {"drop_schedule": SCHEDULE}},
     ),
     "flip-seeded": (
-        ["--program", "flood-checksum", "--seed", "3", "--corrupt-rate",
-         "0.1", "--corrupt-kind", "flip", "--corrupt-seed", "7"],
+        ["program=flood-checksum", "seed=3", "adversary_plan="
+         '{"corruption_probability": 0.1, "kinds": ["flip"], "seed": 7}'],
         {"program": "flood-checksum", "seed": 3,
          "adversary_plan": {"corruption_probability": 0.1,
                             "kinds": ["flip"], "seed": 7}},
     ),
     "forge-replay-targets": (
-        ["--program", "flood-checksum", "--seed", "3", "--corrupt-rate",
-         "0.3", "--corrupt-kind", "forge", "--corrupt-kind", "replay",
-         "--corrupt-targets", "@targets"],
+        ["program=flood-checksum", "seed=3", "adversary_plan="
+         '{"corruption_probability": 0.3, "kinds": ["forge", "replay"], '
+         '"targets": [[0, 1], [1, 2], [2, 0]]}'],
         {"program": "flood-checksum", "seed": 3,
          "adversary_plan": {"corruption_probability": 0.3,
                             "kinds": ["forge", "replay"],
@@ -68,23 +74,17 @@ BAD_FIELDS = [
     ("connectivity", {"bogus": 1}),
     # No stretch field: the interval's upper end is read off the run.
     ("connectivity", {"approximation_constant": 6.0}),
+    ("connectivity", {"exact": "false"}),
     ("simulate", {"model": "quantum"}),
     ("simulate", {"fault_plan": "x"}),
     ("simulate", {"fault_plan": {"drop_probability": "x"}}),
     ("simulate", {"adversary_plan": {"targets": [[0]]}}),
+    ("simulate", {"trace": "no"}),
 ]
 
 
-def _cli_envelope(argv, tmp_path, capsys) -> Result:
-    files = {"@schedule": SCHEDULE, "@targets": TARGETS}
-    args = []
-    for arg in argv:
-        if arg in files:
-            path = tmp_path / f"{arg[1:]}.json"
-            path.write_text(json.dumps(files[arg]))
-            arg = str(path)
-        args.append(arg)
-    assert main(["simulate", GRAPH, *args, "--json"]) == 0
+def _cli_envelope(argv, capsys) -> Result:
+    assert main(["simulate", GRAPH, *argv, "--json"]) == 0
     return Result.from_json(capsys.readouterr().out)
 
 
@@ -97,15 +97,15 @@ def _served(core: ServiceCore, fields) -> Result:
 def _batch_row(fields) -> Result:
     params = {key: value for key, value in fields.items() if key != "seed"}
     (row,) = run([JobSpec(graph=GRAPH, task="simulate", seed=fields["seed"],
-                          params={**params, "show_outputs": 5})])
+                          params=params)])
     assert not row.payload.get("status"), row.payload
     return row
 
 
 @pytest.mark.parametrize("name", sorted(HOSTILE))
-def test_hostile_simulate_is_one_run_on_every_surface(name, tmp_path, capsys):
+def test_hostile_simulate_is_one_run_on_every_surface(name, capsys):
     argv, fields = HOSTILE[name]
-    cli = _cli_envelope(argv, tmp_path, capsys)
+    cli = _cli_envelope(argv, capsys)
     assert cli.params["faults"] or cli.params["adversary"]
     core = ServiceCore()
     assert _served(core, fields).canonical_json() == cli.canonical_json()
@@ -139,15 +139,13 @@ def test_bad_fields_are_bad_request_rows(backend, workers):
     assert [rows[0].canonical_json(), rows[-1].canonical_json()] == reference
 
 
-def test_schedule_check_follows_the_run_model(tmp_path, capsys):
+def test_schedule_check_follows_the_run_model(capsys):
     # (0, 5) is not a harary:4,10 edge; the clique delivers it anyway.
-    path = tmp_path / "cut.json"
-    path.write_text(json.dumps([[0, 5, [1]]]))
-    clique = ["simulate", GRAPH, "--program", "clique-min", "--seed", "3",
-              "--drop-schedule", str(path)]
+    clique = ["simulate", GRAPH, "program=clique-min", "seed=3",
+              'fault_plan={"drop_schedule": [[0, 5, [1]]]}']
     assert main(clique) == 0
     assert "congested-clique" in capsys.readouterr().out
-    assert main(clique[:3] + ["flood-min"] + clique[4:]) == 2
+    assert main(clique[:2] + ["program=flood-min"] + clique[3:]) == 2
     assert "non-edges" in capsys.readouterr().err
     fields = {"program": "flood-min", "seed": 3,
               "fault_plan": {"drop_schedule": [[0, 5, [1]]]}}
@@ -262,3 +260,60 @@ def test_any_plan_body_decodes_or_is_a_bad_request(plan_body):
        st.dictionaries(st.text(max_size=8), JSON, max_size=3))
 def test_any_field_names_decode_or_are_a_bad_request(task, fields):
     _decodes_or_bad_request(task, fields)
+
+
+#: task → the fields the one-grammar property sends (beside ``seed=3``).
+ONE_GRAMMAR = {
+    "connectivity": {"exact": True},
+    "pack_cds": {"k": 4},
+    "pack_spanning": {"lam": 4},
+    "pack_integral": {"kind": "spanning"},
+    "broadcast": {"messages": 4, "transport": "edge"},
+    "gossip": {"n_messages": 4},
+    "simulate": {
+        "program": "retransmit-flood",
+        "fault_plan": {"drop_probability": 0.2, "crash_rounds": {"0": 2}},
+    },
+}
+
+
+def _tokens(fields) -> list:
+    """Fields as ``name=value`` tokens (strings bare, the rest JSON)."""
+    return [
+        f"{name}={value if isinstance(value, str) else json.dumps(value)}"
+        for name, value in fields.items()
+    ]
+
+
+@pytest.mark.parametrize("task", tasks.SESSION_TASKS)
+def test_every_task_is_one_envelope_at_every_door(task, capsys):
+    """The CLI (``--json`` before or after the fields), a daemon op, a
+    shell command and a batch row give one canonical envelope."""
+    fields = ONE_GRAMMAR[task]
+    (row,) = run([JobSpec(graph=GRAPH, task=task, seed=3, params=fields)])
+    assert not row.payload.get("status"), row.payload
+    expected = row.canonical_json()
+    tokens = _tokens({"seed": 3, **fields})
+    for argv in ([task, GRAPH, *tokens, "--json"],
+                 [task, GRAPH, "--json", *tokens]):
+        assert main(argv) == 0
+        cli = Result.from_json(capsys.readouterr().out)
+        assert cli.canonical_json() == expected
+    served = ServiceCore().handle({"op": task, "graph": GRAPH, "seed": 3,
+                                   **fields})
+    assert Result.from_dict(served).canonical_json() == expected
+    out = io.StringIO()
+    line = " ".join([task, *map(shlex.quote, _tokens(fields))])
+    assert run_shell(LocalBackend(), source=[line], graph=GRAPH,
+                     json_mode=True, seed=3, out=out) == 0
+    shelled = Result.from_dict(json.loads(out.getvalue().splitlines()[1]))
+    assert shelled.canonical_json() == expected
+
+
+@pytest.mark.parametrize("op, kind", [("estimate", "spanning"),
+                                      ("simulate", "x")])
+def test_kind_routes_only_pack(op, kind):
+    """``kind`` is ``pack``'s routing field and ``pack_integral``'s task
+    field (the property above sends it), and no other op's."""
+    reply = ServiceCore().handle({"op": op, "graph": GRAPH, "kind": kind})
+    assert reply["payload"]["error_type"] == "bad-request"

@@ -85,34 +85,46 @@ class TestCommands:
         for name in packages:
             assert f"repro.{name} " in out
 
+    def test_simulate_list_programs(self, capsys):
+        assert main(["info"]) == 0
+        out = capsys.readouterr().out
+        assert "flood-min" in out
+        assert "clique-min" in out
+
     def test_connectivity(self, capsys):
-        assert main(["connectivity", "harary:4,12"]) == 0
+        assert main(["connectivity", "harary:4,12", "exact=true"]) == 0
         out = capsys.readouterr().out
         assert "vertex connectivity k = 4" in out
         assert "edge connectivity   λ = 4" in out
 
+    def test_connectivity_is_exact_only_on_request(self, capsys):
+        assert main(["connectivity", "harary:4,12"]) == 0
+        out = capsys.readouterr().out
+        assert "k ∈ [" in out
+        assert "exact" not in out
+
     def test_pack_cds(self, capsys):
-        assert main(["pack-cds", "harary:4,16", "--seed", "3"]) == 0
+        assert main(["pack_cds", "harary:4,16", "seed=3"]) == 0
         out = capsys.readouterr().out
         assert "packing size" in out
         assert "verification: OK" in out
 
     def test_pack_cds_verbose_lists_trees(self, capsys):
         assert main(
-            ["pack-cds", "harary:4,16", "--seed", "3", "--verbose"]
+            ["pack_cds", "harary:4,16", "seed=3", "--verbose"]
         ) == 0
         out = capsys.readouterr().out
         assert "tree " in out
 
     def test_pack_spanning(self, capsys):
-        assert main(["pack-spanning", "hypercube:3", "--seed", "5"]) == 0
+        assert main(["pack_spanning", "hypercube:3", "seed=5"]) == 0
         out = capsys.readouterr().out
         assert "Tutte bound" in out
         assert "verification: OK" in out
 
     def test_broadcast(self, capsys):
         assert main(
-            ["broadcast", "harary:4,16", "--messages", "8", "--seed", "7"]
+            ["broadcast", "harary:4,16", "messages=8", "seed=7"]
         ) == 0
         out = capsys.readouterr().out
         assert "throughput" in out
@@ -131,33 +143,29 @@ class TestCommands:
 
     def test_simulate_flood(self, capsys):
         assert main(
-            ["simulate", "harary:4,16", "--program", "flood-min", "--seed", "3"]
+            ["simulate", "harary:4,16", "program=flood-min", "seed=3"]
         ) == 0
         out = capsys.readouterr().out
         assert "rounds:" in out
         assert "messages:" in out
         assert "rounds/sec" in out
 
-    def test_simulate_list_programs(self, capsys):
-        assert main(["simulate", "--list-programs"]) == 0
-        out = capsys.readouterr().out
-        assert "flood-min" in out
-        assert "clique-min" in out
-
     def test_simulate_requires_graph(self, capsys):
-        assert main(["simulate"]) == 2
-        assert "graph spec" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate"])
+        assert excinfo.value.code == 2
+        assert "graph" in capsys.readouterr().err
 
     def test_simulate_trace(self, capsys):
         assert main(
-            ["simulate", "torus:3,3", "--program", "bfs", "--trace"]
+            ["simulate", "torus:3,3", "program=bfs", "trace=true"]
         ) == 0
         out = capsys.readouterr().out
         assert "round  node" in out
 
     def test_simulate_clique_model(self, capsys):
         assert main(
-            ["simulate", "harary:4,12", "--program", "clique-min"]
+            ["simulate", "harary:4,12", "program=clique-min"]
         ) == 0
         out = capsys.readouterr().out
         assert "congested-clique" in out
@@ -167,8 +175,10 @@ class TestCommands:
         assert main(
             [
                 "simulate", "harary:4,16",
-                "--program", "retransmit-flood",
-                "--drop", "0.2", "--crash", "0:2", "--seed", "5",
+                "program=retransmit-flood",
+                'fault_plan={"drop_probability": 0.2, '
+                '"crash_rounds": {"0": 2}}',
+                "seed=5",
             ]
         ) == 0
         out = capsys.readouterr().out
@@ -176,9 +186,9 @@ class TestCommands:
 
     def test_simulate_reference_engine_matches(self, capsys, round_loop):
         with round_loop("reference"):
-            assert main(["simulate", "harary:4,12", "--seed", "1"]) == 0
+            assert main(["simulate", "harary:4,12", "seed=1"]) == 0
         reference_out = capsys.readouterr().out
-        assert main(["simulate", "harary:4,12", "--seed", "1"]) == 0
+        assert main(["simulate", "harary:4,12", "seed=1"]) == 0
         indexed_out = capsys.readouterr().out
         # Identical protocol facts; only wall time differs.
         ref_facts = [l for l in reference_out.splitlines()
@@ -189,9 +199,20 @@ class TestCommands:
 
     def test_simulate_bad_crash_spec(self, capsys):
         assert main(
-            ["simulate", "harary:4,12", "--crash", "nonsense"]
+            ["simulate", "harary:4,12",
+             'fault_plan={"crash_rounds": {"0": "nonsense"}}']
         ) == 2
-        assert "NODE:ROUND" in capsys.readouterr().err
+        assert "fault_plan.crash_rounds" in capsys.readouterr().err
+
+    def test_flags_are_not_fields(self, capsys):
+        assert main(["connectivity", "harary:4,12", "--seed", "3"]) == 2
+        assert "name=value" in capsys.readouterr().err
+        with pytest.raises(SystemExit):
+            main(["batch", "jobs.json", "seed=3"])
+
+    def test_boolean_fields_take_json_booleans(self, capsys):
+        assert main(["connectivity", "harary:4,12", "exact=no"]) == 2
+        assert "a boolean" in capsys.readouterr().err
 
     def test_error_exit_code(self, capsys):
         assert main(["connectivity", "mystery:1"]) == 2

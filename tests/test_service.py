@@ -62,11 +62,11 @@ def test_core_matches_direct_session():
     served_sim = Result.from_dict(
         core.handle(
             {"op": "simulate", "graph": "hypercube:3",
-             "program": "flooding", "seed": 2}
+             "program": "flood-min", "seed": 2}
         )
     )
     direct_sim = GraphSession("hypercube:3").simulate(
-        program="flood-min", seed=2, show_outputs=5  # the op's default
+        program="flood-min", seed=2
     )
     assert served_sim.canonical_json() == direct_sim.canonical_json()
 
@@ -305,7 +305,7 @@ def test_shell_full_tour():
         "estimate k",
         "pack",
         "pack spanning",
-        "simulate flooding",
+        "simulate",
         "edge new 0 6",
         "edge rmv 0 6",
         "stats",
@@ -491,7 +491,7 @@ HOSTILE_SHELL_LINE = (
 
 def test_shell_task_fields_give_the_cli_hostile_run(capsys):
     """A hostile run typed at the shell as name=value fields is the run
-    ``repro simulate`` builds from its fault and adversary flags."""
+    ``repro simulate`` builds from the same fields."""
     from repro.cli import main
 
     out = io.StringIO()
@@ -502,9 +502,10 @@ def test_shell_task_fields_give_the_cli_hostile_run(capsys):
     assert code == 0
     served = Result.from_dict(json.loads(out.getvalue().splitlines()[1]))
     assert main([
-        "simulate", "harary:4,10", "--program", "flood-checksum",
-        "--seed", "3", "--drop", "0.2", "--crash", "0:2",
-        "--corrupt-rate", "0.1", "--corrupt-seed", "7", "--json",
+        "simulate", "harary:4,10", "program=flood-checksum", "seed=3",
+        'fault_plan={"drop_probability": 0.2, "crash_rounds": {"0": 2}}',
+        'adversary_plan={"corruption_probability": 0.1, "seed": 7}',
+        "--json",
     ]) == 0
     direct = Result.from_json(capsys.readouterr().out)
     assert served.canonical_json() == direct.canonical_json()
@@ -524,7 +525,7 @@ def test_shell_bad_task_field_is_one_bad_request(capsys, monkeypatch):
 
 def test_shell_task_fields_route_nothing_and_seed_overrides():
     output, errors, _ = run_script(
-        ["graph open harary:4,12", "pack kind=spanning",
+        ["graph open harary:4,12", "pack cds kind=spanning",
          "simulate flood-min session=x", "estimate exact=true k"],
     )
     assert errors == 3
@@ -536,7 +537,7 @@ def test_shell_task_fields_route_nothing_and_seed_overrides():
     assert errors == 0
     served = Result.from_dict(json.loads(output.splitlines()[-1]))
     direct = GraphSession("harary:4,12").simulate(
-        program="flood-min", seed=5, show_outputs=5
+        program="flood-min", seed=5
     )
     assert served.canonical_json() == direct.canonical_json()
 
