@@ -4,15 +4,16 @@ Censor-Hillel, Ghaffari, Kuhn (PODC 2014; arXiv:1311.5317).
 
 The front door is the :mod:`repro.api` session layer:
 
->>> import repro
->>> session = repro.GraphSession("harary:6,24")
+>>> from repro.api import GraphSession
+>>> session = GraphSession("harary:6,24")
 >>> session.connectivity(seed=3).payload["lower_bound"]
 >>> session.pack_cds(seed=3).payload["size"]
 >>> session.broadcast(messages=24, seed=3).payload["rounds"]
 
 One :class:`~repro.api.GraphSession` canonicalizes the graph once and
-serves the whole pipeline; :class:`~repro.api.JobSpec` plus
-:func:`~repro.api.run` fan job matrices across processes. Underneath:
+serves the whole pipeline; :class:`~repro.api.batch.JobSpec` plus
+:func:`~repro.api.batch.run` fan job matrices across processes.
+Underneath:
 
 * :func:`repro.core.cds_packing.fractional_cds_packing` — fractional
   dominating tree packing of size ``Ω(k / log n)`` (Theorems 1.1/1.2).
@@ -30,79 +31,8 @@ serves the whole pipeline; :class:`~repro.api.JobSpec` plus
 * :mod:`repro.lowerbounds` — the Appendix G lower-bound construction and
   two-party simulation.
 
-The session-layer names below are lazy (PEP 562): importing
-:mod:`repro` stays cheap; the heavy modules load on first attribute
-access.
+Every name is imported from the module that defines it; importing
+:mod:`repro` loads nothing else.
 """
 
 __version__ = "1.1.0"
-
-from repro.errors import (
-    GraphValidationError,
-    ModelViolationError,
-    PackingConstructionError,
-    PackingValidationError,
-    ReproError,
-    SimulationError,
-)
-
-# Lazily-exported public API: attribute name → "module:attr". Keeps
-# `import repro` light while making `repro.GraphSession(...)` work.
-_LAZY_EXPORTS = {
-    # session layer
-    "GraphSession": ("repro.api", "GraphSession"),
-    "Result": ("repro.api", "Result"),
-    "JobSpec": ("repro.api", "JobSpec"),
-    "run": ("repro.api", "run"),
-    "run_to_jsonl": ("repro.api", "run_to_jsonl"),
-    "expand_matrix": ("repro.api", "expand_matrix"),
-    "load_jobs": ("repro.api", "load_jobs"),
-    "parse_graph_spec": ("repro.api", "parse_graph_spec"),
-    "available_families": ("repro.api", "available_families"),
-    # paper-construction free functions (the session methods' substrate)
-    "fractional_cds_packing": (
-        "repro.core.cds_packing", "fractional_cds_packing"
-    ),
-    "fractional_spanning_tree_packing": (
-        "repro.core.spanning_packing", "fractional_spanning_tree_packing"
-    ),
-    "integral_cds_packing": (
-        "repro.core.integral_packing", "integral_cds_packing"
-    ),
-    "integral_spanning_packing": (
-        "repro.core.integral_packing", "integral_spanning_packing"
-    ),
-    "approximate_vertex_connectivity": (
-        "repro.core.vertex_connectivity", "approximate_vertex_connectivity"
-    ),
-}
-
-__all__ = [
-    "__version__",
-    "ReproError",
-    "GraphValidationError",
-    "PackingValidationError",
-    "PackingConstructionError",
-    "SimulationError",
-    "ModelViolationError",
-    *_LAZY_EXPORTS,
-]
-
-
-def __getattr__(name: str):
-    """PEP 562 lazy loader for the public API names."""
-    try:
-        module_name, attr = _LAZY_EXPORTS[name]
-    except KeyError:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}"
-        ) from None
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), attr)
-    globals()[name] = value  # cache: __getattr__ runs once per name
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))

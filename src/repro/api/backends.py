@@ -1,4 +1,4 @@
-"""Batch backends: the execution planes behind :func:`repro.api.run`.
+"""Batch backends: the execution planes behind :func:`repro.api.batch.run`.
 
 The batch scheduler (:mod:`repro.api.batch`) plans *what* runs — jobs
 grouped by graph so each group shares one
@@ -39,6 +39,7 @@ graph × task × seed × params).
 from __future__ import annotations
 
 import os
+import signal
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Dict, Iterator, List, Tuple
@@ -108,6 +109,12 @@ def make_chunks(
     return chunks
 
 
+def _worker_init() -> None:
+    """A pool worker dies on SIGTERM, whatever handler it inherited
+    from the process that forked it."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _run_chunk(chunk: Chunk) -> Tuple[int, List[Tuple[int, Dict[str, Any], str]]]:
     """Process-pool worker: one chunk through ``_execute_items``.
 
@@ -160,30 +167,44 @@ class ProcessBackend:
     checkpointing caller persists completed work without waiting for
     the slowest chunk. A worker crash (the pool breaking) surfaces as a
     :class:`~repro.errors.BatchExecutionError` naming the chunk, with
-    the pool's exception chained — never a bare pool traceback.
+    the pool's exception chained — never a bare pool traceback. An
+    early exit (an error, a signal raised in the caller, the caller
+    closing the generator) terminates the workers before the pool shuts
+    down, so none is left running a chunk nobody will read.
     """
 
     def execute(self, chunks, workers, stats):
         try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {
-                    pool.submit(_run_chunk, chunk): chunk for chunk in chunks
-                }
-                for future in as_completed(futures):
-                    try:
-                        pid, rows = future.result()
-                    except BrokenProcessPool as exc:
-                        raise BatchExecutionError(
-                            "batch worker crashed while running chunk "
-                            f"({_chunk_span(futures[future])}); partial "
-                            "results up to the last completed chunk are "
-                            "preserved in the checkpoint, if one was given"
-                        ) from exc
-                    stats["worker_pids"].add(pid)
-                    yield [
-                        (index, Result.from_dict(body), canonical)
-                        for index, body, canonical in rows
-                    ]
+            with ProcessPoolExecutor(
+                max_workers=workers, initializer=_worker_init
+            ) as pool:
+                try:
+                    futures = {
+                        pool.submit(_run_chunk, chunk): chunk
+                        for chunk in chunks
+                    }
+                    for future in as_completed(futures):
+                        try:
+                            pid, rows = future.result()
+                        except BrokenProcessPool as exc:
+                            raise BatchExecutionError(
+                                "batch worker crashed while running chunk "
+                                f"({_chunk_span(futures[future])}); partial "
+                                "results up to the last completed chunk "
+                                "are preserved in the checkpoint, if one "
+                                "was given"
+                            ) from exc
+                        stats["worker_pids"].add(pid)
+                        yield [
+                            (index, Result.from_dict(body), canonical)
+                            for index, body, canonical in rows
+                        ]
+                except BaseException:
+                    # The executor has no public handle on its workers
+                    # before Python 3.14's terminate_workers().
+                    for worker in list(pool._processes.values()):
+                        worker.terminate()
+                    raise
         except BrokenProcessPool as exc:
             # The pool can also break on submit or teardown, outside any
             # one future: still a typed error, still chained.

@@ -33,6 +33,7 @@ service's ``batch`` op routes through the same scheduler.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 import json
@@ -602,12 +603,14 @@ def run(
             next_write += 1
 
     manifest: Optional[IO[str]] = None
-    try:
+    with contextlib.ExitStack() as stack:
         if checkpoint is not None:
             # Rewrite the manifest from scratch (header + replayed
             # rows): appending after a kill-truncated trailing line
             # would corrupt the file.
-            manifest = open(checkpoint, "w", encoding="utf-8")
+            manifest = stack.enter_context(
+                open(checkpoint, "w", encoding="utf-8")
+            )
             manifest.write(_manifest_header(digests) + "\n")
             for index in sorted(completed):
                 manifest.write(
@@ -616,9 +619,14 @@ def run(
             manifest.flush()
         _drain()
         # The rows that failed to decode land first, as one more chunk.
-        executed = (
-            plane.execute(chunks, worker_count, run_stats) if chunks else ()
-        )
+        # The plane is closed on the way out, so an early exit (an
+        # error, a signal) stops its workers here, not at interpreter
+        # exit.
+        executed = ()
+        if chunks:
+            executed = stack.enter_context(contextlib.closing(
+                plane.execute(chunks, worker_count, run_stats)
+            ))
         for chunk_rows in itertools.chain([failed], executed):
             for index, result, canonical in chunk_rows:
                 ordered[index] = result
@@ -634,9 +642,6 @@ def run(
                     )
                 manifest.flush()
             _drain()
-    finally:
-        if manifest is not None:
-            manifest.close()
 
     if stats is not None:
         run_stats["worker_pids"] = sorted(run_stats["worker_pids"])

@@ -3,7 +3,7 @@
 The paper's pipeline — estimate vertex connectivity, build a CDS or
 spanning packing, run broadcast/gossip/routing on top — is one coherent
 object, but the free functions each re-canonicalize their ``nx.Graph``
-argument through :class:`~repro.fastgraph.IndexedGraph` /
+argument through :class:`~repro.fastgraph.indexed.IndexedGraph` /
 :class:`~repro.core.virtual_graph.CdsIndex`. A :class:`GraphSession`
 canonicalizes **once** (from a graph, a ``family:args`` spec string, or
 an edge list) and dispatches every task against the cached view:
@@ -40,6 +40,10 @@ from repro.utils.rng import RngLike
 
 TopologyLike = Union[str, nx.Graph, Iterable[Tuple[Hashable, Hashable]]]
 
+#: ``pack_integral``'s kinds and ``broadcast``'s transports.
+PACKING_KINDS = ("cds", "spanning")
+TRANSPORTS = ("vertex", "edge")
+
 
 def _coerce_topology(topology: TopologyLike) -> Tuple[nx.Graph, str]:
     """(graph, descriptor) from a spec string, graph, or edge list."""
@@ -74,7 +78,7 @@ RESULT_CACHE_LIMIT = 256
 class GraphSession:
     """Canonicalize a graph once; run the whole pipeline against it.
 
-    Cached across calls: the :class:`~repro.fastgraph.IndexedGraph`
+    Cached across calls: the :class:`~repro.fastgraph.indexed.IndexedGraph`
     canonicalization, the CDS-pipeline :class:`CdsIndex`, the structural
     fingerprint, and every task result (keyed by task + seed + params),
     so ``connectivity → pack_cds → broadcast`` under one seed performs a
@@ -134,7 +138,7 @@ class GraphSession:
     def indexed(self):
         """The session's :class:`IndexedGraph` (built on first access)."""
         if self._indexed is None:
-            from repro.fastgraph import IndexedGraph
+            from repro.fastgraph.indexed import IndexedGraph
 
             self._indexed = IndexedGraph.from_networkx(self._graph)
             self.stats["canonicalizations"] += 1
@@ -410,10 +414,10 @@ class GraphSession:
         parts_factor: float = 0.5,
     ) -> Result:
         """Integral (vertex-/edge-disjoint) packings (Section 1.2)."""
-        if kind not in ("cds", "spanning"):
+        if kind not in PACKING_KINDS:
             raise GraphValidationError(
                 f"unknown integral packing kind {kind!r}; "
-                "valid kinds: cds, spanning"
+                "valid kinds: " + ", ".join(PACKING_KINDS)
             )
 
         def build():
@@ -491,10 +495,10 @@ class GraphSession:
         E-CONGEST. ``pack_seed`` defaults to ``seed`` (the CLI's
         historical behavior: one seed pins packing and routing).
         """
-        if transport not in ("vertex", "edge"):
+        if transport not in TRANSPORTS:
             raise GraphValidationError(
                 f"unknown broadcast transport {transport!r}; "
-                "valid transports: vertex, edge"
+                "valid transports: " + ", ".join(TRANSPORTS)
             )
         effective_pack_seed = seed if pack_seed is None else pack_seed
         explicit_sources = sources is not None
@@ -636,9 +640,10 @@ class GraphSession:
         a missing plan seed from the run seed before the node seeds.)
         """
         from repro.simulator.network import Network
-        from repro.simulator.runner import Model, SyncRunner
+        from repro.simulator.runner import SyncRunner
         from repro.simulator.scenario import ScenarioRun, resolve_program
         from repro.simulator.tracing import Tracer
+        from repro.simulator.transport import Model
         from repro.utils.rng import ensure_rng
 
         chosen_model = Model(model) if isinstance(model, str) else model

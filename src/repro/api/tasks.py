@@ -16,8 +16,10 @@ from __future__ import annotations
 
 import importlib
 import json
+import math
 from typing import Any, Callable, Dict, Iterable, Mapping
 
+from repro.api.session import PACKING_KINDS, TRANSPORTS
 from repro.api.specs import coerce_node_id
 from repro.errors import (
     BadRequestError,
@@ -49,6 +51,38 @@ def _nullable(parser: Parser) -> Parser:
 optional_integer = _nullable(integer)
 
 
+def _at_least(low: int) -> Parser:
+    """Integers ``≥ low``."""
+
+    def parse(name: str, value: Any) -> int:
+        number = integer(name, value)
+        if number < low:
+            raise _reject(name, value, f"an integer >= {low}")
+        return number
+
+    return parse
+
+
+_count = _at_least(0)
+_positive = _at_least(1)
+_optional_count = _nullable(_count)
+_optional_positive = _nullable(_positive)
+
+
+def _choice(*options: str) -> Parser:
+    """One of ``options``, unchanged."""
+
+    def parse(name: str, value: Any) -> str:
+        if isinstance(value, str) and value in options:
+            return value
+        raise _reject(name, value, "one of " + ", ".join(options))
+
+    return parse
+
+
+packing_kind = _choice(*PACKING_KINDS)
+
+
 def _instance(expected: str, *types: type) -> Parser:
     """Values of ``types``, unchanged; a bool passes only if listed."""
 
@@ -69,6 +103,25 @@ json_list = _instance("a list", list)
 json_object = _instance("an object", dict)
 _scalar = _instance("a JSON scalar", type(None), bool, int, float, str)
 _int_node = _instance("a node label (an integer or a string)", int)
+
+
+def _factor(name: str, value: Any) -> float:
+    number = _number(name, value)
+    if not 0 < number < math.inf:  # also false for NaN
+        raise _reject(name, value, "a positive finite number")
+    return number
+
+
+def _program(name: str, value: Any) -> str:
+    """A registered scenario program's name; the simulator is
+    imported only when a request names one."""
+    from repro.simulator.scenario import resolve_program
+
+    try:
+        resolve_program(_text(name, value))
+    except GraphValidationError as exc:
+        raise BadRequestError(f"field {name!r}: {exc}") from None
+    return value
 
 
 def _model(name: str, value: Any) -> str:
@@ -139,27 +192,29 @@ def _plan(module: str, cls: str, table: Mapping[str, Parser]) -> Parser:
 
 
 #: task → {JSON field → parser}. Only the fields a request gives are
-#: decoded, so defaults stay in the method signatures.
+#: decoded, so defaults stay in the method signatures. A value out of
+#: its field's range is a bad request here, before any session opens.
 TASKS: Dict[str, Dict[str, Parser]] = {
     "connectivity": {"seed": integer, "exact": _bool},
-    "pack_cds": {"k": optional_integer, "seed": integer},
-    "pack_spanning": {"lam": optional_integer, "seed": integer},
+    "pack_cds": {"k": _optional_positive, "seed": integer},
+    "pack_spanning": {"lam": _optional_positive, "seed": integer},
     "pack_integral": {
-        "kind": _text, "seed": integer, "k": optional_integer,
-        "lam": optional_integer, "class_factor": _number,
-        "parts_factor": _number,
+        "kind": packing_kind, "seed": integer, "k": _optional_positive,
+        "lam": _optional_positive, "class_factor": _factor,
+        "parts_factor": _factor,
     },
     "broadcast": {
-        "messages": integer, "seed": integer, "transport": _text,
-        "pack_seed": optional_integer, "k": optional_integer,
+        "messages": _count, "seed": integer,
+        "transport": _choice(*TRANSPORTS),
+        "pack_seed": optional_integer, "k": _optional_positive,
     },
     "gossip": {
-        "n_messages": optional_integer, "max_per_node": integer,
+        "n_messages": _optional_count, "max_per_node": _positive,
         "seed": integer, "pack_seed": optional_integer,
-        "k": optional_integer,
+        "k": _optional_positive,
     },
     "simulate": {
-        "program": _text,
+        "program": _program,
         "model": _nullable(_model),
         "seed": integer,
         "fault_plan": _plan("repro.simulator.faults", "FaultPlan", {
@@ -181,9 +236,9 @@ TASKS: Dict[str, Dict[str, Parser]] = {
             "forge_payload": _scalar,
             "seed": optional_integer,
         }),
-        "max_rounds": integer,
+        "max_rounds": _positive,
         "trace": _bool,
-        "show_outputs": optional_integer,
+        "show_outputs": _optional_count,
     },
 }
 

@@ -14,46 +14,3 @@
 * :mod:`repro.apps.resilience` — flood and gossip resilience under
   i.i.d. loss, adversarial cut blockades and channel corruption.
 """
-
-from repro.apps.broadcast import (
-    BroadcastOutcome,
-    edge_broadcast,
-    vertex_broadcast,
-)
-from repro.apps.gossip import GossipOutcome, gossip
-from repro.apps.oblivious_routing import (
-    CongestionReport,
-    edge_congestion_report,
-    vertex_congestion_report,
-)
-from repro.apps.network_coding import (
-    CodedBroadcastOutcome,
-    compare_with_tree_broadcast,
-    rlnc_gossip,
-)
-from repro.apps.point_to_point import grid_competitiveness
-from repro.apps.resilience import (
-    ResilienceReport,
-    cut_drop_schedule,
-    flood_loss_sweep,
-    flood_partition_test,
-)
-
-__all__ = [
-    "BroadcastOutcome",
-    "vertex_broadcast",
-    "edge_broadcast",
-    "GossipOutcome",
-    "gossip",
-    "CongestionReport",
-    "vertex_congestion_report",
-    "edge_congestion_report",
-    "CodedBroadcastOutcome",
-    "rlnc_gossip",
-    "compare_with_tree_broadcast",
-    "grid_competitiveness",
-    "ResilienceReport",
-    "cut_drop_schedule",
-    "flood_loss_sweep",
-    "flood_partition_test",
-]

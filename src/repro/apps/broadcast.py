@@ -21,7 +21,7 @@ measures throughput/congestion orders of magnitude faster while enforcing
 the identical per-round capacity constraints.
 
 Both run on node indices: they read the trees' index forms on the
-packing's :class:`~repro.fastgraph.IndexedGraph` (no labelled tree is
+packing's :class:`~repro.fastgraph.indexed.IndexedGraph` (no labelled tree is
 built), keep each node's received and queued messages as bitmasks, build
 tree adjacency only for the trees some message uses, and count the
 unfinished nodes instead of rescanning them. A message's tree fixes its

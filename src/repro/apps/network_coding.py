@@ -27,7 +27,7 @@ from typing import Dict, Hashable, List, Optional
 import networkx as nx
 
 from repro.errors import GraphValidationError
-from repro.simulator.runner import default_message_budget
+from repro.simulator.transport import default_message_budget
 from repro.utils.mathutil import ceil_div, ceil_log2
 from repro.utils.rng import RngLike, ensure_rng
 

@@ -57,12 +57,13 @@ from repro.simulator.adversary import AdversaryPlan
 from repro.simulator.faults import DirectedEdge, FaultPlan
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.network import Network
-from repro.simulator.runner import Model, SimulationResult, SyncRunner
+from repro.simulator.runner import SimulationResult, SyncRunner
 from repro.simulator.scenario import (
     FLOOD_VARIANTS,
     flood_program,
     gossip_program,
 )
+from repro.simulator.transport import Model
 from repro.utils.rng import RngLike, ensure_rng
 
 

@@ -40,7 +40,7 @@ programs. Graph specifications are ``family:arg1,arg2,…``:
 ``complete:n``            complete graph K_n
 ========================  =============================================
 
-(The table is generated from :data:`repro.api.GRAPH_FAMILIES`; run
+(The table is generated from :data:`repro.api.specs.GRAPH_FAMILIES`; run
 ``repro info`` for the live listing.)
 """
 
@@ -51,17 +51,14 @@ import sys
 from typing import Optional, Sequence
 
 from repro import __version__
-from repro.api import GraphSession, parse_graph_spec  # noqa: F401  (re-export)
+from repro.api import GraphSession, parse_graph_spec
 from repro.api.envelope import Result
 from repro.api.tasks import TASKS, decode, parse_fields
 from repro.errors import ReproError
 
-# ``parse_graph_spec`` stays importable from here for backward
-# compatibility; it now lives in (and is re-exported from) repro.api.
-
 
 def _cmd_info(args: argparse.Namespace) -> int:
-    from repro.api import family_signatures
+    from repro.api.specs import family_signatures
     from repro.simulator.scenario import available_programs
 
     print(f"repro {__version__} — Distributed Connectivity Decomposition")
@@ -220,7 +217,23 @@ def _cmd_task(args: argparse.Namespace) -> int:
     return 0
 
 
+def _exit_on_signal(signum, frame):
+    raise SystemExit(128 + signum)
+
+
 def _cmd_batch(args: argparse.Namespace) -> int:
+    import signal
+
+    # SIGTERM ends a batch the way an error does: the backend stops its
+    # workers, the checkpoint stays resumable, and the exit code is 143.
+    previous = signal.signal(signal.SIGTERM, _exit_on_signal)
+    try:
+        return _run_batch(args)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
+def _run_batch(args: argparse.Namespace) -> int:
     from repro.api import batch
 
     # The path goes straight through: run() loads it itself (once) so a
@@ -282,7 +295,7 @@ _EXPERIMENTS = [
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.service import serve
+    from repro.service.daemon import serve
 
     return serve(
         host=args.host,
@@ -292,7 +305,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_shell(args: argparse.Namespace) -> int:
-    from repro.service import (
+    from repro.service.shell import (
         LocalBackend,
         RemoteBackend,
         parse_connect,

@@ -16,41 +16,3 @@
 * :mod:`repro.core.integral_packing_distributed` — the distributed
   integral spanning variant (Karger parts + Lemma 5.1 MSTs).
 """
-
-from repro.core.tree_packing import (
-    DominatingTreePacking,
-    SpanningTreePacking,
-    WeightedTree,
-)
-from repro.core.cds_packing import (
-    CdsPackingResult,
-    PackingParameters,
-    fractional_cds_packing,
-)
-from repro.core.spanning_packing import (
-    SpanningPackingResult,
-    fractional_spanning_tree_packing,
-)
-from repro.core.vertex_connectivity import (
-    VertexConnectivityEstimate,
-    approximate_vertex_connectivity,
-)
-from repro.core.st_numbering import (
-    itai_rodeh_independent_trees,
-    st_numbering,
-)
-
-__all__ = [
-    "WeightedTree",
-    "DominatingTreePacking",
-    "SpanningTreePacking",
-    "PackingParameters",
-    "CdsPackingResult",
-    "fractional_cds_packing",
-    "SpanningPackingResult",
-    "fractional_spanning_tree_packing",
-    "VertexConnectivityEstimate",
-    "approximate_vertex_connectivity",
-    "st_numbering",
-    "itai_rodeh_independent_trees",
-]

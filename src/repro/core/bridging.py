@@ -35,7 +35,8 @@ of the matching is that sweep's; the draws are not.
 
 The sweep runs on the :class:`~repro.core.virtual_graph.CdsIndex` view:
 integer node indices, flat adjacency in ``graph.neighbors()`` order, and
-:class:`~repro.fastgraph.IntUnionFind` component keys ``class*n + rep``.
+:class:`~repro.fastgraph.union_find.IntUnionFind` component keys
+``class*n + rep``.
 A type-2 node enumerates only the classes its type-3 new neighbors
 witness (condition (c) needs one), by increasing id, and in each the
 components of its closed neighborhood by first sight in adjacency order.

@@ -39,7 +39,7 @@ Implementation: the whole pipeline runs on the :mod:`repro.fastgraph`
 kernel. The graph is canonicalized **once** at entry into a
 :class:`~repro.core.virtual_graph.CdsIndex` (and shared across the guess
 loop's repeated constructions); the recursion maintains per-class
-:class:`~repro.fastgraph.IntUnionFind` projections
+:class:`~repro.fastgraph.union_find.IntUnionFind` projections
 (:mod:`repro.core.bridging`); class validity — domination plus induced
 connectivity — is decided on flat index arrays (connectivity is a single
 component-count read off the union-find, domination one adjacency scan);

@@ -54,11 +54,11 @@ from typing import Any, Dict, Hashable, List, Optional, Set, Tuple
 
 import networkx as nx
 
-from repro.errors import GraphValidationError
 from repro.core import cds_packing
 from repro.core.bridging import LayerStats
 from repro.core.cds_packing import CdsPackingResult, PackingParameters
 from repro.core.virtual_graph import CdsIndex, VirtualGraph
+from repro.errors import GraphValidationError
 from repro.simulator.algorithms.exchange import exchange_once
 from repro.simulator.algorithms.multikey_flood import multikey_flood
 from repro.simulator.metrics import (
@@ -67,7 +67,8 @@ from repro.simulator.metrics import (
     SimulationMetrics,
 )
 from repro.simulator.network import Network
-from repro.simulator.runner import Model, SimulationResult
+from repro.simulator.runner import SimulationResult
+from repro.simulator.transport import Model
 from repro.utils.mathutil import whp_repeats
 from repro.utils.rng import RngLike, ensure_rng
 

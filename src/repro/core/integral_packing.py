@@ -25,7 +25,6 @@ from typing import List, Optional
 
 import networkx as nx
 
-from repro.errors import GraphValidationError, PackingConstructionError
 from repro.core.cds_packing import (
     CdsPackingResult,
     PackingParameters,
@@ -33,8 +32,10 @@ from repro.core.cds_packing import (
 )
 from repro.core.tree_packing import SpanningTreePacking, WeightedTree
 from repro.core.virtual_graph import CdsIndex
-from repro.fastgraph import IndexedGraph, IntUnionFind
+from repro.errors import GraphValidationError, PackingConstructionError
 from repro.fastgraph.flow import edge_connectivity
+from repro.fastgraph.indexed import IndexedGraph
+from repro.fastgraph.union_find import IntUnionFind
 from repro.graphs.sampling import karger_edge_index_partition
 from repro.utils.rng import RngLike, ensure_rng
 

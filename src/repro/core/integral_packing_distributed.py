@@ -28,8 +28,8 @@ import networkx as nx
 
 from repro.core.tree_packing import SpanningTreePacking, WeightedTree
 from repro.errors import GraphValidationError, PackingConstructionError
-from repro.fastgraph import IndexedGraph
 from repro.fastgraph.flow import edge_connectivity
+from repro.fastgraph.indexed import IndexedGraph
 from repro.graphs.sampling import karger_edge_partition
 from repro.simulator.algorithms.shared_mst import (
     SharedMstResult,

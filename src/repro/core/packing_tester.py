@@ -32,12 +32,13 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 import networkx as nx
 
 from repro.errors import GraphValidationError
-from repro.fastgraph import IndexedGraph, IntUnionFind
+from repro.fastgraph.indexed import IndexedGraph
+from repro.fastgraph.union_find import IntUnionFind
 from repro.simulator.algorithms.exchange import exchange_once
 from repro.simulator.algorithms.subgraph_flood import identify_components
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.network import Network
-from repro.simulator.runner import Model
+from repro.simulator.transport import Model
 from repro.utils.mathutil import whp_repeats
 from repro.utils.rng import RngLike, ensure_rng
 

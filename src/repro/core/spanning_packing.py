@@ -28,7 +28,7 @@ network and passes as ``step``.
 
 Implementation: the inner loop runs on the :mod:`repro.fastgraph`
 kernel — the graph is canonicalized once into an
-:class:`~repro.fastgraph.IndexedGraph`, loads/costs live in flat lists
+:class:`~repro.fastgraph.indexed.IndexedGraph`, loads/costs live in flat lists
 indexed by edge id, the MST is a Kruskal scan over a persistently
 near-sorted edge order (cost is a monotone transform of load, so the
 order barely moves between iterations), and the per-iteration
@@ -54,23 +54,20 @@ from typing import (
 
 import networkx as nx
 
-from repro.errors import (
-    GraphValidationError,
-    PackingConstructionError,
-    PackingValidationError,
-)
 from repro.core.tree_packing import (
     _TOLERANCE,
     SpanningTreePacking,
     WeightedTree,
 )
-from repro.fastgraph import (
-    IndexedGraph,
-    IntUnionFind,
-    NearSortedEdgeOrder,
-    kruskal_from_order,
+from repro.errors import (
+    GraphValidationError,
+    PackingConstructionError,
+    PackingValidationError,
 )
 from repro.fastgraph.flow import edge_connectivity
+from repro.fastgraph.indexed import IndexedGraph
+from repro.fastgraph.kruskal import NearSortedEdgeOrder, kruskal_from_order
+from repro.fastgraph.union_find import IntUnionFind
 from repro.graphs.sampling import choose_karger_parts, karger_edge_index_partition
 from repro.utils.mathutil import ceil_div
 from repro.utils.rng import RngLike, ensure_rng

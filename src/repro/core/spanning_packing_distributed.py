@@ -43,7 +43,7 @@ from repro.core.spanning_packing import (
     SpanningPackingResult,
 )
 from repro.core.tree_packing import SpanningTreePacking
-from repro.fastgraph import IndexedGraph
+from repro.fastgraph.indexed import IndexedGraph
 from repro.graphs.sampling import choose_karger_parts
 from repro.simulator.algorithms.bfs import build_bfs_tree
 from repro.simulator.algorithms.boruvka import distributed_mst
@@ -54,7 +54,7 @@ from repro.simulator.metrics import (
     SimulationMetrics,
 )
 from repro.simulator.network import Network
-from repro.simulator.runner import Model
+from repro.simulator.transport import Model
 from repro.utils.rng import RngLike, ensure_rng
 
 Edge = FrozenSet[Hashable]

@@ -18,7 +18,7 @@ from typing import (
 import networkx as nx
 
 from repro.errors import PackingValidationError
-from repro.fastgraph import IndexedGraph
+from repro.fastgraph.indexed import IndexedGraph
 from repro.graphs.connectivity import is_dominating_tree, is_spanning_tree
 
 _TOLERANCE = 1e-9
@@ -31,7 +31,7 @@ class WeightedTree:
     """One tree of a packing: the tree, its weight, and its class id.
 
     The constructions hand a tree over in *index form*
-    (:meth:`from_index`): the :class:`~repro.fastgraph.IndexedGraph` it
+    (:meth:`from_index`): the :class:`~repro.fastgraph.indexed.IndexedGraph` it
     was built on, its node indices, and its edges — edge ids where the
     construction has them, else ``(a, b)`` index pairs. The labelled
     :attr:`tree` is built on first read and cached. A tree given as a

@@ -26,8 +26,8 @@ entry into a :class:`CdsIndex` — integer node indices, flat adjacency in
 and therefore bit-identity with the label-level pipeline in
 ``tests/oracles/cds_packing_reference.py``) — and every per-class structure
 is an :class:`IndexedClassState`: multiplicities keyed by node index and
-an :class:`~repro.fastgraph.IntUnionFind` over indices instead of the
-label-dict :class:`~repro.graphs.union_find.UnionFind`. Label-keyed
+an :class:`~repro.fastgraph.union_find.IntUnionFind` over indices instead
+of the label-dict :class:`~repro.graphs.union_find.UnionFind`. Label-keyed
 views (``active_reals``, ``assignment``, ``real_classes``) are built
 when read; hot paths (:mod:`repro.core.bridging`,
 :mod:`repro.core.cds_packing`) use the index view.
@@ -44,7 +44,8 @@ from typing import (
 import networkx as nx
 
 from repro.errors import GraphValidationError
-from repro.fastgraph import IndexedGraph, IntUnionFind
+from repro.fastgraph.indexed import IndexedGraph
+from repro.fastgraph.union_find import IntUnionFind
 from repro.utils.mathutil import ceil_log2
 
 
@@ -60,7 +61,7 @@ class CdsIndex:
     """Canonical integer view of a graph, shared by the CDS pipeline.
 
     Built once per construction (and reused across the Remark 3.1 guess
-    loop); bundles the :class:`~repro.fastgraph.IndexedGraph`
+    loop); bundles the :class:`~repro.fastgraph.indexed.IndexedGraph`
     canonicalization with adjacency lists in ``graph.neighbors()`` order
     — the order every traversal below must follow to stay bit-identical
     to the label-level implementation (nx subgraph/BFS iteration order is
@@ -103,8 +104,9 @@ class CdsIndex:
 class IndexedClassState:
     """Per-class projection bookkeeping on integer node indices.
 
-    The union-find is an :class:`~repro.fastgraph.IntUnionFind` over all
-    ``n`` indices; since inactive indices stay singletons, the class's
+    The union-find is an
+    :class:`~repro.fastgraph.union_find.IntUnionFind` over all ``n``
+    indices; since inactive indices stay singletons, the class's
     component count is ``|active| − merges`` rather than the forest's
     global count. The label-level ``ClassState`` it replaced lives on in
     the CDS oracle, ``tests/oracles/cds_packing_reference.py``.

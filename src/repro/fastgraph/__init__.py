@@ -36,14 +36,3 @@ indices (or index pairs); packings keep their trees in that form, and
 only when a caller reads a tree
 (:attr:`repro.core.tree_packing.WeightedTree.tree`).
 """
-
-from repro.fastgraph.indexed import IndexedGraph
-from repro.fastgraph.union_find import IntUnionFind
-from repro.fastgraph.kruskal import NearSortedEdgeOrder, kruskal_from_order
-
-__all__ = [
-    "IndexedGraph",
-    "IntUnionFind",
-    "NearSortedEdgeOrder",
-    "kruskal_from_order",
-]

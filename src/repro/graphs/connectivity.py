@@ -3,7 +3,7 @@
 * Exact vertex and edge connectivity, and a minimum vertex cut, for a
   labeled graph: each canonicalizes it and asks the kernel
   (:mod:`repro.fastgraph.flow`). A caller that already holds an
-  :class:`~repro.fastgraph.IndexedGraph` asks the kernel directly.
+  :class:`~repro.fastgraph.indexed.IndexedGraph` asks the kernel directly.
 * Domination, CDS, dominating-tree and spanning-tree predicates
   (Section 2).
 
@@ -22,7 +22,8 @@ from typing import Hashable, Iterable, Set
 import networkx as nx
 
 from repro.errors import GraphValidationError
-from repro.fastgraph import IndexedGraph, flow
+from repro.fastgraph import flow
+from repro.fastgraph.indexed import IndexedGraph
 
 
 def vertex_connectivity(graph: nx.Graph) -> int:

@@ -6,11 +6,11 @@ classical construction takes the union of ``k`` successively edge-disjoint
 spanning forests (Nagamochi–Ibaraki; Thurimella gave the sublinear
 distributed version cited by the paper's Theorem B.2 machinery).
 
-The decomposition algorithms do not strictly need certificates, but they
-are part of the substrate the paper builds on ([49] is the basis of the
-component-identification subroutine), and the spanning-tree-packing
-benchmarks use them to shrink dense inputs without changing connectivity
-up to the packing size.
+The decomposition algorithms do not need certificates, and no product
+path or benchmark builds one; they are part of the substrate the paper
+builds on ([49] is the basis of the component-identification
+subroutine), and the tests check that a certificate keeps every edge
+connectivity value up to ``k``.
 """
 
 from __future__ import annotations

@@ -10,17 +10,12 @@ path compression, giving effectively-constant amortized operations.
 
 The packing hot paths use the integer-specialized
 :class:`~repro.fastgraph.union_find.IntUnionFind` instead (flat lists,
-no hashing); it is re-exported here so both forests are importable from
-one place.
+no hashing).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable, Iterator, List, Optional
-
-from repro.fastgraph.union_find import IntUnionFind
-
-__all__ = ["IntUnionFind", "UnionFind"]
 
 
 class UnionFind:

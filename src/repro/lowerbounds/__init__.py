@@ -7,23 +7,3 @@
   the Alice/Bob round-by-round simulation of Lemmas G.5/G.6, with exact
   bit accounting (``≤ 2·B·T`` bits for T simulated rounds).
 """
-
-from repro.lowerbounds.construction import (
-    LowerBoundInstance,
-    build_g_xy,
-    build_h_xy,
-)
-from repro.lowerbounds.disjointness import (
-    TwoPartySimulation,
-    decide_disjointness_via_connectivity,
-    simulate_protocol_two_party,
-)
-
-__all__ = [
-    "LowerBoundInstance",
-    "build_h_xy",
-    "build_g_xy",
-    "TwoPartySimulation",
-    "simulate_protocol_two_party",
-    "decide_disjointness_via_connectivity",
-]

@@ -341,13 +341,9 @@ class ServiceCore:
         if task == "estimate":
             task = "connectivity"
         elif task == "pack":
-            kind = fields.pop("kind", "cds")
-            if kind not in ("cds", "spanning"):
-                raise ServiceError(
-                    f"unknown packing kind {kind!r}; valid kinds: "
-                    "cds, spanning"
-                )
-            task = f"pack_{kind}"
+            task = "pack_" + tasks.packing_kind(
+                "kind", fields.pop("kind", "cds")
+            )
         kwargs = tasks.decode(task, fields)
         session, _, _ = self._resolve_session(request)
         return getattr(session, task)(**kwargs)

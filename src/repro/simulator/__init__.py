@@ -19,52 +19,3 @@ Composite algorithms (BFS + convergecast, Borůvka MST, the CDS-packing
 layers of Appendix B) chain multiple runs; metrics are additive via
 :meth:`SimulationMetrics.merge`.
 """
-
-from repro.simulator.message import Message, payload_bits
-from repro.simulator.metrics import SimulationMetrics
-from repro.simulator.network import Network
-from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import (
-    Model,
-    SimulationResult,
-    SyncRunner,
-    simulate,
-)
-from repro.simulator.transport import (
-    CliqueTransport,
-    ECongestTransport,
-    Transport,
-    VCongestTransport,
-    build_transport,
-)
-from repro.simulator.faults import FaultPlan
-from repro.simulator.scenario import (
-    ScenarioProgram,
-    ScenarioRun,
-    register_program,
-)
-from repro.simulator.tracing import RoundTrace, Tracer
-
-__all__ = [
-    "FaultPlan",
-    "Tracer",
-    "RoundTrace",
-    "Message",
-    "payload_bits",
-    "SimulationMetrics",
-    "Network",
-    "Context",
-    "NodeProgram",
-    "Model",
-    "SimulationResult",
-    "SyncRunner",
-    "simulate",
-    "Transport",
-    "VCongestTransport",
-    "ECongestTransport",
-    "CliqueTransport",
-    "build_transport",
-    "ScenarioProgram",
-    "ScenarioRun",
-    "register_program",
-]

@@ -14,32 +14,3 @@ These are the substrate routines the paper's constructions invoke:
 * :mod:`clique` — Congested-Clique primitives on the all-to-all
   transport (one-round extremum/exchange, degree census).
 """
-
-from repro.simulator.algorithms.exchange import exchange_once
-from repro.simulator.algorithms.flooding import flood_extremum, elect_leader
-from repro.simulator.algorithms.bfs import build_bfs_tree
-from repro.simulator.algorithms.subgraph_flood import (
-    identify_components,
-    subgraph_extremum,
-)
-from repro.simulator.algorithms.convergecast import converge_sum
-from repro.simulator.algorithms.boruvka import distributed_mst
-from repro.simulator.algorithms.clique import (
-    clique_degree_census,
-    clique_exchange,
-    clique_extremum,
-)
-
-__all__ = [
-    "exchange_once",
-    "flood_extremum",
-    "elect_leader",
-    "build_bfs_tree",
-    "identify_components",
-    "subgraph_extremum",
-    "converge_sum",
-    "distributed_mst",
-    "clique_extremum",
-    "clique_exchange",
-    "clique_degree_census",
-]

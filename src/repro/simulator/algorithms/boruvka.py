@@ -26,7 +26,7 @@ from repro.simulator.algorithms.subgraph_flood import (
 )
 from repro.simulator.metrics import AnalyticRoundCost, RoundReport, SimulationMetrics
 from repro.simulator.network import Network
-from repro.simulator.runner import Model
+from repro.simulator.transport import Model
 
 
 @dataclass

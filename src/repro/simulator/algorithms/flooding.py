@@ -14,7 +14,8 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 from repro.simulator.message import Message
 from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import Model, SimulationResult, simulate
+from repro.simulator.runner import SimulationResult, simulate
+from repro.simulator.transport import Model
 
 
 class ExtremumFloodProgram(NodeProgram):

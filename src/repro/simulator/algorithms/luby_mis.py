@@ -17,7 +17,8 @@ from typing import Any, Dict, Hashable, Optional, Set, Tuple
 from repro.simulator.message import Message
 from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import Model, SimulationResult, simulate
+from repro.simulator.runner import SimulationResult, simulate
+from repro.simulator.transport import Model
 from repro.utils.rng import RngLike
 
 _IN_MIS = "in-mis"

@@ -20,7 +20,8 @@ from typing import Any, Dict, Hashable, Optional, Set, Tuple
 from repro.simulator.message import Message
 from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import Model, SimulationResult, SyncRunner
+from repro.simulator.runner import SimulationResult, SyncRunner
+from repro.simulator.transport import Model
 from repro.utils.rng import RngLike
 
 
@@ -89,7 +90,7 @@ def multikey_flood(
     only the delivery accounting changes. ``tracer`` optionally records
     the round schedule.
     """
-    from repro.simulator.runner import default_message_budget
+    from repro.simulator.transport import default_message_budget
 
     budget = (keys_bound + 2) * default_message_budget(network.n)
     runner = SyncRunner(network, model=model, bits_per_message=budget)

@@ -26,7 +26,8 @@ from repro.simulator.algorithms.bfs import BfsTree, build_bfs_tree
 from repro.simulator.message import Message
 from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import Model, simulate
+from repro.simulator.runner import simulate
+from repro.simulator.transport import Model
 
 
 @dataclass

@@ -6,7 +6,7 @@ stable neighbor lists, ``n``, a diameter estimate, and random node ids
 round; we provide them up front, deterministic under a seed).
 
 Since the engine refactor the network canonicalizes its nodes **once**
-through :class:`repro.fastgraph.IndexedGraph`: every node gets a dense
+through :class:`repro.fastgraph.indexed.IndexedGraph`: every node gets a dense
 integer index (position in ``graph.nodes()`` order) and the round loop of
 :mod:`repro.simulator.runner` works entirely over those indices and flat
 neighbor arrays — no per-message hashing of node keys. The public API
@@ -23,7 +23,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 import networkx as nx
 
 from repro.errors import GraphValidationError, SimulationError
-from repro.fastgraph import IndexedGraph
+from repro.fastgraph.indexed import IndexedGraph
 from repro.utils.mathutil import ceil_log2
 from repro.utils.rng import RngLike, ensure_rng
 

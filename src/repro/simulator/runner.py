@@ -16,7 +16,7 @@ The executor is an *engine* with three separated layers:
   budget enforcement live in pluggable
   :class:`~repro.simulator.transport.Transport` objects
   (``VCongestTransport`` / ``ECongestTransport`` / ``CliqueTransport``);
-  the historical :class:`Model` enum selects a stock transport.
+  a :class:`~repro.simulator.transport.Model` names a stock transport.
 * **program registry** — :mod:`repro.simulator.scenario` names the
   runnable workloads; :meth:`repro.api.GraphSession.simulate` runs them
   through this module.
@@ -62,22 +62,13 @@ from repro.simulator.message import Message
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.transport import (  # re-exported (historical home)
+from repro.simulator.transport import (
     BROADCAST,
     Model,
     Transport,
     build_transport,
-    default_message_budget,
 )
 from repro.utils.rng import RngLike, ensure_rng, fresh_seed
-
-__all__ = [
-    "Model",
-    "SimulationResult",
-    "SyncRunner",
-    "simulate",
-    "default_message_budget",
-]
 
 #: The column step's rule, picked from the sweep in DESIGN.md §3e. A run
 #: qualifies when its mean fan-out (2m/n) is at least COLUMN_MIN_FANOUT;

@@ -31,8 +31,9 @@ from repro.errors import GraphValidationError
 from repro.simulator.faults import RetransmittingFloodProgram
 from repro.simulator.network import Network
 from repro.simulator.node import NodeProgram
-from repro.simulator.runner import Model, SimulationResult
+from repro.simulator.runner import SimulationResult
 from repro.simulator.tracing import RoundTrace
+from repro.simulator.transport import Model
 
 ProgramFactory = Callable[[Hashable], NodeProgram]
 ProgramBuilder = Callable[[Network], ProgramFactory]

@@ -1,15 +1,1 @@
 """Shared low-level helpers: randomness plumbing and math utilities."""
-
-from repro.utils.rng import ensure_rng, fresh_seed, spawn_rngs
-from repro.utils.mathutil import ceil_div, ceil_log2, ilog2, int_log, whp_repeats
-
-__all__ = [
-    "ensure_rng",
-    "fresh_seed",
-    "spawn_rngs",
-    "ceil_div",
-    "ceil_log2",
-    "ilog2",
-    "int_log",
-    "whp_repeats",
-]

@@ -37,7 +37,8 @@ from repro.errors import ModelViolationError, SimulationError
 from repro.simulator.message import Message
 from repro.simulator.metrics import SimulationMetrics
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import Model, SimulationResult
+from repro.simulator.runner import SimulationResult
+from repro.simulator.transport import Model
 from repro.utils.rng import fresh_seed
 
 

@@ -33,8 +33,8 @@ from repro.simulator.adversary import (
 from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.message import Message, payload_bits
 from repro.simulator.network import Network
-from repro.simulator.runner import Model, SyncRunner
-from repro.simulator.transport import CliqueTransport
+from repro.simulator.runner import SyncRunner
+from repro.simulator.transport import CliqueTransport, Model
 
 
 

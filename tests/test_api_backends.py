@@ -9,11 +9,16 @@ import io
 import json
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+import repro
 from repro.api import backends, batch
 from repro.api.backends import (
     default_workers,
@@ -298,7 +303,9 @@ class TestCheckpointResume:
 class _BrokenPool:
     """Stand-in ProcessPoolExecutor whose workers are already dead."""
 
-    def __init__(self, max_workers=None):
+    _processes: dict = {}
+
+    def __init__(self, max_workers=None, initializer=None):
         pass
 
     def __enter__(self):
@@ -366,3 +373,56 @@ class TestFailurePaths:
         ck = tmp_path / "ck.jsonl"
         reference = _jsonl(jobs, checkpoint=str(ck))
         assert _jsonl(jobs, checkpoint=str(ck), resume=True) == reference
+
+
+def _children(pid: int) -> list:
+    """The pids ``pid`` has forked, from Linux's /proc."""
+    try:
+        with open(f"/proc/{pid}/task/{pid}/children") as handle:
+            return [int(child) for child in handle.read().split()]
+    except FileNotFoundError:
+        return []
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/task"),
+                    reason="reads a process's children from Linux's /proc")
+def test_sigterm_stops_the_workers_and_keeps_the_checkpoint(tmp_path):
+    jobs = tmp_path / "jobs.json"
+    jobs.write_text(json.dumps({"graphs": ["harary:8,160"],
+                                "tasks": ["pack_cds", "pack_spanning"],
+                                "trials": 4}))
+    argv = [sys.executable, "-m", "repro", "batch", str(jobs),
+            "--out", str(tmp_path / "out.jsonl"), "--backend", "process",
+            "--workers", "2", "--checkpoint", str(tmp_path / "ck.jsonl")]
+    env = {**os.environ,
+           "PYTHONPATH": os.path.dirname(os.path.dirname(repro.__file__))}
+    proc = subprocess.Popen(argv, env=env)
+    deadline = time.monotonic() + 30
+    workers = []
+    while len(workers) < 2 and time.monotonic() < deadline:
+        workers = _children(proc.pid)
+        time.sleep(0.005)
+    try:
+        assert len(workers) == 2
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=10) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 5
+        while any(map(_running, workers)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert not any(map(_running, workers))
+    finally:
+        proc.kill()
+        for pid in filter(_running, workers):
+            os.kill(pid, signal.SIGKILL)
+    resumed = subprocess.run(argv + ["--resume"], env=env, timeout=60)
+    assert resumed.returncode == 0
+    assert len((tmp_path / "out.jsonl").read_text().splitlines()) == 8

@@ -9,9 +9,9 @@ import json
 
 import pytest
 
-from repro.api import (
+from repro.api import backends
+from repro.api.batch import (
     JobSpec,
-    backends,
     derive_seed,
     expand_matrix,
     load_jobs,
@@ -20,8 +20,8 @@ from repro.api import (
 )
 from repro.cli import main
 from repro.errors import GraphValidationError
-from repro.service import ServiceCore
-from repro.fastgraph import IndexedGraph
+from repro.fastgraph.indexed import IndexedGraph
+from repro.service.core import ServiceCore
 
 MATRIX = {
     "graphs": ["harary:4,12", "hypercube:3"],

@@ -26,7 +26,7 @@ from repro.core.spanning_packing import fractional_spanning_tree_packing
 from repro.core.vertex_connectivity import approximate_vertex_connectivity
 from repro.core.virtual_graph import CdsIndex
 from repro.errors import GraphValidationError
-from repro.fastgraph import IndexedGraph
+from repro.fastgraph.indexed import IndexedGraph
 
 SPEC = "harary:4,16"
 
@@ -322,16 +322,3 @@ class TestValidation:
             CdsIndex(graph, indexed=other)
         with pytest.raises(GraphValidationError, match="does not match"):
             Network(graph, rng=0, indexed=other)
-
-
-class TestModuleLevelShims:
-    def test_top_level_lazy_exports(self):
-        import repro
-
-        assert repro.GraphSession is GraphSession
-        assert callable(repro.fractional_cds_packing)
-        assert callable(repro.approximate_vertex_connectivity)
-        assert "GraphSession" in repro.__all__
-        assert "JobSpec" in repro.__all__
-        with pytest.raises(AttributeError):
-            repro.not_a_real_name

@@ -26,11 +26,12 @@ import shlex
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.api import JobSpec, Result, run, tasks
+from repro.api import Result, tasks
+from repro.api.batch import JobSpec, run
 from repro.cli import main
 from repro.errors import BadRequestError
-from repro.service import LocalBackend, ServiceCore
-from repro.service.shell import run_shell
+from repro.service.core import ServiceCore
+from repro.service.shell import LocalBackend, run_shell
 
 GRAPH = "harary:4,10"
 SCHEDULE = [[0, 1, [1, 2]], [1, 0, [2]]]
@@ -80,6 +81,21 @@ BAD_FIELDS = [
     ("simulate", {"fault_plan": {"drop_probability": "x"}}),
     ("simulate", {"adversary_plan": {"targets": [[0]]}}),
     ("simulate", {"trace": "no"}),
+    # Values out of range, or outside a field's fixed set.
+    ("simulate", {"show_outputs": -1}),
+    ("simulate", {"max_rounds": 0}),
+    ("simulate", {"max_rounds": -5}),
+    ("simulate", {"program": "x"}),
+    ("broadcast", {"messages": -3}),
+    ("broadcast", {"transport": "x"}),
+    ("gossip", {"n_messages": -2}),
+    ("gossip", {"max_per_node": -1}),
+    ("pack_cds", {"k": 0}),
+    ("pack_spanning", {"lam": 0}),
+    ("pack_integral", {"class_factor": -1.0}),
+    ("pack_integral", {"parts_factor": 0}),
+    ("pack_integral", {"kind": "spanning", "lam": -1}),
+    ("pack_integral", {"kind": "bogus"}),
 ]
 
 
@@ -137,6 +153,21 @@ def test_bad_fields_are_bad_request_rows(backend, workers):
         assert row.payload["error_name"] == "BadRequestError"
     reference = [row.canonical_json() for row in run(good)]
     assert [rows[0].canonical_json(), rows[-1].canonical_json()] == reference
+
+
+@pytest.mark.parametrize("task, fields",
+                         BAD_FIELDS + [("pack", {"kind": "x"})])
+def test_bad_fields_are_bad_request_before_a_session_opens(task, fields):
+    core = ServiceCore()
+    reply = core.handle({"op": task, "graph": GRAPH, **fields})
+    assert reply["payload"]["error_type"] == "bad-request"
+    assert core.cache.fingerprints() == []
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+def test_factors_are_finite(value):
+    with pytest.raises(BadRequestError, match="positive finite"):
+        tasks.decode("pack_integral", {"class_factor": value})
 
 
 def test_schedule_check_follows_the_run_model(capsys):

@@ -25,8 +25,8 @@ from repro.graphs.connectivity import is_connected_dominating_set
 from repro.graphs.generators import harary_graph
 from repro.simulator.faults import FaultPlan
 from repro.simulator.network import Network
-from repro.simulator.runner import Model
 from repro.simulator.scenario import ScenarioRun, resolve_program
+from repro.simulator.transport import Model
 from repro.utils.rng import ensure_rng
 
 GRAPH_SPEC = "harary:4,16"

@@ -8,7 +8,8 @@ import networkx as nx
 import pytest
 
 import repro
-from repro.cli import build_parser, main, parse_graph_spec
+from repro.api.specs import parse_graph_spec
+from repro.cli import build_parser, main
 from repro.errors import GraphValidationError
 
 

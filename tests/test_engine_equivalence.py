@@ -45,13 +45,9 @@ from repro.simulator.algorithms.subgraph_flood import (
 )
 from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.network import Network
-from repro.simulator.runner import (
-    Model,
-    SimulationResult,
-    SyncRunner,
-    simulate,
-)
+from repro.simulator.runner import SimulationResult, SyncRunner, simulate
 from repro.simulator.tracing import Tracer
+from repro.simulator.transport import Model
 from repro.utils.rng import ensure_rng
 
 #: The round loop's two ways to run, each held against the reference.

@@ -22,19 +22,15 @@ from repro.core.spanning_packing import (
     fractional_spanning_tree_packing,
     mwu_spanning_packing,
 )
-from repro.fastgraph import (
-    IndexedGraph,
-    IntUnionFind,
-    NearSortedEdgeOrder,
-    kruskal_from_order,
-)
+from repro.fastgraph.indexed import IndexedGraph
+from repro.fastgraph.kruskal import NearSortedEdgeOrder, kruskal_from_order
+from repro.fastgraph.union_find import IntUnionFind
 from repro.graphs.generators import (
     fat_cycle,
     harary_graph,
     hypercube,
     random_regular_connected,
 )
-from repro.graphs.union_find import IntUnionFind as ReExportedIntUnionFind
 from repro.graphs.union_find import UnionFind
 from tests.oracles.spanning_packing_reference import (
     fractional_spanning_tree_packing_reference,
@@ -153,9 +149,6 @@ class TestIntUnionFind:
         uf.reset()
         assert uf.n_components == 5
         assert all(uf.find(i) == i for i in range(5))
-
-    def test_reexported_from_graphs_union_find(self):
-        assert ReExportedIntUnionFind is IntUnionFind
 
 
 class TestKruskal:

@@ -14,8 +14,12 @@ from repro.simulator.algorithms.flooding import flood_extremum
 from repro.simulator.faults import FaultPlan, RetransmittingFloodProgram
 from repro.simulator.network import Network
 from repro.simulator.node import NodeProgram
-from repro.simulator.runner import Model, SyncRunner, simulate
-from repro.simulator.transport import CliqueTransport, VCongestTransport
+from repro.simulator.runner import SyncRunner, simulate
+from repro.simulator.transport import (
+    CliqueTransport,
+    Model,
+    VCongestTransport,
+)
 
 
 class _ShiftTransport(VCongestTransport):

@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro.api import GraphSession
 from repro.errors import GraphValidationError
-from repro.fastgraph import IndexedGraph
 from repro.fastgraph.flow import edge_connectivity, vertex_connectivity
+from repro.fastgraph.indexed import IndexedGraph
 from repro.graphs import connectivity
 from repro.graphs.generators import (
     clique_chain,

@@ -16,20 +16,20 @@ import threading
 
 import pytest
 
-from repro.api import GraphSession, load_adjacency_csv, parse_graph_spec
+from repro.api import GraphSession, parse_graph_spec
 from repro.api.envelope import Result
+from repro.api.specs import load_adjacency_csv
 from repro.errors import GraphValidationError, ServiceError
-from repro.service import (
+from repro.service.core import ServiceCore, SessionCache
+from repro.service.daemon import ReproServer
+from repro.service.protocol import is_error
+from repro.service.shell import (
     LocalBackend,
     RemoteBackend,
-    ReproServer,
     ReproShell,
-    ServiceCore,
-    SessionCache,
-    is_error,
     parse_connect,
+    run_shell,
 )
-from repro.service.shell import run_shell
 
 
 # -- ServiceCore dispatch --------------------------------------------------
@@ -96,7 +96,7 @@ def test_core_error_taxonomy():
     bad_kind = core.handle(
         {"op": "pack", "graph": "harary:4,12", "kind": "bogus"}
     )
-    assert bad_kind["payload"]["error_type"] == "service"
+    assert bad_kind["payload"]["error_type"] == "bad-request"
     stats = core.handle({"op": "stats"})["payload"]
     assert stats["errors"] == 4 and stats["requests"] == 5
 

@@ -22,8 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api.envelope import Result
 from repro.errors import WireProtocolError
-from repro.service import (
-    ReproServer,
+from repro.service.daemon import ReproServer
+from repro.service.protocol import (
     encode_frame,
     error_envelope,
     is_error,

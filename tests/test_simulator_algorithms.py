@@ -16,7 +16,7 @@ from repro.simulator.algorithms.subgraph_flood import (
     subgraph_extremum,
 )
 from repro.simulator.network import Network
-from repro.simulator.runner import Model
+from repro.simulator.transport import Model
 
 
 @pytest.fixture

@@ -22,7 +22,8 @@ from repro.simulator.metrics import (
 )
 from repro.simulator.network import Network
 from repro.simulator.node import Context, NodeProgram
-from repro.simulator.runner import Model, SyncRunner, default_message_budget, simulate
+from repro.simulator.runner import SyncRunner, simulate
+from repro.simulator.transport import Model, default_message_budget
 from repro.utils.rng import ensure_rng, fresh_seed
 
 

@@ -9,8 +9,9 @@ from repro.graphs.generators import harary_graph
 from repro.simulator.algorithms.bfs import BfsProgram
 from repro.simulator.algorithms.flooding import ExtremumFloodProgram
 from repro.simulator.network import Network
-from repro.simulator.runner import Model, simulate
+from repro.simulator.runner import simulate
 from repro.simulator.tracing import RoundTrace, TraceEvent, Tracer
+from repro.simulator.transport import Model
 
 
 def _traced_flood(graph, values, seed=1):

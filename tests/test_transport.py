@@ -15,10 +15,11 @@ from repro.simulator.algorithms.clique import (
 from repro.simulator.algorithms.flooding import flood_extremum
 from repro.simulator.network import Network
 from repro.simulator.node import NodeProgram
-from repro.simulator.runner import Model, SyncRunner, simulate
+from repro.simulator.runner import SyncRunner, simulate
 from repro.simulator.transport import (
     CliqueTransport,
     ECongestTransport,
+    Model,
     Transport,
     VCongestTransport,
     build_transport,

@@ -1,7 +1,7 @@
 """Packings keep their trees in index form; the labelled tree is lazy.
 
 The constructions hand each tree over as indices on the graph's
-:class:`~repro.fastgraph.IndexedGraph`. Loads, counts, disjointness,
+:class:`~repro.fastgraph.indexed.IndexedGraph`. Loads, counts, disjointness,
 diameters and the broadcasts read that form; ``WeightedTree.tree`` is
 built only when something reads it. These tests pin that no labelled
 tree is built on the pipeline, that the index-side reads equal the same
@@ -21,7 +21,7 @@ from repro.core.tree_packing import (
     WeightedTree,
 )
 from repro.errors import PackingValidationError
-from repro.fastgraph import IndexedGraph
+from repro.fastgraph.indexed import IndexedGraph
 
 SPECS = ("harary:6,30", "torus:5,6", "hypercube:5", "fat_cycle:6,4",
          "clique_chain:3,5")

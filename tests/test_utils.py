@@ -106,7 +106,6 @@ class TestErrors:
 
     def test_package_exports(self):
         assert repro.__version__
-        assert repro.ReproError is ReproError
 
 
 @settings(max_examples=50, deadline=None)

@@ -30,9 +30,9 @@ from repro.simulator.faults import FaultPlan
 from repro.simulator.message import Message
 from repro.simulator.network import Network
 from repro.simulator.node import NodeProgram
-from repro.simulator.runner import Model, SyncRunner, simulate
+from repro.simulator.runner import SyncRunner, simulate
 from repro.simulator.tracing import Tracer
-from repro.simulator.transport import VCongestTransport
+from repro.simulator.transport import Model, VCongestTransport
 
 
 # ----------------------------------------------------------------------
